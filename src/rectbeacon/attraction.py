@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .errors import InternalCaseError, PointOutsidePolygon
 from .geometry import Point
-from .polygon import CONVEX, REFLEX, RectPolygon, _INWARD
+from .polygon import CONVEX, REFLEX, RectPolygon, _INWARD, boundary_hits
 
 FREE = "free"
 SLIDE = "slide"
@@ -97,51 +97,6 @@ def _free_allowed_at_vertex(poly: RectPolygon, i: int, d: Point) -> bool:
     return not (d.dot(u1) > 0 and d.dot(u2) > 0)
 
 
-def _first_hit(poly: RectPolygon, z: Point, b: Point):
-    """First boundary event on the open segment (z, b].
-
-    Returns (t, point, kind, payload) with kind 'vertex' (payload: index) or
-    'edge' (payload: edge index), or None when z->b is event-free.
-    """
-    d = b - z
-    best = None  # (t, kind_rank, point, kind, payload)
-    for e in poly.edges:
-        ev = e.b - e.a
-        denom = d.cross(ev)
-        if denom != 0:
-            w = e.a - z
-            t = w.cross(ev) / denom
-            if not (0 < t <= 1):
-                continue
-            s = w.cross(d) / denom
-            if not (0 <= s <= 1):
-                continue
-            pt = z + t * d
-            if s == 0:
-                cand = (t, 0, pt, "vertex", e.index)
-            elif s == 1:
-                cand = (t, 0, pt, "vertex", (e.index + 1) % poly.n)
-            else:
-                cand = (t, 1, pt, "edge", e.index)
-        else:
-            if d.cross(e.a - z) != 0:
-                continue  # parallel, different line
-            dd = d.dot(d)
-            cand = None
-            for vtx, idx in ((e.a, e.index), (e.b, (e.index + 1) % poly.n)):
-                t = (vtx - z).dot(d) / dd
-                if 0 < t <= 1 and (cand is None or t < cand[0]):
-                    cand = (t, 0, vtx, "vertex", idx)
-            if cand is None:
-                continue
-        if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-            best = cand
-    if best is None:
-        return None
-    t, _, pt, kind, payload = best
-    return (t, pt, kind, payload)
-
-
 def attraction_path(poly: RectPolygon, p: Point, b: Point) -> AttractionPath:
     """Simulate the pull of beacon b on a point starting at p, exactly."""
     if poly.contains(p) == "out":
@@ -161,16 +116,12 @@ def attraction_path(poly: RectPolygon, p: Point, b: Point) -> AttractionPath:
             action = _begin(poly, z, b)
             continue
         if action[0] == "free":
-            hit = _first_hit(poly, z, b)
-            if hit is None:
+            hits = boundary_hits(poly, z, b - z, 1)
+            if not hits or hits[0][1] == b:
                 segments.append(Segment(z, b, FREE))
                 return _finish(poly, p, b, segments, True, None)
-            t, pt, kind, payload = hit
-            if pt == b:
-                segments.append(Segment(z, b, FREE))
-                return _finish(poly, p, b, segments, True, None)
-            if pt != z:
-                segments.append(Segment(z, pt, FREE))
+            _, pt, kind, payload = hits[0]
+            segments.append(Segment(z, pt, FREE))
             z = pt
             if kind == "vertex":
                 action = _vertex_continue(poly, payload, b, arrived_slide_on=None)

@@ -10,13 +10,12 @@ from .errors import (
     ConstraintUnsatisfied,
     GeneralPositionViolated,
     GenerationFailed,
-    NotAChord,
     NotCoverageSpiral,
     NotRectilinear,
     NotSimple,
 )
 from .geometry import Point, midpoint
-from .polygon import RectPolygon, validate
+from .polygon import RectPolygon, boundary_hits, validate
 
 EAST = Point(1, 0)
 SOUTH = Point(0, -1)
@@ -222,7 +221,7 @@ def greedy_cover_spiral(poly: RectPolygon, decomp: SpiralDecomposition) -> Beaco
         witness = decomp.outer[m]  # outer corner of C_m, missed by b_{i-1}
         prev = beacons[-1]
         chosen = v
-        for _, pt in _ray_hits_desc(poly, v, prev - v):
+        for _, pt, _, _ in reversed(boundary_hits(poly, v, prev - v)):
             if attracts(poly, pt, witness):
                 chosen = pt
                 break
@@ -234,53 +233,6 @@ def greedy_cover_spiral(poly: RectPolygon, decomp: SpiralDecomposition) -> Beaco
                     f"greedy beacon {i} at {chosen} escaped rectangle A_{3 * i - 1}"
                 )
     return BeaconSet(beacons, ["greedy"] * len(beacons), mode="cover")
-
-
-def _ray_hits_desc(poly: RectPolygon, origin: Point, d: Point):
-    """Boundary intersections of the ray origin + t*d (t>0), deepest first."""
-    hits = []
-    for e in poly.edges:
-        ev = e.b - e.a
-        denom = d.cross(ev)
-        if denom == 0:
-            continue
-        w = e.a - origin
-        t = w.cross(ev) / denom
-        s = w.cross(d) / denom
-        if t > 0 and 0 <= s <= 1:
-            hits.append((t, origin + t * d))
-    hits.sort(key=lambda h: -h[0])
-    return hits
-
-
-def _ray_last_exit(poly: RectPolygon, origin: Point, d: Point) -> Point:
-    """Farthest boundary point on the ray origin + t*d, t > 0.
-
-    The greedy chain pushes each beacon maximally along the spine: the
-    constraint line typically crosses the thin gap between windings and
-    re-enters the next arm, so the deepest boundary intersection is wanted.
-    """
-    best_t = None
-    for e in poly.edges:
-        ev = e.b - e.a
-        denom = d.cross(ev)
-        if denom != 0:
-            w = e.a - origin
-            t = w.cross(ev) / denom
-            s = w.cross(d) / denom
-            if t > 0 and 0 <= s <= 1 and (best_t is None or t > best_t):
-                best_t = t
-        else:
-            if d.cross(e.a - origin) != 0:
-                continue
-            dd = d.dot(d)
-            for vtx in (e.a, e.b):
-                t = (vtx - origin).dot(d) / dd
-                if t > 0 and (best_t is None or t > best_t):
-                    best_t = t
-    if best_t is None:
-        raise NotAChord(f"ray from {origin} along {d} never meets the boundary")
-    return origin + best_t * d
 
 
 # ------------------------------------------------------------------ routing

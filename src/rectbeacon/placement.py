@@ -17,7 +17,7 @@ from .generators import BeaconSet
 from .geometry import Point, midpoint
 from .kernel import in_all_cones
 from .polygon import (
-    REFLEX,
+    _INWARD,
     Chord,
     Cut,
     RectPolygon,
@@ -26,6 +26,7 @@ from .polygon import (
     iter_normal_cuts,
     materialize,
     pocket,
+    reflex_points_below,
     split,
 )
 from .transforms import TRANSFORMS, Transform, all_transforms
@@ -121,21 +122,9 @@ def find_safe_cut(poly: RectPolygon) -> Optional[Cut]:
     return None
 
 
-def _reflex_points_in_minus_chain(poly: RectPolygon, cut: Cut) -> List[Point]:
-    chord = materialize(poly, cut)
-    a, b = chord.a, chord.b
-    chain = poly.chain_between(a, b) if chord.axis == "H" else poly.chain_between(b, a)
-    out = []
-    for p in chain[1:-1]:
-        i = poly.vertex_index(p)
-        if i is not None and poly.classes[i] == REFLEX:
-            out.append(p)
-    return out
-
-
 def _first_reflex_below(poly: RectPolygon, cut: Cut) -> Point:
     """Reflex vertex of P_minus with maximal level (ties: smaller cross)."""
-    pts = _reflex_points_in_minus_chain(poly, cut)
+    pts = reflex_points_below(poly, cut)
     chord = materialize(poly, cut)
     below = [p for p in pts if (p.y if chord.axis == "H" else p.x) < chord.level]
     if not below:
@@ -145,7 +134,7 @@ def _first_reflex_below(poly: RectPolygon, cut: Cut) -> Point:
 
 def _first_reflex_above(poly: RectPolygon, cut: Cut) -> Point:
     chord = materialize(poly, cut)
-    minus_pts = set(_reflex_points_in_minus_chain(poly, cut))
+    minus_pts = set(reflex_points_below(poly, cut))
     above = [poly.vertices[i] for i in poly.reflex_indices
              if poly.vertices[i] not in minus_pts and
              (poly.vertices[i].y if chord.axis == "H" else poly.vertices[i].x) > chord.level]
@@ -381,7 +370,7 @@ def _no_safe_bottom(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point
         raise InternalCaseError("bottom (0,1): a vertical cut on e would have been safe")
     if (m1, m2) != (1, 2):
         raise InternalCaseError(f"bottom case: unexpected (m1,m2)={(m1, m2)}")
-    below = _reflex_points_in_minus_chain(poly, c1)
+    below = reflex_points_below(poly, c1)
     if len(below) != 1:
         raise InternalCaseError(f"bottom case: {len(below)} reflex vertices below e")
     w = below[0]
@@ -503,21 +492,13 @@ def route_beacons(poly: RectPolygon, trace: Optional[TraceNode] = None) -> Beaco
 
 def _normalizing_transform(poly: RectPolygon, e_idx: int, v_idx: int) -> Transform:
     """Transform making edge e a top reflex edge with v its left endpoint."""
-    ea, eb = poly.edges[e_idx].a, poly.edges[e_idx].b
+    e = poly.edges[e_idx]
     v = poly.vertices[v_idx]
-    for t in all_transforms():
-        q = t.polygon(poly)
-        ta, tb, tv = t.point(ea), t.point(eb), t.point(v)
-        qe = None
-        for edge in q.edges:
-            if {edge.a, edge.b} == {ta, tb}:
-                qe = edge
-                break
-        if qe is None or qe.kind != "reflex" or qe.facing != "top":
-            continue
-        west = qe.a if qe.a.x < qe.b.x else qe.b
-        if west == tv:
-            return t
+    other = e.b if v == e.a else e.a
+    if e.kind == "reflex":
+        for t in all_transforms():
+            if t.point(_INWARD[e.direction]) == Point(0, 1) and t.point(v - other).x < 0:
+                return t
     raise InternalCaseError("no dihedral transform normalizes the pocket edge")
 
 

@@ -576,41 +576,50 @@ def _nearest_level(poly: RectPolygon, coord: Fraction, axis: str, side: str) -> 
     return (coord + cands[0]) / 2
 
 
-def _ray_shoot_axis(poly: RectPolygon, start: Point, direction: Point) -> Point:
-    """First boundary point strictly beyond start along an axis direction."""
-    best: Optional[Fraction] = None
-    horizontal = direction.y == 0
-    sign = 1 if (direction.x + direction.y) > 0 else -1
+def _extent(c: Fraction, dc: Fraction, far: Optional[Fraction]):
+    """Closed range one coordinate sweeps along a ray; None where unbounded."""
+    if dc > 0:
+        return c, far
+    if dc < 0:
+        return far, c
+    return c, c
+
+
+def boundary_hits(poly: RectPolygon, z: Point, d: Point,
+                  t_max: Optional[Fraction] = None) -> List[Tuple[Fraction, Point, str, int]]:
+    """Boundary contacts of the ray z + t*d for 0 < t (<= t_max), sorted by t.
+
+    A contact is (t, point, 'vertex', vertex index), or (t, point, 'edge',
+    edge index) for a point interior to that edge; at equal t a vertex comes
+    first.  An edge collinear with the ray contributes only its endpoints,
+    which its perpendicular neighbours report.  Every edge is axis-parallel,
+    so comparing its level and span with the ray's extent discards most
+    edges, and a remaining candidate costs one division.
+    """
+    fx, fy = (None, None) if t_max is None else (z.x + t_max * d.x, z.y + t_max * d.y)
+    xs, ys = _extent(z.x, d.x, fx), _extent(z.y, d.y, fy)
+    # By edge orientation: z, d and the ray's extent across the edge, then along it.
+    rays = {"V": (z.x, d.x, xs, z.y, d.y, ys), "H": (z.y, d.y, ys, z.x, d.x, xs)}
+    found = {}
     for e in poly.edges:
-        pts_hit: List[Fraction] = []
-        if horizontal:
-            if e.orientation == "V":
-                y1, y2 = e.span()
-                if y1 <= start.y <= y2:
-                    pts_hit.append(e.a.x)
-            else:
-                if e.a.y == start.y:
-                    x1, x2 = e.span()
-                    pts_hit.extend([x1, x2])
-        else:
-            if e.orientation == "H":
-                x1, x2 = e.span()
-                if x1 <= start.x <= x2:
-                    pts_hit.append(e.a.y)
-            else:
-                if e.a.x == start.x:
-                    y1, y2 = e.span()
-                    pts_hit.extend([y1, y2])
-        base = start.x if horizontal else start.y
-        for h in pts_hit:
-            d = (h - base) * sign
-            if d > 0 and (best is None or d < best):
-                best = d
-    if best is None:
-        raise NotAChord(f"ray from {start} exits the polygon without hitting the boundary")
-    if horizontal:
-        return Point(start.x + best * sign, start.y)
-    return Point(start.x, start.y + best * sign)
+        zl, dl, (llo, lhi), zu, du, (ulo, uhi) = rays[e.orientation]
+        level, ua, ub = (e.a.x, e.a.y, e.b.y) if e.orientation == "V" else (e.a.y, e.a.x, e.b.x)
+        lo, hi = (ua, ub) if ua < ub else (ub, ua)
+        if (dl == 0 or level == zl or (llo is not None and level < llo)
+                or (lhi is not None and level > lhi)
+                or (ulo is not None and hi < ulo) or (uhi is not None and lo > uhi)):
+            continue
+        t = (level - zl) / dl
+        u = zu + t * du if du else zu
+        if u == ua:
+            found["vertex", e.index] = (t, e.a)
+        elif u == ub:
+            found["vertex", (e.index + 1) % poly.n] = (t, e.b)
+        elif lo < u < hi:
+            found["edge", e.index] = (t, Point(level, u) if e.orientation == "V" else Point(u, level))
+    hits = [(t, pt, kind, i) for (kind, i), (t, pt) in found.items()]
+    hits.sort(key=lambda h: (h[0], h[2] == "edge"))
+    return hits
 
 
 def materialize(poly: RectPolygon, cut: Cut) -> Chord:
@@ -618,6 +627,7 @@ def materialize(poly: RectPolygon, cut: Cut) -> Chord:
     if cut._chord is not None:
         return cut._chord
     o = cut.orientation
+    chord = None
     if isinstance(cut.anchor, int):
         v = poly.vertices[cut.anchor % poly.n]
         if cut.side is None:
@@ -629,17 +639,8 @@ def materialize(poly: RectPolygon, cut: Cut) -> Chord:
             assert len(same) == 1
             e = same[0]
             d = _DIR_VEC[e.direction]
-            if e.b == v:
-                away = d  # continue past v in the edge's travel direction
-            else:
-                away = Point(-d.x, -d.y)
-            other = _ray_shoot_axis(poly, v, away)
-            if o == "H":
-                lo, hi = sorted((v.x, other.x))
-                chord = Chord("H", v.y, lo, hi)
-            else:
-                lo, hi = sorted((v.y, other.y))
-                chord = Chord("V", v.x, lo, hi)
+            # The chord leaves v on the side away from e.
+            start, ray = v, (d if e.b == v else Point(-d.x, -d.y))
         else:
             if o == "H":
                 level = _nearest_level(poly, v.y, "H", cut.side)
@@ -659,14 +660,16 @@ def materialize(poly: RectPolygon, cut: Cut) -> Chord:
         e = poly.edges[i]
         if (o == "H") == (e.orientation == "H"):
             raise NotAChord("cut orientation runs along its anchor edge")
-        inward = _INWARD[e.direction]
-        other = _ray_shoot_axis(poly, p, inward)
+        start, ray = p, _INWARD[e.direction]
+    if chord is None:
+        hits = boundary_hits(poly, start, ray)
+        if not hits:
+            raise NotAChord(f"ray from {start} exits the polygon without hitting the boundary")
+        other = hits[0][1]
         if o == "H":
-            lo, hi = sorted((p.x, other.x))
-            chord = Chord("H", p.y, lo, hi)
+            chord = Chord("H", start.y, *sorted((start.x, other.x)))
         else:
-            lo, hi = sorted((p.y, other.y))
-            chord = Chord("V", p.x, lo, hi)
+            chord = Chord("V", start.x, *sorted((start.y, other.y)))
     _assert_chord(poly, chord)
     cut._chord = chord
     return chord
@@ -714,20 +717,17 @@ def _split_rings(poly: RectPolygon, cut: Cut) -> Tuple[List[Point], List[Point]]
     return ring2, ring1
 
 
-def count_reflex_below(poly: RectPolygon, cut: Cut) -> int:
-    """Reflex vertices of poly strictly inside the P_minus side of the cut."""
+def reflex_points_below(poly: RectPolygon, cut: Cut) -> List[Point]:
+    """Reflex vertices of poly strictly inside the P_minus side of the cut, in CCW order."""
     chord = materialize(poly, cut)
     a, b = chord.a, chord.b
-    if chord.axis == "H":
-        chain = poly.chain_between(a, b)
-    else:
-        chain = poly.chain_between(b, a)
-    count = 0
-    for p in chain[1:-1]:
-        i = poly.vertex_index(p)
-        if i is not None and poly.classes[i] == REFLEX:
-            count += 1
-    return count
+    chain = poly.chain_between(a, b) if chord.axis == "H" else poly.chain_between(b, a)
+    return [p for p in chain[1:-1] if poly.classes[poly.vertex_index(p)] == REFLEX]
+
+
+def count_reflex_below(poly: RectPolygon, cut: Cut) -> int:
+    """Number of reflex vertices of poly strictly inside the P_minus side of the cut."""
+    return len(reflex_points_below(poly, cut))
 
 
 def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
@@ -750,12 +750,6 @@ def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon
     if other in minus_ring:
         return RectPolygon(_merge_ring(plus_ring), _trusted=True)
     return RectPolygon(_merge_ring(minus_ring), _trusted=True)
-
-
-def cut_of_edge_through(poly: RectPolygon, edge_index: int, vertex_index: int) -> Cut:
-    """The cut obtained by extending edge e through its endpoint v."""
-    e = poly.edges[edge_index % poly.n]
-    return Cut(vertex_index % poly.n, e.orientation)
 
 
 # --------------------------------------------------- normal cut enumeration

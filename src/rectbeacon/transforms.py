@@ -52,7 +52,3 @@ TRANSFORMS = {
 
 def all_transforms() -> List[Transform]:
     return list(TRANSFORMS.values())
-
-
-def compose(first: Transform, then: Transform) -> Callable[[Point], Point]:
-    return lambda p: then.fn(first.fn(p))

@@ -154,10 +154,11 @@ def verify_coverage(poly: RectPolygon, beacons: Sequence[Point],
 class AttractionGraph:
     """Directed beacon-to-beacon attraction reachability with memoization."""
 
-    def __init__(self, poly: RectPolygon, beacons: Sequence[Point]):
+    def __init__(self, poly: RectPolygon, beacons: Sequence[Point],
+                 memo: Optional[Dict[Tuple[Point, Point], bool]] = None):
         self.poly = poly
         self.beacons = list(beacons)
-        self._memo: Dict[Tuple[Point, Point], bool] = {}
+        self._memo = {} if memo is None else memo  # (beacon, source) -> attracts
         self._succ: Dict[int, List[int]] = {}
         for i, src in enumerate(self.beacons):
             self._succ[i] = [j for j, dst in enumerate(self.beacons)
@@ -280,13 +281,13 @@ def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
     if cost > budget:
         raise BudgetExceeded(f"necessity check needs ~{cost} evaluations > {budget}")
 
-    memo_attr: Dict[Tuple[Point, Point], bool] = {}
+    memo: Dict[Tuple[Point, Point], bool] = {}  # shared by every subset
 
     def attr(b: Point, s: Point) -> bool:
         key = (b, s)
-        if key not in memo_attr:
-            memo_attr[key] = attracts(poly, b, s)
-        return memo_attr[key]
+        if key not in memo:
+            memo[key] = attracts(poly, b, s)
+        return memo[key]
 
     tried = 0
     for subset in itertools.combinations(cands, k):
@@ -295,32 +296,7 @@ def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
             if all(any(attr(b, s) for b in subset) for s in samples):
                 return ("counterexample", list(subset))
         else:
-            if _routes_all(poly, subset, pair_list, attr):
+            graph = AttractionGraph(poly, subset, memo)
+            if all(graph.route(s, t) is not None for s, t in pair_list):
                 return ("counterexample", list(subset))
     return ("pass", tried)
-
-
-def _routes_all(poly, beacons, pairs, attr) -> bool:
-    n = len(beacons)
-    succ = {i: [j for j in range(n) if j != i and attr(beacons[j], beacons[i])]
-            for i in range(n)}
-    for s, t in pairs:
-        if attr(t, s):
-            continue
-        frontier = [i for i in range(n) if attr(beacons[i], s)]
-        seen = set(frontier)
-        ok = False
-        while frontier and not ok:
-            if any(attr(t, beacons[i]) for i in frontier):
-                ok = True
-                break
-            nxt = []
-            for i in frontier:
-                for j in succ[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        if not ok:
-            return False
-    return True

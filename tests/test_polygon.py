@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from rectbeacon.errors import GeneralPositionViolated, NotAChord, NotRectilinear, NotSimple
+from rectbeacon.generators import coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
 from rectbeacon.polygon import (
     CONVEX,
     REFLEX,
     Cut,
+    boundary_hits,
     chords_on_line,
     count_reflex_below,
     m_cut_class,
@@ -18,6 +20,7 @@ from rectbeacon.polygon import (
     validate,
 )
 
+from segment_oracle import first_hit
 from shapes import L_SHAPE, SQUARE, U_SHAPE, l_shape, square, u_shape
 
 
@@ -254,3 +257,79 @@ def test_contains_modes():
     assert p.contains(Point(0, 0)) == "on"
     assert p.contains(Point(Fraction(1, 2), 2)) == "on"
     assert p.contains(Point(1, 3)) == "out"
+
+
+def test_boundary_hits_tie_order_and_collinear_edge():
+    p = u_shape()  # vertex 5 is (2,2), 4 is (4,2); edge 1 runs up x=6
+    z = Point(1, 2)
+    assert boundary_hits(p, z, Point(1, 0)) == [
+        (Fraction(1), Point(2, 2), "vertex", 5),
+        (Fraction(3), Point(4, 2), "vertex", 4),
+        (Fraction(5), Point(6, 2), "edge", 1),
+    ]
+    assert boundary_hits(p, z, Point(1, 0), 1) == [(Fraction(1), Point(2, 2), "vertex", 5)]
+    assert boundary_hits(p, z, Point(2, 0), 1) == [(Fraction(1, 2), Point(2, 2), "vertex", 5)]
+    assert boundary_hits(p, Point(5, 1), Point(-2, -2), Fraction(1, 3)) == []
+
+
+def _comb(k):
+    """k fingers of width 2 on a base, every gap floor at y = 3 (not in general position)."""
+    ring = [(0, 0), (4 * k - 2, 0)]
+    for i in range(k - 1, -1, -1):
+        ring += [(4 * i + 2, 10), (4 * i, 10)]
+        if i:
+            ring += [(4 * i, 3), (4 * i - 2, 3)]
+    return validate(ring, check_general_position=False)
+
+
+def _query_points(p, k=6):
+    """Vertices, edge midpoints and interior grid points of p."""
+    pts = list(p.vertices) + [midpoint(e.a, e.b) for e in p.edges]
+    xmin, ymin, xmax, ymax = p.bbox()
+    for i in range(1, k):
+        for j in range(1, k):
+            q = Point(xmin + (xmax - xmin) * Fraction(i, k), ymin + (ymax - ymin) * Fraction(j, k))
+            if p.contains(q) == "in":
+                pts.append(q)
+    return pts
+
+
+def _oracle_corpus():
+    polys = [u_shape(), l_shape(), _comb(3), coverage_spiral(4)[0], uniform_spiral(3)[0]]
+    polys += [random_rectilinear(n, seed) for n, seed in ((12, 1), (16, 2), (20, 3))]
+    return polys
+
+
+def test_boundary_hits_matches_segment_oracle():
+    """Every contact of the segment z->b, walked by repeated oracle first hits."""
+    queries = 0
+    for p in _oracle_corpus():
+        pts = _query_points(p)
+        for z in pts:
+            for b in pts:
+                if z == b:
+                    continue
+                queries += 1
+                hits = boundary_hits(p, z, b - z, 1)
+                assert (hits[0] if hits else None) == first_hit(p, z, b), (p, z, b)
+                walked, c = [], first_hit(p, z, b)
+                while c is not None:
+                    walked.append(c[1:])
+                    c = first_hit(p, c[1], b) if c[1] != b else None
+                assert [h[1:] for h in hits] == walked, (p, z, b)
+    assert queries >= 10000
+
+
+def test_boundary_hits_matches_oracle_on_axis_rays():
+    """An axis ray is the segment extended past the bounding box."""
+    for p in _oracle_corpus():
+        xmin, ymin, xmax, ymax = p.bbox()
+        far = xmax - xmin + ymax - ymin + 1
+        for z in _query_points(p):
+            for d in (Point(1, 0), Point(-1, 0), Point(0, 1), Point(0, -1)):
+                hits = boundary_hits(p, z, d)
+                want = first_hit(p, z, z + far * d)
+                assert (hits[0][1:] if hits else None) == (want[1:] if want else None)
+                if want:
+                    assert hits[0][0] == want[0] * far
+                assert [h[1:] for h in hits] == [h[1:] for h in boundary_hits(p, z, far * d, 1)]
