@@ -99,7 +99,8 @@ def _free_allowed_at_vertex(poly: RectPolygon, i: int, d: Point) -> bool:
 
 def attraction_path(poly: RectPolygon, p: Point, b: Point) -> AttractionPath:
     """Simulate the pull of beacon b on a point starting at p, exactly."""
-    if poly.contains(p) == "out":
+    where = poly.contains(p)
+    if where == "out":
         raise PointOutsidePolygon(f"start {p} is outside the polygon")
     if poly.contains(b) == "out":
         raise PointOutsidePolygon(f"beacon {b} is outside the polygon")
@@ -109,12 +110,9 @@ def attraction_path(poly: RectPolygon, p: Point, b: Point) -> AttractionPath:
 
     z = p
     # pending action: ("free",) | ("slide", edge_index) | terminal tuples
-    action: Tuple = ("start",)
+    action: Tuple = _begin(poly, z, b, where)
     limit = 8 * poly.n + 64
-    for _ in range(limit):
-        if action[0] == "start":
-            action = _begin(poly, z, b)
-            continue
+    for _ in range(limit - 1):  # _begin took the first of the limit steps
         if action[0] == "free":
             hits = boundary_hits(poly, z, b - z, 1)
             if not hits or hits[0][1] == b:
@@ -144,9 +142,9 @@ def attraction_path(poly: RectPolygon, p: Point, b: Point) -> AttractionPath:
     raise InternalCaseError("attraction path exceeded its event budget")
 
 
-def _begin(poly: RectPolygon, z: Point, b: Point) -> Tuple:
+def _begin(poly: RectPolygon, z: Point, b: Point, where: str) -> Tuple:
+    """First action from the start z, where poly.contains(z) gave `where`."""
     d = b - z
-    where = poly.contains(z)
     if where == "in":
         return ("free",)
     idx = poly.vertex_index(z)

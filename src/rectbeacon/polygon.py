@@ -7,6 +7,7 @@ the left of the direction of travel.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -16,7 +17,7 @@ from .errors import (
     NotRectilinear,
     NotSimple,
 )
-from .geometry import Point, cross3, on_axis_segment, scalar
+from .geometry import Point, cross3, midpoint, on_axis_segment, scalar
 
 CONVEX = "convex"
 REFLEX = "reflex"
@@ -158,28 +159,34 @@ class Chord:
         return f"Chord({self.axis}={self.level}, [{self.lo},{self.hi}])"
 
 
+def _turn(a: Point, b: Point, c: Point) -> int:
+    """Sign of the turn a -> b -> c: 1 left, -1 right, 0 straight or back."""
+    if a.y == b.y and b.x == c.x:
+        return ((b.x > a.x) - (b.x < a.x)) * ((c.y > b.y) - (c.y < b.y))
+    if a.x == b.x and b.y == c.y:
+        return ((b.y < a.y) - (b.y > a.y)) * ((c.x > b.x) - (c.x < b.x))
+    t = cross3(a, b, c)
+    return (t > 0) - (t < 0)
+
+
 def _merge_ring(points: Sequence[Point]) -> List[Point]:
     """Drop repeated and 180-degree (collinear) vertices from a closed ring."""
-    pts = list(points)
-    # Drop consecutive duplicates.
     out: List[Point] = []
-    for p in pts:
+    for p in points:
         if not out or p != out[-1]:
             out.append(p)
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
-    # Drop collinear triples until stable.
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        for i in range(len(out)):
-            a = out[i - 1]
-            b = out[i]
-            c = out[(i + 1) % len(out)]
-            if cross3(a, b, c) == 0:
-                out.pop(i)
-                changed = True
-                break
+    # Drop the first collinear vertex until none is left.  The vertices before
+    # it keep their neighbours, so the scan steps back one place instead of
+    # restarting, except after dropping the last vertex, vertex 0's neighbour.
+    i = 0
+    while len(out) >= 3 and i < len(out):
+        if _turn(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
+            del out[i]
+            i = 0 if i == len(out) else max(i - 1, 0)
+        else:
+            i += 1
     return out
 
 
@@ -197,23 +204,15 @@ class RectPolygon:
         verts = tuple(vertices)
         if not _trusted:
             raise TypeError("use rectbeacon.polygon.validate() to build a RectPolygon")
+        n = len(verts)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "n", len(verts))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "was_reversed", was_reversed)
-        self._finish()
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("RectPolygon is immutable")
-
-    def _finish(self):
-        verts = self.vertices
-        n = self.n
         classes = []
         for i in range(n):
-            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            turn = cross3(a, b, c)
+            turn = _turn(verts[i - 1], verts[i], verts[(i + 1) % n])
             if turn == 0:
-                raise NotRectilinear(f"collinear vertex at index {i}: {b}")
+                raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
             classes.append(CONVEX if turn > 0 else REFLEX)
         classes = tuple(classes)
         object.__setattr__(self, "classes", classes)
@@ -228,22 +227,22 @@ class RectPolygon:
         )
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_vertex_pos", {p: i for i, p in enumerate(verts)})
+        # Twice the integral of x dy; horizontal edges contribute nothing.
         a2 = Fraction(0)
         for i in range(n):
-            a2 += verts[i].cross(verts[(i + 1) % n])
+            a, b = verts[i], verts[(i + 1) % n]
+            if a.y != b.y:
+                a2 += (a.x + b.x) * (b.y - a.y)
         object.__setattr__(self, "area2", a2)
 
-    # ---------------------------------------------------------------- queries
+    def __setattr__(self, name, value):  # pragma: no cover
+        raise AttributeError("RectPolygon is immutable")
 
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i % self.n]
+    # ---------------------------------------------------------------- queries
 
     def classify(self, i: int) -> str:
         """CONVEX or REFLEX for vertex i (interior angle 90 / 270 degrees)."""
         return self.classes[i % self.n]
-
-    def edge(self, i: int) -> EdgeRef:
-        return self.edges[i % self.n]
 
     def reflex_edges(self) -> List[EdgeRef]:
         return [e for e in self.edges if e.kind == "reflex"]
@@ -379,18 +378,17 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
             raise NotRectilinear("degenerate polygon after merging collinear vertices")
 
     n = len(pts)
-    if len(set(pts)) != n:
+    # Integer ranks of the coordinates: every later comparison is between ints.
+    xr, yr = _ranks([p.x for p in pts]), _ranks([p.y for p in pts])
+    if len(set(zip(xr, yr))) != n:
         raise NotSimple("repeated vertex")
     # Axis-parallel edges, alternating orientation.
     orients = []
     for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if a.x == b.x and a.y != b.y:
-            orients.append("V")
-        elif a.y == b.y and a.x != b.x:
-            orients.append("H")
-        else:
-            raise NotRectilinear(f"edge {a}->{b} is not axis-parallel (or has zero length)")
+        j = (i + 1) % n
+        if (xr[i] == xr[j]) == (yr[i] == yr[j]):
+            raise NotRectilinear(f"edge {pts[i]}->{pts[j]} is not axis-parallel (or has zero length)")
+        orients.append("V" if xr[i] == xr[j] else "H")
     for i in range(n):
         if orients[i] == orients[(i + 1) % n]:
             raise NotRectilinear(
@@ -398,104 +396,111 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
                 "either fix the input or pass merge_collinear=True"
             )
 
-    _check_simple(pts, orients)
+    _check_simple(pts, orients, xr, yr)
 
-    # Orientation: normalize to CCW.
-    a2 = Fraction(0)
-    for i in range(n):
-        a2 += pts[i].cross(pts[(i + 1) % n])
-    was_reversed = False
-    if a2 < 0:
+    # Orientation: normalize to CCW.  The lowest of the leftmost vertices of
+    # a simple polygon is convex, so its turn gives the orientation.
+    k = min(range(n), key=lambda i: (xr[i], yr[i]))
+    was_reversed = _turn(pts[k - 1], pts[k], pts[(k + 1) % n]) < 0
+    if was_reversed:
         pts.reverse()
-        was_reversed = True
+        xr.reverse()
+        yr.reverse()
 
     poly = RectPolygon(pts, was_reversed=was_reversed, _trusted=True)
     if check_general_position:
-        _check_general_position(poly)
+        _check_general_position(poly, xr, yr)
     return poly
 
 
-def _check_simple(pts: List[Point], orients: List[str]) -> None:
+def _ranks(values: List[Fraction]) -> List[int]:
+    """Rank of each value among the distinct values, from one sort."""
+    rank = {v: k for k, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+def _sweep(n: int, along: List[int], across: List[int], edges: List[int], queries: list):
+    """Answer queries at ranks of one axis against the edges crossing it.
+
+    queries holds (rank c, item) pairs.  In order of rank, this yields
+    (item, active): active is the sorted list of the keys across[i] * n + i
+    of the edges i whose closed span contains c, so it is ordered by their
+    level.  The list is reused; read it before advancing.
+    """
+    size = max(along) + 1
+    starts, ends, asks = ([[] for _ in range(size)] for _ in range(3))
+    for i in edges:
+        lo, hi = sorted((along[i], along[(i + 1) % n]))
+        starts[lo].append(across[i] * n + i)
+        ends[hi].append(across[i] * n + i)
+    for c, item in queries:
+        asks[c].append(item)
+    active: List[int] = []
+    for c in range(size):
+        for key in starts[c]:
+            insort(active, key)
+        for item in asks[c]:
+            yield item, active
+        for key in ends[c]:
+            del active[bisect_left(active, key)]
+
+
+def _check_simple(pts: List[Point], orients: List[str], xr: List[int], yr: List[int]) -> None:
+    """NotSimple unless the only edges that touch are consecutive ones.
+
+    Collinear edges are compared in sorted order.  Once none of them touch,
+    no vertex lies on another edge, so two edges can only meet in a crossing:
+    a horizontal edge at a level strictly inside a vertical edge's range.
+    """
     n = len(pts)
-    h_edges = []  # (y, x1, x2, i)
-    v_edges = []  # (x, y1, y2, i)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if orients[i] == "H":
-            x1, x2 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-            h_edges.append((a.y, x1, x2, i))
-        else:
-            y1, y2 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-            v_edges.append((a.x, y1, y2, i))
-    h_edges.sort()
-    for k in range(1, len(h_edges)):
-        y0, x1, x2, i = h_edges[k - 1]
-        y1_, x3, x4, j = h_edges[k]
-        if y0 == y1_ and x3 <= x2:
-            raise NotSimple(f"horizontal edges {i} and {j} overlap on y={y0}")
-    v_sorted = sorted(v_edges)
-    for k in range(1, len(v_sorted)):
-        x0, y1, y2, i = v_sorted[k - 1]
-        x1_, y3, y4, j = v_sorted[k]
-        if x0 == x1_ and y3 <= y2:
-            raise NotSimple(f"vertical edges {i} and {j} overlap on x={x0}")
-    # Horizontal x vertical contacts: only adjacent edges may touch (at their
-    # shared vertex).
-    import bisect
-
-    v_xs = [v[0] for v in v_sorted]
-    for y, x1, x2, i in h_edges:
-        kx = bisect.bisect_left(v_xs, x1)
-        while kx < len(v_sorted) and v_sorted[kx][0] <= x2:
-            x, y1, y2, j = v_sorted[kx]
-            kx += 1
-            if y1 <= y <= y2:
-                if (j - i) % n == 1 or (i - j) % n == 1:
-                    continue  # consecutive edges share one endpoint by design
-                raise NotSimple(f"edges {i} and {j} intersect at ({x},{y})")
+    h_ids = [i for i in range(n) if orients[i] == "H"]
+    v_ids = [i for i in range(n) if orients[i] == "V"]
+    for ids, along, across, name, axis in ((h_ids, xr, yr, "horizontal", "y"),
+                                          (v_ids, yr, xr, "vertical", "x")):
+        spans = sorted((across[i], *sorted((along[i], along[(i + 1) % n])), i) for i in ids)
+        for (l0, _, hi0, i), (l1, lo1, _, j) in zip(spans, spans[1:]):
+            if l0 == l1 and lo1 <= hi0:
+                raise NotSimple(f"{name} edges {i} and {j} overlap on {axis}={getattr(pts[i], axis)}")
+    for j, active in _sweep(n, xr, yr, h_ids, [(xr[j], j) for j in v_ids]):
+        lo, hi = sorted((yr[j], yr[(j + 1) % n]))
+        k = bisect_left(active, (lo + 1) * n)
+        if k < len(active) and active[k] < hi * n:
+            i = active[k] % n
+            raise NotSimple(f"edges {i} and {j} intersect at ({pts[j].x},{pts[i].y})")
 
 
-def _check_general_position(poly: RectPolygon) -> None:
-    refl = [poly.vertices[i] for i in poly.reflex_indices]
-    for i in range(len(refl)):
-        for j in range(i + 1, len(refl)):
-            a, b = refl[i], refl[j]
-            if a.x == b.x or a.y == b.y:
-                if _open_segment_interior(poly, a, b):
-                    raise GeneralPositionViolated(
-                        f"cut connects reflex vertices {a} and {b}", pair=(a, b)
-                    )
+def _check_general_position(poly: RectPolygon, xr: List[int], yr: List[int]) -> None:
+    """GeneralPositionViolated if an axis cut joins two reflex vertices.
 
-
-def _open_segment_interior(poly: RectPolygon, a: Point, b: Point) -> bool:
-    """True iff the open axis-parallel segment (a, b) lies strictly inside."""
-    if a == b:
-        return False
-    if a.x == b.x:
-        lo, hi = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-        for e in poly.edges:
-            if e.orientation == "V" and e.a.x == a.x:
-                s1, s2 = e.span()
-                if s1 < hi and lo < s2:  # overlaps open interval
-                    return False
-            elif e.orientation == "H":
-                x1, x2 = e.span()
-                if x1 <= a.x <= x2 and lo < e.a.y < hi:
-                    return False
-    else:
-        lo, hi = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-        for e in poly.edges:
-            if e.orientation == "H" and e.a.y == a.y:
-                s1, s2 = e.span()
-                if s1 < hi and lo < s2:
-                    return False
-            elif e.orientation == "V":
-                y1, y2 = e.span()
-                if y1 <= a.y <= y2 and lo < e.a.x < hi:
-                    return False
-    from .geometry import midpoint
-
-    return poly.contains(midpoint(a, b)) == "in"
+    Such a cut leaves each of its ends along the extension of an incident
+    edge, and meets the boundary nowhere in between.  So every reflex vertex
+    shoots the two extension rays; the first edge across a ray is the
+    nearest active perpendicular edge of a sweep, and the ray's first
+    contact is that edge's point on the ray.  When that point is a vertex,
+    the two are such a pair: the ray reaches it through the interior, so
+    the vertex is reflex too.  Of all pairs, the one reported is the first
+    in the order of the reflex vertices.
+    """
+    n = poly.n
+    pairs = []
+    for along, across, perp in ((xr, yr, "H"), (yr, xr, "V")):
+        shots = []
+        for i in poly.reflex_indices:
+            # The ray extends the incident edge that is parallel to it, away from that edge.
+            o = i - 1 if poly.edges[i - 1].orientation != perp else (i + 1) % n
+            shots.append((along[i], (i, across[i] > across[o])))
+        perp_ids = [i for i in range(n) if poly.edges[i].orientation == perp]
+        for (i, forward), active in _sweep(n, along, across, perp_ids, shots):
+            if forward:
+                key = active[bisect_left(active, (across[i] + 1) * n)]
+            else:
+                key = active[bisect_left(active, across[i] * n) - 1]
+            for u in (key % n, (key % n + 1) % n):
+                if along[u] == along[i]:
+                    pairs.append((min(i, u), max(i, u)))
+    if pairs:
+        a, b = (poly.vertices[i] for i in min(pairs))
+        raise GeneralPositionViolated(f"cut connects reflex vertices {a} and {b}", pair=(a, b))
 
 
 # --------------------------------------------------------------- lines, cuts
@@ -683,8 +688,6 @@ def _chord_at(poly: RectPolygon, axis: str, level: Fraction, want: Fraction) -> 
 
 
 def _assert_chord(poly: RectPolygon, chord: Chord) -> None:
-    from .geometry import midpoint
-
     if poly.contains(midpoint(chord.a, chord.b)) != "in":
         raise NotAChord(f"{chord} does not run through the interior")
 

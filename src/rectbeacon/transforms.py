@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Callable, List
 
 from .geometry import Point
-from .polygon import RectPolygon, _merge_ring
+from .polygon import RectPolygon
 
 
 class Transform:
@@ -25,10 +25,9 @@ class Transform:
 
     def polygon(self, poly: RectPolygon) -> RectPolygon:
         pts = [self.fn(p) for p in poly.vertices]
-        a2 = sum(pts[i].cross(pts[(i + 1) % len(pts)]) for i in range(len(pts)))
-        if a2 < 0:
+        if self.fn(Point(1, 0)).cross(self.fn(Point(0, 1))) < 0:  # a mirror reverses the walk
             pts.reverse()
-        return RectPolygon(_merge_ring(pts), _trusted=True)
+        return RectPolygon(pts, _trusted=True)
 
     @property
     def inverse(self) -> "Transform":

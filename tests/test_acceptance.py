@@ -31,6 +31,7 @@ from rectbeacon.verify import (
 )
 
 from descent_oracle import descend
+from shapes import comb
 
 
 def ceil3(x):
@@ -97,6 +98,28 @@ def test_c02_kernel_performance():
     assert ratio >= 20, f"speedup only {ratio:.1f}x"
     print(f"\nACCEPTANCE #2 kernel performance: PASS "
           f"(n=2000 medians: kernel {med_k * 1e3:.2f}ms, oracle {med_o:.2f}s, {ratio:.0f}x >= 20x)")
+
+
+def test_c02_comb_kernel_performance():
+    """c02's gate on a polygon whose kernel is reached by clipping."""
+    p = comb(250)
+    assert p.n == 1000
+    t_kernel = []
+    t_oracle = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        kf = kernel(p)
+        t_kernel.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        ko = kernel_oracle(p)
+        t_oracle.append(time.perf_counter() - t0)
+    assert not kf.is_empty and regions_equal(kf.pieces, ko.pieces)
+    med_k = sorted(t_kernel)[2]
+    med_o = sorted(t_oracle)[2]
+    ratio = med_o / med_k
+    assert ratio >= 20, f"speedup only {ratio:.1f}x"
+    print(f"\nACCEPTANCE #2 comb kernel performance: PASS "
+          f"(n=1000 comb medians: kernel {med_k * 1e3:.2f}ms, oracle {med_o:.2f}s, {ratio:.0f}x >= 20x)")
 
 
 def test_c03_coverage_tightness_on_spirals():

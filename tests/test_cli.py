@@ -3,6 +3,18 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from shapes import (
+    OVERLAPPING_EDGES,
+    STEP_FLOOR,
+    T_JUNCTION,
+    U_SHAPE,
+    VERTEX_ON_EDGE,
+    W_SHAPE,
+    W_SHAPE_VERTICAL,
+)
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 U_JSON = json.dumps({"vertices": [["0", "0"], ["6", "0"], ["6", "4"], ["4", "4"],
@@ -46,6 +58,31 @@ def test_malformed_input_exit_2(tmp_path):
     assert run(["kernel", str(poly)]).returncode == 2
     poly.write_text(json.dumps({"vertices": [["0", "0"], ["1", "1"], ["2", "0"], ["0", "2"]]}))
     assert run(["kernel", str(poly)]).returncode == 2
+
+
+def _ring_json(ring):
+    return json.dumps({"vertices": [[str(x), str(y)] for x, y in ring]})
+
+
+@pytest.mark.parametrize("ring", [T_JUNCTION, VERTEX_ON_EDGE, OVERLAPPING_EDGES, W_SHAPE,
+                                  W_SHAPE_VERTICAL],
+                         ids=["t_junction", "vertex_on_edge", "overlapping_edges",
+                              "general_position_horizontal", "general_position_vertical"])
+def test_kernel_rejects_invalid_polygon_exit_2(ring):
+    r = run(["kernel", "-"], inp=_ring_json(ring))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+
+
+def test_kernel_accepts_aligned_reflex_vertices_on_the_boundary():
+    assert run(["kernel", "-"], inp=_ring_json(STEP_FLOOR)).returncode == 0
+
+
+def test_kernel_clockwise_input_same_as_counterclockwise():
+    ccw = run(["kernel", "-"], inp=_ring_json(U_SHAPE))
+    cw = run(["kernel", "-"], inp=_ring_json(U_SHAPE[::-1]))
+    assert ccw.returncode == cw.returncode == 0
+    assert cw.stdout == ccw.stdout
 
 
 def test_round_trip_exact():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,22 @@ from rectbeacon.polygon import (
 )
 
 from segment_oracle import first_hit
-from shapes import L_SHAPE, SQUARE, U_SHAPE, l_shape, square, u_shape
+from shapes import (
+    L_SHAPE,
+    OVERLAPPING_EDGES,
+    SQUARE,
+    STEP_FLOOR,
+    T_JUNCTION,
+    U_SHAPE,
+    VERTEX_ON_EDGE,
+    W_SHAPE,
+    W_SHAPE_VERTICAL,
+    comb,
+    l_shape,
+    square,
+    u_shape,
+)
+from validate_oracle import validate_oracle
 
 
 def test_validate_square():
@@ -75,16 +91,35 @@ def test_rejects_self_intersection():
 
 
 def test_general_position_violation():
-    # W-like shape: notch floors both at y=2, reflex corners (4,2) and (6,2)
-    # connected by a horizontal chord through the middle tower.
-    verts = [
-        (0, 0), (10, 0), (10, 5), (8, 5), (8, 2), (6, 2),
-        (6, 4), (4, 4), (4, 2), (2, 2), (2, 5), (0, 5),
-    ]
     with pytest.raises(GeneralPositionViolated) as ei:
-        validate(verts)
+        validate(W_SHAPE)
     a, b = ei.value.pair
     assert {a, b} == {Point(4, 2), Point(6, 2)}
+
+
+def test_general_position_violation_vertical():
+    with pytest.raises(GeneralPositionViolated) as ei:
+        validate(W_SHAPE_VERTICAL)
+    assert set(ei.value.pair) == {Point(2, 4), Point(2, 6)}
+
+
+def test_aligned_reflex_vertices_joined_along_the_boundary_accepted():
+    p = validate(STEP_FLOOR)
+    assert {p.vertices[i] for i in p.reflex_indices} >= {Point(1, 1), Point(4, 1)}
+
+
+@pytest.mark.parametrize("ring", [T_JUNCTION, VERTEX_ON_EDGE, OVERLAPPING_EDGES],
+                         ids=["t_junction", "vertex_on_edge", "overlapping_edges"])
+def test_rejects_touching_edges(ring):
+    with pytest.raises(NotSimple):
+        validate(ring)
+
+
+def test_clockwise_input_with_reflex_vertices():
+    p = validate(U_SHAPE[::-1])
+    assert p.was_reversed
+    assert p.vertices == validate(U_SHAPE).vertices
+    assert p.r == 2
 
 
 def test_general_position_oracle_matches_pairwise_scan():
@@ -333,3 +368,73 @@ def test_boundary_hits_matches_oracle_on_axis_rays():
                 if want:
                     assert hits[0][0] == want[0] * far
                 assert [h[1:] for h in hits] == [h[1:] for h in boundary_hits(p, z, far * d, 1)]
+
+
+def _random_ring(rng, m, g):
+    """A ring of 2m distinct vertices on the g x g grid whose edges alternate
+    between horizontal and vertical, so that it reaches the simplicity check."""
+    while True:
+        xs = [rng.randrange(g) for _ in range(m)]
+        ys = [rng.randrange(g) for _ in range(m)]
+        ring = [p for i in range(m) for p in ((xs[i], ys[i]), (xs[(i + 1) % m], ys[i]))]
+        if all(xs[i] != xs[i - 1] and ys[i] != ys[i - 1] for i in range(m)) \
+                and len(set(ring)) == 2 * m:
+            return [Point(x, y) for x, y in ring]
+
+
+def _coarsened(poly, rng):
+    """poly's ring with two neighbouring x or y coordinates merged into one,
+    which can make edges touch or reflex vertices align."""
+    axis = rng.choice("xy")
+    vals = sorted({getattr(v, axis) for v in poly.vertices})
+    j = rng.randrange(1, len(vals))
+    move = {vals[j]: vals[j - 1]}
+    return [Point(move.get(v.x, v.x), v.y) if axis == "x" else Point(v.x, move.get(v.y, v.y))
+            for v in poly.vertices]
+
+
+def _reaches_simplicity_check(ring):
+    """Distinct vertices and edges alternately horizontal and vertical."""
+    orients = ["V" if a.x == b.x and a.y != b.y else "H" if a.y == b.y and a.x != b.x else None
+               for a, b in zip(ring, ring[1:] + ring[:1])]
+    return (len(set(ring)) == len(ring) and None not in orients
+            and all(orients[i] != orients[i - 1] for i in range(len(ring))))
+
+
+def _outcome(check, ring):
+    """Error class and violating pair (as a set), or the vertices accepted."""
+    try:
+        poly = check(ring)
+    except (NotSimple, GeneralPositionViolated) as exc:
+        return type(exc).__name__, frozenset(getattr(exc, "pair", None) or ())
+    return "valid", poly.vertices
+
+
+def test_validate_matches_pairwise_oracle_on_random_rings():
+    rng = random.Random(11)
+    counts = Counter()
+    for k in range(20000):
+        ring = _random_ring(rng, *((4, 4) if k % 2 else (5, 5)))
+        got = _outcome(validate, ring)
+        assert got == _outcome(validate_oracle, ring), ring
+        counts[got[0]] += 1
+    assert counts["NotSimple"] >= 1000, counts
+    assert counts["GeneralPositionViolated"] >= 500, counts
+    assert counts["valid"] >= 500, counts
+
+
+def test_validate_matches_pairwise_oracle_on_generated_families():
+    polys = [random_rectilinear(n, seed) for n in range(8, 196, 6) for seed in range(3)]
+    polys += [coverage_spiral(r)[0] for r in range(1, 25)]
+    polys += [uniform_spiral(r)[0] for r in range(1, 25)]
+    polys += [comb(k) for k in range(1, 30)] + [_comb(k) for k in range(2, 30)]
+    rng = random.Random(5)
+    rings = [list(p.vertices) for p in polys] + [list(p.vertices)[::-1] for p in polys]
+    rings += [r for r in (_coarsened(p, rng) for p in polys * 4)
+              if _reaches_simplicity_check(r)]
+    counts = Counter()
+    for ring in rings:
+        got = _outcome(validate, ring)
+        assert got == _outcome(validate_oracle, ring), ring
+        counts[got[0]] += 1
+    assert counts["NotSimple"] >= 100 and counts["GeneralPositionViolated"] >= 100, counts
