@@ -2,7 +2,6 @@
 
 from .attraction import AttractionPath, attracts, attraction_path, is_dead_point
 from .generators import (
-    BeaconSet,
     coverage_spiral,
     greedy_cover_spiral,
     random_rectilinear,
@@ -13,6 +12,7 @@ from .generators import (
 from .geometry import Point, Scalar, scalar
 from .kernel import KernelRegion, kernel, kernel_oracle, reflex_rect
 from .placement import (
+    BeaconSet,
     cover,
     cover_base,
     cover_monotone,

@@ -17,6 +17,7 @@ from .attraction import attraction_path
 from .errors import GeometryError
 from .geometry import Point, scalar
 from .generators import (
+    comb,
     coverage_spiral,
     random_rectilinear,
     random_x_monotone,
@@ -92,6 +93,8 @@ def _cmd_gen(args) -> int:
             poly = routing_spiral(args.r)
         else:
             poly, _ = uniform_spiral(args.r)
+    elif args.what == "comb":
+        poly = comb(args.k)
     else:
         if args.monotone:
             poly = random_x_monotone(args.n, args.seed)
@@ -226,6 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("-o", "--output", default="-")
     gs.add_argument("--decomp", help="write the rectangle decomposition JSON here")
     gs.set_defaults(func=_cmd_gen)
+    gc = gsub.add_parser("comb")
+    gc.add_argument("-k", type=int, required=True, help="number of fingers")
+    gc.add_argument("-o", "--output", default="-")
+    gc.set_defaults(func=_cmd_gen)
     gr = gsub.add_parser("random")
     gr.add_argument("-n", type=int, required=True)
     gr.add_argument("--seed", type=int, default=0)

@@ -15,6 +15,7 @@ from .errors import (
     NotSimple,
 )
 from .geometry import Point, midpoint
+from .placement import BeaconSet
 from .polygon import RectPolygon, boundary_hits, validate
 
 EAST = Point(1, 0)
@@ -174,24 +175,19 @@ def uniform_spiral(r: int) -> Tuple[RectPolygon, SpiralDecomposition]:
     return _build_spiral(lengths, widths, spec)
 
 
-class BeaconSet:
-    """Placed beacons plus a provenance tag per beacon."""
-
-    def __init__(self, beacons: Sequence[Point], tags: Optional[Sequence[str]] = None,
-                 trace=None, mode: str = ""):
-        self.beacons = list(beacons)
-        self.tags = list(tags) if tags is not None else ["other"] * len(self.beacons)
-        self.trace = trace
-        self.mode = mode
-
-    def __len__(self):
-        return len(self.beacons)
-
-    def __iter__(self):
-        return iter(self.beacons)
-
-    def __repr__(self):
-        return f"BeaconSet({len(self.beacons)} beacons, mode={self.mode!r})"
+def comb(k: int) -> RectPolygon:
+    """Base [0, 4k-2] x [0, 11] with k fingers of width 2 up to y = 2k + 11, the
+    gaps between them floored at 11, 13, ... from right to left.  The floors
+    are the only reflex edges, so the kernel is the base, reached by
+    clipping; kernel_oracle is cut down to it at the first reflex vertex."""
+    top = 2 * k + 11
+    ring = [(0, 0), (4 * k - 2, 0)]
+    for i in range(k - 1, -1, -1):
+        ring += [(4 * i + 2, top), (4 * i, top)]
+        if i:
+            floor = 11 + 2 * (k - 1 - i)
+            ring += [(4 * i, floor), (4 * i - 2, floor)]
+    return validate(ring)
 
 
 def greedy_cover_spiral(poly: RectPolygon, decomp: SpiralDecomposition) -> BeaconSet:

@@ -9,11 +9,11 @@ points can be routed through them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalCaseError, NotAChord, NotMonotone, TooManyReflexVertices
-from .generators import BeaconSet
 from .geometry import Point, midpoint
 from .kernel import in_all_cones
 from .polygon import (
@@ -30,6 +30,26 @@ from .polygon import (
     split,
 )
 from .transforms import TRANSFORMS, Transform, all_transforms
+
+
+class BeaconSet:
+    """Placed beacons plus a provenance tag per beacon."""
+
+    def __init__(self, beacons: Sequence[Point], tags: Optional[Sequence[str]] = None,
+                 trace=None, mode: str = ""):
+        self.beacons = list(beacons)
+        self.tags = list(tags) if tags is not None else ["other"] * len(self.beacons)
+        self.trace = trace
+        self.mode = mode
+
+    def __len__(self):
+        return len(self.beacons)
+
+    def __iter__(self):
+        return iter(self.beacons)
+
+    def __repr__(self):
+        return f"BeaconSet({len(self.beacons)} beacons, mode={self.mode!r})"
 
 
 class TraceNode:
@@ -460,23 +480,53 @@ def _cover_monotone_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
 # ------------------------------------------------------------------- routing
 
 
-def find_xy_monotone_pocket(poly: RectPolygon) -> Tuple[int, int]:
-    """(edge index, endpoint vertex index) whose pocket is xy-monotone."""
-    redges = poly.reflex_edges()
-    if not redges:
-        raise NotAChord("polygon has no reflex edge; it is already xy-monotone")
-    best = None
-    for e in redges:
+# What pocket() would build, counted on the boundary: the vertices of poly
+# strictly inside the pocket's chain are s, s+1, ..., t-1 (cyclic).
+PocketSummary = namedtuple("PocketSummary", "r n monotone s t")
+
+
+def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
+    """r, n and xy-monotonicity of pocket(poly, e_idx, v_idx), without building it.
+
+    The cut extends e past v and, in general position, ends inside an edge j.
+    v and that far end are convex corners of the pocket; every vertex strictly
+    inside its chain keeps its class, so the pocket's reflex edges are the
+    reflex edges of poly with both ends inside.
+    """
+    chord = materialize(poly, Cut(v_idx, poly.edges[e_idx].orientation))
+    far = chord.a if chord.b == poly.vertices[v_idx] else chord.b
+    j, at_vertex = poly.locate_boundary(far)
+    if at_vertex:
+        raise InternalCaseError(f"pocket cut from {poly.vertices[v_idx]} ends at a vertex")
+    # The walk from v starts along e when e leaves v, so the pocket lies before v.
+    s, t = (j + 1, v_idx) if e_idx == v_idx else (v_idx + 1, j + 1)
+    r, _ = poly.reflex_counts(s, t)
+    _, reflex_edges = poly.reflex_counts(s, t - 1)
+    return PocketSummary(r, (t - s) % poly.n + 2, reflex_edges == 0, s, t)
+
+
+def _pockets(poly: RectPolygon):
+    """(edge index, endpoint vertex index, summary) for every reflex edge end."""
+    for e in poly.reflex_edges():
         for p in (e.a, e.b):
             vi = poly.vertex_index(p)
-            pk = pocket(poly, e.index, vi)
-            key = (pk.n, e.index, vi)
-            if best is None or key < best[0]:
-                best = (key, e.index, vi, pk)
-    _, e_idx, v_idx, pk = best
-    if not pk.is_xy_monotone():
-        raise InternalCaseError("minimal pocket is not xy-monotone")
+            yield e.index, vi, pocket_summary(poly, e.index, vi)
+
+
+def _build_chosen(poly: RectPolygon, e_idx: int, v_idx: int, summary: PocketSummary):
+    """Build the chosen pocket once: it must be xy-monotone and match its summary."""
+    pk = pocket(poly, e_idx, v_idx)
+    if not pk.is_xy_monotone() or (pk.r, pk.n) != (summary.r, summary.n):
+        raise InternalCaseError(f"chosen pocket {pk} is not xy-monotone or not {summary}")
     return e_idx, v_idx
+
+
+def find_xy_monotone_pocket(poly: RectPolygon) -> Tuple[int, int]:
+    """(edge index, endpoint vertex index) whose pocket is xy-monotone."""
+    if not poly.reflex_edges():
+        raise NotAChord("polygon has no reflex edge; it is already xy-monotone")
+    e_idx, v_idx, pk = min(_pockets(poly), key=lambda t: (t[2].n, t[0], t[1]))
+    return _build_chosen(poly, e_idx, v_idx, pk)
 
 
 def route_beacons(poly: RectPolygon, trace: Optional[TraceNode] = None) -> BeaconSet:
@@ -509,8 +559,10 @@ def _pocket_wraps(poly: RectPolygon, e_idx: int, v_idx: int) -> bool:
     so the selection below avoids it whenever it matters.
     """
     hp = poly.edges[e_idx].halfplane
-    pk = pocket(poly, e_idx, v_idx)
-    for w in pk.vertices:
+    pk = pocket_summary(poly, e_idx, v_idx)
+    # The pocket's two other corners lie on e's line.
+    for k in range(pk.s, pk.s + pk.n - 2):
+        w = poly.vertices[k % poly.n]
         coord = w.x if hp.axis == "x" else w.y
         if (coord > hp.c) if hp.sense > 0 else (coord < hp.c):
             return True
@@ -526,25 +578,18 @@ def _select_routing_pocket(poly: RectPolygon) -> Tuple[int, int]:
     sweep argument needs this); a rectangle pocket with a trivial complement
     comes along for free with either.
     """
-    monos = []
-    for e in poly.reflex_edges():
-        for p in (e.a, e.b):
-            vi = poly.vertex_index(p)
-            pk = pocket(poly, e.index, vi)
-            if pk.is_xy_monotone():
-                monos.append((e.index, vi, pk))
+    monos = [t for t in _pockets(poly) if t[2].monotone]
     if not monos:
         raise InternalCaseError("no xy-monotone pocket exists")
     rich = [(e_idx, vi, pk) for e_idx, vi, pk in monos if pk.r >= 1]
     if rich:
-        rich.sort(key=lambda t: (-t[2].r, t[2].n, t[0], t[1]))
-        return rich[0][0], rich[0][1]
+        return _build_chosen(poly, *min(rich, key=lambda t: (-t[2].r, t[2].n, t[0], t[1])))
     for e_idx, vi, pk in sorted(monos, key=lambda t: (t[2].n, t[0], t[1])):
         e = poly.edges[e_idx]
         other = e.b if poly.vertices[vi] == e.a else e.a
         ovi = poly.vertex_index(other)
         if not _pocket_wraps(poly, e_idx, ovi):
-            return e_idx, vi
+            return _build_chosen(poly, e_idx, vi, pk)
     return None  # caller falls back to the generic pair scheme
 
 

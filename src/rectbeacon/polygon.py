@@ -198,7 +198,7 @@ class RectPolygon:
     """
 
     __slots__ = ("vertices", "n", "classes", "r", "reflex_indices", "edges",
-                 "was_reversed", "_vertex_pos", "area2")
+                 "was_reversed", "_vertex_pos", "area2", "_prefix")
 
     def __init__(self, vertices: Sequence[Point], was_reversed: bool = False, _trusted: bool = False):
         verts = tuple(vertices)
@@ -234,6 +234,7 @@ class RectPolygon:
             if a.y != b.y:
                 a2 += (a.x + b.x) * (b.y - a.y)
         object.__setattr__(self, "area2", a2)
+        object.__setattr__(self, "_prefix", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RectPolygon is immutable")
@@ -246,6 +247,21 @@ class RectPolygon:
 
     def reflex_edges(self) -> List[EdgeRef]:
         return [e for e in self.edges if e.kind == "reflex"]
+
+    def reflex_counts(self, s: int, t: int) -> Tuple[int, int]:
+        """(reflex vertices, reflex edges) among indices s, s+1, ..., t-1 taken
+        cyclically, none when s = t (mod n): a difference of prefix counts
+        along the boundary, which are built on first use."""
+        if self._prefix is None:
+            rv, re = [0], [0]
+            for i, e in enumerate(self.edges):
+                rv.append(rv[-1] + (self.classes[i] == REFLEX))
+                re.append(re[-1] + (e.kind == "reflex"))
+            object.__setattr__(self, "_prefix", (rv, re))
+        rv, re = self._prefix
+        s, t = s % self.n, t % self.n
+        wrap = self.n if s > t else 0
+        return rv[t] - rv[s] + rv[wrap], re[t] - re[s] + re[wrap]
 
     def area(self) -> Fraction:
         return self.area2 / 2
@@ -304,42 +320,25 @@ class RectPolygon:
                 return (e.index, False)
         return None
 
-    def _boundary_key(self, p: Point) -> Tuple[int, Fraction]:
-        """Sortable position of a boundary point along the CCW walk."""
-        loc = self.locate_boundary(p)
-        if loc is None:
-            raise NotAChord(f"{p} is not on the boundary")
-        i, at_vertex = loc
-        if at_vertex:
-            return (i, Fraction(0))
-        e = self.edges[i]
-        d = e.b - e.a
-        num = (p.x - e.a.x) if d.x != 0 else (p.y - e.a.y)
-        den = d.x if d.x != 0 else d.y
-        return (i, num / den)
+    def chain_range(self, a: Point, b: Point) -> Tuple[int, int]:
+        """Cyclic index range [s, t) of the vertices strictly between boundary
+        points a and b on the CCW walk from a to b.  a and b lie on different
+        edges, or a precedes b on one, as the two ends of a chord do."""
+        if a == b:
+            raise NotAChord("chain endpoints coincide on the boundary")
+        ends = []
+        for p in (a, b):
+            loc = self.locate_boundary(p)
+            if loc is None:
+                raise NotAChord(f"{p} is not on the boundary")
+            ends.append(loc)
+        (i, _), (j, at_vertex) = ends
+        return i + 1, j if at_vertex else j + 1
 
     def chain_between(self, a: Point, b: Point) -> List[Point]:
         """Boundary points from a to b walking CCW: [a, intermediate vertices..., b]."""
-        ka = self._boundary_key(a)
-        kb = self._boundary_key(b)
-        if ka == kb:
-            raise NotAChord("chain endpoints coincide on the boundary")
-        out = [a]
-        j = (ka[0] + 1) % self.n
-        for _ in range(self.n):
-            kj = (j, Fraction(0))
-            if kj == kb or not self._cyclic_between(ka, kj, kb):
-                break
-            out.append(self.vertices[j])
-            j = (j + 1) % self.n
-        out.append(b)
-        return out
-
-    def _cyclic_between(self, ka, k, kb) -> bool:
-        """True iff position k lies strictly after ka and strictly before kb (cyclic)."""
-        if ka < kb:
-            return ka < k < kb
-        return k > ka or k < kb
+        s, t = self.chain_range(a, b)
+        return [a] + [self.vertices[k % self.n] for k in range(s, s + (t - s) % self.n)] + [b]
 
     # ---------------------------------------------------------------- display
 
@@ -720,17 +719,23 @@ def _split_rings(poly: RectPolygon, cut: Cut) -> Tuple[List[Point], List[Point]]
     return ring2, ring1
 
 
-def reflex_points_below(poly: RectPolygon, cut: Cut) -> List[Point]:
-    """Reflex vertices of poly strictly inside the P_minus side of the cut, in CCW order."""
+def _minus_range(poly: RectPolygon, cut: Cut) -> Tuple[int, int]:
+    """Cyclic index range [s, t) of the vertices of poly strictly inside the P_minus side of the cut."""
     chord = materialize(poly, cut)
     a, b = chord.a, chord.b
-    chain = poly.chain_between(a, b) if chord.axis == "H" else poly.chain_between(b, a)
-    return [p for p in chain[1:-1] if poly.classes[poly.vertex_index(p)] == REFLEX]
+    return poly.chain_range(a, b) if chord.axis == "H" else poly.chain_range(b, a)
+
+
+def reflex_points_below(poly: RectPolygon, cut: Cut) -> List[Point]:
+    """Reflex vertices of poly strictly inside the P_minus side of the cut, in CCW order."""
+    s, t = _minus_range(poly, cut)
+    inside = (k % poly.n for k in range(s, s + (t - s) % poly.n))
+    return [poly.vertices[k] for k in inside if poly.classes[k] == REFLEX]
 
 
 def count_reflex_below(poly: RectPolygon, cut: Cut) -> int:
     """Number of reflex vertices of poly strictly inside the P_minus side of the cut."""
-    return len(reflex_points_below(poly, cut))
+    return poly.reflex_counts(*_minus_range(poly, cut))[0]
 
 
 def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
@@ -779,18 +784,24 @@ def iter_normal_cuts(poly: RectPolygon, orientation: str) -> List[NormalCutClass
     """All combinatorial classes of normal cuts of one orientation.
 
     Bands between consecutive distinct vertex levels each contribute one
-    representative per chord; r(P_minus) is constant within a class.
+    representative per chord; r(P_minus) is constant within a class.  A
+    band's midpoint is no vertex level, so the edges across it, in order,
+    pair up into its chords, and r(P_minus) is a prefix count between the
+    two edges a chord ends on.
     """
-    if orientation == "H":
-        levels = sorted({p.y for p in poly.vertices})
-    else:
-        levels = sorted({p.x for p in poly.vertices})
+    levels = sorted({(p.y if orientation == "H" else p.x) for p in poly.vertices})
+    rank = {v: k for k, v in enumerate(levels)}
+    # (level, index, rank of the span's ends) of every edge that can cross a band.
+    across = sorted((e.level, e.index, *(rank[c] for c in e.span()))
+                    for e in poly.edges if e.orientation != orientation)
     out: List[NormalCutClass] = []
     for k in range(len(levels) - 1):
+        ends = [(c, i) for c, i, lo, hi in across if lo <= k < hi]
         t = (levels[k] + levels[k + 1]) / 2
-        for lo, hi in chords_on_line(poly, orientation, t):
+        for (lo, i), (hi, j) in zip(ends[::2], ends[1::2]):
             chord = Chord(orientation, t, lo, hi)
             cut = Cut(chord.a, orientation, _chord=chord)
-            rm = count_reflex_below(poly, cut)
+            first, last = (i, j) if orientation == "H" else (j, i)
+            rm = poly.reflex_counts(first + 1, last + 1)[0]
             out.append(NormalCutClass(orientation, t, lo, hi, rm, cut))
     return out

@@ -1,5 +1,6 @@
 """Shared hand-built fixture polygons used across the test suite."""
 
+from rectbeacon.generators import comb  # noqa: F401  (re-exported fixture)
 from rectbeacon.polygon import validate
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -22,24 +23,6 @@ def l_shape():
 
 def u_shape():
     return validate(U_SHAPE)
-
-
-def comb(k):
-    """Base [0, 4k-2] x [0, 11] with k fingers of width 2 up to y = 2k + 11,
-    separated by gaps of width 2 whose floors sit at the distinct heights
-    11, 13, ..., rising from right to left.  The gap floors are the only
-    reflex edges, so R(P) is y <= 11 and the kernel is the base, which the
-    fast kernel reaches by clipping.  The lowest floor comes first on the
-    boundary, so kernel_oracle, which clips at the reflex vertices in that
-    order, is cut down to the base by its first vertex."""
-    top = 2 * k + 11
-    ring = [(0, 0), (4 * k - 2, 0)]
-    for i in range(k - 1, -1, -1):
-        ring += [(4 * i + 2, top), (4 * i, top)]
-        if i:
-            floor = 11 + 2 * (k - 1 - i)
-            ring += [(4 * i, floor), (4 * i - 2, floor)]
-    return validate(ring)
 
 
 # Rings validate() rejects as not simple.

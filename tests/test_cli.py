@@ -171,3 +171,12 @@ def test_merge_collinear_flag():
                                     ["2", "2"], ["0", "2"]]})
     assert run(["kernel", "-"], inp=poly).returncode == 2
     assert run(["kernel", "-", "--merge-collinear"], inp=poly).returncode == 0
+
+
+def test_gen_comb_kernel_is_the_base():
+    gen = run(["gen", "comb", "-k", "5"])
+    assert gen.returncode == 0
+    k = run(["kernel", "-"], inp=gen.stdout)
+    assert k.returncode == 0
+    assert sorted(json.loads(k.stdout)["kernel"]) == sorted(
+        [["0", "0"], ["18", "0"], ["18", "11"], ["0", "11"]])
