@@ -250,23 +250,4 @@ def is_dead_point(poly: RectPolygon, q: Point, b: Point) -> bool:
         raise PointOutsidePolygon(f"{q} is outside the polygon")
     if poly.contains(b) == "out":
         raise PointOutsidePolygon(f"beacon {b} is outside the polygon")
-    if q == b:
-        return False
-    if where == "in":
-        return False
-    d = b - q
-    idx = poly.vertex_index(q)
-    if idx is not None:
-        if _free_allowed_at_vertex(poly, idx, d):
-            return False
-        if poly.classes[idx] == REFLEX:
-            return True
-        u1, u2 = _vertex_dirs(poly, idx)
-        return not (d.dot(u1) > 0 or d.dot(u2) > 0)
-    loc = poly.locate_boundary(q)
-    e = poly.edges[loc[0]]
-    inward = _INWARD[e.direction]
-    if d.dot(inward) >= 0:
-        return False
-    foot_u, cur_u = (b.x, q.x) if e.orientation == "H" else (b.y, q.y)
-    return foot_u == cur_u
+    return _begin(poly, q, b, where)[0] == "dead"

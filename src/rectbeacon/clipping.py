@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from .errors import InternalCaseError
 from .geometry import Point
-from .polygon import Cut, Chord, RectPolygon, _merge_ring, chords_on_line, split
+from .polygon import Cut, RectPolygon, _merge_ring, chords_on_line, split
 from .transforms import TRANSFORMS
 
 
@@ -88,8 +88,8 @@ def _clip_keep_below_fast(poly: RectPolygon, c: Fraction) -> List[RectPolygon]:
     arcs.append(cur)
 
     chord_by_east = {}
-    for lo, hi in chords_on_line(poly, "H", c):
-        chord_by_east[hi] = lo
+    for chord in chords_on_line(poly, "H", c):
+        chord_by_east[chord.hi] = chord.lo
     arc_by_start = {}
     for arc in arcs:
         if arc[0] in arc_by_start:
@@ -167,10 +167,7 @@ def clip_split(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> Lis
         chords = chords_on_line(p, line_axis, c)
         if not chords:
             raise InternalCaseError("straddling piece with no chord on the line")
-        lo, hi = chords[0]
-        chord = Chord(line_axis, c, lo, hi)
-        cut = Cut(chord.a, line_axis, _chord=chord)
-        minus, plus = split(p, cut)
+        minus, plus = split(p, Cut(chords[0].a, line_axis, _chord=chords[0]))
         work.append(minus)
         work.append(plus)
     return out

@@ -18,7 +18,6 @@ from .geometry import Point, midpoint
 from .kernel import in_all_cones
 from .polygon import (
     _INWARD,
-    Chord,
     Cut,
     RectPolygon,
     chords_on_line,
@@ -494,8 +493,7 @@ def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
     reflex edges of poly with both ends inside.
     """
     chord = materialize(poly, Cut(v_idx, poly.edges[e_idx].orientation))
-    far = chord.a if chord.b == poly.vertices[v_idx] else chord.b
-    j, at_vertex = poly.locate_boundary(far)
+    j, at_vertex = chord.ends[0] if chord.b == poly.vertices[v_idx] else chord.ends[1]
     if at_vertex:
         raise InternalCaseError(f"pocket cut from {poly.vertices[v_idx]} ends at a vertex")
     # The walk from v starts along e when e leaves v, so the pocket lies before v.
@@ -552,14 +550,14 @@ def _normalizing_transform(poly: RectPolygon, e_idx: int, v_idx: int) -> Transfo
     raise InternalCaseError("no dihedral transform normalizes the pocket edge")
 
 
-def _pocket_wraps(poly: RectPolygon, e_idx: int, v_idx: int) -> bool:
-    """Does the pocket of e at v reach strictly into e's interior half-plane?
+def _pocket_wraps(poly: RectPolygon, e_idx: int, pk: PocketSummary) -> bool:
+    """Does the pocket of e summarized by pk reach strictly into e's interior
+    half-plane?
 
     A wrapping complement pocket invalidates the monotone-sweep reasoning,
     so the selection below avoids it whenever it matters.
     """
     hp = poly.edges[e_idx].halfplane
-    pk = pocket_summary(poly, e_idx, v_idx)
     # The pocket's two other corners lie on e's line.
     for k in range(pk.s, pk.s + pk.n - 2):
         w = poly.vertices[k % poly.n]
@@ -578,7 +576,8 @@ def _select_routing_pocket(poly: RectPolygon) -> Tuple[int, int]:
     sweep argument needs this); a rectangle pocket with a trivial complement
     comes along for free with either.
     """
-    monos = [t for t in _pockets(poly) if t[2].monotone]
+    summaries = {(e_idx, vi): pk for e_idx, vi, pk in _pockets(poly)}
+    monos = [(e_idx, vi, pk) for (e_idx, vi), pk in summaries.items() if pk.monotone]
     if not monos:
         raise InternalCaseError("no xy-monotone pocket exists")
     rich = [(e_idx, vi, pk) for e_idx, vi, pk in monos if pk.r >= 1]
@@ -587,8 +586,7 @@ def _select_routing_pocket(poly: RectPolygon) -> Tuple[int, int]:
     for e_idx, vi, pk in sorted(monos, key=lambda t: (t[2].n, t[0], t[1])):
         e = poly.edges[e_idx]
         other = e.b if poly.vertices[vi] == e.a else e.a
-        ovi = poly.vertex_index(other)
-        if not _pocket_wraps(poly, e_idx, ovi):
+        if not _pocket_wraps(poly, e_idx, summaries[e_idx, poly.vertex_index(other)]):
             return _build_chosen(poly, e_idx, vi, pk)
     return None  # caller falls back to the generic pair scheme
 
@@ -727,16 +725,14 @@ def _route_sweep_c(c_piece: RectPolygon, qpt: Point, node: TraceNode) -> List[Po
     prev_level = top_level
     for level in levels:
         mid = (prev_level + level) / 2
-        over = [(lo, hi) for lo, hi in chords_on_line(c_piece, "H", mid)
-                if lo < interval[1] and interval[0] < hi]
+        over = [c for c in chords_on_line(c_piece, "H", mid)
+                if c.lo < interval[1] and interval[0] < c.hi]
         ok = False
         if len(over) == 1:
-            lo, hi = over[0]
-            chord = Chord("H", mid, lo, hi)
-            cut = Cut(chord.a, "H", _chord=chord)
-            _, upper = split(c_piece, cut)
+            chord = over[0]
+            _, upper = split(c_piece, Cut(chord.a, "H", _chord=chord))
             if upper.is_xy_monotone():
-                interval = (lo, hi)
+                interval = (chord.lo, chord.hi)
                 ok = True
         if not ok:
             # The event that broke monotonicity sits at the band's top level.
@@ -770,17 +766,12 @@ def _route_c_violation(c_piece: RectPolygon, level: Fraction,
     chord = materialize(c_piece, cut)
     w = c_piece.vertices[wi]
     b2 = chord.a if chord.b == w else chord.b
-    c1, c2 = _split_keep_upper(c_piece, cut)
+    c2, c1 = split(c_piece, cut)
     if not c1.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (vertical case)")
     child = node.child(TraceNode("route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}"))
     child.beacons.extend([b2, qpt])
     return [b2, qpt] + _route_rec(c2, child.child(TraceNode("C2", c2.r)))
-
-
-def _split_keep_upper(piece: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
-    minus, plus = split(piece, cut)
-    return plus, minus
 
 
 def _route_c_three(c_piece: RectPolygon, eprime, qpt: Point, node: TraceNode) -> List[Point]:

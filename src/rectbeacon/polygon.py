@@ -8,6 +8,7 @@ the left of the direction of travel.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import itemgetter
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -25,15 +26,10 @@ REFLEX = "reflex"
 # Travel direction of an edge, from the CCW vertex order.
 EAST, NORTH, WEST, SOUTH = "E", "N", "W", "S"
 
-_DIR_VEC = {
-    EAST: Point(1, 0),
-    NORTH: Point(0, 1),
-    WEST: Point(-1, 0),
-    SOUTH: Point(0, -1),
-}
-
 # Interior lies to the left of travel.
 _INWARD = {EAST: Point(0, 1), WEST: Point(0, -1), NORTH: Point(-1, 0), SOUTH: Point(1, 0)}
+
+_first = itemgetter(0)
 
 # Facing of a convex/reflex edge (the direction the feature points at).
 _FACING_CONVEX = {EAST: "bottom", WEST: "top", NORTH: "right", SOUTH: "left"}
@@ -134,15 +130,21 @@ class Cut:
 
 
 class Chord:
-    """A materialized cut: the maximal interior segment on an axis line."""
+    """A materialized cut: the maximal interior segment on an axis line.
 
-    __slots__ = ("axis", "level", "lo", "hi")
+    ends locates a and b on the boundary, each as (vertex index, True) or
+    (index of the edge whose interior holds it, False).
+    """
 
-    def __init__(self, axis: str, level: Fraction, lo: Fraction, hi: Fraction):
+    __slots__ = ("axis", "level", "lo", "hi", "ends")
+
+    def __init__(self, axis: str, level: Fraction, lo: Fraction, hi: Fraction,
+                 ends: Tuple[Tuple[int, bool], Tuple[int, bool]]):
         self.axis = axis  # 'H': horizontal line y=level ; 'V': vertical x=level
         self.level = level
         self.lo = lo
         self.hi = hi
+        self.ends = ends
         if lo >= hi:
             raise NotAChord(f"degenerate chord on {axis}={level}")
 
@@ -276,9 +278,8 @@ class RectPolygon:
 
     def contains(self, p: Point) -> str:
         """'in', 'on' or 'out' (closed polygon; exact)."""
-        for e in self.edges:
-            if on_axis_segment(p, e.a, e.b):
-                return "on"
+        if self.locate_boundary(p) is not None:
+            return "on"
         inside = False
         for e in self.edges:
             if e.orientation != "V":
@@ -320,25 +321,13 @@ class RectPolygon:
                 return (e.index, False)
         return None
 
-    def chain_range(self, a: Point, b: Point) -> Tuple[int, int]:
-        """Cyclic index range [s, t) of the vertices strictly between boundary
-        points a and b on the CCW walk from a to b.  a and b lie on different
-        edges, or a precedes b on one, as the two ends of a chord do."""
-        if a == b:
-            raise NotAChord("chain endpoints coincide on the boundary")
-        ends = []
-        for p in (a, b):
-            loc = self.locate_boundary(p)
-            if loc is None:
-                raise NotAChord(f"{p} is not on the boundary")
-            ends.append(loc)
-        (i, _), (j, at_vertex) = ends
+    def chain_range(self, start: Tuple[int, bool], stop: Tuple[int, bool]) -> Tuple[int, int]:
+        """Cyclic index range [s, t) of the vertices strictly between two
+        boundary points on the CCW walk from the first to the second, each
+        located as a Chord's ends are.  They lie on different edges, as the
+        two ends of a chord do."""
+        (i, _), (j, at_vertex) = start, stop
         return i + 1, j if at_vertex else j + 1
-
-    def chain_between(self, a: Point, b: Point) -> List[Point]:
-        """Boundary points from a to b walking CCW: [a, intermediate vertices..., b]."""
-        s, t = self.chain_range(a, b)
-        return [a] + [self.vertices[k % self.n] for k in range(s, s + (t - s) % self.n)] + [b]
 
     # ---------------------------------------------------------------- display
 
@@ -505,63 +494,52 @@ def _check_general_position(poly: RectPolygon, xr: List[int], yr: List[int]) -> 
 # --------------------------------------------------------------- lines, cuts
 
 
-def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Tuple[Fraction, Fraction]]:
-    """Maximal closed intervals on the line whose interior is inside poly.
+def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Chord]:
+    """The chords of poly on an axis line, in increasing order.
 
-    axis 'H' means the horizontal line y=level; intervals are x-ranges.
-    Boundary runs collinear with the line are never part of a chord.
+    axis 'H' means the horizontal line y=level.  The edges across the line
+    that reach just below it, sorted along the line, pair up into the
+    intervals inside poly just below the line, and those that reach just
+    above it into the intervals just above.  A chord is where an interval
+    from below overlaps one from above, so boundary runs on the line are
+    never part of one.  Each end is (vertex index, True) when its edge ends
+    on the line, else (edge index, False).
     """
-    crossings = []  # x positions where the boundary crosses transversally
-    runs = []  # (x1, x2, toggles)
-    n = poly.n
+    below, above = [], []
     for e in poly.edges:
-        if axis == "H":
-            if e.orientation == "V":
-                y1, y2 = e.span()
-                if y1 < level < y2:
-                    crossings.append(e.a.x)
-            elif e.a.y == level:
-                x1, x2 = e.span()
-                prev_e = poly.edges[(e.index - 1) % n]
-                next_e = poly.edges[(e.index + 1) % n]
-                above_prev = max(prev_e.a.y, prev_e.b.y) > level
-                above_next = max(next_e.a.y, next_e.b.y) > level
-                runs.append((x1, x2, above_prev != above_next))
+        if e.orientation == axis:
+            continue
+        c, u, w = (e.a.x, e.a.y, e.b.y) if axis == "H" else (e.a.y, e.a.x, e.b.x)
+        lo, hi = (u, w) if u < w else (w, u)
+        if hi < level or level < lo:
+            continue
+        reaches_below, reaches_above = lo < level, level < hi
+        if reaches_below and reaches_above:
+            end = (e.index, False)
         else:
-            if e.orientation == "H":
-                x1, x2 = e.span()
-                if x1 < level < x2:
-                    crossings.append(e.a.y)
-            elif e.a.x == level:
-                y1, y2 = e.span()
-                prev_e = poly.edges[(e.index - 1) % n]
-                next_e = poly.edges[(e.index + 1) % n]
-                right_prev = max(prev_e.a.x, prev_e.b.x) > level
-                right_next = max(next_e.a.x, next_e.b.x) > level
-                runs.append((y1, y2, right_prev != right_next))
-    events = [(x, "x", None) for x in crossings] + [(r[0], "run", r) for r in runs]
-    events.sort(key=lambda t: (t[0], t[1]))
-    chords: List[Tuple[Fraction, Fraction]] = []
-    inside = False
-    open_at: Optional[Fraction] = None
-    pos = None
-    for coord, kind, payload in events:
-        if kind == "x":
-            if inside:
-                if open_at is not None and open_at < coord:
-                    chords.append((open_at, coord))
-                inside = False
-                open_at = None
-            else:
-                inside = True
-                open_at = coord
+            end = (e.index if u == level else (e.index + 1) % poly.n, True)
+        if reaches_below:
+            below.append((c, end))
+        if reaches_above:
+            above.append((c, end))
+    below.sort(key=_first)
+    above.sort(key=_first)
+    lows, highs = list(zip(below[::2], below[1::2])), list(zip(above[::2], above[1::2]))
+    chords: List[Chord] = []
+    i = j = 0
+    # Walk both interval lists, dropping whichever ends first; ends at one
+    # coordinate belong to one edge.
+    while i < len(lows) and j < len(highs):
+        (l0, l1), (h0, h1) = lows[i], highs[j]
+        lo = l0 if h0[0] < l0[0] else h0
+        low_ends_first = l1[0] < h1[0]
+        hi = l1 if low_ends_first else h1
+        if lo[0] < hi[0]:
+            chords.append(Chord(axis, level, lo[0], hi[0], (lo[1], hi[1])))
+        if low_ends_first:
+            i += 1
         else:
-            x1, x2, toggles = payload
-            if inside:
-                if open_at is not None and open_at < x1:
-                    chords.append((open_at, x1))
-            inside = inside != toggles
-            open_at = x2 if inside else None
+            j += 1
     return chords
 
 
@@ -627,63 +605,35 @@ def boundary_hits(poly: RectPolygon, z: Point, d: Point,
 
 
 def materialize(poly: RectPolygon, cut: Cut) -> Chord:
-    """Turn a possibly-symbolic Cut into a concrete Chord of poly."""
+    """Turn a possibly-symbolic Cut into a concrete Chord of poly.
+
+    A cut through a reflex vertex or a boundary point is the chord of the
+    line through its anchor that ends at the anchor; a symbolic cut is the
+    chord, on the line midway to the nearest vertex level on its side, that
+    spans the anchor's coordinate.
+    """
     if cut._chord is not None:
         return cut._chord
     o = cut.orientation
-    chord = None
     if isinstance(cut.anchor, int):
-        v = poly.vertices[cut.anchor % poly.n]
-        if cut.side is None:
-            if poly.classify(cut.anchor) != REFLEX:
-                raise NotAChord(f"no {o} cut at non-reflex vertex {v}")
-            # Chord extends opposite to the incident edge of this orientation.
-            inc = [poly.edges[(cut.anchor - 1) % poly.n], poly.edges[cut.anchor % poly.n]]
-            same = [e for e in inc if e.orientation == o]
-            assert len(same) == 1
-            e = same[0]
-            d = _DIR_VEC[e.direction]
-            # The chord leaves v on the side away from e.
-            start, ray = v, (d if e.b == v else Point(-d.x, -d.y))
-        else:
-            if o == "H":
-                level = _nearest_level(poly, v.y, "H", cut.side)
-                want = v.x
-            else:
-                level = _nearest_level(poly, v.x, "V", cut.side)
-                want = v.y
-            chord = _chord_at(poly, o, level, want)
+        p = poly.vertices[cut.anchor % poly.n]
+        if cut.side is None and poly.classify(cut.anchor) != REFLEX:
+            raise NotAChord(f"no {o} cut at non-reflex vertex {p}")
     else:
         p = cut.anchor
-        loc = poly.locate_boundary(p)
-        if loc is None:
-            raise NotAChord(f"cut anchor {p} is not on the boundary")
-        i, at_vertex = loc
-        if at_vertex:
+        if poly.vertex_index(p) is not None:
             raise NotAChord("boundary-point cuts must not be anchored at a vertex")
-        e = poly.edges[i]
-        if (o == "H") == (e.orientation == "H"):
-            raise NotAChord("cut orientation runs along its anchor edge")
-        start, ray = p, _INWARD[e.direction]
+    level, want = (p.y, p.x) if o == "H" else (p.x, p.y)
+    if isinstance(cut.anchor, int) and cut.side is not None:
+        level = _nearest_level(poly, level, o, cut.side)
+        chord = next((c for c in chords_on_line(poly, o, level) if c.lo <= want <= c.hi), None)
+    else:
+        chord = next((c for c in chords_on_line(poly, o, level) if want in (c.lo, c.hi)), None)
     if chord is None:
-        hits = boundary_hits(poly, start, ray)
-        if not hits:
-            raise NotAChord(f"ray from {start} exits the polygon without hitting the boundary")
-        other = hits[0][1]
-        if o == "H":
-            chord = Chord("H", start.y, *sorted((start.x, other.x)))
-        else:
-            chord = Chord("V", start.x, *sorted((start.y, other.y)))
+        raise NotAChord(f"no chord of line {o}={level} reaches {p}")
     _assert_chord(poly, chord)
     cut._chord = chord
     return chord
-
-
-def _chord_at(poly: RectPolygon, axis: str, level: Fraction, want: Fraction) -> Chord:
-    for lo, hi in chords_on_line(poly, axis, level):
-        if lo <= want <= hi:
-            return Chord(axis, level, lo, hi)
-    raise NotAChord(f"no chord of line {axis}={level} contains coordinate {want}")
 
 
 def _assert_chord(poly: RectPolygon, chord: Chord) -> None:
@@ -707,11 +657,18 @@ def split(poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
     return p_minus, p_plus
 
 
+def _chain(poly: RectPolygon, s: int, t: int) -> List[int]:
+    """Vertex indices s, s+1, ..., t-1 taken cyclically."""
+    return [k % poly.n for k in range(s, s + (t - s) % poly.n)]
+
+
 def _split_rings(poly: RectPolygon, cut: Cut) -> Tuple[List[Point], List[Point]]:
     chord = materialize(poly, cut)
     a, b = chord.a, chord.b
-    ring1 = poly.chain_between(a, b)  # closes with chord edge b -> a
-    ring2 = poly.chain_between(b, a)  # closes with chord edge a -> b
+    ea, eb = chord.ends
+    # ring1 walks CCW from a to b and closes with chord edge b -> a; ring2 the reverse.
+    ring1 = [a] + [poly.vertices[k] for k in _chain(poly, *poly.chain_range(ea, eb))] + [b]
+    ring2 = [b] + [poly.vertices[k] for k in _chain(poly, *poly.chain_range(eb, ea))] + [a]
     if chord.axis == "H":
         # ring1 traverses the chord westward (b->a): interior below => minus.
         return ring1, ring2
@@ -719,23 +676,21 @@ def _split_rings(poly: RectPolygon, cut: Cut) -> Tuple[List[Point], List[Point]]
     return ring2, ring1
 
 
-def _minus_range(poly: RectPolygon, cut: Cut) -> Tuple[int, int]:
-    """Cyclic index range [s, t) of the vertices of poly strictly inside the P_minus side of the cut."""
-    chord = materialize(poly, cut)
-    a, b = chord.a, chord.b
-    return poly.chain_range(a, b) if chord.axis == "H" else poly.chain_range(b, a)
+def _minus_range(poly: RectPolygon, chord: Chord) -> Tuple[int, int]:
+    """Cyclic index range [s, t) of the vertices of poly strictly inside the P_minus side of the chord."""
+    ea, eb = chord.ends
+    return poly.chain_range(ea, eb) if chord.axis == "H" else poly.chain_range(eb, ea)
 
 
 def reflex_points_below(poly: RectPolygon, cut: Cut) -> List[Point]:
     """Reflex vertices of poly strictly inside the P_minus side of the cut, in CCW order."""
-    s, t = _minus_range(poly, cut)
-    inside = (k % poly.n for k in range(s, s + (t - s) % poly.n))
+    inside = _chain(poly, *_minus_range(poly, materialize(poly, cut)))
     return [poly.vertices[k] for k in inside if poly.classes[k] == REFLEX]
 
 
 def count_reflex_below(poly: RectPolygon, cut: Cut) -> int:
     """Number of reflex vertices of poly strictly inside the P_minus side of the cut."""
-    return poly.reflex_counts(*_minus_range(poly, cut))[0]
+    return poly.reflex_counts(*_minus_range(poly, materialize(poly, cut)))[0]
 
 
 def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
@@ -799,9 +754,7 @@ def iter_normal_cuts(poly: RectPolygon, orientation: str) -> List[NormalCutClass
         ends = [(c, i) for c, i, lo, hi in across if lo <= k < hi]
         t = (levels[k] + levels[k + 1]) / 2
         for (lo, i), (hi, j) in zip(ends[::2], ends[1::2]):
-            chord = Chord(orientation, t, lo, hi)
-            cut = Cut(chord.a, orientation, _chord=chord)
-            first, last = (i, j) if orientation == "H" else (j, i)
-            rm = poly.reflex_counts(first + 1, last + 1)[0]
-            out.append(NormalCutClass(orientation, t, lo, hi, rm, cut))
+            chord = Chord(orientation, t, lo, hi, ((i, False), (j, False)))
+            rm = poly.reflex_counts(*_minus_range(poly, chord))[0]
+            out.append(NormalCutClass(orientation, t, lo, hi, rm, Cut(chord.a, orientation, _chord=chord)))
     return out

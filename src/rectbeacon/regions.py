@@ -17,8 +17,8 @@ def slab_rects(poly: RectPolygon) -> List[Box]:
     for k in range(len(xs) - 1):
         x1, x2 = xs[k], xs[k + 1]
         mid = (x1 + x2) / 2
-        for y1, y2 in chords_on_line(poly, "V", mid):
-            out.append((x1, y1, x2, y2))
+        for chord in chords_on_line(poly, "V", mid):
+            out.append((x1, chord.lo, x2, chord.hi))
     return out
 
 

@@ -34,7 +34,7 @@ class SamplePlan:
 
 def _row_intervals(poly: RectPolygon, y: Fraction) -> List[Tuple[Fraction, Fraction]]:
     """Merged closed x-intervals of the polygon on the horizontal line y."""
-    ivs = list(chords_on_line(poly, "H", y))
+    ivs = [(chord.lo, chord.hi) for chord in chords_on_line(poly, "H", y)]
     for e in poly.edges:
         if e.orientation == "H" and e.a.y == y:
             ivs.append(e.span())

@@ -1,26 +1,116 @@
-"""Independent oracle for cut counts and pockets: walk the chain, build the piece.
+"""Independent oracle for chords, cut counts and pockets: scan the line,
+shoot the ray, walk the chain, build the piece.
 
-The boundary chain between two points is walked vertex by vertex, comparing
-positions along the CCW boundary.  The reflex vertices on the P_minus side
-of a cut are read off that chain, normal-cut classes come from
-chords_on_line at each band midpoint, and a pocket's r, n, xy-monotonicity
-and wrap flag are read off the pocket built as a RectPolygon from the chain.
-The index ranges and prefix counts of rectbeacon.polygon and the pocket
-summaries of rectbeacon.placement are checked against them.
+The chords on a line come from one scan that toggles inside/outside at
+every crossing and every boundary run on the line; a cut from a reflex
+vertex or a boundary point ends at the first boundary_hits contact of the
+ray leaving its anchor through the interior.  The boundary chain between
+two points is walked vertex by vertex, comparing positions along the CCW
+boundary located with locate_boundary.  The reflex vertices on the P_minus
+side of a cut are read off that chain, normal-cut classes come from the
+line scan at each band midpoint, and a pocket's r, n, xy-monotonicity and
+wrap flag are read off the pocket built as a RectPolygon from the chain.
+rectbeacon.polygon's chords with their ends, index ranges and prefix
+counts and the pocket summaries of rectbeacon.placement are checked
+against them.
 """
 
 from fractions import Fraction
+from typing import List, Optional, Tuple
 
 from rectbeacon.errors import NotAChord
+from rectbeacon.geometry import Point
 from rectbeacon.polygon import (
+    _INWARD,
     REFLEX,
     Chord,
     Cut,
     RectPolygon,
     _merge_ring,
-    chords_on_line,
+    boundary_hits,
     materialize,
 )
+
+_UNIT = {"E": Point(1, 0), "N": Point(0, 1), "W": Point(-1, 0), "S": Point(0, -1)}
+
+
+def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Tuple[Fraction, Fraction]]:
+    """Maximal closed intervals on the line whose interior is inside poly.
+
+    axis 'H' means the horizontal line y=level; intervals are x-ranges.
+    Boundary runs collinear with the line are never part of a chord.
+    """
+    crossings = []  # x positions where the boundary crosses transversally
+    runs = []  # (x1, x2, toggles)
+    n = poly.n
+    for e in poly.edges:
+        if axis == "H":
+            if e.orientation == "V":
+                y1, y2 = e.span()
+                if y1 < level < y2:
+                    crossings.append(e.a.x)
+            elif e.a.y == level:
+                x1, x2 = e.span()
+                prev_e = poly.edges[(e.index - 1) % n]
+                next_e = poly.edges[(e.index + 1) % n]
+                above_prev = max(prev_e.a.y, prev_e.b.y) > level
+                above_next = max(next_e.a.y, next_e.b.y) > level
+                runs.append((x1, x2, above_prev != above_next))
+        else:
+            if e.orientation == "H":
+                x1, x2 = e.span()
+                if x1 < level < x2:
+                    crossings.append(e.a.y)
+            elif e.a.x == level:
+                y1, y2 = e.span()
+                prev_e = poly.edges[(e.index - 1) % n]
+                next_e = poly.edges[(e.index + 1) % n]
+                right_prev = max(prev_e.a.x, prev_e.b.x) > level
+                right_next = max(next_e.a.x, next_e.b.x) > level
+                runs.append((y1, y2, right_prev != right_next))
+    events = [(x, "x", None) for x in crossings] + [(r[0], "run", r) for r in runs]
+    events.sort(key=lambda t: (t[0], t[1]))
+    chords: List[Tuple[Fraction, Fraction]] = []
+    inside = False
+    open_at: Optional[Fraction] = None
+    pos = None
+    for coord, kind, payload in events:
+        if kind == "x":
+            if inside:
+                if open_at is not None and open_at < coord:
+                    chords.append((open_at, coord))
+                inside = False
+                open_at = None
+            else:
+                inside = True
+                open_at = coord
+        else:
+            x1, x2, toggles = payload
+            if inside:
+                if open_at is not None and open_at < x1:
+                    chords.append((open_at, x1))
+            inside = inside != toggles
+            open_at = x2 if inside else None
+    return chords
+
+
+def ray_cut(poly, anchor, orientation):
+    """(lo, hi) of the cut from a reflex vertex index or a point inside a
+    perpendicular edge to the first boundary contact of the ray that leaves
+    it through the interior, or None when the ray meets no boundary."""
+    if isinstance(anchor, int):
+        start = poly.vertices[anchor]
+        e = next(e for e in (poly.edges[anchor - 1], poly.edges[anchor]) if e.orientation == orientation)
+        d = _UNIT[e.direction]
+        ray = d if e.b == start else Point(-d.x, -d.y)  # away from the edge along the line
+    else:
+        start = anchor
+        ray = _INWARD[poly.edges[poly.locate_boundary(anchor)[0]].direction]
+    hits = boundary_hits(poly, start, ray)
+    if not hits:
+        return None
+    other = hits[0][1]
+    return tuple(sorted((start.x, other.x) if orientation == "H" else (start.y, other.y)))
 
 
 def _boundary_key(poly, p):
@@ -63,11 +153,17 @@ def chain_between(poly, a, b):
     return out
 
 
+def split_rings(poly, chord):
+    """(P_minus ring, P_plus ring) of a chord: the chains between its ends."""
+    a, b = chord.a, chord.b
+    if chord.axis == "H":
+        return chain_between(poly, a, b), chain_between(poly, b, a)
+    return chain_between(poly, b, a), chain_between(poly, a, b)
+
+
 def reflex_points_below(poly, cut):
     """Reflex vertices strictly inside the P_minus side of the cut, in CCW order."""
-    chord = materialize(poly, cut)
-    a, b = chord.a, chord.b
-    chain = chain_between(poly, a, b) if chord.axis == "H" else chain_between(poly, b, a)
+    chain = split_rings(poly, materialize(poly, cut))[0]
     return [p for p in chain[1:-1] if poly.classes[poly.vertex_index(p)] == REFLEX]
 
 
@@ -78,7 +174,7 @@ def normal_cuts(poly, orientation):
     for k in range(len(levels) - 1):
         t = (levels[k] + levels[k + 1]) / 2
         for lo, hi in chords_on_line(poly, orientation, t):
-            chord = Chord(orientation, t, lo, hi)
+            chord = Chord(orientation, t, lo, hi, None)  # the chain walk locates its ends
             cut = Cut(chord.a, orientation, _chord=chord)
             out.append((t, lo, hi, len(reflex_points_below(poly, cut))))
     return out

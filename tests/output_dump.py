@@ -1,0 +1,144 @@
+"""Print the program's outputs on a fixed corpus, one fact per line.
+
+    python3 tests/output_dump.py > outputs.txt
+
+It imports rectbeacon from the src/ directory of the checkout it sits in,
+so running it in two checkouts and comparing the files with one diff shows
+whether a change keeps every output below byte-identical.
+
+The corpus is random polygons n = 8..88 (ten seeds each), coverage spirals
+r = 1..24 and combs k = 1..19, each also mirrored.  For every polygon it
+prints the kernel, clip_fast at every vertex level, the slab boxes, every
+normal-cut class, every cut through or just beside a reflex vertex and from
+every edge midpoint (chord, r(P_minus), both pieces), every pocket with its
+summary, and is_dead_point from every vertex and edge midpoint towards each
+reflex vertex.  Polygons with n <= 64 also get cover and route beacons with
+their traces, and those with n <= 24 both verifier reports.
+"""
+
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from rectbeacon.attraction import is_dead_point  # noqa: E402
+from rectbeacon.clipping import clip_fast  # noqa: E402
+from rectbeacon.errors import GeometryError  # noqa: E402
+from rectbeacon.generators import comb, coverage_spiral, random_rectilinear  # noqa: E402
+from rectbeacon.geometry import midpoint  # noqa: E402
+from rectbeacon.kernel import kernel  # noqa: E402
+from rectbeacon.placement import cover, pocket_summary, route_beacons  # noqa: E402
+from rectbeacon.polygon import (  # noqa: E402
+    Cut,
+    count_reflex_below,
+    iter_normal_cuts,
+    materialize,
+    pocket,
+    split,
+)
+from rectbeacon.regions import slab_rects  # noqa: E402
+from rectbeacon.transforms import TRANSFORMS  # noqa: E402
+from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing  # noqa: E402
+
+
+def corpus():
+    polys = [(f"random n={n} seed={s}", random_rectilinear(n, s))
+             for n in range(8, 90, 8) for s in range(10)]
+    polys += [(f"coverage_spiral r={r}", coverage_spiral(r)[0]) for r in range(1, 25)]
+    polys += [(f"comb k={k}", comb(k)) for k in range(1, 20)]
+    return polys + [(name + " mirror_x", TRANSFORMS["mirror_x"].polygon(p)) for name, p in polys]
+
+
+def pts(points):
+    return " ".join(f"({p.x},{p.y})" for p in points)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the name of the GeometryError it raised."""
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return type(exc).__name__
+
+
+def chord(poly, cut):
+    ch = outcome(materialize, poly, cut)
+    return ch if isinstance(ch, str) else f"{ch.axis}={ch.level} [{ch.lo},{ch.hi}]"
+
+
+def pieces(poly, cut):
+    got = outcome(split, poly, cut)
+    return got if isinstance(got, str) else " | ".join(pts(p.vertices) for p in got)
+
+
+def dump_cuts(poly, out):
+    for o in "HV":
+        for nc in iter_normal_cuts(poly, o):
+            out(f"normal {o}={nc.level} [{nc.lo},{nc.hi}] r-={nc.r_minus} {pieces(poly, nc.cut)}")
+    for i in poly.reflex_indices:
+        for o in "HV":
+            for side in (None, "before", "after"):
+                cut = Cut(i, o, side)
+                out(f"vertex cut {i} {o} {side}: {chord(poly, cut)} "
+                    f"r-={outcome(count_reflex_below, poly, cut)} {pieces(poly, cut)}")
+    for e in poly.edges:
+        m = midpoint(e.a, e.b)
+        for o in "HV":
+            cut = Cut(m, o)
+            out(f"edge cut {e.index} {o}: {chord(poly, cut)} "
+                f"r-={outcome(count_reflex_below, poly, cut)} {pieces(poly, cut)}")
+    for e in poly.reflex_edges():
+        for v in (e.a, e.b):
+            vi = poly.vertex_index(v)
+            s = pocket_summary(poly, e.index, vi)
+            out(f"pocket {e.index} {vi}: r={s.r} n={s.n} monotone={s.monotone} s={s.s} t={s.t} "
+                f"{pts(pocket(poly, e.index, vi).vertices)}")
+
+
+def dump(name, poly, out):
+    out(f"# {name}: n={poly.n} r={poly.r} {pts(poly.vertices)}")
+    k = kernel(poly)
+    out(f"kernel bounds={[str(b) for b in k.bounds]} degenerate={k.degenerate} "
+        f"{' | '.join(pts(p.vertices) for p in k.pieces)}")
+    for axis in "xy":
+        for c in sorted({getattr(v, axis) for v in poly.vertices}):
+            for keep_low in (True, False):
+                got = outcome(clip_fast, poly, axis, c, keep_low)
+                shown = got if isinstance(got, str) else " | ".join(pts(p.vertices) for p in got)
+                out(f"clip {axis}={c} low={keep_low}: {shown}")
+    out("slabs " + " ".join(f"[{x1},{y1},{x2},{y2}]" for x1, y1, x2, y2 in slab_rects(poly)))
+    dump_cuts(poly, out)
+    targets = [poly.vertices[i] for i in poly.reflex_indices][:6]
+    starts = list(poly.vertices) + [midpoint(e.a, e.b) for e in poly.edges]
+    for b in targets:
+        out(f"dead towards ({b.x},{b.y}): "
+            + "".join("1" if is_dead_point(poly, q, b) else "0" for q in starts))
+    if poly.n > 64:
+        return
+    for place in (cover, route_beacons):
+        bs = outcome(place, poly)
+        if isinstance(bs, str):
+            out(f"{place.__name__}: {bs}")
+            continue
+        out(f"{place.__name__}: {pts(bs.beacons)} tags={bs.tags}")
+        out(f"{place.__name__} trace: {json.dumps(bs.trace.as_dict(), sort_keys=True)}")
+        if poly.n <= 24:
+            if place is cover:
+                rep = verify_coverage(poly, bs.beacons, SamplePlan(grid=8, seed=1, jitter=4))
+            else:
+                rep = verify_routing(poly, bs.beacons, pair_count=16, seed=1)
+            out(f"{place.__name__} verify: {json.dumps(rep.as_dict(), sort_keys=True)}")
+
+
+def main():
+    lines = []
+    polys = corpus()
+    for name, poly in polys:
+        dump(name, poly, lines.append)
+    sys.stdout.write("\n".join(lines) + "\n")
+    print(f"# {len(polys)} polygons, {len(lines)} lines", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,8 @@ from rectbeacon.attraction import (
     is_dead_point,
 )
 from rectbeacon.errors import PointOutsidePolygon
-from rectbeacon.geometry import Point
+from rectbeacon.generators import comb, coverage_spiral, random_rectilinear
+from rectbeacon.geometry import Point, midpoint
 from rectbeacon.polygon import validate
 
 from descent_oracle import descend
@@ -143,3 +144,24 @@ def test_bend_edges_block_beacon_halfplane():
             e = p.edges[seg.edge]
             assert not e.halfplane.contains(path.beacon)
             assert e.kind != "convex" or not path.reached
+
+
+def test_is_dead_point_is_a_path_dead_at_its_start():
+    """On vertices, edge midpoints and reflex-vertex offsets of fuzz polygons,
+    spirals and combs, towards every vertex and edge midpoint as beacon, q is
+    a dead point exactly when the path from q is dead without a segment."""
+    polys = [random_rectilinear(n, seed) for n in (8, 16, 24, 32) for seed in range(3)]
+    polys += [coverage_spiral(r)[0] for r in (2, 4, 6)] + [comb(k) for k in (2, 4)]
+    pairs = dead = 0
+    for p in polys:
+        boundary = list(p.vertices) + [midpoint(e.a, e.b) for e in p.edges]
+        near = [v + Point(dx, dy) for v in (p.vertices[i] for i in p.reflex_indices)
+                for dx in (Fraction(-1, 4), Fraction(1, 4)) for dy in (Fraction(-1, 4), Fraction(1, 4))]
+        for q in boundary + [w for w in near if p.contains(w) != "out"]:
+            for b in boundary:
+                path = attraction_path(p, q, b)
+                want = not path.reached and not path.segments
+                assert is_dead_point(p, q, b) == want, (p.vertices, q, b)
+                pairs += 1
+                dead += want
+    assert pairs >= 20000 and dead >= 1000

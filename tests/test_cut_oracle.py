@@ -1,9 +1,20 @@
-"""Prefix counts and pocket summaries against the chain-walk and build oracles."""
+"""Chords, prefix counts and pocket summaries against the line-scan, ray,
+chain-walk and build oracles."""
 
 from rectbeacon.errors import NotAChord
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
+from rectbeacon.geometry import midpoint
 from rectbeacon.placement import _pocket_wraps, pocket_summary
-from rectbeacon.polygon import Cut, count_reflex_below, iter_normal_cuts, pocket, reflex_points_below
+from rectbeacon.polygon import (
+    Cut,
+    _split_rings,
+    chords_on_line,
+    count_reflex_below,
+    iter_normal_cuts,
+    materialize,
+    pocket,
+    reflex_points_below,
+)
 from rectbeacon.transforms import TRANSFORMS
 
 import cut_oracle
@@ -21,6 +32,50 @@ def _corpus():
 CORPUS = _corpus()
 
 
+def _lines(p, o):
+    """Every vertex level of one orientation, every band midpoint and one
+    level beyond the bounding box on each side."""
+    levels = sorted({(v.y if o == "H" else v.x) for v in p.vertices})
+    mids = [(s + t) / 2 for s, t in zip(levels, levels[1:])]
+    return levels + mids + [levels[0] - 1, levels[-1] + 1]
+
+
+def test_chords_on_line_matches_line_scan_and_locates_ends():
+    lines = 0
+    for p in CORPUS:
+        for o in "HV":
+            for t in _lines(p, o):
+                got = chords_on_line(p, o, t)
+                assert [(c.lo, c.hi) for c in got] == cut_oracle.chords_on_line(p, o, t), (p.vertices, o, t)
+                for c in got:
+                    assert (c.axis, c.level) == (o, t)
+                    assert c.ends == (p.locate_boundary(c.a), p.locate_boundary(c.b)), (p.vertices, o, t)
+                lines += 1
+    assert lines >= 10000
+
+
+def test_materialize_matches_first_ray_contact():
+    """Cuts through reflex vertices and from edge midpoints end where the ray
+    leaving the anchor through the interior first meets the boundary; an
+    anchor along its cut or off the boundary makes no chord."""
+    vertex_cuts = edge_cuts = 0
+    for p in CORPUS:
+        for i in p.reflex_indices:
+            for o in "HV":
+                chord = materialize(p, Cut(i, o))
+                assert (chord.lo, chord.hi) == cut_oracle.ray_cut(p, i, o), (p.vertices, i, o)
+                vertex_cuts += 1
+        for e in p.edges:
+            m = midpoint(e.a, e.b)
+            across = "V" if e.orientation == "H" else "H"
+            chord = materialize(p, Cut(m, across))
+            assert (chord.lo, chord.hi) == cut_oracle.ray_cut(p, m, across), (p.vertices, e.index)
+            assert _outcome(materialize, p, Cut(m, e.orientation)) == "NotAChord"
+            assert _outcome(materialize, p, Cut(midpoint(chord.a, chord.b), across)) == "NotAChord"
+            edge_cuts += 1
+    assert vertex_cuts >= 5000 and edge_cuts >= 5000
+
+
 def test_normal_cut_classes_match_chain_walk():
     classes = 0
     for p in CORPUS:
@@ -29,10 +84,10 @@ def test_normal_cut_classes_match_chain_walk():
             assert [(nc.level, nc.lo, nc.hi, nc.r_minus) for nc in got] \
                 == cut_oracle.normal_cuts(p, o), (p.vertices, o)
             for nc in got:
-                a, b = nc.cut._chord.a, nc.cut._chord.b
-                assert (nc.cut._chord.lo, nc.cut._chord.hi) == (nc.lo, nc.hi)
-                assert p.chain_between(a, b) == cut_oracle.chain_between(p, a, b)
-                assert p.chain_between(b, a) == cut_oracle.chain_between(p, b, a)
+                chord = nc.cut._chord
+                assert (chord.lo, chord.hi) == (nc.lo, nc.hi)
+                assert chord.ends == (p.locate_boundary(chord.a), p.locate_boundary(chord.b))
+                assert _split_rings(p, nc.cut) == cut_oracle.split_rings(p, chord)
             classes += len(got)
     assert classes >= 10000
 
@@ -68,6 +123,6 @@ def test_pocket_summaries_match_built_pockets():
                 s = pocket_summary(p, e.index, vi)
                 assert (s.r, s.n, s.monotone) == cut_oracle.pocket_summary(p, e.index, vi)
                 assert pocket(p, e.index, vi) == cut_oracle.pocket(p, e.index, vi)
-                assert _pocket_wraps(p, e.index, vi) == cut_oracle.pocket_wraps(p, e.index, vi)
+                assert _pocket_wraps(p, e.index, s) == cut_oracle.pocket_wraps(p, e.index, vi)
                 pockets += 1
     assert pockets >= 2000

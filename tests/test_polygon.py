@@ -21,6 +21,7 @@ from rectbeacon.polygon import (
     validate,
 )
 
+import cut_oracle
 from segment_oracle import first_hit
 from shapes import (
     L_SHAPE,
@@ -158,7 +159,7 @@ def sweep_monotone_oracle(poly, axis):
     for t in probes:
         # Components of line cap P: chords plus boundary runs; count maximal
         # closed intervals of the closed intersection.
-        spans = chords_on_line(poly, "V" if lines == "V" else "H", t)
+        spans = cut_oracle.chords_on_line(poly, "V" if lines == "V" else "H", t)
         if len(spans) > 1:
             return False
     return True
@@ -250,15 +251,19 @@ def test_count_reflex_above_includes_vertex():
     assert count_reflex_below(p, cut) == 1
 
 
+def _spans(poly, axis, level):
+    return [(c.lo, c.hi) for c in chords_on_line(poly, axis, level)]
+
+
 def test_chords_on_line_u_shape():
     p = u_shape()
-    assert chords_on_line(p, "H", Fraction(1)) == [(Fraction(0), Fraction(6))]
-    assert chords_on_line(p, "H", Fraction(3)) == [
+    assert _spans(p, "H", Fraction(1)) == [(Fraction(0), Fraction(6))]
+    assert _spans(p, "H", Fraction(3)) == [
         (Fraction(0), Fraction(2)),
         (Fraction(4), Fraction(6)),
     ]
     # At the reflex edge level the run is boundary, not chord interior.
-    assert chords_on_line(p, "H", Fraction(2)) == [
+    assert _spans(p, "H", Fraction(2)) == [
         (Fraction(0), Fraction(2)),
         (Fraction(4), Fraction(6)),
     ]
@@ -269,7 +274,7 @@ def test_chords_on_line_matches_point_probing():
     p = u_shape()
     for _ in range(50):
         t = Fraction(rng.randrange(1, 40), 10)
-        spans = chords_on_line(p, "H", t)
+        spans = _spans(p, "H", t)
         for lo, hi in spans:
             assert p.contains(midpoint(Point(lo, t), Point(hi, t))) == "in"
         # probe points between chords are not interior
