@@ -45,20 +45,18 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _load_polygon(path: str, merge_collinear: bool = False):
+def _load(path: str, what: str, parse):
+    """parse(JSON data of the file at path); a file that cannot be read,
+    decoded or parsed exits with code 2."""
     try:
-        data = json.loads(_read_text(path))
-        return jsonio.polygon_from_dict(data, merge_collinear=merge_collinear)
-    except (json.JSONDecodeError, GeometryError, OSError, ValueError) as exc:
-        _fail_input(f"cannot read polygon from {path}: {exc}")
+        return parse(json.loads(_read_text(path)))
+    except (GeometryError, OSError, ValueError) as exc:
+        _fail_input(f"cannot read {what} from {path}: {exc}")
 
 
-def _load_beacons(path: str):
-    try:
-        data = json.loads(_read_text(path))
-        return jsonio.beacons_from_dict(data)
-    except (json.JSONDecodeError, GeometryError, OSError, ValueError) as exc:
-        _fail_input(f"cannot read beacons from {path}: {exc}")
+def _load_polygon(args):
+    return _load(args.polygon, "polygon",
+                 lambda data: jsonio.polygon_from_dict(data, args.merge_collinear))
 
 
 def _fail_input(msg: str):
@@ -105,7 +103,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    poly = _load_polygon(args.polygon, args.merge_collinear)
+    poly = _load_polygon(args)
     region = kernel_oracle(poly) if args.oracle else kernel(poly)
     _write_text(args.output, jsonio.dumps(jsonio.kernel_to_dict(region)))
     if args.emit_svg:
@@ -114,7 +112,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    poly = _load_polygon(args.polygon, args.merge_collinear)
+    poly = _load_polygon(args)
     trace = TraceNode("root", poly.r)
     if args.monotone:
         from .placement import cover_monotone
@@ -131,7 +129,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    poly = _load_polygon(args.polygon, args.merge_collinear)
+    poly = _load_polygon(args)
     trace = TraceNode("route_root", poly.r)
     bs = route_beacons(poly, trace)
     _write_text(args.output, jsonio.dumps(jsonio.beacons_to_dict(bs.beacons, "route", (3 * poly.r) // 4)))
@@ -141,7 +139,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    poly = _load_polygon(args.polygon, args.merge_collinear)
+    poly = _load_polygon(args)
     start = _parse_point(args.start)
     beacon = _parse_point(args.beacon)
     try:
@@ -155,35 +153,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    poly = _load_polygon(args.polygon, args.merge_collinear)
-    beacons = _load_beacons(args.beacons)
+    poly = _load_polygon(args)
+    beacons = _load(args.beacons, "beacons", jsonio.beacons_from_dict)
     if args.mode == "cover":
         report = verify_coverage(poly, beacons, SamplePlan(grid=args.grid, seed=args.seed,
                                                            jitter=args.jitter))
     else:
-        pairs = None
-        if args.pairs:
-            try:
-                data = json.loads(_read_text(args.pairs))
-                pairs = [(jsonio.point_from_json(a), jsonio.point_from_json(b))
-                         for a, b in data["pairs"]]
-            except (json.JSONDecodeError, KeyError, GeometryError) as exc:
-                _fail_input(f"cannot read pairs from {args.pairs}: {exc}")
+        pairs = _load(args.pairs, "pairs", jsonio.pairs_from_dict) if args.pairs else None
         report = verify_routing(poly, beacons, pairs=pairs, seed=args.seed)
     _write_text(args.output, jsonio.dumps(report.as_dict()))
     return 0 if report.passed else 1
 
 
 def _cmd_render(args) -> int:
-    poly = _load_polygon(args.polygon, args.merge_collinear)
-    beacons = _load_beacons(args.beacons) if args.beacons else []
-    paths = []
-    if args.path:
-        try:
-            data = json.loads(_read_text(args.path))
-            paths = [[jsonio.point_from_json(p) for p in data["points"]]]
-        except (json.JSONDecodeError, KeyError, GeometryError) as exc:
-            _fail_input(f"cannot read path from {args.path}: {exc}")
+    poly = _load_polygon(args)
+    beacons = _load(args.beacons, "beacons", jsonio.beacons_from_dict) if args.beacons else []
+    paths = [_load(args.path, "path", jsonio.path_points_from_dict)] if args.path else []
     kernel_region = kernel(poly).region if args.kernel else None
     _write_text(args.output, render_svg(poly, beacons=beacons, paths=paths,
                                         kernel=kernel_region))

@@ -28,6 +28,11 @@ NORTH = Point(0, 1)
 _SPINE_DIRS = [EAST, SOUTH, WEST, NORTH]
 _LEFT_NORMAL = {EAST: NORTH, SOUTH: EAST, WEST: SOUTH, NORTH: WEST}
 
+# Attempts before giving up: routing spirals double their growth factor on
+# each, random polygons double their coordinate scale or draw again.
+_SPIRAL_RETRIES = 6
+_RANDOM_RETRIES = 40
+
 
 class SpiralSpec:
     __slots__ = ("r", "rho", "eps", "spine_lengths", "widths", "kind")
@@ -234,7 +239,7 @@ def greedy_cover_spiral(poly: RectPolygon, decomp: SpiralDecomposition) -> Beaco
 # ------------------------------------------------------------------ routing
 
 
-def routing_spiral(r: int, max_retries: int = 6) -> RectPolygon:
+def routing_spiral(r: int) -> RectPolygon:
     """Routing lower-bound spiral: each new arm's sight line from the spine
     end clears the feasible region left for the previous beacon.
 
@@ -244,7 +249,7 @@ def routing_spiral(r: int, max_retries: int = 6) -> RectPolygon:
     if r < 3:
         raise ValueError("routing spirals are defined for r >= 3")
     growth = Fraction(3)
-    for _ in range(max_retries):
+    for _ in range(_SPIRAL_RETRIES):
         eps = Fraction(1, 4 * r + 16)
         lengths = [growth ** i + i * eps for i in range(r + 1)]
         widths = _default_widths(r, Fraction(1, 4))
@@ -291,7 +296,7 @@ def _routing_separation_holds(decomp: SpiralDecomposition) -> bool:
 # ------------------------------------------------------------------- random
 
 
-def random_rectilinear(n: int, seed: int, max_retries: int = 40) -> RectPolygon:
+def random_rectilinear(n: int, seed: int) -> RectPolygon:
     """Random general-position simple rectilinear polygon with n vertices.
 
     Grown from a rectangle by notching random convex corners.  All
@@ -303,12 +308,12 @@ def random_rectilinear(n: int, seed: int, max_retries: int = 40) -> RectPolygon:
     steps = (n - 4) // 2
     rng = random.Random(seed)
     scale = 8 * (steps + 2)
-    for attempt in range(max_retries):
+    for attempt in range(_RANDOM_RETRIES):
         try:
             return _grow_polygon(steps, rng, scale)
         except GenerationFailed:
             scale *= 2
-    raise GenerationFailed(f"could not generate a polygon with n={n} after {max_retries} tries")
+    raise GenerationFailed(f"could not generate a polygon with n={n} after {_RANDOM_RETRIES} tries")
 
 
 def _grow_polygon(steps: int, rng: random.Random, scale: int) -> RectPolygon:
@@ -357,7 +362,7 @@ def _dent_once(ring, used_x, used_y, rng) -> bool:
             new_y = {p[1] for p in (p1, p2, p3, p4)} - {a[1], b[1]}
             if new_x & used_x or new_y & used_y:
                 continue
-            if not _dent_clear(ring, idx, p1, p3):
+            if not _box_clear(ring, p1, p3, (idx,)):
                 continue
             ring[idx + 1:idx + 1] = [p1, p2, p3, p4]
             used_x.update(p[0] for p in (p1, p2, p3, p4))
@@ -366,13 +371,14 @@ def _dent_once(ring, used_x, used_y, rng) -> bool:
     return False
 
 
-def _dent_clear(ring, idx, c1, c3) -> bool:
-    """Closed dent box (c1..c3) must avoid every edge except the host."""
+def _box_clear(ring, c1, c3, skip) -> bool:
+    """The closed box with opposite corners c1 and c3 meets no edge of the
+    ring except the edges whose indices are in skip."""
     x1, x2 = sorted((c1[0], c3[0]))
     y1, y2 = sorted((c1[1], c3[1]))
     n = len(ring)
     for j in range(n):
-        if j == idx:
+        if j in skip:
             continue
         a = ring[j]
         b = ring[(j + 1) % n]
@@ -411,7 +417,8 @@ def _notch_once(ring, used_x, used_y, rng) -> bool:
             new_y = {c[1] for c in (c1, c2, c3)} - {cur[1], prev[1], nxt[1]}
             if new_x & used_x or new_y & used_y:
                 continue
-            if not _bite_clear(ring, idx, cur, c2):
+            # The two edges at the notched corner bound the bite.
+            if not _box_clear(ring, cur, c2, ((idx - 1) % n, idx)):
                 continue
             ring[idx:idx + 1] = [c1, c2, c3]
             used_x.update(c[0] for c in (c1, c2, c3))
@@ -428,37 +435,19 @@ def _turn(a, b) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _bite_clear(ring, idx, cur, c2) -> bool:
-    """The open bite rectangle (cur..c2) must not meet the rest of the ring."""
-    x1, x2 = sorted((cur[0], c2[0]))
-    y1, y2 = sorted((cur[1], c2[1]))
-    n = len(ring)
-    for j in range(n):
-        # The two edges incident to the notched corner bound the bite.
-        if j == (idx - 1) % n or j == idx:
-            continue
-        a = ring[j]
-        b = ring[(j + 1) % n]
-        ex1, ex2 = sorted((a[0], b[0]))
-        ey1, ey2 = sorted((a[1], b[1]))
-        if ex1 <= x2 and x1 <= ex2 and ey1 <= y2 and y1 <= ey2:
-            return False
-    return True
-
-
-def random_x_monotone(n: int, seed: int, max_retries: int = 40) -> RectPolygon:
+def random_x_monotone(n: int, seed: int) -> RectPolygon:
     """Random x-monotone rectilinear polygon with n vertices."""
     if n < 4 or n % 2 != 0:
         raise GenerationFailed("n must be even and at least 4")
     rng = random.Random(seed)
     steps = (n - 4) // 2
     last = None
-    for _ in range(max_retries):
+    for _ in range(_RANDOM_RETRIES):
         try:
             return _grow_monotone(steps, rng)
         except (GenerationFailed, NotRectilinear, NotSimple, GeneralPositionViolated, ValueError) as exc:
             last = exc
-    raise GenerationFailed(f"monotone generation failed after {max_retries} tries: {last}")
+    raise GenerationFailed(f"monotone generation failed after {_RANDOM_RETRIES} tries: {last}")
 
 
 def _grow_monotone(steps: int, rng: random.Random) -> RectPolygon:

@@ -89,21 +89,6 @@ def cross3(a: Point, b: Point, c: Point) -> Fraction:
     return (b - a).cross(c - a)
 
 
-def on_axis_segment(p: Point, a: Point, b: Point) -> bool:
-    """True iff p lies on the closed axis-parallel segment [a, b]."""
-    if a.x == b.x:
-        if p.x != a.x:
-            return False
-        lo, hi = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-        return lo <= p.y <= hi
-    if a.y == b.y:
-        if p.y != a.y:
-            return False
-        lo, hi = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-        return lo <= p.x <= hi
-    raise ValueError("segment is not axis-parallel")
-
-
 def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
 

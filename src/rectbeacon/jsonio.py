@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .attraction import AttractionPath
 from .errors import GeometryError
@@ -26,10 +26,17 @@ def polygon_to_dict(poly: RectPolygon) -> dict:
     return {"vertices": [point_to_json(v) for v in poly.vertices]}
 
 
+def _list_field(data, name: str) -> list:
+    """data[name] of a JSON object, which must be a list."""
+    if not isinstance(data, dict) or name not in data:
+        raise GeometryError(f"expected a JSON object with a '{name}' field")
+    if not isinstance(data[name], list):
+        raise GeometryError(f"'{name}' must be a list, got {type(data[name]).__name__}")
+    return data[name]
+
+
 def polygon_from_dict(data: dict, merge_collinear: bool = False) -> RectPolygon:
-    if "vertices" not in data:
-        raise GeometryError("polygon JSON must have a 'vertices' field")
-    pts = [point_from_json(v) for v in data["vertices"]]
+    pts = [point_from_json(v) for v in _list_field(data, "vertices")]
     return validate(pts, merge_collinear=merge_collinear)
 
 
@@ -41,9 +48,17 @@ def beacons_to_dict(beacons: Sequence[Point], mode: str, bound: Optional[int] = 
 
 
 def beacons_from_dict(data: dict) -> List[Point]:
-    if "beacons" not in data:
-        raise GeometryError("beacons JSON must have a 'beacons' field")
-    return [point_from_json(b) for b in data["beacons"]]
+    return [point_from_json(b) for b in _list_field(data, "beacons")]
+
+
+def pairs_from_dict(data: dict) -> List[Tuple[Point, Point]]:
+    """The point pairs listed under 'pairs', each as [[x, y], [x, y]]."""
+    pairs = []
+    for item in _list_field(data, "pairs"):
+        if not isinstance(item, list) or len(item) != 2:
+            raise GeometryError(f"expected [[x, y], [x, y]], got {item!r}")
+        pairs.append((point_from_json(item[0]), point_from_json(item[1])))
+    return pairs
 
 
 def path_to_dict(path: AttractionPath) -> dict:
@@ -52,6 +67,11 @@ def path_to_dict(path: AttractionPath) -> dict:
         "dead_reason": path.dead_reason,
         "points": [point_to_json(p) for p in path.points()],
     }
+
+
+def path_points_from_dict(data: dict) -> List[Point]:
+    """The points of a path as path_to_dict writes it."""
+    return [point_from_json(p) for p in _list_field(data, "points")]
 
 
 def kernel_to_dict(region: KernelRegion) -> dict:

@@ -18,13 +18,17 @@ from .geometry import Point, midpoint
 from .kernel import in_all_cones
 from .polygon import (
     _INWARD,
+    REFLEX,
     Cut,
     RectPolygon,
+    _chain,
+    chord_sides,
     chords_on_line,
     count_reflex_below,
     iter_normal_cuts,
     materialize,
     pocket,
+    pocket_side,
     reflex_points_below,
     split,
 )
@@ -152,11 +156,11 @@ def _first_reflex_below(poly: RectPolygon, cut: Cut) -> Point:
 
 
 def _first_reflex_above(poly: RectPolygon, cut: Cut) -> Point:
+    """Reflex vertex of P_plus above the cut with minimal level (ties: smaller cross)."""
     chord = materialize(poly, cut)
-    minus_pts = set(reflex_points_below(poly, cut))
-    above = [poly.vertices[i] for i in poly.reflex_indices
-             if poly.vertices[i] not in minus_pts and
-             (poly.vertices[i].y if chord.axis == "H" else poly.vertices[i].x) > chord.level]
+    _, plus = chord_sides(chord)
+    reflex = [poly.vertices[k] for k in _chain(poly, plus.s, plus.t) if poly.classes[k] == REFLEX]
+    above = [p for p in reflex if (p.y if chord.axis == "H" else p.x) > chord.level]
     if not above:
         raise InternalCaseError("no reflex vertex above the cut")
     return min(above, key=lambda p: (p.y, p.x) if chord.axis == "H" else (p.x, p.y))
@@ -256,18 +260,20 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
     r = poly.r
     v1, v2 = _endpoints_west_east(e)
     i1, i2 = poly.vertex_index(v1), poly.vertex_index(v2)
-    m1 = count_reflex_below(poly, Cut(i1, "H", "before")) % 3
-    m2 = count_reflex_below(poly, Cut(i2, "H", "before")) % 3
+    # Reflex vertices below the cuts just below v1 and v2.
+    k1 = count_reflex_below(poly, Cut(i1, "H", "before"))
+    k2 = count_reflex_below(poly, Cut(i2, "H", "before"))
+    m1, m2 = k1 % 3, k2 % 3
     if (m1 + m2) % 3 != 2:
         raise _OrientationRetry(f"top case: m1+m2 = {m1}+{m2} != 2 mod 3")
     if {m1, m2} == {0, 2}:
         # Case (a): cut through the endpoint above the 2-side.
         if m1 == 0:
-            if count_reflex_below(poly, Cut(i1, "H", "before")) != 0:
+            if k1 != 0:
                 raise InternalCaseError("case (a): 0-side lobe not empty")
             cprime = Cut(i2, "H")
         else:
-            if count_reflex_below(poly, Cut(i2, "H", "before")) != 0:
+            if k2 != 0:
                 raise InternalCaseError("case (a): 0-side lobe not empty")
             cprime = Cut(i1, "H")
         minus, plus = split(poly, cprime)
@@ -277,8 +283,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
     if not (m1 == 1 and m2 == 1):
         raise InternalCaseError(f"top case: unexpected (m1, m2) = {(m1, m2)}")
     # Case (b): both side lobes hold exactly one reflex vertex.
-    if count_reflex_below(poly, Cut(i1, "H", "before")) != 1 or \
-       count_reflex_below(poly, Cut(i2, "H", "before")) != 1:
+    if k1 != 1 or k2 != 1:
         raise InternalCaseError("case (b): lobes must hold exactly one reflex vertex")
     e1 = next(x for x in (poly.edges[(i1 - 1) % poly.n], poly.edges[i1]) if x.orientation == "V")
     e2 = next(x for x in (poly.edges[(i2 - 1) % poly.n], poly.edges[i2]) if x.orientation == "V")
@@ -411,16 +416,8 @@ def _no_safe_bottom(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point
 
 def _r_plus(poly: RectPolygon, cut: Cut) -> int:
     """Reflex vertices strictly on the plus side of a cut."""
-    chord = materialize(poly, cut)
-    minus = count_reflex_below(poly, cut)
-    on_cut = 0
-    for i in poly.reflex_indices:
-        p = poly.vertices[i]
-        lvl = p.y if chord.axis == "H" else p.x
-        span = p.x if chord.axis == "H" else p.y
-        if lvl == chord.level and chord.lo <= span <= chord.hi:
-            on_cut += 1
-    return poly.r - minus - on_cut
+    _, plus = chord_sides(materialize(poly, cut))
+    return poly.reflex_counts(plus.s, plus.t)[0]
 
 
 # ---------------------------------------------------------- monotone coverage
@@ -487,17 +484,15 @@ PocketSummary = namedtuple("PocketSummary", "r n monotone s t")
 def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
     """r, n and xy-monotonicity of pocket(poly, e_idx, v_idx), without building it.
 
-    The cut extends e past v and, in general position, ends inside an edge j.
+    The cut extends e past v and, in general position, ends inside an edge.
     v and that far end are convex corners of the pocket; every vertex strictly
     inside its chain keeps its class, so the pocket's reflex edges are the
     reflex edges of poly with both ends inside.
     """
-    chord = materialize(poly, Cut(v_idx, poly.edges[e_idx].orientation))
-    j, at_vertex = chord.ends[0] if chord.b == poly.vertices[v_idx] else chord.ends[1]
-    if at_vertex:
+    chord, is_minus = pocket_side(poly, e_idx, v_idx)
+    if chord.ends[0][1] and chord.ends[1][1]:
         raise InternalCaseError(f"pocket cut from {poly.vertices[v_idx]} ends at a vertex")
-    # The walk from v starts along e when e leaves v, so the pocket lies before v.
-    s, t = (j + 1, v_idx) if e_idx == v_idx else (v_idx + 1, j + 1)
+    s, t, _ = chord_sides(chord)[0 if is_minus else 1]
     r, _ = poly.reflex_counts(s, t)
     _, reflex_edges = poly.reflex_counts(s, t - 1)
     return PocketSummary(r, (t - s) % poly.n + 2, reflex_edges == 0, s, t)
@@ -608,11 +603,6 @@ def _route_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
     return [inv.point(b) for b in beacons_q]
 
 
-# Pocket side of a cut extending a reflex edge, by the edge's facing: the
-# split's minus piece lies below/left of the chord.
-_POCKET_IS_MINUS = {"top": True, "bottom": False, "left": False, "right": True}
-
-
 def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
     """Three-piece split with beacons at both cut endpoints, all recursed.
 
@@ -626,10 +616,9 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
     for e in poly.reflex_edges():
         for vpt, other in ((e.a, e.b), (e.b, e.a)):
             vi = poly.vertex_index(vpt)
-            cut_a = Cut(vi, e.orientation)
-            chord_a = materialize(poly, cut_a)
-            minus, plus = split(poly, cut_a)
-            a_piece, rest = (minus, plus) if _POCKET_IS_MINUS[e.facing] else (plus, minus)
+            chord_a, pocket_is_minus = pocket_side(poly, e.index, vi)
+            minus, plus = split(poly, Cut(vi, e.orientation, _chord=chord_a))
+            a_piece, rest = (minus, plus) if pocket_is_minus else (plus, minus)
             ovi = rest.vertex_index(other)
             if ovi is None:
                 continue
@@ -639,7 +628,8 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
             except NotAChord:
                 continue
             minus2, plus2 = split(rest, cut_c)
-            c_piece, b_piece = (minus2, plus2) if _POCKET_IS_MINUS[e.facing] else (plus2, minus2)
+            # e's pockets at both ends lie on the same side of its line.
+            c_piece, b_piece = (minus2, plus2) if pocket_is_minus else (plus2, minus2)
             cost = 2 + sum((3 * piece.r) // 4 for piece in (a_piece, b_piece, c_piece))
             if cost > budget:
                 continue

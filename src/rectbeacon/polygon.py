@@ -8,6 +8,7 @@ the left of the direction of travel.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import namedtuple
 from operator import itemgetter
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -18,7 +19,7 @@ from .errors import (
     NotRectilinear,
     NotSimple,
 )
-from .geometry import Point, cross3, midpoint, on_axis_segment, scalar
+from .geometry import Point, cross3, midpoint, scalar
 
 CONVEX = "convex"
 REFLEX = "reflex"
@@ -278,16 +279,11 @@ class RectPolygon:
 
     def contains(self, p: Point) -> str:
         """'in', 'on' or 'out' (closed polygon; exact)."""
-        if self.locate_boundary(p) is not None:
+        if p in self._vertex_pos:
             return "on"
-        inside = False
-        for e in self.edges:
-            if e.orientation != "V":
-                continue
-            y1, y2 = e.a.y, e.b.y
-            lo, hi = (y1, y2) if y1 <= y2 else (y2, y1)
-            if e.a.x > p.x and lo <= p.y < hi:
-                inside = not inside
+        edge, inside = self._edge_pass(p)
+        if edge is not None:
+            return "on"
         return "in" if inside else "out"
 
     def monotonicity(self) -> dict:
@@ -316,18 +312,29 @@ class RectPolygon:
         idx = self._vertex_pos.get(p)
         if idx is not None:
             return (idx, True)
-        for e in self.edges:
-            if on_axis_segment(p, e.a, e.b):
-                return (e.index, False)
-        return None
+        edge, _ = self._edge_pass(p)
+        return None if edge is None else (edge, False)
 
-    def chain_range(self, start: Tuple[int, bool], stop: Tuple[int, bool]) -> Tuple[int, int]:
-        """Cyclic index range [s, t) of the vertices strictly between two
-        boundary points on the CCW walk from the first to the second, each
-        located as a Chord's ends are.  They lie on different edges, as the
-        two ends of a chord do."""
-        (i, _), (j, at_vertex) = start, stop
-        return i + 1, j if at_vertex else j + 1
+    def _edge_pass(self, p: Point) -> Tuple[Optional[int], bool]:
+        """One walk over the edges for a point p that is no vertex: the index
+        of the first edge holding p, else None, and whether the ray from p
+        towards +x has crossed the boundary an odd number of times by then
+        (crossings at the lower end of a vertical edge count, at the upper
+        end they do not)."""
+        x, y = p.x, p.y
+        inside = False
+        for e in self.edges:
+            a, b = e.a, e.b
+            if e.orientation == "V":
+                lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
+                if lo <= y <= hi:
+                    if a.x == x:
+                        return e.index, inside
+                    if a.x > x and y < hi:
+                        inside = not inside
+            elif a.y == y and (a.x <= x <= b.x or b.x <= x <= a.x):
+                return e.index, inside
+        return None, inside
 
     # ---------------------------------------------------------------- display
 
@@ -657,40 +664,73 @@ def split(poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
     return p_minus, p_plus
 
 
+# One side of a located chord: its vertices are s, s+1, ..., t-1 (cyclic),
+# those strictly between the chord's ends on the CCW walk that leaves the
+# chord at end `first` (0 for a, 1 for b) and returns at the other end.
+Side = namedtuple("Side", "s t first")
+
+
+def chord_sides(chord: Chord) -> Tuple[Side, Side]:
+    """(minus side, plus side) of a located chord: the boundary walks that,
+    closed back along the chord, enclose what lies below / left of it and
+    what lies above / right of it.
+
+    The walk from a to b closes from b to a and keeps what it encloses on
+    its left: westward along a horizontal chord that is the part below it,
+    southward along a vertical one the part right of it.
+    """
+    (i, i_vertex), (j, j_vertex) = chord.ends
+    # A walk starts at the vertex after the end it leaves and stops at the
+    # vertex of the end it reaches, or just after the edge holding it.
+    a_to_b = Side(i + 1, j if j_vertex else j + 1, 0)
+    b_to_a = Side(j + 1, i if i_vertex else i + 1, 1)
+    return (a_to_b, b_to_a) if chord.axis == "H" else (b_to_a, a_to_b)
+
+
+def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[Chord, bool]:
+    """The chord of the cut extending reflex edge e through its endpoint v,
+    and whether the pocket, the side without e, is the chord's minus side."""
+    e = poly.edges[edge_index % poly.n]
+    if e.kind != "reflex":
+        raise NotAChord(f"edge {edge_index} is not a reflex edge")
+    vi = vertex_index % poly.n
+    if vi not in (e.index, (e.index + 1) % poly.n):
+        raise NotAChord(f"vertex {vertex_index} is not an endpoint of edge {edge_index}")
+    chord = materialize(poly, Cut(vi, e.orientation))
+    minus, _ = chord_sides(chord)
+    # The walk from v starts along e when e leaves v, so the pocket is then
+    # the side whose walk stops at v; otherwise the one that starts there.
+    return chord, (minus.t == vi) == (e.index == vi)
+
+
 def _chain(poly: RectPolygon, s: int, t: int) -> List[int]:
     """Vertex indices s, s+1, ..., t-1 taken cyclically."""
     return [k % poly.n for k in range(s, s + (t - s) % poly.n)]
 
 
+def _ring(poly: RectPolygon, chord: Chord, side: Side) -> List[Point]:
+    """The ring of one side: its walk, from the chord end it leaves to the one it reaches."""
+    ends = (chord.a, chord.b)
+    return [ends[side.first]] + [poly.vertices[k] for k in _chain(poly, side.s, side.t)] \
+        + [ends[1 - side.first]]
+
+
 def _split_rings(poly: RectPolygon, cut: Cut) -> Tuple[List[Point], List[Point]]:
     chord = materialize(poly, cut)
-    a, b = chord.a, chord.b
-    ea, eb = chord.ends
-    # ring1 walks CCW from a to b and closes with chord edge b -> a; ring2 the reverse.
-    ring1 = [a] + [poly.vertices[k] for k in _chain(poly, *poly.chain_range(ea, eb))] + [b]
-    ring2 = [b] + [poly.vertices[k] for k in _chain(poly, *poly.chain_range(eb, ea))] + [a]
-    if chord.axis == "H":
-        # ring1 traverses the chord westward (b->a): interior below => minus.
-        return ring1, ring2
-    # Vertical chord: ring2 traverses a->b northward: interior west => minus.
-    return ring2, ring1
-
-
-def _minus_range(poly: RectPolygon, chord: Chord) -> Tuple[int, int]:
-    """Cyclic index range [s, t) of the vertices of poly strictly inside the P_minus side of the chord."""
-    ea, eb = chord.ends
-    return poly.chain_range(ea, eb) if chord.axis == "H" else poly.chain_range(eb, ea)
+    minus, plus = chord_sides(chord)
+    return _ring(poly, chord, minus), _ring(poly, chord, plus)
 
 
 def reflex_points_below(poly: RectPolygon, cut: Cut) -> List[Point]:
     """Reflex vertices of poly strictly inside the P_minus side of the cut, in CCW order."""
-    inside = _chain(poly, *_minus_range(poly, materialize(poly, cut)))
-    return [poly.vertices[k] for k in inside if poly.classes[k] == REFLEX]
+    minus, _ = chord_sides(materialize(poly, cut))
+    return [poly.vertices[k] for k in _chain(poly, minus.s, minus.t) if poly.classes[k] == REFLEX]
 
 
 def count_reflex_below(poly: RectPolygon, cut: Cut) -> int:
     """Number of reflex vertices of poly strictly inside the P_minus side of the cut."""
-    return poly.reflex_counts(*_minus_range(poly, materialize(poly, cut)))[0]
+    minus, _ = chord_sides(materialize(poly, cut))
+    return poly.reflex_counts(minus.s, minus.t)[0]
 
 
 def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
@@ -700,19 +740,9 @@ def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
 
 def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon:
     """Pocket of reflex edge e at endpoint v: the split side not containing e."""
-    e = poly.edges[edge_index % poly.n]
-    if e.kind != "reflex":
-        raise NotAChord(f"edge {edge_index} is not a reflex edge")
-    vi = vertex_index % poly.n
-    v = poly.vertices[vi]
-    if v != e.a and v != e.b:
-        raise NotAChord(f"vertex {vertex_index} is not an endpoint of edge {edge_index}")
-    other = e.b if v == e.a else e.a
-    cut = Cut(vi, "H" if e.orientation == "H" else "V")
-    minus_ring, plus_ring = _split_rings(poly, cut)
-    if other in minus_ring:
-        return RectPolygon(_merge_ring(plus_ring), _trusted=True)
-    return RectPolygon(_merge_ring(minus_ring), _trusted=True)
+    chord, is_minus = pocket_side(poly, edge_index, vertex_index)
+    side = chord_sides(chord)[0 if is_minus else 1]
+    return RectPolygon(_merge_ring(_ring(poly, chord, side)), _trusted=True)
 
 
 # --------------------------------------------------- normal cut enumeration
@@ -755,6 +785,7 @@ def iter_normal_cuts(poly: RectPolygon, orientation: str) -> List[NormalCutClass
         t = (levels[k] + levels[k + 1]) / 2
         for (lo, i), (hi, j) in zip(ends[::2], ends[1::2]):
             chord = Chord(orientation, t, lo, hi, ((i, False), (j, False)))
-            rm = poly.reflex_counts(*_minus_range(poly, chord))[0]
+            minus, _ = chord_sides(chord)
+            rm = poly.reflex_counts(minus.s, minus.t)[0]
             out.append(NormalCutClass(orientation, t, lo, hi, rm, Cut(chord.a, orientation, _chord=chord)))
     return out

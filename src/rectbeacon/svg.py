@@ -1,4 +1,4 @@
-"""Minimal SVG emitter for polygons, kernels, beacons, paths and cuts.
+"""Minimal SVG emitter for polygons, kernels, beacons and paths.
 
 Rendering converts rationals to floats for display only; nothing here ever
 feeds back into a computation.
@@ -6,7 +6,7 @@ feeds back into a computation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .geometry import Point
 from .polygon import RectPolygon
@@ -15,8 +15,10 @@ _STYLE = {
     "polygon": 'fill="#f5f2e8" stroke="#222222" stroke-width="{w}"',
     "kernel": 'fill="#7fb2d9" fill-opacity="0.55" stroke="none"',
     "path": 'fill="none" stroke="#c23b22" stroke-width="{w}"',
-    "cut": 'fill="none" stroke="#555555" stroke-width="{w}" stroke-dasharray="{d},{d}"',
 }
+
+# Width and height of the drawing, in pixels.
+_SIZE = 640
 
 
 def _pts(points: Sequence[Point]) -> str:
@@ -26,9 +28,7 @@ def _pts(points: Sequence[Point]) -> str:
 def render_svg(poly: RectPolygon,
                beacons: Sequence[Point] = (),
                paths: Sequence[Sequence[Point]] = (),
-               kernel: Optional[RectPolygon] = None,
-               cuts: Sequence[Tuple[Point, Point]] = (),
-               size: int = 640) -> str:
+               kernel: Optional[RectPolygon] = None) -> str:
     xmin, ymin, xmax, ymax = (float(v) for v in poly.bbox())
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     pad = 0.05 * span
@@ -36,7 +36,7 @@ def render_svg(poly: RectPolygon,
     parts: List[str] = []
     parts.append(
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="{xmin - pad:.6g} {-(ymax + pad):.6g} {span + 2 * pad:.6g} {span + 2 * pad:.6g}">\n'
         # Flip y so the mathematical orientation matches the screen.
         f'<g transform="scale(1,-1)">\n'
@@ -46,11 +46,6 @@ def render_svg(poly: RectPolygon,
     if kernel is not None:
         parts.append(f'<polygon points="{_pts(kernel.vertices)}" '
                      + _STYLE["kernel"] + "/>\n")
-    for cut_a, cut_b in cuts:
-        parts.append(
-            f'<polyline points="{_pts([cut_a, cut_b])}" '
-            + _STYLE["cut"].format(w=f"{stroke:.6g}", d=f"{3 * stroke:.6g}") + "/>\n"
-        )
     for path in paths:
         parts.append(f'<polyline points="{_pts(path)}" '
                      + _STYLE["path"].format(w=f"{1.5 * stroke:.6g}") + "/>\n")

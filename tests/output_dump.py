@@ -11,14 +11,17 @@ r = 1..24 and combs k = 1..19, each also mirrored.  For every polygon it
 prints the kernel, clip_fast at every vertex level, the slab boxes, every
 normal-cut class, every cut through or just beside a reflex vertex and from
 every edge midpoint (chord, r(P_minus), both pieces), every pocket with its
-summary, and is_dead_point from every vertex and edge midpoint towards each
-reflex vertex.  Polygons with n <= 64 also get cover and route beacons with
-their traces, and those with n <= 24 both verifier reports.
+summary, contains and locate_boundary at every vertex, every edge midpoint
+and the points of a 9 x 9 grid over the bounding box, and is_dead_point
+from every vertex and edge midpoint towards each reflex vertex.  Polygons
+with n <= 64 also get cover and route beacons with their traces, and those
+with n <= 24 both verifier reports.
 """
 
 import json
 import os
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -26,7 +29,7 @@ from rectbeacon.attraction import is_dead_point  # noqa: E402
 from rectbeacon.clipping import clip_fast  # noqa: E402
 from rectbeacon.errors import GeometryError  # noqa: E402
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear  # noqa: E402
-from rectbeacon.geometry import midpoint  # noqa: E402
+from rectbeacon.geometry import Point, midpoint  # noqa: E402
 from rectbeacon.kernel import kernel  # noqa: E402
 from rectbeacon.placement import cover, pocket_summary, route_beacons  # noqa: E402
 from rectbeacon.polygon import (  # noqa: E402
@@ -96,6 +99,16 @@ def dump_cuts(poly, out):
                 f"{pts(pocket(poly, e.index, vi).vertices)}")
 
 
+def dump_location(poly, out):
+    xmin, ymin, xmax, ymax = poly.bbox()
+    grid = [Point(xmin + (xmax - xmin) * Fraction(i, 8), ymin + (ymax - ymin) * Fraction(j, 8))
+            for j in range(9) for i in range(9)]
+    for name, points in (("vertices", poly.vertices),
+                         ("midpoints", [midpoint(e.a, e.b) for e in poly.edges]),
+                         ("grid", grid)):
+        out(f"locate {name}: " + " ".join(f"{poly.contains(p)}{poly.locate_boundary(p)}" for p in points))
+
+
 def dump(name, poly, out):
     out(f"# {name}: n={poly.n} r={poly.r} {pts(poly.vertices)}")
     k = kernel(poly)
@@ -109,6 +122,7 @@ def dump(name, poly, out):
                 out(f"clip {axis}={c} low={keep_low}: {shown}")
     out("slabs " + " ".join(f"[{x1},{y1},{x2},{y2}]" for x1, y1, x2, y2 in slab_rects(poly)))
     dump_cuts(poly, out)
+    dump_location(poly, out)
     targets = [poly.vertices[i] for i in poly.reflex_indices][:6]
     starts = list(poly.vertices) + [midpoint(e.a, e.b) for e in poly.edges]
     for b in targets:

@@ -180,3 +180,35 @@ def test_gen_comb_kernel_is_the_base():
     assert k.returncode == 0
     assert sorted(json.loads(k.stdout)["kernel"]) == sorted(
         [["0", "0"], ["18", "0"], ["18", "11"], ["0", "11"]])
+
+
+_GOOD_BEACONS = json.dumps({"beacons": [["2", "2"]], "mode": "route"})
+
+
+@pytest.mark.parametrize("command, files", [
+    (["verify", "route", "{poly}", "{beacons}", "--pairs", "{missing}"], {}),
+    (["verify", "route", "{poly}", "{beacons}", "--pairs", "{bad}"],
+     {"bad": '{"pairs": [[["a","1"],["2","3"]]]}'}),
+    (["verify", "route", "{poly}", "{beacons}", "--pairs", "{bad}"], {"bad": '{"pairs": [[1]]}'}),
+    (["render", "{poly}", "--path", "{missing}"], {}),
+    (["render", "{poly}", "--path", "{bad}"], {"bad": '{"points": 5}'}),
+    (["kernel", "{bad}"], {"bad": '{"vertices": 5}'}),
+    (["kernel", "{bad}"], {"bad": "5"}),
+    (["kernel", "{bad}"], {"bad": "null"}),
+    (["verify", "cover", "{poly}", "{bad}"], {"bad": '{"beacons": 7}'}),
+    (["verify", "cover", "{poly}", "{bad}"], {"bad": "5"}),
+    (["verify", "cover", "{poly}", "{bad}"], {"bad": "null"}),
+], ids=["pairs_missing", "pairs_bad_number", "pairs_short", "path_missing", "path_not_list",
+        "polygon_not_list", "polygon_number", "polygon_null", "beacons_not_list",
+        "beacons_number", "beacons_null"])
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, command, files):
+    paths = {"poly": tmp_path / "u.json", "beacons": tmp_path / "b.json",
+             "missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json"}
+    paths["poly"].write_text(U_JSON)
+    paths["beacons"].write_text(_GOOD_BEACONS)
+    for name, text in files.items():
+        paths[name].write_text(text)
+    r = run([arg.format(**paths) for arg in command])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: cannot read ") and r.stderr.count("\n") == 1, r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,23 +1,29 @@
-"""Chords, prefix counts and pocket summaries against the line-scan, ray,
-chain-walk and build oracles."""
+"""Chords, prefix counts, chord sides, pocket summaries and point location
+against the line-scan, ray, chain-walk, build and two-pass oracles."""
 
-from rectbeacon.errors import NotAChord
+from fractions import Fraction
+
+from rectbeacon.errors import InternalCaseError, NotAChord
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
-from rectbeacon.geometry import midpoint
-from rectbeacon.placement import _pocket_wraps, pocket_summary
+from rectbeacon.geometry import Point, midpoint
+from rectbeacon.placement import _first_reflex_above, _pocket_wraps, _r_plus, pocket_summary
 from rectbeacon.polygon import (
+    REFLEX,
     Cut,
+    _merge_ring,
     _split_rings,
     chords_on_line,
     count_reflex_below,
     iter_normal_cuts,
     materialize,
     pocket,
+    pocket_side,
     reflex_points_below,
 )
 from rectbeacon.transforms import TRANSFORMS
 
 import cut_oracle
+import location_oracle
 
 
 def _corpus():
@@ -126,3 +132,68 @@ def test_pocket_summaries_match_built_pockets():
                 assert _pocket_wraps(p, e.index, s) == cut_oracle.pocket_wraps(p, e.index, vi)
                 pockets += 1
     assert pockets >= 2000
+
+
+def test_plus_side_at_vertex_cuts_matches_chain_walk():
+    """r(P_plus) and the lowest reflex vertex above a cut, both read off the
+    plus side's range, against the oracle's plus chain."""
+    cuts = 0
+    for p in CORPUS:
+        for i in p.reflex_indices:
+            for o, side in [(o, side) for o in "HV" for side in (None, "before", "after")]:
+                cut = Cut(i, o, side)
+                try:
+                    chord = materialize(p, cut)
+                except NotAChord:
+                    continue
+                plus_chain = cut_oracle.split_rings(p, chord)[1][1:-1]
+                reflex = [q for q in plus_chain if p.classes[p.vertex_index(q)] == REFLEX]
+                assert _r_plus(p, cut) == len(reflex), (p.vertices, i, o, side)
+                key = (lambda q: (q.y, q.x)) if o == "H" else (lambda q: (q.x, q.y))
+                above = [q for q in reflex if key(q)[0] > chord.level]
+                try:
+                    got = _first_reflex_above(p, cut)
+                except InternalCaseError:
+                    got = None
+                assert got == (min(above, key=key) if above else None), (p.vertices, i, o, side)
+                cuts += 1
+    assert cuts >= 10000
+
+
+def test_pocket_side_matches_chain_walk():
+    """The side pocket_side names is the oracle's pocket, vertex order included,
+    and the other side is not."""
+    ends = 0
+    for p in CORPUS:
+        for e in p.reflex_edges():
+            for v in (e.a, e.b):
+                vi = p.vertex_index(v)
+                chord, is_minus = pocket_side(p, e.index, vi)
+                minus_ring, plus_ring = cut_oracle.split_rings(p, chord)
+                want = list(cut_oracle.pocket(p, e.index, vi).vertices)
+                pocket_ring, other_ring = (minus_ring, plus_ring) if is_minus else (plus_ring, minus_ring)
+                assert _merge_ring(pocket_ring) == want, (p.vertices, e.index, vi)
+                assert _merge_ring(other_ring) != want, (p.vertices, e.index, vi)
+                ends += 1
+    assert ends >= 2000
+
+
+def test_point_location_matches_two_pass_oracle():
+    """contains and locate_boundary at every vertex, every edge midpoint, a
+    third of a unit from every vertex towards +x and towards +y and on a
+    9 x 9 grid over the bounding box widened by one."""
+    third = Fraction(1, 3)
+    points = 0
+    for p in CORPUS:
+        xmin, ymin, xmax, ymax = p.bbox()
+        probes = list(p.vertices) + [midpoint(e.a, e.b) for e in p.edges]
+        probes += [Point(v.x + dx, v.y + dy) for v in p.vertices
+                   for dx, dy in ((third, 0), (0, third))]
+        probes += [Point(xmin - 1 + (xmax - xmin + 2) * Fraction(i, 8),
+                         ymin - 1 + (ymax - ymin + 2) * Fraction(j, 8))
+                   for i in range(9) for j in range(9)]
+        for q in probes:
+            assert p.contains(q) == location_oracle.contains(p, q), (p.vertices, q)
+            assert p.locate_boundary(q) == location_oracle.locate_boundary(p, q), (p.vertices, q)
+        points += len(probes)
+    assert points >= 30000
