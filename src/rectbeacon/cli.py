@@ -68,7 +68,7 @@ def _parse_point(text: str) -> Point:
     try:
         xs, ys = text.split(",")
         return Point(scalar(xs.strip()), scalar(ys.strip()))
-    except (ValueError, TypeError) as exc:
+    except (GeometryError, ValueError, TypeError) as exc:
         _fail_input(f"bad point {text!r}: {exc}")
 
 
@@ -179,8 +179,7 @@ def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     lines = ["n,t_kernel_ns,t_oracle_ns"]
     for n in sizes:
-        r = max(0, (n - 4) // 2)
-        poly, _ = uniform_spiral(r)
+        poly = comb(max(1, n // 4))
         t_k = []
         t_o = []
         for _ in range(args.runs):

@@ -2,149 +2,77 @@
 
 Two deliberately independent implementations:
 
-* clip_fast: one boundary walk that stitches kept arcs together along the
-  clip line (near-linear; used by the kernel algorithm);
+* clip_fast: one walk along the chords of the clip line, which cut the
+  polygon into pieces that each lie on one side of it; chord_sides names
+  the side (O(n log n); used by the kernel algorithm);
 * clip_split: repeated chord splitting (simple and slow; used by the kernel
   oracle and as a cross-check in tests).
 
-Both return regularized full-dimensional pieces: measure-zero slivers on the
-clip line are dropped.
+Both return regularized full-dimensional pieces: boundary runs on the clip
+line are no chords, so nothing of measure zero is ever cut off.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .errors import InternalCaseError
 from .geometry import Point
-from .polygon import Cut, RectPolygon, _merge_ring, chords_on_line, split
-from .transforms import TRANSFORMS
-
-
-def _clip_keep_below_fast(poly: RectPolygon, c: Fraction) -> List[RectPolygon]:
-    """Pieces of poly with y <= c (regularized), by arc stitching."""
-    ys = [v.y for v in poly.vertices]
-    if max(ys) <= c:
-        return [poly]
-    if min(ys) >= c:
-        return []
-    n = poly.n
-    start = next(i for i, v in enumerate(poly.vertices) if v.y < c)
-
-    arcs: List[List[Point]] = []
-    cur: Optional[List[Point]] = [poly.vertices[start]]
-    for k in range(n):
-        e = poly.edges[(start + k) % n]
-        a, b = e.a, e.b
-        if e.orientation == "H":
-            if a.y == c:
-                # On-line run; part of the kept boundary iff interior below.
-                if e.direction == "W":
-                    if cur is None:
-                        cur = [a]
-                    cur.append(b)
-                else:
-                    if cur is not None:
-                        arcs.append(cur)
-                        cur = None
-            elif a.y < c:
-                if cur is None:
-                    raise InternalCaseError("walk lost below the line")
-                cur.append(b)
-            # else: fully above, skip
-        else:
-            ay, by = a.y, b.y
-            if ay < c and by < c:
-                cur.append(b)
-            elif ay <= c and by <= c:
-                # touches the line at one endpoint
-                if ay == c and by < c:
-                    if cur is None:
-                        cur = [a]
-                    cur.append(b)
-                else:  # by == c, rising to the line from below
-                    cur.append(b)
-            elif ay < c < by:
-                x = Point(a.x, c)
-                cur.append(x)
-                arcs.append(cur)
-                cur = None
-            elif by < c < ay:
-                cur = [Point(a.x, c), b]
-            elif ay == c and by > c:
-                if cur is not None:
-                    arcs.append(cur)
-                    cur = None
-            # descending onto the line (ay > c, by == c) resolves at the
-            # following on-line horizontal run; nothing to do here.
-    if cur is None:
-        raise InternalCaseError("boundary walk ended off the kept side")
-    if arcs:
-        first = arcs.pop(0)
-        if cur[-1] != first[0]:
-            raise InternalCaseError("cyclic arc merge mismatch")
-        cur.extend(first[1:])
-    arcs.append(cur)
-
-    chord_by_east = {}
-    for chord in chords_on_line(poly, "H", c):
-        chord_by_east[chord.hi] = chord.lo
-    arc_by_start = {}
-    for arc in arcs:
-        if arc[0] in arc_by_start:
-            raise InternalCaseError("two kept arcs share a start point")
-        arc_by_start[arc[0]] = arc
-
-    out: List[RectPolygon] = []
-    used = set()
-    for arc in arcs:
-        key = id(arc)
-        if key in used:
-            continue
-        ring: List[Point] = []
-        a = arc
-        while True:
-            used.add(id(a))
-            ring.extend(a if not ring else a[1:] if a[0] == ring[-1] else a)
-            end = a[-1]
-            if end == ring[0]:
-                break
-            if end.y != c or end.x not in chord_by_east:
-                raise InternalCaseError(f"arc ends at {end} with no chord to follow")
-            nxt_start = Point(chord_by_east[end.x], c)
-            if nxt_start == ring[0]:
-                break
-            if nxt_start not in arc_by_start:
-                raise InternalCaseError(f"no arc starts at {nxt_start}")
-            a = arc_by_start[nxt_start]
-        merged = _merge_ring(ring)
-        if len(merged) >= 4:
-            out.append(RectPolygon(merged, _trusted=True))
-    return out
+from .polygon import (
+    Cut,
+    RectPolygon,
+    _chain,
+    _merge_ring,
+    chord_sides,
+    chords_on_line,
+    split,
+    walk_range,
+)
 
 
 def clip_fast(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> List[RectPolygon]:
     """Keep {axis_coord <= c} (keep_low) or {axis_coord >= c} of the polygon.
 
-    axis is 'y' or 'x'.  Implemented on one canonical case via the dihedral
-    transforms.
+    axis is 'y' or 'x'.  The chords of the line cut poly into pieces that
+    each lie on one side of it.  A piece's boundary runs from a chord end
+    along the polygon boundary to the next chord end, crosses that end's
+    chord, and so on until it closes; it is kept iff it leaves its chords at
+    the ends where the kept side's walk of chord_sides leaves them.
     """
-    if axis == "y" and keep_low:
-        return _clip_keep_below_fast(poly, c)
-    if axis == "y":
-        t = TRANSFORMS["mirror_y"]
-        pieces = _clip_keep_below_fast(t.polygon(poly), -c)
-        return [t.polygon(p) for p in pieces]
-    if keep_low:
-        t = TRANSFORMS["mirror_diag"]
-        pieces = _clip_keep_below_fast(t.polygon(poly), c)
-        return [t.polygon(p) for p in pieces]
-    t = TRANSFORMS["mirror_diag"]
-    t2 = TRANSFORMS["mirror_y"]
-    q = t2.polygon(t.polygon(poly))
-    pieces = _clip_keep_below_fast(q, -c)
-    return [t.polygon(t2.polygon(p)) for p in pieces]
+    chords = chords_on_line(poly, "H" if axis == "y" else "V", c)
+    if not chords:
+        coords = [(v.y if axis == "y" else v.x) for v in poly.vertices]
+        return [poly] if (max(coords) <= c if keep_low else min(coords) >= c) else []
+    side = 0 if keep_low else 1
+    # Every chord end (chord, 0 for a / 1 for b) in boundary order: a vertex
+    # before the interior of the edge that starts there.
+    located = sorted(((i, not vertex), k, e)
+                     for k, ch in enumerate(chords) for e, (i, vertex) in enumerate(ch.ends))
+    ends = [(k, e) for _, k, e in located]
+    following = {end: ends[(m + 1) % len(ends)] for m, end in enumerate(ends)}
+    out: List[RectPolygon] = []
+    seen = set()
+    for start in ends:
+        k, e = start
+        if start in seen or chord_sides(chords[k])[side].first != e:
+            continue
+        ring: List[Point] = []
+        end = start
+        while True:
+            if end in seen:
+                raise InternalCaseError(f"clip walk on {axis}={c} revisits a chord end")
+            seen.add(end)
+            (k, e), (k2, e2) = end, following[end]
+            s, t = walk_range(chords[k].ends[e], chords[k2].ends[e2])
+            ring.append((chords[k].a, chords[k].b)[e])
+            ring.extend(poly.vertices[v] for v in _chain(poly, s, t))
+            ring.append((chords[k2].a, chords[k2].b)[e2])
+            end = (k2, 1 - e2)
+            if end == start:
+                break
+        out.append(RectPolygon(_merge_ring(ring), _trusted=True))
+    return out
 
 
 def clip_split(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> List[RectPolygon]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import GeometryError
+
 # All coordinates and lengths in this package are exact rationals.  Fraction
 # already guarantees canonical form (reduced, positive denominator), so it is
 # used directly as the scalar type.
@@ -17,14 +19,18 @@ def scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, Fraction or string like '7/2' / '-3' to an exact Scalar.
 
     Floats are rejected on purpose: silently rationalizing binary floats is a
-    classic source of wrong geometric predicates.
+    classic source of wrong geometric predicates.  Strings like 'a' or '1/0'
+    raise GeometryError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise GeometryError(f"not an exact number: {value!r}") from None
     raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
 
 

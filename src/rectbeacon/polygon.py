@@ -670,6 +670,14 @@ def split(poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
 Side = namedtuple("Side", "s t first")
 
 
+def walk_range(leave: Tuple[int, bool], reach: Tuple[int, bool]) -> Tuple[int, int]:
+    """(s, t): the CCW walk from one located boundary point to another passes
+    the vertices s, s+1, ..., t-1 (cyclic): from the vertex after the first
+    up to the vertex of the second, or just past the edge holding it."""
+    (i, _), (j, j_vertex) = leave, reach
+    return i + 1, j if j_vertex else j + 1
+
+
 def chord_sides(chord: Chord) -> Tuple[Side, Side]:
     """(minus side, plus side) of a located chord: the boundary walks that,
     closed back along the chord, enclose what lies below / left of it and
@@ -679,11 +687,9 @@ def chord_sides(chord: Chord) -> Tuple[Side, Side]:
     its left: westward along a horizontal chord that is the part below it,
     southward along a vertical one the part right of it.
     """
-    (i, i_vertex), (j, j_vertex) = chord.ends
-    # A walk starts at the vertex after the end it leaves and stops at the
-    # vertex of the end it reaches, or just after the edge holding it.
-    a_to_b = Side(i + 1, j if j_vertex else j + 1, 0)
-    b_to_a = Side(j + 1, i if i_vertex else i + 1, 1)
+    a, b = chord.ends
+    a_to_b = Side(*walk_range(a, b), 0)
+    b_to_a = Side(*walk_range(b, a), 1)
     return (a_to_b, b_to_a) if chord.axis == "H" else (b_to_a, a_to_b)
 
 

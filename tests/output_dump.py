@@ -8,7 +8,8 @@ whether a change keeps every output below byte-identical.
 
 The corpus is random polygons n = 8..88 (ten seeds each), coverage spirals
 r = 1..24 and combs k = 1..19, each also mirrored.  For every polygon it
-prints the kernel, clip_fast at every vertex level, the slab boxes, every
+prints the kernel, clip_fast at every vertex level (each ring started at
+its least (x, y) vertex, the pieces sorted), the slab boxes, every
 normal-cut class, every cut through or just beside a reflex vertex and from
 every edge midpoint (chord, r(P_minus), both pieces), every pocket with its
 summary, contains and locate_boundary at every vertex, every edge midpoint
@@ -55,6 +56,15 @@ def corpus():
 
 def pts(points):
     return " ".join(f"({p.x},{p.y})" for p in points)
+
+
+def canonical(polys):
+    """The vertex lists of polygons, each started at its least (x, y) vertex, sorted."""
+    rings = []
+    for p in polys:
+        k = p.vertices.index(min(p.vertices, key=lambda v: (v.x, v.y)))
+        rings.append(p.vertices[k:] + p.vertices[:k])
+    return [pts(r) for r in sorted(rings, key=lambda r: [(v.x, v.y) for v in r])]
 
 
 def outcome(fn, *args):
@@ -118,7 +128,7 @@ def dump(name, poly, out):
         for c in sorted({getattr(v, axis) for v in poly.vertices}):
             for keep_low in (True, False):
                 got = outcome(clip_fast, poly, axis, c, keep_low)
-                shown = got if isinstance(got, str) else " | ".join(pts(p.vertices) for p in got)
+                shown = got if isinstance(got, str) else " | ".join(canonical(got))
                 out(f"clip {axis}={c} low={keep_low}: {shown}")
     out("slabs " + " ".join(f"[{x1},{y1},{x2},{y2}]" for x1, y1, x2, y2 in slab_rects(poly)))
     dump_cuts(poly, out)

@@ -28,7 +28,7 @@ def run(args, inp=None):
                           capture_output=True, text=True, input=inp, env=env)
 
 
-def test_gen_cover_verify_pipeline():
+def test_gen_cover_verify_pipeline(tmp_path):
     gen = run(["gen", "spiral", "--kind", "coverage", "-r", "7"])
     assert gen.returncode == 0
     cov = run(["cover", "-"], inp=gen.stdout)
@@ -36,9 +36,12 @@ def test_gen_cover_verify_pipeline():
     beacons = json.loads(cov.stdout)
     assert beacons["mode"] == "cover"
     assert len(beacons["beacons"]) == 3
-    ver = run(["verify", "cover", "-", "/dev/stdin"], inp=gen.stdout)
-    # beacons must come from a file when the polygon uses stdin
-    assert ver.returncode == 2 or ver.returncode == 0 or ver.returncode == 1
+    # The polygon comes on stdin, so the beacons come from a file.
+    path = tmp_path / "beacons.json"
+    path.write_text(cov.stdout)
+    ver = run(["verify", "cover", "-", str(path)], inp=gen.stdout)
+    assert ver.returncode == 0, ver.stderr
+    assert json.loads(ver.stdout)["verdict"] == "pass"
 
 
 def test_verify_exit_codes(tmp_path):
@@ -113,6 +116,13 @@ def test_simulate_fractional_points():
     out = json.loads(r.stdout)
     assert out["outcome"] == "reached"
     assert ["4/3", "2"] in out["points"]
+
+
+def test_simulate_malformed_point_exits_2():
+    r = run(["simulate", "-", "--from", "1/0,0", "--beacon", "1,3"], inp=U_JSON)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: bad point ") and r.stderr.count("\n") == 1, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_kernel_square_is_input():
@@ -198,9 +208,12 @@ _GOOD_BEACONS = json.dumps({"beacons": [["2", "2"]], "mode": "route"})
     (["verify", "cover", "{poly}", "{bad}"], {"bad": '{"beacons": 7}'}),
     (["verify", "cover", "{poly}", "{bad}"], {"bad": "5"}),
     (["verify", "cover", "{poly}", "{bad}"], {"bad": "null"}),
+    (["kernel", "{bad}"], {"bad": _ring_json([(0, 0), (2, 0), (2, 2), ("1/0", 2)])}),
+    (["verify", "route", "{poly}", "{beacons}", "--pairs", "{bad}"],
+     {"bad": '{"pairs": [[["1/0","1"],["2","3"]]]}'}),
 ], ids=["pairs_missing", "pairs_bad_number", "pairs_short", "path_missing", "path_not_list",
         "polygon_not_list", "polygon_number", "polygon_null", "beacons_not_list",
-        "beacons_number", "beacons_null"])
+        "beacons_number", "beacons_null", "polygon_zero_denominator", "pairs_zero_denominator"])
 def test_unreadable_input_exits_2_with_one_error_line(tmp_path, command, files):
     paths = {"poly": tmp_path / "u.json", "beacons": tmp_path / "b.json",
              "missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json"}

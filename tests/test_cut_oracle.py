@@ -1,8 +1,10 @@
-"""Chords, prefix counts, chord sides, pocket summaries and point location
-against the line-scan, ray, chain-walk, build and two-pass oracles."""
+"""Chords, prefix counts, chord sides, pocket summaries, point location and
+clips against the line-scan, ray, chain-walk, build, two-pass and
+arc-stitching oracles."""
 
 from fractions import Fraction
 
+from rectbeacon.clipping import clip_fast
 from rectbeacon.errors import InternalCaseError, NotAChord
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
@@ -22,6 +24,7 @@ from rectbeacon.polygon import (
 )
 from rectbeacon.transforms import TRANSFORMS
 
+import clip_oracle
 import cut_oracle
 import location_oracle
 
@@ -197,3 +200,31 @@ def test_point_location_matches_two_pass_oracle():
             assert p.locate_boundary(q) == location_oracle.locate_boundary(p, q), (p.vertices, q)
         points += len(probes)
     assert points >= 30000
+
+
+def _rings(pieces):
+    """The pieces' vertex rings, each started at its least (x, y) vertex, sorted."""
+    rings = []
+    for piece in pieces:
+        vs = list(piece.vertices)
+        k = vs.index(min(vs, key=lambda v: (v.x, v.y)))
+        rings.append([(v.x, v.y) for v in vs[k:] + vs[:k]])
+    return sorted(rings)
+
+
+def test_clip_matches_arc_stitching():
+    """clip_fast keeps the same pieces as the arc-stitching clip on every
+    line, on both sides, up to where a ring starts and the order of pieces.
+    Only polygons with n <= 32 are clipped, to keep the test short."""
+    clips = 0
+    for p in CORPUS:
+        if p.n > 32:
+            continue
+        for o, axis in (("H", "y"), ("V", "x")):
+            for t in _lines(p, o):
+                for keep_low in (True, False):
+                    got = _rings(clip_fast(p, axis, t, keep_low))
+                    assert got == _rings(clip_oracle.clip_fast(p, axis, t, keep_low)), \
+                        (p.vertices, axis, t, keep_low)
+                    clips += 1
+    assert clips >= 7000

@@ -44,6 +44,14 @@ def test_malformed_polygon_raises():
         jsonio.point_from_json(["1"])
 
 
+@pytest.mark.parametrize("bad", ["a", "1/0"])
+def test_malformed_number_raises_geometry_error(bad):
+    with pytest.raises(GeometryError):
+        jsonio.polygon_from_dict({"vertices": [["0", "0"], ["2", "0"], ["2", "2"], [bad, "2"]]})
+    with pytest.raises(GeometryError):
+        jsonio.pairs_from_dict({"pairs": [[[bad, "1"], ["2", "3"]]]})
+
+
 def test_kernel_dict_empty_and_bounds():
     from rectbeacon.kernel import kernel
 
