@@ -73,33 +73,36 @@ def _parse_point(text: str) -> Point:
 
 
 def _cmd_gen(args) -> int:
-    if args.what == "spiral":
-        if args.kind == "coverage":
-            poly, decomp = coverage_spiral(args.r)
-            if args.decomp:
-                side = {
-                    "spine": [jsonio.point_to_json(p) for p in decomp.spine],
-                    "rects": [
-                        {"label": label, "index": i,
-                         "lo": jsonio.point_to_json(rect.lo),
-                         "hi": jsonio.point_to_json(rect.hi)}
-                        for label, i, rect in decomp.rects
-                    ],
-                }
-                _write_text(args.decomp, jsonio.dumps(side))
-        elif args.kind == "routing":
-            poly = routing_spiral(args.r)
-        else:
-            poly, _ = uniform_spiral(args.r)
-    elif args.what == "comb":
-        poly = comb(args.k)
-    else:
-        if args.monotone:
-            poly = random_x_monotone(args.n, args.seed)
-        else:
-            poly = random_rectilinear(args.n, args.seed)
+    try:
+        poly = _generate(args)
+    except ValueError as exc:
+        _fail_input(str(exc))
     _write_text(args.output, jsonio.dumps(jsonio.polygon_to_dict(poly)))
     return 0
+
+
+def _generate(args):
+    if args.what == "comb":
+        return comb(args.k)
+    if args.what == "random":
+        return (random_x_monotone if args.monotone else random_rectilinear)(args.n, args.seed)
+    if args.kind == "routing":
+        return routing_spiral(args.r)
+    if args.kind == "uniform":
+        return uniform_spiral(args.r)[0]
+    poly, decomp = coverage_spiral(args.r)
+    if args.decomp:
+        side = {
+            "spine": [jsonio.point_to_json(p) for p in decomp.spine],
+            "rects": [
+                {"label": label, "index": i,
+                 "lo": jsonio.point_to_json(rect.lo),
+                 "hi": jsonio.point_to_json(rect.hi)}
+                for label, i, rect in decomp.rects
+            ],
+        }
+        _write_text(args.decomp, jsonio.dumps(side))
+    return poly
 
 
 def _cmd_kernel(args) -> int:
@@ -176,7 +179,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        _fail_input(f"--sizes must be comma-separated integers, not {args.sizes!r}")
+    if args.runs < 1:
+        _fail_input(f"--runs must be at least 1, not {args.runs}")
     lines = ["n,t_kernel_ns,t_oracle_ns"]
     for n in sizes:
         poly = comb(max(1, n // 4))

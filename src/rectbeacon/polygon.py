@@ -7,8 +7,9 @@ the left of the direction of travel.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
+from math import lcm
 from operator import itemgetter
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -201,7 +202,7 @@ class RectPolygon:
     """
 
     __slots__ = ("vertices", "n", "classes", "r", "reflex_indices", "edges",
-                 "was_reversed", "_vertex_pos", "area2", "_prefix")
+                 "was_reversed", "_vertex_pos", "area2", "_prefix", "_index")
 
     def __init__(self, vertices: Sequence[Point], was_reversed: bool = False, _trusted: bool = False):
         verts = tuple(vertices)
@@ -238,6 +239,7 @@ class RectPolygon:
                 a2 += (a.x + b.x) * (b.y - a.y)
         object.__setattr__(self, "area2", a2)
         object.__setattr__(self, "_prefix", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RectPolygon is immutable")
@@ -277,14 +279,46 @@ class RectPolygon:
     def vertex_index(self, p: Point) -> Optional[int]:
         return self._vertex_pos.get(p)
 
+    def edge_index(self) -> Tuple[int, dict]:
+        """(D, {"H": (levels, rows), "V": (levels, rows)}), built on first use:
+        D is the common denominator of the coordinates, and rows are the
+        edges of one orientation as (level, lo, hi, vertex at lo, vertex at
+        hi, edge index), coordinates times D as ints, sorted by level."""
+        if self._index is None:
+            d = lcm(*(c.denominator for p in self.vertices for c in (p.x, p.y)))
+            xs, ys = ([c.numerator * (d // c.denominator) for c in cs]
+                      for cs in zip(*((p.x, p.y) for p in self.vertices)))
+            rows = {"H": [], "V": []}
+            for i, e in enumerate(self.edges):
+                j = (i + 1) % self.n
+                level, u, w = (ys[i], xs[i], xs[j]) if e.orientation == "H" else (xs[i], ys[i], ys[j])
+                rows[e.orientation].append((level, u, w, i, j, i) if u < w else (level, w, u, j, i, i))
+            for r in rows.values():
+                r.sort()
+            object.__setattr__(self, "_index", (d, {o: ([row[0] for row in r], r) for o, r in rows.items()}))
+        return self._index
+
+    def edges_at(self, o: str, c: Fraction) -> list:
+        """The edge index rows of orientation o at level c."""
+        d, index = self.edge_index()
+        if d % c.denominator:
+            return []
+        (levels, rows), level = index[o], c.numerator * (d // c.denominator)
+        return rows[bisect_left(levels, level):bisect_right(levels, level)]
+
     def contains(self, p: Point) -> str:
-        """'in', 'on' or 'out' (closed polygon; exact)."""
-        if p in self._vertex_pos:
+        """'in', 'on' or 'out' (closed polygon; exact).  Off the boundary, p
+        is inside iff an odd number of the vertical edges right of it span
+        the row floor(p.y * D), lower end in, upper end out.  That row meets
+        the boundary an even number of times, so the edges left of p have the
+        same parity, and the fewer are counted."""
+        if self.locate_boundary(p) is not None:
             return "on"
-        edge, inside = self._edge_pass(p)
-        if edge is not None:
-            return "on"
-        return "in" if inside else "out"
+        d, index = self.edge_index()
+        (levels, rows), row = index["V"], p.y.numerator * d // p.y.denominator
+        k = bisect_right(levels, p.x.numerator * d // p.x.denominator)
+        side = rows[k:] if 2 * k >= len(rows) else rows[:k]
+        return "in" if sum(lo <= row < hi for _, lo, hi, _, _, _ in side) % 2 else "out"
 
     def monotonicity(self) -> dict:
         """x-monotone iff no vertical reflex edge; y-monotone iff no horizontal one."""
@@ -312,29 +346,12 @@ class RectPolygon:
         idx = self._vertex_pos.get(p)
         if idx is not None:
             return (idx, True)
-        edge, _ = self._edge_pass(p)
-        return None if edge is None else (edge, False)
-
-    def _edge_pass(self, p: Point) -> Tuple[Optional[int], bool]:
-        """One walk over the edges for a point p that is no vertex: the index
-        of the first edge holding p, else None, and whether the ray from p
-        towards +x has crossed the boundary an odd number of times by then
-        (crossings at the lower end of a vertical edge count, at the upper
-        end they do not)."""
-        x, y = p.x, p.y
-        inside = False
-        for e in self.edges:
-            a, b = e.a, e.b
-            if e.orientation == "V":
-                lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
-                if lo <= y <= hi:
-                    if a.x == x:
-                        return e.index, inside
-                    if a.x > x and y < hi:
-                        inside = not inside
-            elif a.y == y and (a.x <= x <= b.x or b.x <= x <= a.x):
-                return e.index, inside
-        return None, inside
+        d = self.edge_index()[0]
+        for o, c, u in (("V", p.x, p.y), ("H", p.y, p.x)):
+            for _, lo, hi, _, _, i in self.edges_at(o, c):
+                if lo * u.denominator <= u.numerator * d <= hi * u.denominator:
+                    return (i, False)
+        return None
 
     # ---------------------------------------------------------------- display
 
@@ -553,25 +570,26 @@ def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Chord]
 def _nearest_level(poly: RectPolygon, coord: Fraction, axis: str, side: str) -> Fraction:
     """Level for a symbolic cut: midway between coord and the nearest distinct
     vertex coordinate on the requested side."""
-    vals = sorted({(p.y if axis == "H" else p.x) for p in poly.vertices})
-    if side == "before":
-        cands = [v for v in vals if v < coord]
-        if not cands:
-            raise NotAChord(f"no polygon level {'below' if axis == 'H' else 'left of'} {coord}")
-        return (coord + cands[-1]) / 2
-    cands = [v for v in vals if v > coord]
-    if not cands:
-        raise NotAChord(f"no polygon level {'above' if axis == 'H' else 'right of'} {coord}")
-    return (coord + cands[0]) / 2
+    d, index = poly.edge_index()
+    levels, num, den = index[axis][0], coord.numerator * d, coord.denominator
+    k = bisect_left(levels, -(-num // den)) - 1 if side == "before" else bisect_right(levels, num // den)
+    if not 0 <= k < len(levels):
+        where = {"before": ("below", "left of"), "after": ("above", "right of")}[side][axis == "V"]
+        raise NotAChord(f"no polygon level {where} {coord}")
+    return (coord + Fraction(levels[k], d)) / 2
 
 
-def _extent(c: Fraction, dc: Fraction, far: Optional[Fraction]):
-    """Closed range one coordinate sweeps along a ray; None where unbounded."""
-    if dc > 0:
-        return c, far
-    if dc < 0:
-        return far, c
-    return c, c
+def _reach(c: int, dc: int, q: int, t_max: Optional[Fraction], levels: List[int]) -> Tuple[int, int]:
+    """Closed range of the integers L with L*q on the stretch from c to
+    c + t_max*dc, one coordinate of a ray scaled by q; the least or the
+    greatest of the sorted levels stands in for an unbounded end."""
+    near_lo, near_hi = -(-c // q), c // q
+    if dc == 0:
+        return near_lo, near_hi
+    if t_max is None:
+        return (near_lo, levels[-1]) if dc > 0 else (levels[0], near_hi)
+    far, den = c * t_max.denominator + t_max.numerator * dc, q * t_max.denominator
+    return (near_lo, far // den) if dc > 0 else (-(-far // den), near_hi)
 
 
 def boundary_hits(poly: RectPolygon, z: Point, d: Point,
@@ -581,31 +599,37 @@ def boundary_hits(poly: RectPolygon, z: Point, d: Point,
     A contact is (t, point, 'vertex', vertex index), or (t, point, 'edge',
     edge index) for a point interior to that edge; at equal t a vertex comes
     first.  An edge collinear with the ray contributes only its endpoints,
-    which its perpendicular neighbours report.  Every edge is axis-parallel,
-    so comparing its level and span with the ray's extent discards most
-    edges, and a remaining candidate costs one division.
+    which its perpendicular neighbours report.  The ray is scaled to
+    integers by D*q, q the common denominator of z and d: the edge index
+    gives the edges whose level lies in the ray's extent by bisection, int
+    compares drop those whose span misses it, and integer cross-multiplying
+    places the contact on the rest.
     """
-    fx, fy = (None, None) if t_max is None else (z.x + t_max * d.x, z.y + t_max * d.y)
-    xs, ys = _extent(z.x, d.x, fx), _extent(z.y, d.y, fy)
-    # By edge orientation: z, d and the ray's extent across the edge, then along it.
-    rays = {"V": (z.x, d.x, xs, z.y, d.y, ys), "H": (z.y, d.y, ys, z.x, d.x, xs)}
+    scale, index = poly.edge_index()
+    q = lcm(z.x.denominator, z.y.denominator, d.x.denominator, d.y.denominator)
+    zx, zy, dx, dy = (c.numerator * (scale * q // c.denominator) for c in (z.x, z.y, d.x, d.y))
+    reach = {o: _reach(c, dc, q, t_max, index[o][0]) for o, c, dc in (("V", zx, dx), ("H", zy, dy))}
     found = {}
-    for e in poly.edges:
-        zl, dl, (llo, lhi), zu, du, (ulo, uhi) = rays[e.orientation]
-        level, ua, ub = (e.a.x, e.a.y, e.b.y) if e.orientation == "V" else (e.a.y, e.a.x, e.b.x)
-        lo, hi = (ua, ub) if ua < ub else (ub, ua)
-        if (dl == 0 or level == zl or (llo is not None and level < llo)
-                or (lhi is not None and level > lhi)
-                or (ulo is not None and hi < ulo) or (uhi is not None and lo > uhi)):
+    # By edge orientation: the ray across the edges, then along them.
+    for o, zl, dl, zu, du, along in (("V", zx, dx, zy, dy, "H"), ("H", zy, dy, zx, dx, "V")):
+        if dl == 0:
             continue
-        t = (level - zl) / dl
-        u = zu + t * du if du else zu
-        if u == ua:
-            found["vertex", e.index] = (t, e.a)
-        elif u == ub:
-            found["vertex", (e.index + 1) % poly.n] = (t, e.b)
-        elif lo < u < hi:
-            found["edge", e.index] = (t, Point(level, u) if e.orientation == "V" else Point(u, level))
+        levels, rows = index[o]
+        (llo, lhi), (ulo, uhi) = reach[o], reach[along]
+        qw, sign = q * abs(dl), (1 if dl > 0 else -1)
+        for level, lo, hi, vlo, vhi, i in rows[bisect_left(levels, llo):bisect_right(levels, lhi)]:
+            num = level * q - zl  # t = num / dl
+            if num == 0 or hi < ulo or lo > uhi:
+                continue
+            # The contact's coordinate along the edge, times D*q*|dl|.
+            u = (zu * dl + num * du) * sign
+            if u == lo * qw:
+                found["vertex", vlo] = (Fraction(num, dl), poly.vertices[vlo])
+            elif u == hi * qw:
+                found["vertex", vhi] = (Fraction(num, dl), poly.vertices[vhi])
+            elif lo * qw < u < hi * qw:
+                at, across = Fraction(u, qw * scale), poly.edges[i].level
+                found["edge", i] = (Fraction(num, dl), Point(across, at) if o == "V" else Point(at, across))
     hits = [(t, pt, kind, i) for (kind, i), (t, pt) in found.items()]
     hits.sort(key=lambda h: (h[0], h[2] == "edge"))
     return hits

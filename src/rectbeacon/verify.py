@@ -35,9 +35,7 @@ class SamplePlan:
 def _row_intervals(poly: RectPolygon, y: Fraction) -> List[Tuple[Fraction, Fraction]]:
     """Merged closed x-intervals of the polygon on the horizontal line y."""
     ivs = [(chord.lo, chord.hi) for chord in chords_on_line(poly, "H", y)]
-    for e in poly.edges:
-        if e.orientation == "H" and e.a.y == y:
-            ivs.append(e.span())
+    ivs.extend(poly.edges[row[5]].span() for row in poly.edges_at("H", y))
     ivs.sort()
     merged: List[Tuple[Fraction, Fraction]] = []
     for lo, hi in ivs:

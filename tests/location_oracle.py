@@ -3,8 +3,8 @@
 locate_boundary looks the point up among the vertices and then tests it
 against every closed edge; contains answers 'on' through that and otherwise
 counts the vertical edges that a ray from the point towards +x crosses.
-RectPolygon.contains and RectPolygon.locate_boundary, which share one pass
-over the edges, are checked against them.
+RectPolygon.contains and RectPolygon.locate_boundary, which bisect the
+polygon's integer-scaled edge index instead, are checked against them.
 """
 
 

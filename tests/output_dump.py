@@ -13,10 +13,12 @@ its least (x, y) vertex, the pieces sorted), the slab boxes, every
 normal-cut class, every cut through or just beside a reflex vertex and from
 every edge midpoint (chord, r(P_minus), both pieces), every pocket with its
 summary, contains and locate_boundary at every vertex, every edge midpoint
-and the points of a 9 x 9 grid over the bounding box, and is_dead_point
-from every vertex and edge midpoint towards each reflex vertex.  Polygons
-with n <= 64 also get cover and route beacons with their traces, and those
-with n <= 24 both verifier reports.
+and the points of a 9 x 9 grid over the bounding box, boundary_hits from
+every vertex towards each reflex vertex (t_max = 1) and along the four axis
+rays from every edge midpoint, and is_dead_point from every vertex and edge
+midpoint towards each reflex vertex.  Polygons with n <= 64 also get cover
+and route beacons with their traces, and those with n <= 24 both verifier
+reports.
 """
 
 import json
@@ -35,6 +37,7 @@ from rectbeacon.kernel import kernel  # noqa: E402
 from rectbeacon.placement import cover, pocket_summary, route_beacons  # noqa: E402
 from rectbeacon.polygon import (  # noqa: E402
     Cut,
+    boundary_hits,
     count_reflex_below,
     iter_normal_cuts,
     materialize,
@@ -119,6 +122,19 @@ def dump_location(poly, out):
         out(f"locate {name}: " + " ".join(f"{poly.contains(p)}{poly.locate_boundary(p)}" for p in points))
 
 
+def dump_hits(poly, out):
+    def shown(hits):
+        return " ".join(f"{t}({p.x},{p.y}){kind[0]}{i}" for t, p, kind, i in hits)
+
+    targets = [poly.vertices[i] for i in poly.reflex_indices]
+    for i, z in enumerate(poly.vertices):
+        out(f"hits from {i}: " + " ; ".join(shown(boundary_hits(poly, z, b - z, 1)) for b in targets))
+    for e in poly.edges:
+        z = midpoint(e.a, e.b)
+        out(f"rays from edge {e.index}: " + " ; ".join(
+            shown(boundary_hits(poly, z, d)) for d in (Point(1, 0), Point(-1, 0), Point(0, 1), Point(0, -1))))
+
+
 def dump(name, poly, out):
     out(f"# {name}: n={poly.n} r={poly.r} {pts(poly.vertices)}")
     k = kernel(poly)
@@ -133,6 +149,7 @@ def dump(name, poly, out):
     out("slabs " + " ".join(f"[{x1},{y1},{x2},{y2}]" for x1, y1, x2, y2 in slab_rects(poly)))
     dump_cuts(poly, out)
     dump_location(poly, out)
+    dump_hits(poly, out)
     targets = [poly.vertices[i] for i in poly.reflex_indices][:6]
     starts = list(poly.vertices) + [midpoint(e.a, e.b) for e in poly.edges]
     for b in targets:

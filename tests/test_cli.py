@@ -225,3 +225,17 @@ def test_unreadable_input_exits_2_with_one_error_line(tmp_path, command, files):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: cannot read ") and r.stderr.count("\n") == 1, r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "spiral", "-r", "-2"],
+    ["gen", "spiral", "--kind", "routing", "-r", "0"],
+    ["gen", "spiral", "--kind", "uniform", "-r", "-1"],
+    ["bench", "--runs", "0"],
+    ["bench", "--sizes", "a"],
+], ids=["coverage_negative_r", "routing_r_0", "uniform_negative_r", "bench_no_runs", "bench_bad_sizes"])
+def test_bad_argument_exits_2_with_one_error_line(command):
+    r = run(command)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert r.stdout == ""

@@ -1,6 +1,6 @@
-"""Chords, prefix counts, chord sides, pocket summaries, point location and
-clips against the line-scan, ray, chain-walk, build, two-pass and
-arc-stitching oracles."""
+"""Chords, prefix counts, chord sides, pocket summaries, point location,
+boundary contacts and clips against the line-scan, ray, chain-walk, build,
+two-pass, edge-scan and arc-stitching oracles."""
 
 from fractions import Fraction
 
@@ -12,8 +12,10 @@ from rectbeacon.placement import _first_reflex_above, _pocket_wraps, _r_plus, po
 from rectbeacon.polygon import (
     REFLEX,
     Cut,
+    RectPolygon,
     _merge_ring,
     _split_rings,
+    boundary_hits,
     chords_on_line,
     count_reflex_below,
     iter_normal_cuts,
@@ -27,6 +29,7 @@ from rectbeacon.transforms import TRANSFORMS
 import clip_oracle
 import cut_oracle
 import location_oracle
+from segment_oracle import boundary_hits_scan
 
 
 def _corpus():
@@ -39,6 +42,17 @@ def _corpus():
 
 
 CORPUS = _corpus()
+
+
+def _mapped(p):
+    """p under (x, y) -> (2/3 x + 1/7, 5/4 y - 1/3), which turns integer
+    coordinates into ones with the common denominator 84 (or 42), and
+    multiplies the spirals' denominators, up to 3872, by up to 42."""
+    return RectPolygon([Point(Fraction(2, 3) * v.x + Fraction(1, 7), Fraction(5, 4) * v.y - Fraction(1, 3))
+                        for v in p.vertices], _trusted=True)
+
+
+MAPPED = [_mapped(p) for p in CORPUS]
 
 
 def _lines(p, o):
@@ -184,10 +198,11 @@ def test_pocket_side_matches_chain_walk():
 def test_point_location_matches_two_pass_oracle():
     """contains and locate_boundary at every vertex, every edge midpoint, a
     third of a unit from every vertex towards +x and towards +y and on a
-    9 x 9 grid over the bounding box widened by one."""
+    9 x 9 grid over the bounding box widened by one, on the corpus and on
+    its mapped copies."""
     third = Fraction(1, 3)
     points = 0
-    for p in CORPUS:
+    for p in CORPUS + MAPPED:
         xmin, ymin, xmax, ymax = p.bbox()
         probes = list(p.vertices) + [midpoint(e.a, e.b) for e in p.edges]
         probes += [Point(v.x + dx, v.y + dy) for v in p.vertices
@@ -199,7 +214,27 @@ def test_point_location_matches_two_pass_oracle():
             assert p.contains(q) == location_oracle.contains(p, q), (p.vertices, q)
             assert p.locate_boundary(q) == location_oracle.locate_boundary(p, q), (p.vertices, q)
         points += len(probes)
-    assert points >= 30000
+    assert points >= 60000
+
+
+def test_boundary_hits_matches_edge_scan():
+    """Vertex to vertex, edge midpoint to reflex vertex and back and the
+    four axis rays from every edge midpoint, on the corpus and on its mapped
+    copies.  Only polygons with n <= 24 are queried, to keep the test short."""
+    axes = (Point(1, 0), Point(-1, 0), Point(0, 1), Point(0, -1))
+    queries = 0
+    for p in [p for p in CORPUS + MAPPED if p.n <= 24]:
+        mids = [midpoint(e.a, e.b) for e in p.edges]
+        segments = [(z, b) for z in p.vertices for b in p.vertices if z != b]
+        for i in p.reflex_indices:
+            segments += [(z, p.vertices[i]) for z in mids] + [(p.vertices[i], z) for z in mids]
+        for z, b in segments:
+            assert boundary_hits(p, z, b - z, 1) == boundary_hits_scan(p, z, b - z, 1), (p.vertices, z, b)
+        for z in mids:
+            for d in axes:
+                assert boundary_hits(p, z, d) == boundary_hits_scan(p, z, d), (p.vertices, z, d)
+        queries += len(segments) + 4 * len(mids)
+    assert queries >= 70000
 
 
 def _rings(pieces):
