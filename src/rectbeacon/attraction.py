@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .errors import InternalCaseError, PointOutsidePolygon
 from .geometry import Point
-from .polygon import CONVEX, REFLEX, RectPolygon, _INWARD, boundary_hits
+from .polygon import CONVEX, REFLEX, RectPolygon, _BACK, _INWARD, _UNIT, boundary_hits
 
 FREE = "free"
 SLIDE = "slide"
@@ -78,16 +78,7 @@ class AttractionPath:
 
 def _vertex_dirs(poly: RectPolygon, i: int) -> Tuple[Point, Point]:
     """Unit directions from vertex i along its two incident edges."""
-    v = poly.vertices[i]
-    prev_v = poly.vertices[(i - 1) % poly.n]
-    next_v = poly.vertices[(i + 1) % poly.n]
-
-    def unit(w: Point) -> Point:
-        dx = (w.x > v.x) - (w.x < v.x)
-        dy = (w.y > v.y) - (w.y < v.y)
-        return Point(dx, dy)
-
-    return unit(prev_v), unit(next_v)
+    return _UNIT[_BACK[poly.edges[i - 1].direction]], _UNIT[poly.edges[i].direction]
 
 
 def _free_allowed_at_vertex(poly: RectPolygon, i: int, d: Point) -> bool:

@@ -90,11 +90,6 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-def cross3(a: Point, b: Point, c: Point) -> Fraction:
-    """Cross product of (b-a) and (c-a); sign gives the turn direction."""
-    return (b - a).cross(c - a)
-
-
 def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
 

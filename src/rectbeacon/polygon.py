@@ -12,7 +12,7 @@ from collections import namedtuple
 from math import lcm
 from operator import itemgetter
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     GeneralPositionViolated,
@@ -20,13 +20,17 @@ from .errors import (
     NotRectilinear,
     NotSimple,
 )
-from .geometry import Point, cross3, midpoint, scalar
+from .geometry import Point, midpoint, scalar
 
 CONVEX = "convex"
 REFLEX = "reflex"
 
 # Travel direction of an edge, from the CCW vertex order.
 EAST, NORTH, WEST, SOUTH = "E", "N", "W", "S"
+
+# Unit vector of each direction, and the direction back along it.
+_UNIT = {EAST: Point(1, 0), NORTH: Point(0, 1), WEST: Point(-1, 0), SOUTH: Point(0, -1)}
+_BACK = {EAST: WEST, NORTH: SOUTH, WEST: EAST, SOUTH: NORTH}
 
 # Interior lies to the left of travel.
 _INWARD = {EAST: Point(0, 1), WEST: Point(0, -1), NORTH: Point(-1, 0), SOUTH: Point(1, 0)}
@@ -163,35 +167,41 @@ class Chord:
         return f"Chord({self.axis}={self.level}, [{self.lo},{self.hi}])"
 
 
-def _turn(a: Point, b: Point, c: Point) -> int:
-    """Sign of the turn a -> b -> c: 1 left, -1 right, 0 straight or back."""
-    if a.y == b.y and b.x == c.x:
-        return ((b.x > a.x) - (b.x < a.x)) * ((c.y > b.y) - (c.y < b.y))
-    if a.x == b.x and b.y == c.y:
-        return ((b.y < a.y) - (b.y > a.y)) * ((c.x > b.x) - (c.x < b.x))
-    t = cross3(a, b, c)
+def _scaled(points: Sequence[Point]) -> Tuple[int, List[int], List[int]]:
+    """(D, xs, ys): D is the common denominator of the coordinates, and xs
+    and ys are the coordinates times D, as ints."""
+    d = lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+    return (d, [p.x.numerator * (d // p.x.denominator) for p in points],
+            [p.y.numerator * (d // p.y.denominator) for p in points])
+
+
+def _turn(xs: List[int], ys: List[int], a: int, b: int, c: int) -> int:
+    """Sign of the turn a -> b -> c through the points (xs[k], ys[k]): 1
+    left, -1 right, 0 straight or back."""
+    t = (xs[b] - xs[a]) * (ys[c] - ys[b]) - (ys[b] - ys[a]) * (xs[c] - xs[b])
     return (t > 0) - (t < 0)
 
 
 def _merge_ring(points: Sequence[Point]) -> List[Point]:
     """Drop repeated and 180-degree (collinear) vertices from a closed ring."""
-    out: List[Point] = []
-    for p in points:
-        if not out or p != out[-1]:
-            out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
+    _, xs, ys = _scaled(points)
+    keep: List[int] = []
+    for k in range(len(points)):
+        if not keep or xs[k] != xs[keep[-1]] or ys[k] != ys[keep[-1]]:
+            keep.append(k)
+    if len(keep) > 1 and xs[keep[0]] == xs[keep[-1]] and ys[keep[0]] == ys[keep[-1]]:
+        keep.pop()
     # Drop the first collinear vertex until none is left.  The vertices before
     # it keep their neighbours, so the scan steps back one place instead of
     # restarting, except after dropping the last vertex, vertex 0's neighbour.
     i = 0
-    while len(out) >= 3 and i < len(out):
-        if _turn(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
-            del out[i]
-            i = 0 if i == len(out) else max(i - 1, 0)
+    while len(keep) >= 3 and i < len(keep):
+        if _turn(xs, ys, keep[i - 1], keep[i], keep[(i + 1) % len(keep)]) == 0:
+            del keep[i]
+            i = 0 if i == len(keep) else max(i - 1, 0)
         else:
             i += 1
-    return out
+    return [points[k] for k in keep]
 
 
 class RectPolygon:
@@ -212,9 +222,10 @@ class RectPolygon:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "was_reversed", was_reversed)
+        d, xs, ys = _scaled(verts)
         classes = []
         for i in range(n):
-            turn = _turn(verts[i - 1], verts[i], verts[(i + 1) % n])
+            turn = _turn(xs, ys, i - 1, i, (i + 1) % n)
             if turn == 0:
                 raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
             classes.append(CONVEX if turn > 0 else REFLEX)
@@ -232,12 +243,8 @@ class RectPolygon:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_vertex_pos", {p: i for i, p in enumerate(verts)})
         # Twice the integral of x dy; horizontal edges contribute nothing.
-        a2 = Fraction(0)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            if a.y != b.y:
-                a2 += (a.x + b.x) * (b.y - a.y)
-        object.__setattr__(self, "area2", a2)
+        a2 = sum((xs[i - 1] + xs[i]) * (ys[i] - ys[i - 1]) for i in range(n))
+        object.__setattr__(self, "area2", Fraction(a2, d * d))
         object.__setattr__(self, "_prefix", None)
         object.__setattr__(self, "_index", None)
 
@@ -285,9 +292,7 @@ class RectPolygon:
         edges of one orientation as (level, lo, hi, vertex at lo, vertex at
         hi, edge index), coordinates times D as ints, sorted by level."""
         if self._index is None:
-            d = lcm(*(c.denominator for p in self.vertices for c in (p.x, p.y)))
-            xs, ys = ([c.numerator * (d // c.denominator) for c in cs]
-                      for cs in zip(*((p.x, p.y) for p in self.vertices)))
+            d, xs, ys = _scaled(self.vertices)
             rows = {"H": [], "V": []}
             for i, e in enumerate(self.edges):
                 j = (i + 1) % self.n
@@ -411,9 +416,10 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
     _check_simple(pts, orients, xr, yr)
 
     # Orientation: normalize to CCW.  The lowest of the leftmost vertices of
-    # a simple polygon is convex, so its turn gives the orientation.
+    # a simple polygon is convex, so its turn gives the orientation; between
+    # axis-parallel edges the ranks turn the same way as the coordinates.
     k = min(range(n), key=lambda i: (xr[i], yr[i]))
-    was_reversed = _turn(pts[k - 1], pts[k], pts[(k + 1) % n]) < 0
+    was_reversed = _turn(xr, yr, k - 1, k, (k + 1) % n) < 0
     if was_reversed:
         pts.reverse()
         xr.reverse()
@@ -638,8 +644,10 @@ def boundary_hits(poly: RectPolygon, z: Point, d: Point,
 def materialize(poly: RectPolygon, cut: Cut) -> Chord:
     """Turn a possibly-symbolic Cut into a concrete Chord of poly.
 
-    A cut through a reflex vertex or a boundary point is the chord of the
-    line through its anchor that ends at the anchor; a symbolic cut is the
+    A cut through a reflex vertex extends one of its edges: it runs from
+    the vertex, away from its incident edge along the cut, to the first
+    boundary contact of that ray.  A cut through a boundary point is the
+    chord of the line through it that ends there; a symbolic cut is the
     chord, on the line midway to the nearest vertex level on its side, that
     spans the anchor's coordinate.
     """
@@ -655,7 +663,9 @@ def materialize(poly: RectPolygon, cut: Cut) -> Chord:
         if poly.vertex_index(p) is not None:
             raise NotAChord("boundary-point cuts must not be anchored at a vertex")
     level, want = (p.y, p.x) if o == "H" else (p.x, p.y)
-    if isinstance(cut.anchor, int) and cut.side is not None:
+    if isinstance(cut.anchor, int) and cut.side is None:
+        chord = _vertex_chord(poly, cut.anchor % poly.n, o)
+    elif isinstance(cut.anchor, int):
         level = _nearest_level(poly, level, o, cut.side)
         chord = next((c for c in chords_on_line(poly, o, level) if c.lo <= want <= c.hi), None)
     else:
@@ -665,6 +675,35 @@ def materialize(poly: RectPolygon, cut: Cut) -> Chord:
     _assert_chord(poly, chord)
     cut._chord = chord
     return chord
+
+
+def _vertex_chord(poly: RectPolygon, i: int, o: str) -> Optional[Chord]:
+    """The chord of orientation o from reflex vertex i, or None when its ray
+    meets no boundary.  The ray leaves i away from its incident edge of
+    orientation o, and its first contact is the far end: the first edge
+    across the ray whose closed span holds the ray's line, in the edge index
+    rows of the other orientation walked outward from i."""
+    e = poly.edges[i - 1]
+    direction = e.direction if e.orientation == o else _BACK[poly.edges[i].direction]
+    d, index = poly.edge_index()
+    levels, rows = index["V" if o == "H" else "H"]
+    p = poly.vertices[i]
+    level, start = (p.y, p.x) if o == "H" else (p.x, p.y)
+    line, at = (c.numerator * (d // c.denominator) for c in (level, start))
+    forward = direction in (EAST, NORTH)
+    if forward:
+        walk = range(bisect_right(levels, at), len(rows))
+    else:
+        walk = range(bisect_left(levels, at) - 1, -1, -1)
+    for j in walk:
+        _, lo, hi, vlo, vhi, k = rows[j]
+        if lo <= line <= hi:
+            break
+    else:
+        return None
+    here, there = (i, True), ((vlo, True) if line == lo else (vhi, True) if line == hi else (k, False))
+    far = poly.edges[k].level
+    return Chord(o, level, start, far, (here, there)) if forward else Chord(o, level, far, start, (there, here))
 
 
 def _assert_chord(poly: RectPolygon, chord: Chord) -> None:
@@ -795,8 +834,9 @@ class NormalCutClass:
         return f"NormalCut({self.orientation}={self.level} [{self.lo},{self.hi}] r-={self.r_minus})"
 
 
-def iter_normal_cuts(poly: RectPolygon, orientation: str) -> List[NormalCutClass]:
-    """All combinatorial classes of normal cuts of one orientation.
+def iter_normal_cuts(poly: RectPolygon, orientation: str) -> Iterator[NormalCutClass]:
+    """All combinatorial classes of normal cuts of one orientation, generated
+    band by band in increasing level order.
 
     Bands between consecutive distinct vertex levels each contribute one
     representative per chord; r(P_minus) is constant within a class.  A
@@ -809,7 +849,6 @@ def iter_normal_cuts(poly: RectPolygon, orientation: str) -> List[NormalCutClass
     # (level, index, rank of the span's ends) of every edge that can cross a band.
     across = sorted((e.level, e.index, *(rank[c] for c in e.span()))
                     for e in poly.edges if e.orientation != orientation)
-    out: List[NormalCutClass] = []
     for k in range(len(levels) - 1):
         ends = [(c, i) for c, i, lo, hi in across if lo <= k < hi]
         t = (levels[k] + levels[k + 1]) / 2
@@ -817,5 +856,4 @@ def iter_normal_cuts(poly: RectPolygon, orientation: str) -> List[NormalCutClass
             chord = Chord(orientation, t, lo, hi, ((i, False), (j, False)))
             minus, _ = chord_sides(chord)
             rm = poly.reflex_counts(minus.s, minus.t)[0]
-            out.append(NormalCutClass(orientation, t, lo, hi, rm, Cut(chord.a, orientation, _chord=chord)))
-    return out
+            yield NormalCutClass(orientation, t, lo, hi, rm, Cut(chord.a, orientation, _chord=chord))

@@ -13,8 +13,10 @@ from typing import List, Optional
 
 from rectbeacon.errors import InternalCaseError
 from rectbeacon.geometry import Point
-from rectbeacon.polygon import RectPolygon, _merge_ring, chords_on_line
+from rectbeacon.polygon import RectPolygon, chords_on_line
 from rectbeacon.transforms import TRANSFORMS
+
+from ring_oracle import merge_ring
 
 
 def _clip_keep_below_fast(poly: RectPolygon, c: Fraction) -> List[RectPolygon]:
@@ -113,7 +115,7 @@ def _clip_keep_below_fast(poly: RectPolygon, c: Fraction) -> List[RectPolygon]:
             if nxt_start not in arc_by_start:
                 raise InternalCaseError(f"no arc starts at {nxt_start}")
             a = arc_by_start[nxt_start]
-        merged = _merge_ring(ring)
+        merged = merge_ring(ring)
         if len(merged) >= 4:
             out.append(RectPolygon(merged, _trusted=True))
     return out

@@ -26,10 +26,11 @@ from rectbeacon.polygon import (
     Chord,
     Cut,
     RectPolygon,
-    _merge_ring,
     boundary_hits,
     materialize,
 )
+
+from ring_oracle import merge_ring
 
 _UNIT = {"E": Point(1, 0), "N": Point(0, 1), "W": Point(-1, 0), "S": Point(0, -1)}
 
@@ -95,9 +96,10 @@ def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Tuple[
 
 
 def ray_cut(poly, anchor, orientation):
-    """(lo, hi) of the cut from a reflex vertex index or a point inside a
-    perpendicular edge to the first boundary contact of the ray that leaves
-    it through the interior, or None when the ray meets no boundary."""
+    """(lo, hi, ends) of the cut from a reflex vertex index or a point inside
+    a perpendicular edge to the first boundary contact of the ray that leaves
+    it through the interior, or None when the ray meets no boundary; ends
+    locates the cut's two ends, lo's first, with locate_boundary."""
     if isinstance(anchor, int):
         start = poly.vertices[anchor]
         e = next(e for e in (poly.edges[anchor - 1], poly.edges[anchor]) if e.orientation == orientation)
@@ -109,8 +111,9 @@ def ray_cut(poly, anchor, orientation):
     hits = boundary_hits(poly, start, ray)
     if not hits:
         return None
-    other = hits[0][1]
-    return tuple(sorted((start.x, other.x) if orientation == "H" else (start.y, other.y)))
+    a, b = sorted((start, hits[0][1]), key=lambda p: (p.x, p.y))
+    lo, hi = (a.x, b.x) if orientation == "H" else (a.y, b.y)
+    return lo, hi, (poly.locate_boundary(a), poly.locate_boundary(b))
 
 
 def _boundary_key(poly, p):
@@ -190,7 +193,7 @@ def pocket(poly, e_idx, v_idx):
     ring = chain_between(poly, chord.a, chord.b)
     if (e.b if v == e.a else e.a) in ring:
         ring = chain_between(poly, chord.b, chord.a)
-    return RectPolygon(_merge_ring(ring), _trusted=True)
+    return RectPolygon(merge_ring(ring), _trusted=True)
 
 
 def pocket_summary(poly, e_idx, v_idx):

@@ -11,14 +11,14 @@ r = 1..24 and combs k = 1..19, each also mirrored.  For every polygon it
 prints the kernel, clip_fast at every vertex level (each ring started at
 its least (x, y) vertex, the pieces sorted), the slab boxes, every
 normal-cut class, every cut through or just beside a reflex vertex and from
-every edge midpoint (chord, r(P_minus), both pieces), every pocket with its
-summary, contains and locate_boundary at every vertex, every edge midpoint
-and the points of a 9 x 9 grid over the bounding box, boundary_hits from
-every vertex towards each reflex vertex (t_max = 1) and along the four axis
-rays from every edge midpoint, and is_dead_point from every vertex and edge
-midpoint towards each reflex vertex.  Polygons with n <= 64 also get cover
-and route beacons with their traces, and those with n <= 24 both verifier
-reports.
+every edge midpoint (chord with its located ends, r(P_minus), both pieces),
+every pocket with its summary, contains and locate_boundary at every
+vertex, every edge midpoint and the points of a 9 x 9 grid over the
+bounding box, boundary_hits from every vertex towards each reflex vertex
+(t_max = 1) and along the four axis rays from every edge midpoint, and
+is_dead_point from every vertex and edge midpoint towards each reflex
+vertex.  Polygons with n <= 64 also get cover and route beacons with their
+traces, and those with n <= 24 both verifier reports.
 """
 
 import json
@@ -80,7 +80,7 @@ def outcome(fn, *args):
 
 def chord(poly, cut):
     ch = outcome(materialize, poly, cut)
-    return ch if isinstance(ch, str) else f"{ch.axis}={ch.level} [{ch.lo},{ch.hi}]"
+    return ch if isinstance(ch, str) else f"{ch.axis}={ch.level} [{ch.lo},{ch.hi}] ends={ch.ends}"
 
 
 def pieces(poly, cut):

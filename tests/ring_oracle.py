@@ -1,0 +1,48 @@
+"""Independent oracle for vertex classes and ring merging, in Fractions.
+
+turn is the sign of a cross product of Point differences, with shortcuts
+for a horizontal edge followed by a vertical one and the reverse; classes
+and merge_ring apply it to the points themselves.  rectbeacon.polygon, which
+compares the coordinates scaled to integers by their common denominator
+instead, is checked against them.
+"""
+
+from rectbeacon.polygon import CONVEX, REFLEX
+
+
+def turn(a, b, c):
+    """Sign of the turn a -> b -> c: 1 left, -1 right, 0 straight or back."""
+    if a.y == b.y and b.x == c.x:
+        return ((b.x > a.x) - (b.x < a.x)) * ((c.y > b.y) - (c.y < b.y))
+    if a.x == b.x and b.y == c.y:
+        return ((b.y < a.y) - (b.y > a.y)) * ((c.x > b.x) - (c.x < b.x))
+    t = (b - a).cross(c - a)
+    return (t > 0) - (t < 0)
+
+
+def classes(vertices):
+    """CONVEX, REFLEX or None (a collinear vertex) for each vertex of a ring."""
+    n = len(vertices)
+    out = []
+    for i in range(n):
+        t = turn(vertices[i - 1], vertices[i], vertices[(i + 1) % n])
+        out.append(CONVEX if t > 0 else REFLEX if t < 0 else None)
+    return out
+
+
+def merge_ring(points):
+    """Drop repeated and 180-degree (collinear) vertices from a closed ring."""
+    out = []
+    for p in points:
+        if not out or p != out[-1]:
+            out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    i = 0
+    while len(out) >= 3 and i < len(out):
+        if turn(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
+            del out[i]
+            i = 0 if i == len(out) else max(i - 1, 0)
+        else:
+            i += 1
+    return out

@@ -290,7 +290,7 @@ def test_c10_structural_identities():
         p = random_rectilinear(n, 31337 + polys)
         polys += 1
         assert p.n == 2 * p.r + 4
-        classes = iter_normal_cuts(p, "H") + iter_normal_cuts(p, "V")
+        classes = [*iter_normal_cuts(p, "H"), *iter_normal_cuts(p, "V")]
         if not classes:
             continue
         rng.shuffle(classes)

@@ -1,11 +1,14 @@
 """Chords, prefix counts, chord sides, pocket summaries, point location,
-boundary contacts and clips against the line-scan, ray, chain-walk, build,
-two-pass, edge-scan and arc-stitching oracles."""
+boundary contacts, clips, vertex classes and merged rings against the
+line-scan, ray, chain-walk, build, two-pass, edge-scan, arc-stitching and
+Fraction-turn oracles."""
 
 from fractions import Fraction
 
+import pytest
+
 from rectbeacon.clipping import clip_fast
-from rectbeacon.errors import InternalCaseError, NotAChord
+from rectbeacon.errors import InternalCaseError, NotAChord, NotRectilinear
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
 from rectbeacon.placement import _first_reflex_above, _pocket_wraps, _r_plus, pocket_summary
@@ -23,12 +26,16 @@ from rectbeacon.polygon import (
     pocket,
     pocket_side,
     reflex_points_below,
+    split,
+    validate,
 )
 from rectbeacon.transforms import TRANSFORMS
 
 import clip_oracle
 import cut_oracle
 import location_oracle
+import ring_oracle
+import shapes
 from segment_oracle import boundary_hits_scan
 
 
@@ -55,6 +62,36 @@ def _mapped(p):
 MAPPED = [_mapped(p) for p in CORPUS]
 
 
+def _flat_comb(k):
+    """Base [0, 4k-2] x [0, 11] with k fingers of width 2 and every gap
+    floored at y = 13: each floor's chord runs through the next finger to
+    the next floor's reflex corner, so general position fails."""
+    ring = [(0, 0), (4 * k - 2, 0)]
+    for i in range(k - 1, -1, -1):
+        ring += [(4 * i + 2, 2 * k + 11), (4 * i, 2 * k + 11)] + ([(4 * i, 13), (4 * i - 2, 13)] if i else [])
+    return validate(ring, check_general_position=False)
+
+
+def _aligned():
+    """Polygons whose reflex vertices see each other along a cut, also
+    mirrored and mapped."""
+    polys = [validate(ring, check_general_position=False)
+             for ring in (shapes.W_SHAPE, shapes.W_SHAPE_VERTICAL)]
+    polys += [_flat_comb(k) for k in range(2, 13)]
+    polys += [TRANSFORMS["mirror_x"].polygon(p) for p in polys]
+    return polys + [_mapped(p) for p in polys]
+
+
+def _split_pieces(p):
+    """Both pieces of the split along the middle normal-cut class of each orientation."""
+    pieces = []
+    for o in "HV":
+        classes = list(iter_normal_cuts(p, o))
+        if classes:
+            pieces += split(p, classes[len(classes) // 2].cut)
+    return pieces
+
+
 def _lines(p, o):
     """Every vertex level of one orientation, every band midpoint and one
     level beyond the bounding box on each side."""
@@ -78,32 +115,44 @@ def test_chords_on_line_matches_line_scan_and_locates_ends():
 
 
 def test_materialize_matches_first_ray_contact():
-    """Cuts through reflex vertices and from edge midpoints end where the ray
-    leaving the anchor through the interior first meets the boundary; an
-    anchor along its cut or off the boundary makes no chord."""
-    vertex_cuts = edge_cuts = 0
+    """Cuts from edge midpoints end where the ray leaving the anchor through
+    the interior first meets the boundary, ends included; an anchor along
+    its cut or off the boundary makes no chord."""
+    edge_cuts = 0
     for p in CORPUS:
-        for i in p.reflex_indices:
-            for o in "HV":
-                chord = materialize(p, Cut(i, o))
-                assert (chord.lo, chord.hi) == cut_oracle.ray_cut(p, i, o), (p.vertices, i, o)
-                vertex_cuts += 1
         for e in p.edges:
             m = midpoint(e.a, e.b)
             across = "V" if e.orientation == "H" else "H"
             chord = materialize(p, Cut(m, across))
-            assert (chord.lo, chord.hi) == cut_oracle.ray_cut(p, m, across), (p.vertices, e.index)
+            assert (chord.lo, chord.hi, chord.ends) == cut_oracle.ray_cut(p, m, across), (p.vertices, e.index)
             assert _outcome(materialize, p, Cut(m, e.orientation)) == "NotAChord"
             assert _outcome(materialize, p, Cut(midpoint(chord.a, chord.b), across)) == "NotAChord"
             edge_cuts += 1
-    assert vertex_cuts >= 5000 and edge_cuts >= 5000
+    assert edge_cuts >= 5000
+
+
+def test_vertex_chords_match_ray_cut():
+    """The chord through every reflex vertex, in both orientations, ends
+    where the ray extending the vertex's edge first meets the boundary,
+    ends included: on the corpus, its mapped copies, the pieces of its
+    splits and polygons whose reflex vertices see each other along a cut."""
+    pieces = [q for p in CORPUS for q in _split_pieces(p)]
+    cuts = vertex_ends = 0
+    for p in CORPUS + MAPPED + pieces + _aligned():
+        for i in p.reflex_indices:
+            for o in "HV":
+                chord = materialize(p, Cut(i, o))
+                assert (chord.lo, chord.hi, chord.ends) == cut_oracle.ray_cut(p, i, o), (p.vertices, i, o)
+                cuts += 1
+                vertex_ends += chord.ends[0][1] and chord.ends[1][1]
+    assert cuts >= 20000 and vertex_ends >= 400
 
 
 def test_normal_cut_classes_match_chain_walk():
     classes = 0
     for p in CORPUS:
         for o in ("H", "V"):
-            got = iter_normal_cuts(p, o)
+            got = list(iter_normal_cuts(p, o))
             assert [(nc.level, nc.lo, nc.hi, nc.r_minus) for nc in got] \
                 == cut_oracle.normal_cuts(p, o), (p.vertices, o)
             for nc in got:
@@ -263,3 +312,46 @@ def test_clip_matches_arc_stitching():
                         (p.vertices, axis, t, keep_low)
                     clips += 1
     assert clips >= 7000
+
+
+def _padded(p):
+    """p's ring with every vertex repeated, the midpoint of every edge and a
+    spike back from each next vertex to that midpoint inserted, started
+    inside an edge and closed by its first point again."""
+    ring = []
+    for a, b in zip(p.vertices, p.vertices[1:] + p.vertices[:1]):
+        m = midpoint(a, b)
+        ring += [a, a, m, b, m]
+    ring = ring[2:] + ring[:2]
+    return ring + ring[:1]
+
+
+def test_classes_and_merged_rings_match_fraction_turns():
+    """Vertex classes and merged rings, decided on integer-scaled
+    coordinates, against the Fraction turns: on the mapped copies, on their
+    rings padded with repeated, collinear and doubled-back points and on the
+    unmerged rings of their splits."""
+    rings = 0
+    for p in MAPPED:
+        assert list(p.classes) == ring_oracle.classes(p.vertices), p.vertices
+        padded = _padded(p)
+        assert _merge_ring(padded) == ring_oracle.merge_ring(padded) == list(p.vertices[1:] + p.vertices[:1])
+        for o in "HV":
+            for nc in list(iter_normal_cuts(p, o))[:3]:
+                for ring in _split_rings(p, nc.cut):
+                    assert _merge_ring(ring) == ring_oracle.merge_ring(ring), (p.vertices, nc)
+                    rings += 1
+        rings += 1
+    assert rings >= 1000
+
+
+def test_trusted_collinear_vertex_at_fractional_coordinates_rejected():
+    """The integer classes still find a vertex inside a straight run."""
+    third = Fraction(1, 3)
+    with pytest.raises(NotRectilinear, match="collinear vertex at index 1"):
+        RectPolygon([Point(0, 0), Point(third, 0), Point(1, 0), Point(1, 1), Point(0, 1)], _trusted=True)
+    for p in MAPPED[::20]:
+        a, b = p.vertices[0], p.vertices[1]
+        ring = [a, a + (b - a) * Fraction(2, 7)] + list(p.vertices[1:])
+        with pytest.raises(NotRectilinear, match="collinear vertex at index 1"):
+            RectPolygon(ring, _trusted=True)
