@@ -23,7 +23,7 @@ from .polygon import (
     Cut,
     RectPolygon,
     _chain,
-    _merge_ring,
+    _piece,
     chord_sides,
     chords_on_line,
     split,
@@ -71,7 +71,7 @@ def clip_fast(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> List
             end = (k2, 1 - e2)
             if end == start:
                 break
-        out.append(RectPolygon(_merge_ring(ring), _trusted=True))
+        out.append(_piece(ring))
     return out
 
 

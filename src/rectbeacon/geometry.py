@@ -14,19 +14,35 @@ Scalar = Fraction
 
 ScalarLike = Union[int, str, Fraction]
 
+# Python's default limit on the digits of an int read from or written as text.
+_MAX_DIGITS = 4300
+
+
+def _spelled_digits(text: str) -> int:
+    """The digits of a number string, plus the zeros its exponent stands for."""
+    mantissa, e, exponent = text.lower().partition("e")
+    try:
+        shift = abs(int(exponent)) if e else 0
+    except ValueError:  # no number, or one past the limit itself
+        shift = sum(ch.isdigit() for ch in exponent)
+    return sum(ch.isdigit() for ch in mantissa) + shift
+
 
 def scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, Fraction or string like '7/2' / '-3' to an exact Scalar.
 
     Floats are rejected on purpose: silently rationalizing binary floats is a
     classic source of wrong geometric predicates.  Strings like 'a' or '1/0'
-    raise GeometryError.
+    raise GeometryError, and so does a string that spells more than
+    _MAX_DIGITS digits, exponent included, before any number is built.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _spelled_digits(value) > _MAX_DIGITS:
+            raise GeometryError(f"number with more than {_MAX_DIGITS} digits: {value[:24]!r}...")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

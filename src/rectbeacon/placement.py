@@ -18,7 +18,9 @@ from .geometry import Point, midpoint
 from .kernel import in_all_cones
 from .polygon import (
     _INWARD,
+    EAST,
     REFLEX,
+    WEST,
     Cut,
     RectPolygon,
     _chain,
@@ -245,15 +247,17 @@ def _no_safe_cases(poly: RectPolygon, c: Cut, node: TraceNode) -> List[Point]:
         raise InternalCaseError(
             f"first reflex vertex {v} below the 1-cut has no horizontal reflex edge"
         )
-    if hedge.facing == "top":
+    # Heading east, the interior lies above the edge: it faces up.
+    if hedge.direction == EAST:
         return _no_safe_top(poly, c, hedge, node)
-    if hedge.facing == "bottom":
+    if hedge.direction == WEST:
         return _no_safe_bottom(poly, c, hedge, node)
-    raise InternalCaseError(f"unexpected facing {hedge.facing} for event edge")
+    raise InternalCaseError(f"unexpected direction {hedge.direction} for event edge")
 
 
 def _endpoints_west_east(e) -> Tuple[Point, Point]:
-    return (e.a, e.b) if e.a.x < e.b.x else (e.b, e.a)
+    """The ends of a horizontal edge, the west one first."""
+    return (e.b, e.a) if e.direction == WEST else (e.a, e.b)
 
 
 def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
@@ -345,7 +349,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
         raise InternalCaseError("case (b)(iii): no vertical cut at w/w' balances mod 3")
     # The cut must land on the reflex edge e.
     chord = materialize(poly, chosen)
-    el_lo, el_hi = sorted((e.a.x, e.b.x))
+    el_lo, el_hi = e.span()
     if not (el_lo <= chord.level <= el_hi and chord.lo == e.a.y):
         raise InternalCaseError(
             f"case (b)(iii): vertical cut at {poly.vertices[chosen.anchor]} does not land on e"
@@ -457,9 +461,8 @@ def _cover_monotone_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
         node.beacons.append(b)
         return [b]
     # Right endpoints of reflex edges, sorted left to right.
-    rights = sorted((max(e.a, e.b, key=lambda p: p.x) for e in redges),
-                    key=lambda p: (p.x, p.y))
-    e1 = next(e for e in redges if max(e.a, e.b, key=lambda p: p.x) == rights[0])
+    rights = sorted((_endpoints_west_east(e)[1] for e in redges), key=lambda p: (p.x, p.y))
+    e1 = next(e for e in redges if _endpoints_west_east(e)[1] == rights[0])
     v2 = rights[1]
     cut = Cut(poly.vertex_index(v2), "V")
     minus, plus = split(poly, cut)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from math import lcm
-from operator import itemgetter
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -32,14 +31,10 @@ EAST, NORTH, WEST, SOUTH = "E", "N", "W", "S"
 _UNIT = {EAST: Point(1, 0), NORTH: Point(0, 1), WEST: Point(-1, 0), SOUTH: Point(0, -1)}
 _BACK = {EAST: WEST, NORTH: SOUTH, WEST: EAST, SOUTH: NORTH}
 
-# Interior lies to the left of travel.
+# Interior lies to the left of travel: the unit vector towards it, and the
+# sense of the closed half-plane on its side of the edge's line.
 _INWARD = {EAST: Point(0, 1), WEST: Point(0, -1), NORTH: Point(-1, 0), SOUTH: Point(1, 0)}
-
-_first = itemgetter(0)
-
-# Facing of a convex/reflex edge (the direction the feature points at).
-_FACING_CONVEX = {EAST: "bottom", WEST: "top", NORTH: "right", SOUTH: "left"}
-_FACING_REFLEX = {EAST: "top", WEST: "bottom", NORTH: "left", SOUTH: "right"}
+_SENSE = {EAST: 1, WEST: -1, NORTH: -1, SOUTH: 1}
 
 
 class HalfPlane:
@@ -62,51 +57,36 @@ class HalfPlane:
 
 
 class EdgeRef:
-    """One polygon edge with its derived structure."""
+    """One polygon edge with its derived structure: RectPolygon decides its
+    direction and kind ('convex', 'reflex' or 'mixed', from the classes of
+    its ends) on the integer coordinates."""
 
-    __slots__ = ("index", "a", "b", "direction", "orientation", "kind", "facing", "halfplane")
+    __slots__ = ("index", "a", "b", "direction", "orientation", "kind")
 
-    def __init__(self, index: int, a: Point, b: Point, class_a: str, class_b: str):
+    def __init__(self, index: int, a: Point, b: Point, direction: str, kind: str):
         self.index = index
         self.a = a
         self.b = b
-        if a.y == b.y:
-            self.orientation = "H"
-            self.direction = EAST if b.x > a.x else WEST
-            level = a.y
-            axis = "y"
-        else:
-            self.orientation = "V"
-            self.direction = NORTH if b.y > a.y else SOUTH
-            level = a.x
-            axis = "x"
-        if class_a == CONVEX and class_b == CONVEX:
-            self.kind = "convex"
-            self.facing = _FACING_CONVEX[self.direction]
-        elif class_a == REFLEX and class_b == REFLEX:
-            self.kind = "reflex"
-            self.facing = _FACING_REFLEX[self.direction]
-        else:
-            self.kind = "mixed"
-            self.facing = None
-        inward = _INWARD[self.direction]
-        sense = 1 if (inward.x + inward.y) > 0 else -1
-        self.halfplane = HalfPlane(axis, level, sense)
+        self.direction = direction
+        self.orientation = "H" if direction in (EAST, WEST) else "V"
+        self.kind = kind
 
     @property
     def level(self) -> Fraction:
         return self.a.y if self.orientation == "H" else self.a.x
 
+    @property
+    def halfplane(self) -> HalfPlane:
+        """The closed half-plane bounded by the edge's line on the interior's side."""
+        return HalfPlane("y" if self.orientation == "H" else "x", self.level, _SENSE[self.direction])
+
     def span(self) -> Tuple[Fraction, Fraction]:
         """Closed range of the varying coordinate."""
-        if self.orientation == "H":
-            lo, hi = self.a.x, self.b.x
-        else:
-            lo, hi = self.a.y, self.b.y
-        return (lo, hi) if lo <= hi else (hi, lo)
+        lo, hi = (self.a, self.b) if self.direction in (EAST, NORTH) else (self.b, self.a)
+        return (lo.x, hi.x) if self.orientation == "H" else (lo.y, hi.y)
 
     def __repr__(self):
-        return f"EdgeRef({self.index}: {self.a}->{self.b} {self.kind} {self.facing or ''})"
+        return f"EdgeRef({self.index}: {self.a}->{self.b} {self.direction} {self.kind})"
 
 
 class Cut:
@@ -182,9 +162,10 @@ def _turn(xs: List[int], ys: List[int], a: int, b: int, c: int) -> int:
     return (t > 0) - (t < 0)
 
 
-def _merge_ring(points: Sequence[Point]) -> List[Point]:
-    """Drop repeated and 180-degree (collinear) vertices from a closed ring."""
-    _, xs, ys = _scaled(points)
+def _merge_ring(points: Sequence[Point]) -> Tuple[List[Point], Tuple[int, List[int], List[int]]]:
+    """Drop repeated and 180-degree (collinear) vertices from a closed ring:
+    (the points kept, (D, xs, ys) of them), D a common denominator."""
+    d, xs, ys = _scaled(points)
     keep: List[int] = []
     for k in range(len(points)):
         if not keep or xs[k] != xs[keep[-1]] or ys[k] != ys[keep[-1]]:
@@ -201,7 +182,14 @@ def _merge_ring(points: Sequence[Point]) -> List[Point]:
             i = 0 if i == len(keep) else max(i - 1, 0)
         else:
             i += 1
-    return [points[k] for k in keep]
+    return [points[k] for k in keep], (d, [xs[k] for k in keep], [ys[k] for k in keep])
+
+
+def _piece(ring: Sequence[Point]) -> "RectPolygon":
+    """The trusted polygon of a ring cut from a polygon: one scaling merges
+    the ring, classifies its vertices and edges and later builds its index."""
+    verts, ints = _merge_ring(ring)
+    return RectPolygon(verts, _trusted=True, _ints=ints)
 
 
 class RectPolygon:
@@ -212,9 +200,12 @@ class RectPolygon:
     """
 
     __slots__ = ("vertices", "n", "classes", "r", "reflex_indices", "edges",
-                 "was_reversed", "_vertex_pos", "area2", "_prefix", "_index")
+                 "was_reversed", "_vertex_pos", "area2", "_prefix", "_ints", "_index")
 
-    def __init__(self, vertices: Sequence[Point], was_reversed: bool = False, _trusted: bool = False):
+    def __init__(self, vertices: Sequence[Point], was_reversed: bool = False, _trusted: bool = False,
+                 _ints: Optional[Tuple[int, List[int], List[int]]] = None):
+        """_ints is (D, xs, ys) of the vertices if the caller has them: the
+        coordinates times D, a common denominator, as ints, which every edge query reads."""
         verts = tuple(vertices)
         if not _trusted:
             raise TypeError("use rectbeacon.polygon.validate() to build a RectPolygon")
@@ -222,7 +213,7 @@ class RectPolygon:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "was_reversed", was_reversed)
-        d, xs, ys = _scaled(verts)
+        d, xs, ys = _ints = _scaled(verts) if _ints is None else _ints
         classes = []
         for i in range(n):
             turn = _turn(xs, ys, i - 1, i, (i + 1) % n)
@@ -236,16 +227,22 @@ class RectPolygon:
         object.__setattr__(self, "r", len(reflex))
         if n != 2 * self.r + 4:
             raise NotRectilinear(f"n = {n} but 2r+4 = {2 * self.r + 4}; polygon is not CCW-simple")
-        edges = tuple(
-            EdgeRef(i, verts[i], verts[(i + 1) % n], classes[i], classes[(i + 1) % n])
-            for i in range(n)
-        )
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_vertex_pos", {p: i for i, p in enumerate(verts)})
+        edges = []
+        for i in range(n):
+            j = (i + 1) % n
+            if ys[i] == ys[j]:
+                direction = EAST if xs[i] < xs[j] else WEST
+            else:
+                direction = NORTH if ys[i] < ys[j] else SOUTH
+            edges.append(EdgeRef(i, verts[i], verts[j], direction,
+                                 classes[i] if classes[i] == classes[j] else "mixed"))
+        object.__setattr__(self, "edges", tuple(edges))
         # Twice the integral of x dy; horizontal edges contribute nothing.
         a2 = sum((xs[i - 1] + xs[i]) * (ys[i] - ys[i - 1]) for i in range(n))
         object.__setattr__(self, "area2", Fraction(a2, d * d))
         object.__setattr__(self, "_prefix", None)
+        object.__setattr__(self, "_vertex_pos", None)
+        object.__setattr__(self, "_ints", _ints)
         object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -284,15 +281,20 @@ class RectPolygon:
         return min(xs), min(ys), max(xs), max(ys)
 
     def vertex_index(self, p: Point) -> Optional[int]:
+        """The index of vertex p, else None, from a dict built on first use."""
+        if self._vertex_pos is None:
+            object.__setattr__(self, "_vertex_pos", {v: i for i, v in enumerate(self.vertices)})
         return self._vertex_pos.get(p)
 
     def edge_index(self) -> Tuple[int, dict]:
-        """(D, {"H": (levels, rows), "V": (levels, rows)}), built on first use:
-        D is the common denominator of the coordinates, and rows are the
-        edges of one orientation as (level, lo, hi, vertex at lo, vertex at
-        hi, edge index), coordinates times D as ints, sorted by level."""
+        """(D, {"H": (levels, rows), "V": (levels, rows)}), built on first use
+        from the ints the polygon was classified on, without scaling again: D
+        is a common denominator of the coordinates, not always the least, and
+        rows are the edges of one orientation as (level, lo, hi, vertex at
+        lo, vertex at hi, edge index), coordinates times D as ints, sorted by
+        level and so along each line across them."""
         if self._index is None:
-            d, xs, ys = _scaled(self.vertices)
+            d, xs, ys = self._ints
             rows = {"H": [], "V": []}
             for i, e in enumerate(self.edges):
                 j = (i + 1) % self.n
@@ -327,15 +329,8 @@ class RectPolygon:
 
     def monotonicity(self) -> dict:
         """x-monotone iff no vertical reflex edge; y-monotone iff no horizontal one."""
-        x_mono = True
-        y_mono = True
-        for e in self.edges:
-            if e.kind == "reflex":
-                if e.orientation == "V":
-                    x_mono = False
-                else:
-                    y_mono = False
-        return {"x_monotone": x_mono, "y_monotone": y_mono}
+        reflex = {e.orientation for e in self.edges if e.kind == "reflex"}
+        return {"x_monotone": "V" not in reflex, "y_monotone": "H" not in reflex}
 
     def is_xy_monotone(self) -> bool:
         m = self.monotonicity()
@@ -348,7 +343,7 @@ class RectPolygon:
 
         at_start_vertex is True when p is exactly vertices[index].
         """
-        idx = self._vertex_pos.get(p)
+        idx = self.vertex_index(p)
         if idx is not None:
             return (idx, True)
         d = self.edge_index()[0]
@@ -390,7 +385,7 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
     if len(pts) < 4:
         raise NotRectilinear("a rectilinear polygon needs at least 4 vertices")
     if merge_collinear:
-        pts = _merge_ring(pts)
+        pts = _merge_ring(pts)[0]
         if len(pts) < 4:
             raise NotRectilinear("degenerate polygon after merging collinear vertices")
 
@@ -527,33 +522,30 @@ def _check_general_position(poly: RectPolygon, xr: List[int], yr: List[int]) -> 
 def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Chord]:
     """The chords of poly on an axis line, in increasing order.
 
-    axis 'H' means the horizontal line y=level.  The edges across the line
-    that reach just below it, sorted along the line, pair up into the
-    intervals inside poly just below the line, and those that reach just
-    above it into the intervals just above.  A chord is where an interval
-    from below overlaps one from above, so boundary runs on the line are
-    never part of one.  Each end is (vertex index, True) when its edge ends
-    on the line, else (edge index, False).
+    axis 'H' means the horizontal line y=level.  The edge index rows of the
+    other orientation are already in order along the line; on the line
+    scaled by D, a common denominator, int compares tell which of them reach
+    just below it and which just above.  Those below pair up into the
+    intervals inside poly just below the line, and those above into the
+    intervals just above.  A chord is where an interval from below overlaps
+    one from above, so boundary runs on the line are never part of one.
+    Each end is (vertex index, True) when its edge ends on the line, else
+    (edge index, False).
     """
+    d, index = poly.edge_index()
+    # The scaled line lies in [floor, ceil], one int when it is a vertex level.
+    floor, ceil = level.numerator * d // level.denominator, -(-level.numerator * d // level.denominator)
     below, above = [], []
-    for e in poly.edges:
-        if e.orientation == axis:
+    for row in index["V" if axis == "H" else "H"][1]:
+        c, lo, hi, vlo, vhi, i = row
+        if hi < ceil or floor < lo:
             continue
-        c, u, w = (e.a.x, e.a.y, e.b.y) if axis == "H" else (e.a.y, e.a.x, e.b.x)
-        lo, hi = (u, w) if u < w else (w, u)
-        if hi < level or level < lo:
-            continue
-        reaches_below, reaches_above = lo < level, level < hi
-        if reaches_below and reaches_above:
-            end = (e.index, False)
-        else:
-            end = (e.index if u == level else (e.index + 1) % poly.n, True)
+        reaches_below, reaches_above = lo < ceil, floor < hi
+        end = (i, False) if reaches_below and reaches_above else (vhi if reaches_below else vlo, True)
         if reaches_below:
-            below.append((c, end))
+            below.append((c, i, end))
         if reaches_above:
-            above.append((c, end))
-    below.sort(key=_first)
-    above.sort(key=_first)
+            above.append((c, i, end))
     lows, highs = list(zip(below[::2], below[1::2])), list(zip(above[::2], above[1::2]))
     chords: List[Chord] = []
     i = j = 0
@@ -565,7 +557,8 @@ def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Chord]
         low_ends_first = l1[0] < h1[0]
         hi = l1 if low_ends_first else h1
         if lo[0] < hi[0]:
-            chords.append(Chord(axis, level, lo[0], hi[0], (lo[1], hi[1])))
+            ends = (lo[2], hi[2])
+            chords.append(Chord(axis, level, poly.edges[lo[1]].level, poly.edges[hi[1]].level, ends))
         if low_ends_first:
             i += 1
         else:
@@ -722,9 +715,7 @@ def split(poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
     from that side (it may still reach around to the other side elsewhere).
     """
     minus_ring, plus_ring = _split_rings(poly, cut)
-    p_minus = RectPolygon(_merge_ring(minus_ring), _trusted=True)
-    p_plus = RectPolygon(_merge_ring(plus_ring), _trusted=True)
-    return p_minus, p_plus
+    return _piece(minus_ring), _piece(plus_ring)
 
 
 # One side of a located chord: its vertices are s, s+1, ..., t-1 (cyclic),
@@ -811,7 +802,7 @@ def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon
     """Pocket of reflex edge e at endpoint v: the split side not containing e."""
     chord, is_minus = pocket_side(poly, edge_index, vertex_index)
     side = chord_sides(chord)[0 if is_minus else 1]
-    return RectPolygon(_merge_ring(_ring(poly, chord, side)), _trusted=True)
+    return _piece(_ring(poly, chord, side))
 
 
 # --------------------------------------------------- normal cut enumeration
@@ -838,22 +829,22 @@ def iter_normal_cuts(poly: RectPolygon, orientation: str) -> Iterator[NormalCutC
     """All combinatorial classes of normal cuts of one orientation, generated
     band by band in increasing level order.
 
-    Bands between consecutive distinct vertex levels each contribute one
-    representative per chord; r(P_minus) is constant within a class.  A
-    band's midpoint is no vertex level, so the edges across it, in order,
+    Bands between consecutive distinct vertex levels, the levels of the edge
+    index rows of the cut's orientation, each contribute one representative
+    per chord; r(P_minus) is constant within a class.  A band's midpoint is
+    no vertex level, so the index rows across it, already in order along it,
     pair up into its chords, and r(P_minus) is a prefix count between the
     two edges a chord ends on.
     """
-    levels = sorted({(p.y if orientation == "H" else p.x) for p in poly.vertices})
-    rank = {v: k for k, v in enumerate(levels)}
-    # (level, index, rank of the span's ends) of every edge that can cross a band.
-    across = sorted((e.level, e.index, *(rank[c] for c in e.span()))
-                    for e in poly.edges if e.orientation != orientation)
-    for k in range(len(levels) - 1):
-        ends = [(c, i) for c, i, lo, hi in across if lo <= k < hi]
-        t = (levels[k] + levels[k + 1]) / 2
-        for (lo, i), (hi, j) in zip(ends[::2], ends[1::2]):
-            chord = Chord(orientation, t, lo, hi, ((i, False), (j, False)))
+    d, index = poly.edge_index()
+    levels = list(dict.fromkeys(index[orientation][0]))
+    across = index["V" if orientation == "H" else "H"][1]
+    for below, above in zip(levels, levels[1:]):
+        ends = [i for _, lo, hi, _, _, i in across if lo <= below < hi]
+        t = Fraction(below + above, 2 * d)
+        for i, j in zip(ends[::2], ends[1::2]):
+            chord = Chord(orientation, t, poly.edges[i].level, poly.edges[j].level, ((i, False), (j, False)))
             minus, _ = chord_sides(chord)
             rm = poly.reflex_counts(minus.s, minus.t)[0]
-            yield NormalCutClass(orientation, t, lo, hi, rm, Cut(chord.a, orientation, _chord=chord))
+            cut = Cut(chord.a, orientation, _chord=chord)
+            yield NormalCutClass(orientation, t, chord.lo, chord.hi, rm, cut)

@@ -148,9 +148,9 @@ def union_to_polygons(boxes: Iterable[Box]) -> List[RectPolygon]:
             cur = (cur[1], nexts[0])
         else:
             raise InternalCaseError("union boundary failed to close")
-        merged = _merge_ring(ring)
+        merged, ints = _merge_ring(ring)
         if len(merged) >= 4:
-            out.append(RectPolygon(merged, _trusted=True))
+            out.append(RectPolygon(merged, _trusted=True, _ints=ints))
     return out
 
 

@@ -18,6 +18,7 @@ from .attraction import attraction_path, attracts
 from .errors import BudgetExceeded
 from .geometry import Point, midpoint
 from .polygon import RectPolygon, chords_on_line
+from .regions import _merge_intervals
 
 
 class SamplePlan:
@@ -32,19 +33,11 @@ class SamplePlan:
         return f"SamplePlan(grid={self.grid}, seed={self.seed}, jitter={self.jitter})"
 
 
-def _row_intervals(poly: RectPolygon, y: Fraction) -> List[Tuple[Fraction, Fraction]]:
+def _row_intervals(poly: RectPolygon, y: Fraction) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """Merged closed x-intervals of the polygon on the horizontal line y."""
     ivs = [(chord.lo, chord.hi) for chord in chords_on_line(poly, "H", y)]
     ivs.extend(poly.edges[row[5]].span() for row in poly.edges_at("H", y))
-    ivs.sort()
-    merged: List[Tuple[Fraction, Fraction]] = []
-    for lo, hi in ivs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
+    return _merge_intervals(ivs)
 
 
 def _min_gap(values: Sequence[Fraction]) -> Fraction:
@@ -280,12 +273,7 @@ def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
         raise BudgetExceeded(f"necessity check needs ~{cost} evaluations > {budget}")
 
     memo: Dict[Tuple[Point, Point], bool] = {}  # shared by every subset
-
-    def attr(b: Point, s: Point) -> bool:
-        key = (b, s)
-        if key not in memo:
-            memo[key] = attracts(poly, b, s)
-        return memo[key]
+    attr = AttractionGraph(poly, (), memo)._attr
 
     tried = 0
     for subset in itertools.combinations(cands, k):

@@ -1,10 +1,13 @@
-"""Independent oracle for vertex classes and ring merging, in Fractions.
+"""Independent oracle for vertex classes, edge structure and ring merging,
+in Fractions.
 
 turn is the sign of a cross product of Point differences, with shortcuts
 for a horizontal edge followed by a vertical one and the reverse; classes
-and merge_ring apply it to the points themselves.  rectbeacon.polygon, which
-compares the coordinates scaled to integers by their common denominator
-instead, is checked against them.
+and merge_ring apply it to the points themselves, and edges reads each
+edge's orientation, direction and supporting half-plane off its end
+points and its kind off their classes.  rectbeacon.polygon, which compares
+the coordinates scaled to integers by a common denominator instead, is
+checked against them.
 """
 
 from rectbeacon.polygon import CONVEX, REFLEX
@@ -45,4 +48,29 @@ def merge_ring(points):
             i = 0 if i == len(out) else max(i - 1, 0)
         else:
             i += 1
+    return out
+
+
+def edges(vertices):
+    """(orientation, direction, kind, half-plane axis, c, sense) of each edge
+    of a CCW ring: the interior lies left of travel, so the inward normal is
+    the travel vector turned a quarter left."""
+    n = len(vertices)
+    cls = classes(vertices)
+    out = []
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        if a.y == b.y:
+            orientation, direction, axis, level = "H", "E" if b.x > a.x else "W", "y", a.y
+        else:
+            orientation, direction, axis, level = "V", "N" if b.y > a.y else "S", "x", a.x
+        if cls[i] == CONVEX and cls[(i + 1) % n] == CONVEX:
+            kind = "convex"
+        elif cls[i] == REFLEX and cls[(i + 1) % n] == REFLEX:
+            kind = "reflex"
+        else:
+            kind = "mixed"
+        travel = b - a
+        sense = 1 if travel.x - travel.y > 0 else -1  # inward normal (-travel.y, travel.x)
+        out.append((orientation, direction, kind, axis, level, sense))
     return out

@@ -125,6 +125,20 @@ def test_simulate_malformed_point_exits_2():
     assert "Traceback" not in r.stderr
 
 
+def test_coordinates_at_the_digit_limit_round_trip():
+    """A number of 4300 digits, exponent included, is read and printed back."""
+    big = "9" * 4299 + "e1"
+    r = run(["kernel", "-"], inp=_ring_json([(0, 0), (big, 0), (big, 1), (0, 1)]))
+    assert r.returncode == 0, r.stderr
+    assert ["9" * 4299 + "0", "1"] in json.loads(r.stdout)["kernel"]
+
+
+def test_simulate_oversized_point_exits_2():
+    r = run(["simulate", "-", "--from", "1e5000,0", "--beacon", "1,3"], inp=U_JSON)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: bad point ") and r.stderr.count("\n") == 1, r.stderr
+
+
 def test_kernel_square_is_input():
     sq = json.dumps({"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]})
     r = run(["kernel", "-"], inp=sq)
@@ -211,9 +225,17 @@ _GOOD_BEACONS = json.dumps({"beacons": [["2", "2"]], "mode": "route"})
     (["kernel", "{bad}"], {"bad": _ring_json([(0, 0), (2, 0), (2, 2), ("1/0", 2)])}),
     (["verify", "route", "{poly}", "{beacons}", "--pairs", "{bad}"],
      {"bad": '{"pairs": [[["1/0","1"],["2","3"]]]}'}),
+    (["kernel", "{bad}"], {"bad": _ring_json([(0, 0), ("1e5000", 0), ("1e5000", 1), (0, 1)])}),
+    (["kernel", "{bad}"], {"bad": _ring_json([(0, 0), ("1e10000000", 0), ("1e10000000", 1), (0, 1)])}),
+    (["kernel", "{bad}"], {"bad": _ring_json([(0, 0), (1, 0), (1, "1E-4300"), (0, "1E-4300")])}),
+    (["cover", "{bad}"], {"bad": _ring_json([(0, 0), ("9" * 4301, 0), ("9" * 4301, 1), (0, 1)])}),
+    (["verify", "cover", "{poly}", "{bad}"], {"bad": '{"beacons": [["2", "2e9999"]]}'}),
 ], ids=["pairs_missing", "pairs_bad_number", "pairs_short", "path_missing", "path_not_list",
         "polygon_not_list", "polygon_number", "polygon_null", "beacons_not_list",
-        "beacons_number", "beacons_null", "polygon_zero_denominator", "pairs_zero_denominator"])
+        "beacons_number", "beacons_null", "polygon_zero_denominator", "pairs_zero_denominator",
+        "polygon_exponent_past_digit_limit", "polygon_exponent_of_eight_digits",
+        "polygon_negative_exponent_at_digit_limit", "polygon_digits_past_limit",
+        "beacons_exponent_past_digit_limit"])
 def test_unreadable_input_exits_2_with_one_error_line(tmp_path, command, files):
     paths = {"poly": tmp_path / "u.json", "beacons": tmp_path / "b.json",
              "missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json"}

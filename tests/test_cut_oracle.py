@@ -238,8 +238,8 @@ def test_pocket_side_matches_chain_walk():
                 minus_ring, plus_ring = cut_oracle.split_rings(p, chord)
                 want = list(cut_oracle.pocket(p, e.index, vi).vertices)
                 pocket_ring, other_ring = (minus_ring, plus_ring) if is_minus else (plus_ring, minus_ring)
-                assert _merge_ring(pocket_ring) == want, (p.vertices, e.index, vi)
-                assert _merge_ring(other_ring) != want, (p.vertices, e.index, vi)
+                assert _merge_ring(pocket_ring)[0] == want, (p.vertices, e.index, vi)
+                assert _merge_ring(other_ring)[0] != want, (p.vertices, e.index, vi)
                 ends += 1
     assert ends >= 2000
 
@@ -335,14 +335,54 @@ def test_classes_and_merged_rings_match_fraction_turns():
     for p in MAPPED:
         assert list(p.classes) == ring_oracle.classes(p.vertices), p.vertices
         padded = _padded(p)
-        assert _merge_ring(padded) == ring_oracle.merge_ring(padded) == list(p.vertices[1:] + p.vertices[:1])
+        assert _merge_ring(padded)[0] == ring_oracle.merge_ring(padded) == list(p.vertices[1:] + p.vertices[:1])
         for o in "HV":
             for nc in list(iter_normal_cuts(p, o))[:3]:
                 for ring in _split_rings(p, nc.cut):
-                    assert _merge_ring(ring) == ring_oracle.merge_ring(ring), (p.vertices, nc)
+                    assert _merge_ring(ring)[0] == ring_oracle.merge_ring(ring), (p.vertices, nc)
                     rings += 1
         rings += 1
     assert rings >= 1000
+
+
+def _edge_table(p):
+    return [(e.orientation, e.direction, e.kind, e.halfplane.axis, e.halfplane.c, e.halfplane.sense)
+            for e in p.edges]
+
+
+def _index_rows(p):
+    """p's edge index rows, coordinates divided by its D."""
+    d, index = p.edge_index()
+    return {o: [(Fraction(c, d), Fraction(lo, d), Fraction(hi, d), *ends) for c, lo, hi, *ends in rows]
+            for o, (_, rows) in index.items()}
+
+
+def test_edge_table_matches_fraction_rule():
+    """Each edge's orientation, direction, kind and half-plane, decided on
+    the integer coordinates, against the Fraction rule, and each piece's
+    index, built on the ints of the ring it was cut from, against one built
+    on a fresh scaling of its vertices: on the mapped copies and on the
+    pieces their splits, pockets and clips along their reflex edges and
+    middle bands make.  Some clip pieces drop every vertex with one of the
+    ring's denominators, so their D is a multiple of their least one."""
+    pieces = coarser = 0
+    for p in MAPPED:
+        made = _split_pieces(p)
+        made += [pocket(p, e.index, v) for e in p.reflex_edges() for v in (e.index, (e.index + 1) % p.n)]
+        clips = [(hp.axis, hp.c) for hp in (e.halfplane for e in p.reflex_edges())]
+        for o, axis in (("H", "y"), ("V", "x")):
+            classes = list(iter_normal_cuts(p, o))
+            clips.append((axis, classes[len(classes) // 2].level))
+        for axis, c in clips:
+            made += clip_fast(p, axis, c, True) + clip_fast(p, axis, c, False)
+        for q in [p] + made:
+            assert _edge_table(q) == ring_oracle.edges(q.vertices), q.vertices
+        for q in made:
+            fresh = RectPolygon(q.vertices, _trusted=True)
+            assert _index_rows(q) == _index_rows(fresh), q.vertices
+            coarser += q.edge_index()[0] != fresh.edge_index()[0]
+        pieces += len(made)
+    assert pieces >= 10000 and coarser >= 5
 
 
 def test_trusted_collinear_vertex_at_fractional_coordinates_rejected():
