@@ -504,8 +504,7 @@ def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
 def _pockets(poly: RectPolygon):
     """(edge index, endpoint vertex index, summary) for every reflex edge end."""
     for e in poly.reflex_edges():
-        for p in (e.a, e.b):
-            vi = poly.vertex_index(p)
+        for vi in (e.index, (e.index + 1) % poly.n):
             yield e.index, vi, pocket_summary(poly, e.index, vi)
 
 

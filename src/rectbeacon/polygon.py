@@ -27,8 +27,7 @@ REFLEX = "reflex"
 # Travel direction of an edge, from the CCW vertex order.
 EAST, NORTH, WEST, SOUTH = "E", "N", "W", "S"
 
-# Unit vector of each direction, and the direction back along it.
-_UNIT = {EAST: Point(1, 0), NORTH: Point(0, 1), WEST: Point(-1, 0), SOUTH: Point(0, -1)}
+# The direction back along each direction.
 _BACK = {EAST: WEST, NORTH: SOUTH, WEST: EAST, SOUTH: NORTH}
 
 # Interior lies to the left of travel: the unit vector towards it, and the
@@ -314,16 +313,39 @@ class RectPolygon:
         return rows[bisect_left(levels, level):bisect_right(levels, level)]
 
     def contains(self, p: Point) -> str:
-        """'in', 'on' or 'out' (closed polygon; exact).  Off the boundary, p
-        is inside iff an odd number of the vertical edges right of it span
-        the row floor(p.y * D), lower end in, upper end out.  That row meets
-        the boundary an even number of times, so the edges left of p have the
-        same parity, and the fewer are counted."""
-        if self.locate_boundary(p) is not None:
-            return "on"
-        d, index = self.edge_index()
-        (levels, rows), row = index["V"], p.y.numerator * d // p.y.denominator
-        k = bisect_right(levels, p.x.numerator * d // p.x.denominator)
+        """'in', 'on' or 'out' (closed polygon; exact)."""
+        where = self.locate_scaled(*self._scale_point(p))
+        return "on" if isinstance(where, tuple) else where
+
+    def _scale_point(self, p: Point) -> Tuple[int, int, int]:
+        """(x, y, q): p times D*q as ints, q the common denominator of p."""
+        q = lcm(p.x.denominator, p.y.denominator)
+        s = self.edge_index()[0] * q
+        return p.x.numerator * (s // p.x.denominator), p.y.numerator * (s // p.y.denominator), q
+
+    def locate_scaled(self, x: int, y: int, q: int) -> Union[Tuple[int, bool], str]:
+        """Where the point (x, y) / (D*q) lies, D the edge index's scale:
+        (vertex index, True) at a vertex, (edge index, False) inside an
+        edge, else 'in' or 'out'.  Every vertex ends a vertical edge, so the
+        horizontal rows at its level only hold edge interiors.  Off the
+        boundary, the point is inside iff an odd number of the vertical
+        edges right of it span the row floor(y / q), lower end in, upper end
+        out.  That row meets the boundary an even number of times, so the
+        edges left of the point have the same parity, and the fewer are
+        counted."""
+        _, index = self.edge_index()
+        (levels, rows), (hlevels, hrows) = index["V"], index["H"]
+        if x % q == 0:
+            c = x // q
+            for _, lo, hi, vlo, vhi, i in rows[bisect_left(levels, c):bisect_right(levels, c)]:
+                if lo * q <= y <= hi * q:
+                    return (vlo, True) if y == lo * q else (vhi, True) if y == hi * q else (i, False)
+        if y % q == 0:
+            c = y // q
+            for _, lo, hi, _, _, i in hrows[bisect_left(hlevels, c):bisect_right(hlevels, c)]:
+                if lo * q < x < hi * q:
+                    return (i, False)
+        row, k = y // q, bisect_right(levels, x // q)
         side = rows[k:] if 2 * k >= len(rows) else rows[:k]
         return "in" if sum(lo <= row < hi for _, lo, hi, _, _, _ in side) % 2 else "out"
 
@@ -343,15 +365,8 @@ class RectPolygon:
 
         at_start_vertex is True when p is exactly vertices[index].
         """
-        idx = self.vertex_index(p)
-        if idx is not None:
-            return (idx, True)
-        d = self.edge_index()[0]
-        for o, c, u in (("V", p.x, p.y), ("H", p.y, p.x)):
-            for _, lo, hi, _, _, i in self.edges_at(o, c):
-                if lo * u.denominator <= u.numerator * d <= hi * u.denominator:
-                    return (i, False)
-        return None
+        where = self.locate_scaled(*self._scale_point(p))
+        return where if isinstance(where, tuple) else None
 
     # ---------------------------------------------------------------- display
 

@@ -12,6 +12,7 @@ import bisect
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .attraction import attraction_path, attracts
@@ -88,7 +89,10 @@ def build_samples(poly: RectPolygon, plan: SamplePlan) -> List[Point]:
             if poly.contains(q) != "out":
                 samples.add(q)
                 added += 1
-    return sorted(samples, key=lambda p: p.key())
+    # By (x, y), compared as ints: the coordinates times their common denominator.
+    d = lcm(*(p.x.denominator for p in samples), *(p.y.denominator for p in samples))
+    return sorted(samples, key=lambda p: (p.x.numerator * (d // p.x.denominator),
+                                          p.y.numerator * (d // p.y.denominator)))
 
 
 class VerifyReport:
@@ -142,34 +146,61 @@ def verify_coverage(poly: RectPolygon, beacons: Sequence[Point],
     return VerifyReport(uncovered == 0, witnesses, stats)
 
 
+class AttractionMemo:
+    """attracts(poly, beacon, source) by point ids, each computed once.
+
+    ids numbers every distinct point once, in the order first seen; the
+    answers are keyed on (beacon id, source id), so a lookup hashes two
+    small ints instead of two Points.  A memo shared by several graphs
+    carries its id table with it.
+    """
+
+    def __init__(self, poly: RectPolygon):
+        self.poly = poly
+        self.ids: Dict[Point, int] = {}
+        self.points: List[Point] = []
+        self.known: Dict[Tuple[int, int], bool] = {}
+
+    def id(self, p: Point) -> int:
+        i = self.ids.get(p)
+        if i is None:
+            i = self.ids[p] = len(self.points)
+            self.points.append(p)
+        return i
+
+    def attracts(self, beacon: int, source: int) -> bool:
+        key = (beacon, source)
+        got = self.known.get(key)
+        if got is None:
+            got = self.known[key] = attracts(self.poly, self.points[beacon], self.points[source])
+        return got
+
+
 class AttractionGraph:
     """Directed beacon-to-beacon attraction reachability with memoization."""
 
     def __init__(self, poly: RectPolygon, beacons: Sequence[Point],
-                 memo: Optional[Dict[Tuple[Point, Point], bool]] = None):
+                 memo: Optional[AttractionMemo] = None):
         self.poly = poly
         self.beacons = list(beacons)
-        self._memo = {} if memo is None else memo  # (beacon, source) -> attracts
+        self.memo = AttractionMemo(poly) if memo is None else memo
+        attr = self.memo.attracts
+        self._ids = [self.memo.id(b) for b in self.beacons]
         self._succ: Dict[int, List[int]] = {}
-        for i, src in enumerate(self.beacons):
-            self._succ[i] = [j for j, dst in enumerate(self.beacons)
-                             if i != j and self._attr(dst, src)]
-
-    def _attr(self, beacon: Point, source: Point) -> bool:
-        key = (beacon, source)
-        if key not in self._memo:
-            self._memo[key] = attracts(self.poly, beacon, source)
-        return self._memo[key]
+        for i, src in enumerate(self._ids):
+            self._succ[i] = [j for j, dst in enumerate(self._ids) if i != j and attr(dst, src)]
 
     def route(self, s: Point, t: Point) -> Optional[int]:
         """Chain length routing s to t (0 = direct attraction), or None."""
-        if self._attr(t, s):
+        attr, ids = self.memo.attracts, self._ids
+        s, t = self.memo.id(s), self.memo.id(t)
+        if attr(t, s):
             return 0
-        frontier = [i for i, b in enumerate(self.beacons) if self._attr(b, s)]
+        frontier = [i for i, b in enumerate(ids) if attr(b, s)]
         seen = set(frontier)
         depth = 1
         while frontier:
-            if any(self._attr(t, self.beacons[i]) for i in frontier):
+            if any(attr(t, ids[i]) for i in frontier):
                 return depth
             nxt = []
             for i in frontier:
@@ -272,17 +303,19 @@ def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
     if cost > budget:
         raise BudgetExceeded(f"necessity check needs ~{cost} evaluations > {budget}")
 
-    memo: Dict[Tuple[Point, Point], bool] = {}  # shared by every subset
-    attr = AttractionGraph(poly, (), memo)._attr
+    memo = AttractionMemo(poly)  # shared by every subset
+    ids = [memo.id(c) for c in cands]
+    sample_ids = [memo.id(s) for s in samples] if mode == "cover" else []
 
     tried = 0
-    for subset in itertools.combinations(cands, k):
+    for subset in itertools.combinations(range(len(cands)), k):
         tried += 1
+        beacons = [cands[i] for i in subset]
         if mode == "cover":
-            if all(any(attr(b, s) for b in subset) for s in samples):
-                return ("counterexample", list(subset))
+            if all(any(memo.attracts(ids[i], s) for i in subset) for s in sample_ids):
+                return ("counterexample", beacons)
         else:
-            graph = AttractionGraph(poly, subset, memo)
+            graph = AttractionGraph(poly, beacons, memo)
             if all(graph.route(s, t) is not None for s, t in pair_list):
-                return ("counterexample", list(subset))
+                return ("counterexample", beacons)
     return ("pass", tried)

@@ -17,8 +17,10 @@ vertex, every edge midpoint and the points of a 9 x 9 grid over the
 bounding box, boundary_hits from every vertex towards each reflex vertex
 (t_max = 1) and along the four axis rays from every edge midpoint, and
 is_dead_point from every vertex and edge midpoint towards each reflex
-vertex.  Polygons with n <= 64 also get cover and route beacons with their
-traces, and those with n <= 24 both verifier reports.
+vertex.  Polygons with n <= 24 also get the attraction_path segments from
+every vertex and edge midpoint towards each reflex vertex.  Polygons with
+n <= 64 also get cover and route beacons with their traces, and those with
+n <= 24 both verifier reports.
 """
 
 import json
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from rectbeacon.attraction import is_dead_point  # noqa: E402
+from rectbeacon.attraction import attraction_path, is_dead_point  # noqa: E402
 from rectbeacon.clipping import clip_fast  # noqa: E402
 from rectbeacon.errors import GeometryError  # noqa: E402
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear  # noqa: E402
@@ -135,6 +137,18 @@ def dump_hits(poly, out):
             shown(boundary_hits(poly, z, d)) for d in (Point(1, 0), Point(-1, 0), Point(0, 1), Point(0, -1))))
 
 
+def dump_paths(poly, out):
+    starts = list(poly.vertices) + [midpoint(e.a, e.b) for e in poly.edges]
+    for i in poly.reflex_indices:
+        b = poly.vertices[i]
+        for q in starts:
+            path = attraction_path(poly, q, b)
+            segs = " ".join(f"{s.mode[0]}{'' if s.edge is None else s.edge}:({s.a.x},{s.a.y})-({s.b.x},{s.b.y})"
+                            for s in path.segments)
+            out(f"path ({q.x},{q.y})->{i}: {path.outcome} {path.dead_reason} "
+                f"({path.terminal.x},{path.terminal.y}) {segs}")
+
+
 def dump(name, poly, out):
     out(f"# {name}: n={poly.n} r={poly.r} {pts(poly.vertices)}")
     k = kernel(poly)
@@ -155,6 +169,8 @@ def dump(name, poly, out):
     for b in targets:
         out(f"dead towards ({b.x},{b.y}): "
             + "".join("1" if is_dead_point(poly, q, b) else "0" for q in starts))
+    if poly.n <= 24:
+        dump_paths(poly, out)
     if poly.n > 64:
         return
     for place in (cover, route_beacons):

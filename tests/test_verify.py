@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from rectbeacon.attraction import attraction_path
+import itertools
+
+from rectbeacon.attraction import attraction_path, attracts
 from rectbeacon.errors import BudgetExceeded
 from rectbeacon.generators import coverage_spiral, greedy_cover_spiral, random_rectilinear, routing_spiral
 from rectbeacon.geometry import Point
 from rectbeacon.placement import route_beacons
-from rectbeacon.polygon import validate
+from rectbeacon.polygon import CONVEX, validate
 from rectbeacon.verify import (
+    AttractionGraph,
+    AttractionMemo,
     SamplePlan,
     build_samples,
     default_pairs,
@@ -126,3 +130,65 @@ def test_budget_guard():
     p = random_rectilinear(24, 3)
     with pytest.raises(BudgetExceeded):
         exhaust_necessity(p, 4, "cover", budget=1000)
+
+
+def _fresh_necessity(poly, k, mode, cands, pairs, samples):
+    """exhaust_necessity with nothing shared between subsets: attracts
+    straight for coverage, a fresh AttractionGraph per subset for routing."""
+    tried = 0
+    for subset in itertools.combinations(cands, k):
+        tried += 1
+        if mode == "cover":
+            ok = all(any(attracts(poly, b, s) for b in subset) for s in samples)
+        else:
+            graph = AttractionGraph(poly, subset)
+            ok = all(graph.route(s, t) is not None for s, t in pairs)
+        if ok:
+            return ("counterexample", list(subset))
+    return ("pass", tried)
+
+
+def test_shared_memo_matches_fresh_graph_per_subset():
+    results = set()
+    for p in (coverage_spiral(3)[0], random_rectilinear(12, 2)):
+        plan, pairs = SamplePlan(grid=6), default_pairs(p, 8)
+        samples = build_samples(p, plan)
+        convex = [v for v, c in zip(p.vertices, p.classes) if c == CONVEX]
+        for cands in (necessity_candidates(p, grid=4)[::-1], convex):
+            for mode in ("cover", "route"):
+                for k in (1, 2):
+                    got = exhaust_necessity(p, k, mode, candidates=cands, pairs=pairs, plan=plan)
+                    assert got == _fresh_necessity(p, k, mode, cands, pairs, samples), (p, mode, k)
+                    results.add(got[0])
+    assert results == {"pass", "counterexample"}
+
+
+def _chain(poly, beacons, s, t):
+    """The routing chain length from s to t by breadth-first search on attracts."""
+    if attracts(poly, t, s):
+        return 0
+    frontier = {b for b in beacons if attracts(poly, b, s)}
+    seen, depth = set(frontier), 1
+    while frontier:
+        if any(attracts(poly, t, b) for b in frontier):
+            return depth
+        frontier = {c for c in beacons if c not in seen and any(c != b and attracts(poly, c, b) for b in frontier)}
+        seen |= frontier
+        depth += 1
+    return None
+
+
+def test_route_between_points_that_are_not_beacons_matches_attracts_chains():
+    chains = set()
+    for p in (coverage_spiral(3)[0], random_rectilinear(12, 2), random_rectilinear(16, 4)):
+        placed = route_beacons(p).beacons
+        pairs = [(s, t) for s, t in default_pairs(p, 30, seed=1) if s not in placed]
+        memo = AttractionMemo(p)
+        # A memo already holding the ids of other points and beacons.
+        AttractionGraph(p, [v for v in p.vertices if v not in placed][:3], memo).route(*pairs[0])
+        for beacons in (placed, placed[:1]):
+            want = [_chain(p, beacons, s, t) for s, t in pairs]
+            for graph in (AttractionGraph(p, beacons), AttractionGraph(p, beacons, memo)):
+                assert [graph.route(s, t) for s, t in pairs] == want
+            chains.update(want)
+    assert {None, 0, 1, 2} <= chains
