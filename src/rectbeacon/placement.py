@@ -564,8 +564,14 @@ def _pocket_wraps(poly: RectPolygon, e_idx: int, pk: PocketSummary) -> bool:
     return False
 
 
-def _select_routing_pocket(poly: RectPolygon) -> Tuple[int, int]:
-    """Pick (edge, endpoint) with a monotone pocket, avoiding sweep pitfalls.
+def _other_end(poly: RectPolygon, e_idx: int, v_idx: int) -> int:
+    """The index of the end of edge e_idx that is not vertex v_idx."""
+    return (e_idx + 1) % poly.n if v_idx == e_idx else e_idx
+
+
+def _select_routing_pocket(poly: RectPolygon) -> Optional[Tuple[int, int, PocketSummary]]:
+    """Pick (edge, endpoint, pocket summary) with a monotone pocket, avoiding
+    sweep pitfalls; the caller builds the pocket and checks it.
 
     Preference order: a pocket with at least one reflex vertex (that branch
     recurses the whole complement, so its shape is irrelevant); then a
@@ -579,12 +585,10 @@ def _select_routing_pocket(poly: RectPolygon) -> Tuple[int, int]:
         raise InternalCaseError("no xy-monotone pocket exists")
     rich = [(e_idx, vi, pk) for e_idx, vi, pk in monos if pk.r >= 1]
     if rich:
-        return _build_chosen(poly, *min(rich, key=lambda t: (-t[2].r, t[2].n, t[0], t[1])))
+        return min(rich, key=lambda t: (-t[2].r, t[2].n, t[0], t[1]))
     for e_idx, vi, pk in sorted(monos, key=lambda t: (t[2].n, t[0], t[1])):
-        e = poly.edges[e_idx]
-        other = e.b if poly.vertices[vi] == e.a else e.a
-        if not _pocket_wraps(poly, e_idx, summaries[e_idx, poly.vertex_index(other)]):
-            return _build_chosen(poly, e_idx, vi, pk)
+        if not _pocket_wraps(poly, e_idx, summaries[e_idx, _other_end(poly, e_idx, vi)]):
+            return e_idx, vi, pk
     return None  # caller falls back to the generic pair scheme
 
 
@@ -595,13 +599,12 @@ def _route_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
     selected = _select_routing_pocket(poly)
     if selected is None:
         return _route_pair_fallback(poly, node)
-    e_idx, v_idx = selected
+    e_idx, v_idx, summary = selected
     t = _normalizing_transform(poly, e_idx, v_idx)
     q = t.polygon(poly)
     inv = t.inverse
-    beacons_q = _route_normalized(q, t.point(poly.edges[e_idx].a),
-                                  t.point(poly.edges[e_idx].b),
-                                  t.point(poly.vertices[v_idx]), node)
+    vpi = _other_end(poly, e_idx, v_idx)
+    beacons_q = _route_normalized(q, t.vertex(v_idx, poly.n), t.vertex(vpi, poly.n), summary, node)
     return [inv.point(b) for b in beacons_q]
 
 
@@ -616,8 +619,8 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
     """
     budget = (3 * poly.r) // 4
     for e in poly.reflex_edges():
-        for vpt, other in ((e.a, e.b), (e.b, e.a)):
-            vi = poly.vertex_index(vpt)
+        for vi in (e.index, (e.index + 1) % poly.n):
+            vpt, other = poly.vertices[vi], poly.vertices[_other_end(poly, e.index, vi)]
             chord_a, pocket_is_minus = pocket_side(poly, e.index, vi)
             minus, plus = split(poly, Cut(vi, e.orientation, _chord=chord_a))
             a_piece, rest = (minus, plus) if pocket_is_minus else (plus, minus)
@@ -649,22 +652,23 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
     )
 
 
-def _route_normalized(poly: RectPolygon, ta: Point, tb: Point, tv: Point,
+def _route_normalized(poly: RectPolygon, vi: int, vpi: int, summary: PocketSummary,
                       node: TraceNode) -> List[Point]:
-    """poly has a top reflex edge {ta,tb}; tv is its west endpoint and the
-    pocket on tv's side is xy-monotone."""
+    """poly has a top reflex edge with ends vi and vpi; vi is its west
+    endpoint and the pocket on vi's side is xy-monotone, as its summary
+    says."""
     r = poly.r
-    v = tv
-    vprime = tb if ta == v else ta
-    vi = poly.vertex_index(v)
-    vpi = poly.vertex_index(vprime)
+    v, vprime = poly.vertices[vi], poly.vertices[vpi]
     cut_v = Cut(vi, "H")
     chord_v = materialize(poly, cut_v)
     p = chord_v.a if chord_v.b == v else chord_v.b  # the far (west) endpoint
     a_piece, rest = split(poly, cut_v)
-    if not a_piece.is_xy_monotone():
-        raise InternalCaseError("chosen pocket is not monotone after the cut")
-    cut_vp = Cut(rest.vertex_index(vprime), "H")
+    if not a_piece.is_xy_monotone() or (a_piece.r, a_piece.n) != (summary.r, summary.n):
+        raise InternalCaseError(f"chosen pocket {a_piece} is not xy-monotone or not {summary}")
+    where = rest.locate_boundary(vprime)
+    if where is None or not where[1]:
+        raise InternalCaseError(f"v' = {vprime} is no vertex of the piece beyond the cut at v")
+    cut_vp = Cut(where[0], "H")
     chord_vp = materialize(rest, cut_vp)
     qpt = chord_vp.a if chord_vp.b == vprime else chord_vp.b  # far (east) endpoint
     c_piece, b_piece = split(rest, cut_vp)
@@ -687,9 +691,11 @@ def _route_normalized(poly: RectPolygon, ta: Point, tb: Point, tv: Point,
 
 
 def _beacon_above(poly: RectPolygon, vprime: Point, a_piece: RectPolygon, v: Point) -> Point:
-    ys = sorted({p.y for p in poly.vertices})
-    gaps = [ys[i + 1] - ys[i] for i in range(len(ys) - 1)]
-    delta = min(gaps) / 2
+    # Half the least gap between vertex levels: the horizontal index rows
+    # hold every vertex level, times D and sorted.
+    scale, index = poly.edge_index()
+    ys = list(dict.fromkeys(index["H"][0]))
+    delta = Fraction(min(b - a for a, b in zip(ys, ys[1:])), 2 * scale)
     xmin, ymin, _, _ = a_piece.bbox()
     lrc = Point(v.x, ymin)  # lower-right corner of the rectangle A
     d = lrc - vprime

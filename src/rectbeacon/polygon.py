@@ -19,16 +19,13 @@ from .errors import (
     NotRectilinear,
     NotSimple,
 )
-from .geometry import Point, midpoint, scalar
+from .geometry import Point, scalar
 
 CONVEX = "convex"
 REFLEX = "reflex"
 
 # Travel direction of an edge, from the CCW vertex order.
 EAST, NORTH, WEST, SOUTH = "E", "N", "W", "S"
-
-# The direction back along each direction.
-_BACK = {EAST: WEST, NORTH: SOUTH, WEST: EAST, SOUTH: NORTH}
 
 # Interior lies to the left of travel: the unit vector towards it, and the
 # sense of the closed half-plane on its side of the edge's line.
@@ -161,10 +158,12 @@ def _turn(xs: List[int], ys: List[int], a: int, b: int, c: int) -> int:
     return (t > 0) - (t < 0)
 
 
-def _merge_ring(points: Sequence[Point]) -> Tuple[List[Point], Tuple[int, List[int], List[int]]]:
+def _merge_ring(points: Sequence[Point], ints: Optional[Tuple[int, List[int], List[int]]] = None
+                ) -> Tuple[List[Point], Tuple[int, List[int], List[int]]]:
     """Drop repeated and 180-degree (collinear) vertices from a closed ring:
-    (the points kept, (D, xs, ys) of them), D a common denominator."""
-    d, xs, ys = _scaled(points)
+    (the points kept, (D, xs, ys) of them), D a common denominator.  ints
+    is (D, xs, ys) of the points if the caller has them."""
+    d, xs, ys = _scaled(points) if ints is None else ints
     keep: List[int] = []
     for k in range(len(points)):
         if not keep or xs[k] != xs[keep[-1]] or ys[k] != ys[keep[-1]]:
@@ -184,10 +183,11 @@ def _merge_ring(points: Sequence[Point]) -> Tuple[List[Point], Tuple[int, List[i
     return [points[k] for k in keep], (d, [xs[k] for k in keep], [ys[k] for k in keep])
 
 
-def _piece(ring: Sequence[Point]) -> "RectPolygon":
-    """The trusted polygon of a ring cut from a polygon: one scaling merges
-    the ring, classifies its vertices and edges and later builds its index."""
-    verts, ints = _merge_ring(ring)
+def _piece(ring: Sequence[Point], ints: Optional[Tuple[int, List[int], List[int]]] = None) -> "RectPolygon":
+    """The trusted polygon of a ring cut from a polygon: one scaling (or the
+    ints the caller has) merges the ring, classifies its vertices and edges
+    and later builds its index."""
+    verts, ints = _merge_ring(ring, ints)
     return RectPolygon(verts, _trusted=True, _ints=ints)
 
 
@@ -199,7 +199,7 @@ class RectPolygon:
     """
 
     __slots__ = ("vertices", "n", "classes", "r", "reflex_indices", "edges",
-                 "was_reversed", "_vertex_pos", "area2", "_prefix", "_ints", "_index")
+                 "was_reversed", "_vertex_pos", "area2", "_prefix", "_ints", "_index", "_shots")
 
     def __init__(self, vertices: Sequence[Point], was_reversed: bool = False, _trusted: bool = False,
                  _ints: Optional[Tuple[int, List[int], List[int]]] = None):
@@ -243,6 +243,7 @@ class RectPolygon:
         object.__setattr__(self, "_vertex_pos", None)
         object.__setattr__(self, "_ints", _ints)
         object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_shots", {})
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RectPolygon is immutable")
@@ -304,6 +305,27 @@ class RectPolygon:
             object.__setattr__(self, "_index", (d, {o: ([row[0] for row in r], r) for o, r in rows.items()}))
         return self._index
 
+    def shots(self, o: str) -> list:
+        """The shot table's rows of orientation o, built on first use:
+        rows[i] is (forward, far, end) for the chord of orientation o
+        through reflex vertex i, else None.  The chord extends i's incident
+        edge of orientation o, away from it, to the first contact of that
+        ray, found by one sweep over the ints the polygon was classified on
+        (_first_contacts, which validate's general-position check runs
+        too).  forward says that the ray runs east or north, far is the far
+        end's coordinate along the chord, and end locates it: (vertex, True)
+        when the contact edge ends on the chord's line, else (edge, False)."""
+        if o not in self._shots:
+            _, xs, ys = self._ints
+            along, across, perp = (ys, xs, "V") if o == "H" else (xs, ys, "H")
+            rows = self._shots[o] = [None] * self.n
+            for i, forward, k in _first_contacts(self, along, across, perp):
+                j = (k + 1) % self.n
+                end = (k, True) if along[k] == along[i] else (j, True) if along[j] == along[i] else (k, False)
+                far = self.vertices[k].x if o == "H" else self.vertices[k].y
+                rows[i] = (forward, far, end)
+        return self._shots[o]
+
     def edges_at(self, o: str, c: Fraction) -> list:
         """The edge index rows of orientation o at level c."""
         d, index = self.edge_index()
@@ -328,11 +350,12 @@ class RectPolygon:
         (vertex index, True) at a vertex, (edge index, False) inside an
         edge, else 'in' or 'out'.  Every vertex ends a vertical edge, so the
         horizontal rows at its level only hold edge interiors.  Off the
-        boundary, the point is inside iff an odd number of the vertical
-        edges right of it span the row floor(y / q), lower end in, upper end
-        out.  That row meets the boundary an even number of times, so the
-        edges left of the point have the same parity, and the fewer are
-        counted."""
+        boundary, the point is inside iff the nearest vertical edge right of
+        it that spans the row floor(y / q), lower end in, upper end out,
+        runs north: the interior lies left of every edge, and the edges
+        across the row alternate in direction.  Likewise it is inside iff
+        the nearest such edge left of it runs south.  The side with fewer
+        edges is walked, outward from the point."""
         _, index = self.edge_index()
         (levels, rows), (hlevels, hrows) = index["V"], index["H"]
         if x % q == 0:
@@ -346,8 +369,16 @@ class RectPolygon:
                 if lo * q < x < hi * q:
                     return (i, False)
         row, k = y // q, bisect_right(levels, x // q)
-        side = rows[k:] if 2 * k >= len(rows) else rows[:k]
-        return "in" if sum(lo <= row < hi for _, lo, hi, _, _, _ in side) % 2 else "out"
+        # A row runs north iff its edge starts at its lower end.
+        if 2 * k >= len(rows):
+            for _, lo, hi, vlo, _, i in rows[k:]:
+                if lo <= row < hi:
+                    return "in" if vlo == i else "out"
+        else:
+            for _, lo, hi, vlo, _, i in reversed(rows[:k]):
+                if lo <= row < hi:
+                    return "out" if vlo == i else "in"
+        return "out"
 
     def monotonicity(self) -> dict:
         """x-monotone iff no vertical reflex edge; y-monotone iff no horizontal one."""
@@ -400,22 +431,23 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
     if len(pts) < 4:
         raise NotRectilinear("a rectilinear polygon needs at least 4 vertices")
     if merge_collinear:
-        pts = _merge_ring(pts)[0]
+        pts, (d, xs, ys) = _merge_ring(pts)
         if len(pts) < 4:
             raise NotRectilinear("degenerate polygon after merging collinear vertices")
+    else:
+        d, xs, ys = _scaled(pts)
 
     n = len(pts)
-    # Integer ranks of the coordinates: every later comparison is between ints.
-    xr, yr = _ranks([p.x for p in pts]), _ranks([p.y for p in pts])
-    if len(set(zip(xr, yr))) != n:
+    # The coordinates times D, as ints: every later comparison is between ints.
+    if len(set(zip(xs, ys))) != n:
         raise NotSimple("repeated vertex")
     # Axis-parallel edges, alternating orientation.
     orients = []
     for i in range(n):
         j = (i + 1) % n
-        if (xr[i] == xr[j]) == (yr[i] == yr[j]):
+        if (xs[i] == xs[j]) == (ys[i] == ys[j]):
             raise NotRectilinear(f"edge {pts[i]}->{pts[j]} is not axis-parallel (or has zero length)")
-        orients.append("V" if xr[i] == xr[j] else "H")
+        orients.append("V" if xs[i] == xs[j] else "H")
     for i in range(n):
         if orients[i] == orients[(i + 1) % n]:
             raise NotRectilinear(
@@ -423,57 +455,53 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
                 "either fix the input or pass merge_collinear=True"
             )
 
-    _check_simple(pts, orients, xr, yr)
+    _check_simple(pts, orients, xs, ys)
 
     # Orientation: normalize to CCW.  The lowest of the leftmost vertices of
-    # a simple polygon is convex, so its turn gives the orientation; between
-    # axis-parallel edges the ranks turn the same way as the coordinates.
-    k = min(range(n), key=lambda i: (xr[i], yr[i]))
-    was_reversed = _turn(xr, yr, k - 1, k, (k + 1) % n) < 0
+    # a simple polygon is convex, so its turn gives the orientation.
+    k = min(range(n), key=lambda i: (xs[i], ys[i]))
+    was_reversed = _turn(xs, ys, k - 1, k, (k + 1) % n) < 0
     if was_reversed:
         pts.reverse()
-        xr.reverse()
-        yr.reverse()
+        xs.reverse()
+        ys.reverse()
 
-    poly = RectPolygon(pts, was_reversed=was_reversed, _trusted=True)
+    poly = RectPolygon(pts, was_reversed=was_reversed, _trusted=True, _ints=(d, xs, ys))
     if check_general_position:
-        _check_general_position(poly, xr, yr)
+        _check_general_position(poly, xs, ys)
     return poly
 
 
-def _ranks(values: List[Fraction]) -> List[int]:
-    """Rank of each value among the distinct values, from one sort."""
-    rank = {v: k for k, v in enumerate(sorted(set(values)))}
-    return [rank[v] for v in values]
-
-
 def _sweep(n: int, along: List[int], across: List[int], edges: List[int], queries: list):
-    """Answer queries at ranks of one axis against the edges crossing it.
+    """Answer queries at coordinates of one axis against the edges crossing it.
 
-    queries holds (rank c, item) pairs.  In order of rank, this yields
-    (item, active): active is the sorted list of the keys across[i] * n + i
-    of the edges i whose closed span contains c, so it is ordered by their
-    level.  The list is reused; read it before advancing.
+    along and across are the vertex coordinates times D, as ints, along the
+    axis and across it.  queries holds (c, item) pairs, item in range(n).
+    In order of c, this yields (item, active): active is the sorted list of
+    the keys across[i] * n + i of the edges i whose closed span contains c,
+    so it is ordered by their level.  The list is reused; read it before
+    advancing.  One sort orders every event, an edge's start before the
+    queries at its coordinate and its end after.
     """
-    size = max(along) + 1
-    starts, ends, asks = ([[] for _ in range(size)] for _ in range(3))
+    events = []
     for i in edges:
-        lo, hi = sorted((along[i], along[(i + 1) % n]))
-        starts[lo].append(across[i] * n + i)
-        ends[hi].append(across[i] * n + i)
-    for c, item in queries:
-        asks[c].append(item)
+        a, b = along[i], along[(i + 1) % n]
+        events += ((min(a, b) * 3) * n + i, (max(a, b) * 3 + 2) * n + i)
+    events += [(c * 3 + 1) * n + item for c, item in queries]
+    events.sort()
     active: List[int] = []
-    for c in range(size):
-        for key in starts[c]:
-            insort(active, key)
-        for item in asks[c]:
-            yield item, active
-        for key in ends[c]:
-            del active[bisect_left(active, key)]
+    for event in events:
+        ck, i = divmod(event, n)
+        kind = ck % 3
+        if kind == 1:
+            yield i, active
+        elif kind == 0:
+            insort(active, across[i] * n + i)
+        else:
+            del active[bisect_left(active, across[i] * n + i)]
 
 
-def _check_simple(pts: List[Point], orients: List[str], xr: List[int], yr: List[int]) -> None:
+def _check_simple(pts: List[Point], orients: List[str], xs: List[int], ys: List[int]) -> None:
     """NotSimple unless the only edges that touch are consecutive ones.
 
     Collinear edges are compared in sorted order.  Once none of them touch,
@@ -483,27 +511,46 @@ def _check_simple(pts: List[Point], orients: List[str], xr: List[int], yr: List[
     n = len(pts)
     h_ids = [i for i in range(n) if orients[i] == "H"]
     v_ids = [i for i in range(n) if orients[i] == "V"]
-    for ids, along, across, name, axis in ((h_ids, xr, yr, "horizontal", "y"),
-                                          (v_ids, yr, xr, "vertical", "x")):
+    for ids, along, across, name, axis in ((h_ids, xs, ys, "horizontal", "y"),
+                                          (v_ids, ys, xs, "vertical", "x")):
         spans = sorted((across[i], *sorted((along[i], along[(i + 1) % n])), i) for i in ids)
         for (l0, _, hi0, i), (l1, lo1, _, j) in zip(spans, spans[1:]):
             if l0 == l1 and lo1 <= hi0:
                 raise NotSimple(f"{name} edges {i} and {j} overlap on {axis}={getattr(pts[i], axis)}")
-    for j, active in _sweep(n, xr, yr, h_ids, [(xr[j], j) for j in v_ids]):
-        lo, hi = sorted((yr[j], yr[(j + 1) % n]))
+    for j, active in _sweep(n, xs, ys, h_ids, [(xs[j], j) for j in v_ids]):
+        lo, hi = sorted((ys[j], ys[(j + 1) % n]))
         k = bisect_left(active, (lo + 1) * n)
         if k < len(active) and active[k] < hi * n:
             i = active[k] % n
             raise NotSimple(f"edges {i} and {j} intersect at ({pts[j].x},{pts[i].y})")
 
 
-def _check_general_position(poly: RectPolygon, xr: List[int], yr: List[int]) -> None:
+def _first_contacts(poly: RectPolygon, along: List[int], across: List[int],
+                    perp: str) -> Iterator[Tuple[int, bool, int]]:
+    """(i, forward, k) for every reflex vertex i of poly: the ray extending
+    i's incident edge that is parallel to it, away from that edge, first
+    meets edge k, of orientation perp.  along and across are the vertex
+    coordinates times D, as ints, along and across the perp edges; forward
+    says that the ray runs towards greater across values.  The edges across
+    the ray are the active ones of a sweep, ordered by level, and the first
+    is the nearest on the ray's side of i."""
+    n, edges = poly.n, poly.edges
+    perp_ids = [e.index for e in edges if e.orientation == perp]
+    for i, active in _sweep(n, along, across, perp_ids, [(along[i], i) for i in poly.reflex_indices]):
+        # The incident edge parallel to the ray runs from its other end o to i.
+        o = i - 1 if edges[i - 1].orientation != perp else (i + 1) % n
+        if across[i] > across[o]:
+            yield i, True, active[bisect_left(active, (across[i] + 1) * n)] % n
+        else:
+            yield i, False, active[bisect_left(active, across[i] * n) - 1] % n
+
+
+def _check_general_position(poly: RectPolygon, xs: List[int], ys: List[int]) -> None:
     """GeneralPositionViolated if an axis cut joins two reflex vertices.
 
     Such a cut leaves each of its ends along the extension of an incident
     edge, and meets the boundary nowhere in between.  So every reflex vertex
-    shoots the two extension rays; the first edge across a ray is the
-    nearest active perpendicular edge of a sweep, and the ray's first
+    shoots the two extension rays (_first_contacts), and the ray's first
     contact is that edge's point on the ray.  When that point is a vertex,
     the two are such a pair: the ray reaches it through the interior, so
     the vertex is reflex too.  Of all pairs, the one reported is the first
@@ -511,19 +558,9 @@ def _check_general_position(poly: RectPolygon, xr: List[int], yr: List[int]) -> 
     """
     n = poly.n
     pairs = []
-    for along, across, perp in ((xr, yr, "H"), (yr, xr, "V")):
-        shots = []
-        for i in poly.reflex_indices:
-            # The ray extends the incident edge that is parallel to it, away from that edge.
-            o = i - 1 if poly.edges[i - 1].orientation != perp else (i + 1) % n
-            shots.append((along[i], (i, across[i] > across[o])))
-        perp_ids = [i for i in range(n) if poly.edges[i].orientation == perp]
-        for (i, forward), active in _sweep(n, along, across, perp_ids, shots):
-            if forward:
-                key = active[bisect_left(active, (across[i] + 1) * n)]
-            else:
-                key = active[bisect_left(active, across[i] * n) - 1]
-            for u in (key % n, (key % n + 1) % n):
+    for along, across, perp in ((xs, ys, "H"), (ys, xs, "V")):
+        for i, _, k in _first_contacts(poly, along, across, perp):
+            for u in (k, (k + 1) % n):
                 if along[u] == along[i]:
                     pairs.append((min(i, u), max(i, u)))
     if pairs:
@@ -654,10 +691,10 @@ def materialize(poly: RectPolygon, cut: Cut) -> Chord:
 
     A cut through a reflex vertex extends one of its edges: it runs from
     the vertex, away from its incident edge along the cut, to the first
-    boundary contact of that ray.  A cut through a boundary point is the
-    chord of the line through it that ends there; a symbolic cut is the
-    chord, on the line midway to the nearest vertex level on its side, that
-    spans the anchor's coordinate.
+    boundary contact of that ray, read off the polygon's shot table.  A cut
+    through a boundary point is the chord of the line through it that ends
+    there; a symbolic cut is the chord, on the line midway to the nearest
+    vertex level on its side, that spans the anchor's coordinate.
     """
     if cut._chord is not None:
         return cut._chord
@@ -672,7 +709,10 @@ def materialize(poly: RectPolygon, cut: Cut) -> Chord:
             raise NotAChord("boundary-point cuts must not be anchored at a vertex")
     level, want = (p.y, p.x) if o == "H" else (p.x, p.y)
     if isinstance(cut.anchor, int) and cut.side is None:
-        chord = _vertex_chord(poly, cut.anchor % poly.n, o)
+        here = (cut.anchor % poly.n, True)
+        forward, far, there = poly.shots(o)[here[0]]
+        chord = (Chord(o, level, want, far, (here, there)) if forward
+                 else Chord(o, level, far, want, (there, here)))
     elif isinstance(cut.anchor, int):
         level = _nearest_level(poly, level, o, cut.side)
         chord = next((c for c in chords_on_line(poly, o, level) if c.lo <= want <= c.hi), None)
@@ -685,37 +725,16 @@ def materialize(poly: RectPolygon, cut: Cut) -> Chord:
     return chord
 
 
-def _vertex_chord(poly: RectPolygon, i: int, o: str) -> Optional[Chord]:
-    """The chord of orientation o from reflex vertex i, or None when its ray
-    meets no boundary.  The ray leaves i away from its incident edge of
-    orientation o, and its first contact is the far end: the first edge
-    across the ray whose closed span holds the ray's line, in the edge index
-    rows of the other orientation walked outward from i."""
-    e = poly.edges[i - 1]
-    direction = e.direction if e.orientation == o else _BACK[poly.edges[i].direction]
-    d, index = poly.edge_index()
-    levels, rows = index["V" if o == "H" else "H"]
-    p = poly.vertices[i]
-    level, start = (p.y, p.x) if o == "H" else (p.x, p.y)
-    line, at = (c.numerator * (d // c.denominator) for c in (level, start))
-    forward = direction in (EAST, NORTH)
-    if forward:
-        walk = range(bisect_right(levels, at), len(rows))
-    else:
-        walk = range(bisect_left(levels, at) - 1, -1, -1)
-    for j in walk:
-        _, lo, hi, vlo, vhi, k = rows[j]
-        if lo <= line <= hi:
-            break
-    else:
-        return None
-    here, there = (i, True), ((vlo, True) if line == lo else (vhi, True) if line == hi else (k, False))
-    far = poly.edges[k].level
-    return Chord(o, level, start, far, (here, there)) if forward else Chord(o, level, far, start, (there, here))
-
-
 def _assert_chord(poly: RectPolygon, chord: Chord) -> None:
-    if poly.contains(midpoint(chord.a, chord.b)) != "in":
+    """NotAChord unless the chord's midpoint lies inside poly, located on
+    the ints: the midpoint times D*q, q twice the common denominator of the
+    chord's level and ends, is integral."""
+    level, lo, hi = chord.level, chord.lo, chord.hi
+    m = lcm(level.denominator, lo.denominator, hi.denominator)
+    s = poly.edge_index()[0] * m
+    c = level.numerator * (2 * s // level.denominator)
+    mid = lo.numerator * (s // lo.denominator) + hi.numerator * (s // hi.denominator)
+    if poly.locate_scaled(*((mid, c) if chord.axis == "H" else (c, mid)), 2 * m) != "in":
         raise NotAChord(f"{chord} does not run through the interior")
 
 
@@ -729,8 +748,8 @@ def split(poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
     locally-adjacent sense: it is the piece whose interior touches the chord
     from that side (it may still reach around to the other side elsewhere).
     """
-    minus_ring, plus_ring = _split_rings(poly, cut)
-    return _piece(minus_ring), _piece(plus_ring)
+    minus, plus = _split_rings(poly, cut)
+    return _piece(*minus), _piece(*plus)
 
 
 # One side of a located chord: its vertices are s, s+1, ..., t-1 (cyclic),
@@ -783,14 +802,27 @@ def _chain(poly: RectPolygon, s: int, t: int) -> List[int]:
     return [k % poly.n for k in range(s, s + (t - s) % poly.n)]
 
 
-def _ring(poly: RectPolygon, chord: Chord, side: Side) -> List[Point]:
-    """The ring of one side: its walk, from the chord end it leaves to the one it reaches."""
-    ends = (chord.a, chord.b)
-    return [ends[side.first]] + [poly.vertices[k] for k in _chain(poly, side.s, side.t)] \
-        + [ends[1 - side.first]]
+def _ring(poly: RectPolygon, chord: Chord, side: Side
+          ) -> Tuple[List[Point], Tuple[int, List[int], List[int]]]:
+    """The ring of one side, its walk from the chord end it leaves to the one
+    it reaches, and (M, xs, ys) of it on poly's ints: M is the common
+    denominator of D and the chord's coordinates, the chain's ints are
+    multiplied up to it and the chord's ends are scaled by it."""
+    chain = _chain(poly, side.s, side.t)
+    d, xs, ys = poly._ints
+    coords = (chord.level, chord.lo, chord.hi)
+    m = lcm(d, *(c.denominator for c in coords))
+    f = m // d
+    level, lo, hi = (c.numerator * (m // c.denominator) for c in coords)
+    ends = ((lo, level), (hi, level)) if chord.axis == "H" else ((level, lo), (level, hi))
+    (x0, y0), (x1, y1) = ends[side.first], ends[1 - side.first]
+    points = (chord.a, chord.b)
+    return ([points[side.first]] + [poly.vertices[k] for k in chain] + [points[1 - side.first]],
+            (m, [x0] + [xs[k] * f for k in chain] + [x1], [y0] + [ys[k] * f for k in chain] + [y1]))
 
 
-def _split_rings(poly: RectPolygon, cut: Cut) -> Tuple[List[Point], List[Point]]:
+def _split_rings(poly: RectPolygon, cut: Cut):
+    """_ring of the minus side and of the plus side of the cut."""
     chord = materialize(poly, cut)
     minus, plus = chord_sides(chord)
     return _ring(poly, chord, minus), _ring(poly, chord, plus)
@@ -817,7 +849,7 @@ def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon
     """Pocket of reflex edge e at endpoint v: the split side not containing e."""
     chord, is_minus = pocket_side(poly, edge_index, vertex_index)
     side = chord_sides(chord)[0 if is_minus else 1]
-    return _piece(_ring(poly, chord, side))
+    return _piece(*_ring(poly, chord, side))
 
 
 # --------------------------------------------------- normal cut enumeration

@@ -13,21 +13,34 @@ from .polygon import RectPolygon
 
 
 class Transform:
-    __slots__ = ("name", "fn", "inv_name")
+    __slots__ = ("name", "fn", "inv_name", "mirror", "_axes")
 
     def __init__(self, name: str, fn: Callable[[Point], Point], inv_name: str):
         self.name = name
         self.fn = fn
         self.inv_name = inv_name
+        ex, ey = fn(Point(1, 0)), fn(Point(0, 1))
+        self.mirror = ex.cross(ey) < 0  # a mirror reverses the walk
+        # Each new coordinate is one old coordinate (0: x, 1: y) times a sign.
+        self._axes = tuple((0, int(cx)) if cx else (1, int(cy)) for cx, cy in ((ex.x, ey.x), (ex.y, ey.y)))
 
     def point(self, p: Point) -> Point:
         return self.fn(p)
 
+    def vertex(self, i: int, n: int) -> int:
+        """The index in polygon(poly) of vertex i of poly, n its vertex count."""
+        return n - 1 - i if self.mirror else i
+
     def polygon(self, poly: RectPolygon) -> RectPolygon:
+        """poly's image, classified on poly's ints mapped the same way."""
         pts = [self.fn(p) for p in poly.vertices]
-        if self.fn(Point(1, 0)).cross(self.fn(Point(0, 1))) < 0:  # a mirror reverses the walk
+        d, *old = poly._ints
+        xs, ys = ([sign * c for c in old[axis]] for axis, sign in self._axes)
+        if self.mirror:
             pts.reverse()
-        return RectPolygon(pts, _trusted=True)
+            xs.reverse()
+            ys.reverse()
+        return RectPolygon(pts, _trusted=True, _ints=(d, xs, ys))
 
     @property
     def inverse(self) -> "Transform":

@@ -21,9 +21,10 @@ from rectbeacon.attraction import (
 )
 from rectbeacon.errors import InternalCaseError, PointOutsidePolygon
 from rectbeacon.geometry import Point
-from rectbeacon.polygon import CONVEX, REFLEX, RectPolygon, _BACK, _INWARD, boundary_hits
+from rectbeacon.polygon import CONVEX, REFLEX, RectPolygon, _INWARD, boundary_hits
 
 _UNIT = {"E": Point(1, 0), "N": Point(0, 1), "W": Point(-1, 0), "S": Point(0, -1)}
+_BACK = {"E": "W", "N": "S", "W": "E", "S": "N"}
 
 
 def _vertex_dirs(poly: RectPolygon, i: int) -> Tuple[Point, Point]:

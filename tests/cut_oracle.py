@@ -4,17 +4,19 @@ shoot the ray, walk the chain, build the piece.
 The chords on a line come from one scan that toggles inside/outside at
 every crossing and every boundary run on the line; a cut from a reflex
 vertex or a boundary point ends at the first boundary_hits contact of the
-ray leaving its anchor through the interior.  The boundary chain between
-two points is walked vertex by vertex, comparing positions along the CCW
-boundary located with locate_boundary.  The reflex vertices on the P_minus
-side of a cut are read off that chain, normal-cut classes come from the
-line scan at each band midpoint, and a pocket's r, n, xy-monotonicity and
-wrap flag are read off the pocket built as a RectPolygon from the chain.
-rectbeacon.polygon's chords with their ends, index ranges and prefix
-counts and the pocket summaries of rectbeacon.placement are checked
-against them.
+ray leaving its anchor through the interior, and a cut from a reflex
+vertex also at the first edge index row across that ray, walked outward
+from the vertex.  The boundary chain between two points is walked vertex
+by vertex, comparing positions along the CCW boundary located with
+locate_boundary.  The reflex vertices on the P_minus side of a cut are
+read off that chain, normal-cut classes come from the line scan at each
+band midpoint, and a pocket's r, n, xy-monotonicity and wrap flag are read
+off the pocket built as a RectPolygon from the chain.  rectbeacon.polygon's
+chords with their ends, its shot table, index ranges and prefix counts and
+the pocket summaries of rectbeacon.placement are checked against them.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -114,6 +116,47 @@ def ray_cut(poly, anchor, orientation):
     a, b = sorted((start, hits[0][1]), key=lambda p: (p.x, p.y))
     lo, hi = (a.x, b.x) if orientation == "H" else (a.y, b.y)
     return lo, hi, (poly.locate_boundary(a), poly.locate_boundary(b))
+
+
+def vertex_chord(poly: RectPolygon, i: int, o: str) -> Optional[Chord]:
+    """The chord of orientation o from reflex vertex i, or None when its ray
+    meets no boundary.  The ray leaves i away from its incident edge of
+    orientation o, and its first contact is the far end: the first edge
+    across the ray whose closed span holds the ray's line, in the edge index
+    rows of the other orientation walked outward from i."""
+    e = poly.edges[i - 1]
+    forward = e.direction in "EN" if e.orientation == o else poly.edges[i].direction in "WS"
+    d, index = poly.edge_index()
+    levels, rows = index["V" if o == "H" else "H"]
+    p = poly.vertices[i]
+    level, start = (p.y, p.x) if o == "H" else (p.x, p.y)
+    line, at = (c.numerator * (d // c.denominator) for c in (level, start))
+    if forward:
+        walk = range(bisect_right(levels, at), len(rows))
+    else:
+        walk = range(bisect_left(levels, at) - 1, -1, -1)
+    for j in walk:
+        _, lo, hi, vlo, vhi, k = rows[j]
+        if lo <= line <= hi:
+            break
+    else:
+        return None
+    here, there = (i, True), ((vlo, True) if line == lo else (vhi, True) if line == hi else (k, False))
+    far = poly.edges[k].level
+    return Chord(o, level, start, far, (here, there)) if forward else Chord(o, level, far, start, (there, here))
+
+
+def aligned_pair(poly):
+    """The pair of reflex vertices that validate reports as violating general
+    position, or None: of the walked chords through reflex vertices that end
+    at a vertex, the least (i, j) in vertex order, as points."""
+    pairs = []
+    for i in poly.reflex_indices:
+        for o in "HV":
+            (a, a_vertex), (b, b_vertex) = vertex_chord(poly, i, o).ends
+            if a_vertex and b_vertex:
+                pairs.append((min(a, b), max(a, b)))
+    return tuple(poly.vertices[k] for k in min(pairs)) if pairs else None
 
 
 def _boundary_key(poly, p):

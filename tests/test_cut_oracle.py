@@ -1,21 +1,24 @@
-"""Chords, prefix counts, chord sides, pocket summaries, point location,
-boundary contacts, clips, vertex classes and merged rings against the
-line-scan, ray, chain-walk, build, two-pass, edge-scan, arc-stitching and
-Fraction-turn oracles."""
+"""Chords, the shot table, prefix counts, chord sides, pocket summaries,
+point location, boundary contacts, clips, vertex classes, merged rings and
+transformed polygons against the line-scan, ray, row-walk, chain-walk,
+build, two-pass, edge-scan, arc-stitching, Fraction-turn and fresh-scaling
+oracles."""
 
 from fractions import Fraction
 
 import pytest
 
 from rectbeacon.clipping import clip_fast
-from rectbeacon.errors import InternalCaseError, NotAChord, NotRectilinear
+from rectbeacon.errors import GeneralPositionViolated, InternalCaseError, NotAChord, NotRectilinear
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
 from rectbeacon.placement import _first_reflex_above, _pocket_wraps, _r_plus, pocket_summary
 from rectbeacon.polygon import (
     REFLEX,
+    Chord,
     Cut,
     RectPolygon,
+    _assert_chord,
     _merge_ring,
     _split_rings,
     boundary_hits,
@@ -29,7 +32,7 @@ from rectbeacon.polygon import (
     split,
     validate,
 )
-from rectbeacon.transforms import TRANSFORMS
+from rectbeacon.transforms import TRANSFORMS, all_transforms
 
 import clip_oracle
 import cut_oracle
@@ -132,20 +135,88 @@ def test_materialize_matches_first_ray_contact():
 
 
 def test_vertex_chords_match_ray_cut():
-    """The chord through every reflex vertex, in both orientations, ends
-    where the ray extending the vertex's edge first meets the boundary,
-    ends included: on the corpus, its mapped copies, the pieces of its
-    splits and polygons whose reflex vertices see each other along a cut."""
+    """Every row of the shot table, in both orientations, against the walk
+    over the edge index rows and the first contact of the ray extending the
+    vertex's edge, ends included; the rows of convex vertices are empty.
+    On the corpus, its mapped copies, the pieces of its splits and polygons
+    whose reflex vertices see each other along a cut."""
     pieces = [q for p in CORPUS for q in _split_pieces(p)]
     cuts = vertex_ends = 0
     for p in CORPUS + MAPPED + pieces + _aligned():
-        for i in p.reflex_indices:
-            for o in "HV":
+        for o in "HV":
+            rows = p.shots(o)
+            assert [i for i, row in enumerate(rows) if row is not None] == list(p.reflex_indices)
+            for i in p.reflex_indices:
+                walked = cut_oracle.vertex_chord(p, i, o)
+                forward = walked.ends[0] == (i, True)
+                assert rows[i] == (forward, walked.hi if forward else walked.lo, walked.ends[forward]), \
+                    (p.vertices, i, o)
                 chord = materialize(p, Cut(i, o))
-                assert (chord.lo, chord.hi, chord.ends) == cut_oracle.ray_cut(p, i, o), (p.vertices, i, o)
+                assert (chord.lo, chord.hi, chord.ends) == (walked.lo, walked.hi, walked.ends) \
+                    == cut_oracle.ray_cut(p, i, o), (p.vertices, i, o)
                 cuts += 1
                 vertex_ends += chord.ends[0][1] and chord.ends[1][1]
     assert cuts >= 20000 and vertex_ends >= 400
+
+
+def test_general_position_pair_matches_walked_chords():
+    """validate's first violating pair, vertex order included, is the one the
+    walked extension chords give, on the polygons whose reflex vertices see
+    each other along a cut (and the two-finger flat combs, whose do not)."""
+    violations = 0
+    for p in _aligned():
+        try:
+            validate(p.vertices)
+            pair = None
+        except GeneralPositionViolated as exc:
+            pair = exc.pair
+            violations += 1
+        assert pair == cut_oracle.aligned_pair(p), p.vertices
+    assert violations >= 48
+
+
+def _passes_chord_check(p, chord):
+    try:
+        _assert_chord(p, chord)
+    except NotAChord:
+        return False
+    return True
+
+
+def test_integer_chord_check_matches_fraction_midpoint():
+    """_assert_chord, which locates the chord's midpoint on the ints, passes
+    exactly the chords whose Fraction midpoint contains() puts inside: every
+    normal-cut chord of the corpus, whose level has denominator 2D, the
+    segment between neighbouring chords of a band, across the exterior, and
+    the segment from a band's first chord to its last."""
+    segments = 0
+    for p in CORPUS:
+        for o in "HV":
+            bands = {}
+            for nc in iter_normal_cuts(p, o):
+                bands.setdefault(nc.level, []).append(nc.cut._chord)
+            for level, chords in bands.items():
+                between = [Chord(o, level, c.hi, c2.lo, None) for c, c2 in zip(chords, chords[1:])]
+                span = [Chord(o, level, chords[0].lo, chords[-1].hi, None)] if between else []
+                for chord in chords + between + span:
+                    inside = p.contains(midpoint(chord.a, chord.b)) == "in"
+                    assert _passes_chord_check(p, chord) == inside, (p.vertices, chord)
+                    segments += 1
+    assert segments >= 15000
+
+
+def test_integer_chord_check_rejects_boundary_and_notch():
+    """A segment along a boundary edge and one across the notch of the U
+    shape are no chords."""
+    u = shapes.u_shape()
+    with pytest.raises(NotAChord):
+        _assert_chord(u, Chord("H", Fraction(2), Fraction(2), Fraction(4), None))
+    with pytest.raises(NotAChord):
+        _assert_chord(u, Chord("H", Fraction(3), Fraction(0), Fraction(6), None))
+    for p in CORPUS[:40] + MAPPED[:40]:
+        for e in p.edges:
+            with pytest.raises(NotAChord):
+                _assert_chord(p, Chord(e.orientation, e.level, *e.span(), None))
 
 
 def test_normal_cut_classes_match_chain_walk():
@@ -159,7 +230,7 @@ def test_normal_cut_classes_match_chain_walk():
                 chord = nc.cut._chord
                 assert (chord.lo, chord.hi) == (nc.lo, nc.hi)
                 assert chord.ends == (p.locate_boundary(chord.a), p.locate_boundary(chord.b))
-                assert _split_rings(p, nc.cut) == cut_oracle.split_rings(p, chord)
+                assert tuple(ring for ring, _ in _split_rings(p, nc.cut)) == cut_oracle.split_rings(p, chord)
             classes += len(got)
     assert classes >= 10000
 
@@ -338,8 +409,9 @@ def test_classes_and_merged_rings_match_fraction_turns():
         assert _merge_ring(padded)[0] == ring_oracle.merge_ring(padded) == list(p.vertices[1:] + p.vertices[:1])
         for o in "HV":
             for nc in list(iter_normal_cuts(p, o))[:3]:
-                for ring in _split_rings(p, nc.cut):
-                    assert _merge_ring(ring)[0] == ring_oracle.merge_ring(ring), (p.vertices, nc)
+                for ring, ints in _split_rings(p, nc.cut):
+                    assert _merge_ring(ring)[0] == _merge_ring(ring, ints)[0] == ring_oracle.merge_ring(ring), \
+                        (p.vertices, nc)
                     rings += 1
         rings += 1
     assert rings >= 1000
@@ -363,8 +435,10 @@ def test_edge_table_matches_fraction_rule():
     index, built on the ints of the ring it was cut from, against one built
     on a fresh scaling of its vertices: on the mapped copies and on the
     pieces their splits, pockets and clips along their reflex edges and
-    middle bands make.  Some clip pieces drop every vertex with one of the
-    ring's denominators, so their D is a multiple of their least one."""
+    middle bands make.  Split and pocket pieces keep their parent's D, or a
+    multiple of it for the chord's ends, and some clip pieces drop every
+    vertex with one of the ring's denominators, so their D can be a
+    multiple of their least one."""
     pieces = coarser = 0
     for p in MAPPED:
         made = _split_pieces(p)
@@ -383,6 +457,21 @@ def test_edge_table_matches_fraction_rule():
             coarser += q.edge_index()[0] != fresh.edge_index()[0]
         pieces += len(made)
     assert pieces >= 10000 and coarser >= 5
+
+
+def test_transformed_polygons_keep_their_ints():
+    """Transform.polygon classifies on its input's ints, mapped: for all 8
+    symmetries its classes, edges and edge index rows (divided by D) equal
+    those of a polygon built from a fresh scaling of the same vertices, and
+    vertex i of the input is vertex t.vertex(i, n) of the image."""
+    for t in all_transforms():
+        for p in CORPUS + MAPPED:
+            q = t.polygon(p)
+            fresh = RectPolygon(q.vertices, _trusted=True)
+            assert q.classes == fresh.classes, (t, p.vertices)
+            assert _edge_table(q) == _edge_table(fresh), (t, p.vertices)
+            assert _index_rows(q) == _index_rows(fresh), (t, p.vertices)
+            assert [q.vertices[t.vertex(i, p.n)] for i in range(p.n)] == [t.point(v) for v in p.vertices]
 
 
 def test_trusted_collinear_vertex_at_fractional_coordinates_rejected():

@@ -94,14 +94,15 @@ def test_rejects_self_intersection():
 def test_general_position_violation():
     with pytest.raises(GeneralPositionViolated) as ei:
         validate(W_SHAPE)
-    a, b = ei.value.pair
-    assert {a, b} == {Point(4, 2), Point(6, 2)}
+    assert ei.value.pair == (Point(6, 2), Point(4, 2))
+    _check_pair(("GeneralPositionViolated", ei.value.pair), W_SHAPE)
 
 
 def test_general_position_violation_vertical():
     with pytest.raises(GeneralPositionViolated) as ei:
         validate(W_SHAPE_VERTICAL)
     assert set(ei.value.pair) == {Point(2, 4), Point(2, 6)}
+    _check_pair(("GeneralPositionViolated", ei.value.pair), W_SHAPE_VERTICAL)
 
 
 def test_aligned_reflex_vertices_joined_along_the_boundary_accepted():
@@ -407,12 +408,18 @@ def _reaches_simplicity_check(ring):
 
 
 def _outcome(check, ring):
-    """Error class and violating pair (as a set), or the vertices accepted."""
+    """Error class and violating pair, or the vertices accepted."""
     try:
         poly = check(ring)
     except (NotSimple, GeneralPositionViolated) as exc:
-        return type(exc).__name__, frozenset(getattr(exc, "pair", None) or ())
+        return type(exc).__name__, getattr(exc, "pair", None)
     return "valid", poly.vertices
+
+
+def _check_pair(got, ring):
+    """A general-position violation names the pair the walked chords give."""
+    if got[0] == "GeneralPositionViolated":
+        assert got[1] == cut_oracle.aligned_pair(validate(ring, check_general_position=False)), ring
 
 
 def test_validate_matches_pairwise_oracle_on_random_rings():
@@ -422,6 +429,7 @@ def test_validate_matches_pairwise_oracle_on_random_rings():
         ring = _random_ring(rng, *((4, 4) if k % 2 else (5, 5)))
         got = _outcome(validate, ring)
         assert got == _outcome(validate_oracle, ring), ring
+        _check_pair(got, ring)
         counts[got[0]] += 1
     assert counts["NotSimple"] >= 1000, counts
     assert counts["GeneralPositionViolated"] >= 500, counts
@@ -441,5 +449,6 @@ def test_validate_matches_pairwise_oracle_on_generated_families():
     for ring in rings:
         got = _outcome(validate, ring)
         assert got == _outcome(validate_oracle, ring), ring
+        _check_pair(got, ring)
         counts[got[0]] += 1
     assert counts["NotSimple"] >= 100 and counts["GeneralPositionViolated"] >= 100, counts
