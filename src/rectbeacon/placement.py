@@ -492,10 +492,9 @@ def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
     inside its chain keeps its class, so the pocket's reflex edges are the
     reflex edges of poly with both ends inside.
     """
-    chord, is_minus = pocket_side(poly, e_idx, v_idx)
+    chord, _, (s, t, _) = pocket_side(poly, e_idx, v_idx)
     if chord.ends[0][1] and chord.ends[1][1]:
         raise InternalCaseError(f"pocket cut from {poly.vertices[v_idx]} ends at a vertex")
-    s, t, _ = chord_sides(chord)[0 if is_minus else 1]
     r, _ = poly.reflex_counts(s, t)
     _, reflex_edges = poly.reflex_counts(s, t - 1)
     return PocketSummary(r, (t - s) % poly.n + 2, reflex_edges == 0, s, t)
@@ -621,7 +620,7 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
     for e in poly.reflex_edges():
         for vi in (e.index, (e.index + 1) % poly.n):
             vpt, other = poly.vertices[vi], poly.vertices[_other_end(poly, e.index, vi)]
-            chord_a, pocket_is_minus = pocket_side(poly, e.index, vi)
+            chord_a, pocket_is_minus, _ = pocket_side(poly, e.index, vi)
             minus, plus = split(poly, Cut(vi, e.orientation, _chord=chord_a))
             a_piece, rest = (minus, plus) if pocket_is_minus else (plus, minus)
             ovi = rest.vertex_index(other)

@@ -311,8 +311,8 @@ class RectPolygon:
         through reflex vertex i, else None.  The chord extends i's incident
         edge of orientation o, away from it, to the first contact of that
         ray, found by one sweep over the ints the polygon was classified on
-        (_first_contacts, which validate's general-position check runs
-        too).  forward says that the ray runs east or north, far is the far
+        (_first_contacts); validate's general-position check reads the table
+        too.  forward says that the ray runs east or north, far is the far
         end's coordinate along the chord, and end locates it: (vertex, True)
         when the contact edge ends on the chord's line, else (edge, False)."""
         if o not in self._shots:
@@ -325,14 +325,6 @@ class RectPolygon:
                 far = self.vertices[k].x if o == "H" else self.vertices[k].y
                 rows[i] = (forward, far, end)
         return self._shots[o]
-
-    def edges_at(self, o: str, c: Fraction) -> list:
-        """The edge index rows of orientation o at level c."""
-        d, index = self.edge_index()
-        if d % c.denominator:
-            return []
-        (levels, rows), level = index[o], c.numerator * (d // c.denominator)
-        return rows[bisect_left(levels, level):bisect_right(levels, level)]
 
     def contains(self, p: Point) -> str:
         """'in', 'on' or 'out' (closed polygon; exact)."""
@@ -468,7 +460,7 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
 
     poly = RectPolygon(pts, was_reversed=was_reversed, _trusted=True, _ints=(d, xs, ys))
     if check_general_position:
-        _check_general_position(poly, xs, ys)
+        _check_general_position(poly)
     return poly
 
 
@@ -545,24 +537,21 @@ def _first_contacts(poly: RectPolygon, along: List[int], across: List[int],
             yield i, False, active[bisect_left(active, across[i] * n) - 1] % n
 
 
-def _check_general_position(poly: RectPolygon, xs: List[int], ys: List[int]) -> None:
+def _check_general_position(poly: RectPolygon) -> None:
     """GeneralPositionViolated if an axis cut joins two reflex vertices.
 
     Such a cut leaves each of its ends along the extension of an incident
-    edge, and meets the boundary nowhere in between.  So every reflex vertex
-    shoots the two extension rays (_first_contacts), and the ray's first
-    contact is that edge's point on the ray.  When that point is a vertex,
-    the two are such a pair: the ray reaches it through the interior, so
-    the vertex is reflex too.  Of all pairs, the one reported is the first
-    in the order of the reflex vertices.
+    edge, and meets the boundary nowhere in between.  So it is the chord of
+    a shot table row, both orientations, whose far end is a vertex: the ray
+    reaches that vertex through the interior, so it is reflex too.  Of all
+    pairs, the one reported is the first in the order of the reflex vertices.
     """
-    n = poly.n
     pairs = []
-    for along, across, perp in ((xs, ys, "H"), (ys, xs, "V")):
-        for i, _, k in _first_contacts(poly, along, across, perp):
-            for u in (k, (k + 1) % n):
-                if along[u] == along[i]:
-                    pairs.append((min(i, u), max(i, u)))
+    for o in "HV":
+        for i, row in enumerate(poly.shots(o)):
+            if row is not None and row[2][1]:
+                u = row[2][0]
+                pairs.append((min(i, u), max(i, u)))
     if pairs:
         a, b = (poly.vertices[i] for i in min(pairs))
         raise GeneralPositionViolated(f"cut connects reflex vertices {a} and {b}", pair=(a, b))
@@ -781,9 +770,10 @@ def chord_sides(chord: Chord) -> Tuple[Side, Side]:
     return (a_to_b, b_to_a) if chord.axis == "H" else (b_to_a, a_to_b)
 
 
-def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[Chord, bool]:
+def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[Chord, bool, Side]:
     """The chord of the cut extending reflex edge e through its endpoint v,
-    and whether the pocket, the side without e, is the chord's minus side."""
+    whether the pocket, the side without e, is the chord's minus side, and
+    the pocket's Side."""
     e = poly.edges[edge_index % poly.n]
     if e.kind != "reflex":
         raise NotAChord(f"edge {edge_index} is not a reflex edge")
@@ -791,10 +781,11 @@ def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[
     if vi not in (e.index, (e.index + 1) % poly.n):
         raise NotAChord(f"vertex {vertex_index} is not an endpoint of edge {edge_index}")
     chord = materialize(poly, Cut(vi, e.orientation))
-    minus, _ = chord_sides(chord)
+    minus, plus = chord_sides(chord)
     # The walk from v starts along e when e leaves v, so the pocket is then
     # the side whose walk stops at v; otherwise the one that starts there.
-    return chord, (minus.t == vi) == (e.index == vi)
+    is_minus = (minus.t == vi) == (e.index == vi)
+    return chord, is_minus, minus if is_minus else plus
 
 
 def _chain(poly: RectPolygon, s: int, t: int) -> List[int]:
@@ -847,8 +838,7 @@ def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
 
 def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon:
     """Pocket of reflex edge e at endpoint v: the split side not containing e."""
-    chord, is_minus = pocket_side(poly, edge_index, vertex_index)
-    side = chord_sides(chord)[0 if is_minus else 1]
+    chord, _, side = pocket_side(poly, edge_index, vertex_index)
     return _piece(*_ring(poly, chord, side))
 
 

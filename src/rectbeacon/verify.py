@@ -4,22 +4,25 @@ lower-bound necessity by candidate exhaustion.
 Coverage checking is sampling-based, not a proof: the report records the
 sampling density, and density is boosted near reflex vertices where the
 known failure witnesses live.
+
+Samples, necessity candidates and interior pair points are lattice points
+built as ints, times D*m for D the edge index's scale, located by
+locate_scaled.  AttractionGraph.pulling says which beacons pull a point,
+for coverage and for routing.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import comb, lcm
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .attraction import attraction_path, attracts
 from .errors import BudgetExceeded
-from .geometry import Point, midpoint
-from .polygon import RectPolygon, chords_on_line
-from .regions import _merge_intervals
+from .geometry import Point
+from .polygon import RectPolygon
 
 
 class SamplePlan:
@@ -34,65 +37,62 @@ class SamplePlan:
         return f"SamplePlan(grid={self.grid}, seed={self.seed}, jitter={self.jitter})"
 
 
-def _row_intervals(poly: RectPolygon, y: Fraction) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """Merged closed x-intervals of the polygon on the horizontal line y."""
-    ivs = [(chord.lo, chord.hi) for chord in chords_on_line(poly, "H", y)]
-    ivs.extend(poly.edges[row[5]].span() for row in poly.edges_at("H", y))
-    return _merge_intervals(ivs)
+def _box(poly: RectPolygon, k: int, m: int) -> Tuple[int, int, int, int]:
+    """(x0, y0, dx, dy): the point i/k of the way across poly's bounding box
+    and j/k of the way up is (x0 + i*dx, y0 + j*dy) / (D*m), D the edge
+    index's scale and m a multiple of k."""
+    _, xs, ys = poly._ints
+    f = m // k
+    return min(xs) * m, min(ys) * m, (max(xs) - min(xs)) * f, (max(ys) - min(ys)) * f
 
 
-def _min_gap(values: Sequence[Fraction]) -> Fraction:
-    vs = sorted(set(values))
-    if len(vs) < 2:
-        return Fraction(1)
-    return min(vs[i + 1] - vs[i] for i in range(len(vs) - 1))
+def _lattice(poly: RectPolygon, k: int, m: int) -> List[Tuple[int, int]]:
+    """The points of the (k+1) x (k+1) lattice over poly's bounding box in
+    the closed polygon, times D*m (see _box)."""
+    x0, y0, dx, dy = _box(poly, k, m)
+    rows = [y0 + j * dy for j in range(k + 1)]
+    return [(x, y) for x in (x0 + i * dx for i in range(k + 1)) for y in rows
+            if poly.locate_scaled(x, y, m) != "out"]
+
+
+def _points(pairs: Iterable[Tuple[int, int]], s: int) -> List[Point]:
+    """The Points of int pairs that are coordinates times s."""
+    return [Point(Fraction(x, s), Fraction(y, s)) for x, y in pairs]
 
 
 def build_samples(poly: RectPolygon, plan: SamplePlan) -> List[Point]:
     """Sample points of the closed polygon: a grid, all vertices, all edge
-    midpoints, interior offsets near each reflex vertex, plus seeded jitter."""
-    samples = set(poly.vertices)
-    for e in poly.edges:
-        samples.add(midpoint(e.a, e.b))
-    gap = min(_min_gap([v.x for v in poly.vertices]),
-              _min_gap([v.y for v in poly.vertices]))
-    off = gap / 2
-    for i in poly.reflex_indices:
-        v = poly.vertices[i]
-        for dx in (-off, off):
-            for dy in (-off, off):
-                q = Point(v.x + dx, v.y + dy)
-                if poly.contains(q) != "out":
-                    samples.add(q)
-    xmin, ymin, xmax, ymax = poly.bbox()
+    midpoints, interior offsets near each reflex vertex, plus seeded jitter.
+
+    Every point is an int pair, its coordinates times D*m with m = lcm(2,
+    grid, 4096 when jittering); locate_scaled keeps or drops it, and the
+    pairs are deduplicated and sorted, by (x, y), before they become Points."""
     k = max(1, plan.grid)
-    for iy in range(k + 1):
-        y = ymin + Fraction(iy, k) * (ymax - ymin)
-        rows = _row_intervals(poly, y)
-        if not rows:
-            continue
-        starts = [iv[0] for iv in rows]
-        for ix in range(k + 1):
-            x = xmin + Fraction(ix, k) * (xmax - xmin)
-            j = bisect.bisect_right(starts, x) - 1
-            if j >= 0 and rows[j][0] <= x <= rows[j][1]:
-                samples.add(Point(x, y))
+    m = lcm(2, k, 1 << 12 if plan.jitter else 1)
+    d, xs, ys = poly._ints
+    h = m // 2
+    samples = {(x * m, y * m) for x, y in zip(xs, ys)}
+    samples.update(((xs[i - 1] + xs[i]) * h, (ys[i - 1] + ys[i]) * h) for i in range(poly.n))
+    # Half the least gap between vertex levels, diagonally off each reflex vertex.
+    gaps = [b - a for c in (sorted(set(xs)), sorted(set(ys))) for a, b in zip(c, c[1:])]
+    off = min(gaps) * h
+    for i in poly.reflex_indices:
+        for x in (xs[i] * m - off, xs[i] * m + off):
+            for y in (ys[i] * m - off, ys[i] * m + off):
+                if poly.locate_scaled(x, y, m) != "out":
+                    samples.add((x, y))
+    samples.update(_lattice(poly, k, m))
     if plan.jitter:
         rng = random.Random(plan.seed)
-        tries = 0
-        added = 0
+        x0, y0, dx, dy = _box(poly, 1 << 12, m)
+        tries = added = 0
         while added < plan.jitter and tries < plan.jitter * 100:
             tries += 1
-            x = xmin + Fraction(rng.randrange(0, 1 << 12), 1 << 12) * (xmax - xmin)
-            y = ymin + Fraction(rng.randrange(0, 1 << 12), 1 << 12) * (ymax - ymin)
-            q = Point(x, y)
-            if poly.contains(q) != "out":
-                samples.add(q)
+            x, y = x0 + rng.randrange(0, 1 << 12) * dx, y0 + rng.randrange(0, 1 << 12) * dy
+            if poly.locate_scaled(x, y, m) != "out":
+                samples.add((x, y))
                 added += 1
-    # By (x, y), compared as ints: the coordinates times their common denominator.
-    d = lcm(*(p.x.denominator for p in samples), *(p.y.denominator for p in samples))
-    return sorted(samples, key=lambda p: (p.x.numerator * (d // p.x.denominator),
-                                          p.y.numerator * (d // p.y.denominator)))
+    return _points(sorted(samples), d * m)
 
 
 class VerifyReport:
@@ -122,11 +122,12 @@ def verify_coverage(poly: RectPolygon, beacons: Sequence[Point],
     """Every sample point must be attracted by at least one beacon."""
     plan = plan or SamplePlan()
     samples = build_samples(poly, plan)
-    blist = list(beacons)
+    graph = AttractionGraph(poly, beacons)
+    blist = graph.beacons
     witnesses = []
     uncovered = 0
     for s in samples:
-        if any(attracts(poly, b, s) for b in blist):
+        if next(graph.pulling(graph.memo.id(s)), None) is not None:
             continue
         uncovered += 1
         if len(witnesses) < witness_limit:
@@ -177,26 +178,36 @@ class AttractionMemo:
 
 
 class AttractionGraph:
-    """Directed beacon-to-beacon attraction reachability with memoization."""
+    """Directed beacon-to-beacon attraction reachability with memoization.
+
+    pulling answers which beacons pull a point, for coverage and for the
+    first step of a route; the successor lists between the beacons are
+    built on the first route."""
 
     def __init__(self, poly: RectPolygon, beacons: Sequence[Point],
                  memo: Optional[AttractionMemo] = None):
         self.poly = poly
         self.beacons = list(beacons)
         self.memo = AttractionMemo(poly) if memo is None else memo
-        attr = self.memo.attracts
         self._ids = [self.memo.id(b) for b in self.beacons]
-        self._succ: Dict[int, List[int]] = {}
-        for i, src in enumerate(self._ids):
-            self._succ[i] = [j for j, dst in enumerate(self._ids) if i != j and attr(dst, src)]
+        self._succ: Optional[List[List[int]]] = None
+
+    def pulling(self, source: int) -> Iterator[int]:
+        """The indices of the beacons that pull the point of memo id source,
+        in order; each beacon is simulated only when the iteration reaches it."""
+        attr = self.memo.attracts
+        return (i for i, b in enumerate(self._ids) if attr(b, source))
 
     def route(self, s: Point, t: Point) -> Optional[int]:
         """Chain length routing s to t (0 = direct attraction), or None."""
         attr, ids = self.memo.attracts, self._ids
+        if self._succ is None:
+            self._succ = [[j for j, dst in enumerate(ids) if i != j and attr(dst, src)]
+                          for i, src in enumerate(ids)]
         s, t = self.memo.id(s), self.memo.id(t)
         if attr(t, s):
             return 0
-        frontier = [i for i, b in enumerate(ids) if attr(b, s)]
+        frontier = list(self.pulling(s))
         seen = set(frontier)
         depth = 1
         while frontier:
@@ -214,26 +225,22 @@ class AttractionGraph:
 
 
 def default_pairs(poly: RectPolygon, count: int = 100, seed: int = 0) -> List[Tuple[Point, Point]]:
-    """All ordered vertex pairs plus seeded random interior pairs."""
-    pairs = [(u, v) for u in poly.vertices for v in poly.vertices if u != v]
+    """All ordered vertex pairs plus seeded random interior pairs: up to
+    count ordered pairs of distinct points drawn from the 1024 x 1024
+    lattice over the bounding box, kept when locate_scaled puts them inside."""
+    pairs = list(itertools.permutations(poly.vertices, 2))
     rng = random.Random(seed)
-    xmin, ymin, xmax, ymax = poly.bbox()
-    pts: List[Point] = []
+    m = 1 << 10
+    x0, y0, dx, dy = _box(poly, m, m)
+    drawn: List[Tuple[int, int]] = []
     tries = 0
-    while len(pts) < max(2, int(2 * count ** 0.5) + 2) and tries < 10000:
+    while len(drawn) < max(2, int(2 * count ** 0.5) + 2) and tries < 10000:
         tries += 1
-        x = xmin + Fraction(rng.randrange(0, 1 << 10), 1 << 10) * (xmax - xmin)
-        y = ymin + Fraction(rng.randrange(0, 1 << 10), 1 << 10) * (ymax - ymin)
-        q = Point(x, y)
-        if poly.contains(q) == "in":
-            pts.append(q)
-    extra = 0
-    for u in pts:
-        for v in pts:
-            if u != v and extra < count:
-                pairs.append((u, v))
-                extra += 1
-    return pairs
+        x, y = x0 + rng.randrange(0, m) * dx, y0 + rng.randrange(0, m) * dy
+        if poly.locate_scaled(x, y, m) == "in":
+            drawn.append((x, y))
+    pts = list(zip(drawn, _points(drawn, poly._ints[0] * m)))
+    return pairs + list(itertools.islice(((u, v) for a, u in pts for b, v in pts if a != b), count))
 
 
 def verify_routing(poly: RectPolygon, beacons: Sequence[Point],
@@ -264,17 +271,21 @@ def verify_routing(poly: RectPolygon, beacons: Sequence[Point],
 
 def necessity_candidates(poly: RectPolygon, grid: int = 6,
                          extra: Iterable[Point] = ()) -> List[Point]:
-    """Candidate beacon positions: vertices, a coarse interior grid, extras."""
-    cands = set(poly.vertices)
-    cands.update(p for p in extra if poly.contains(p) != "out")
-    xmin, ymin, xmax, ymax = poly.bbox()
-    for ix in range(grid + 1):
-        for iy in range(grid + 1):
-            q = Point(xmin + Fraction(ix, grid) * (xmax - xmin),
-                      ymin + Fraction(iy, grid) * (ymax - ymin))
-            if poly.contains(q) != "out":
-                cands.add(q)
-    return sorted(cands, key=lambda p: p.key())
+    """Candidate beacon positions in the closed polygon: vertices, a coarse
+    grid over the bounding box and the extras, sorted by (x, y).  They are
+    int pairs, times D*m with m the common denominator of grid and the
+    extras, until they become Points."""
+    extra = list(extra)
+    m = lcm(grid, *(c.denominator for p in extra for c in (p.x, p.y)))
+    d, xs, ys = poly._ints
+    s = d * m
+    cands = {(x * m, y * m) for x, y in zip(xs, ys)}
+    for p in extra:
+        x, y = p.x.numerator * (s // p.x.denominator), p.y.numerator * (s // p.y.denominator)
+        if poly.locate_scaled(x, y, m) != "out":
+            cands.add((x, y))
+    cands.update(_lattice(poly, grid, m))
+    return _points(sorted(cands), s)
 
 
 def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
@@ -289,33 +300,30 @@ def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if mode not in ("cover", "route"):
+        raise ValueError(f"mode must be 'cover' or 'route', not {mode!r}")
     cands = list(candidates) if candidates is not None else necessity_candidates(poly)
-    total = 1
-    for i in range(k):
-        total = total * (len(cands) - i) // (i + 1)
+    total = comb(len(cands), k)
     if mode == "route":
         pair_list = list(pairs) if pairs is not None else default_pairs(poly, 20)
         cost = total * (len(pair_list) + k * k)
     else:
-        plan = plan or SamplePlan(grid=12)
-        samples = build_samples(poly, plan)
+        samples = build_samples(poly, plan or SamplePlan(grid=12))
         cost = total * len(samples)
     if cost > budget:
         raise BudgetExceeded(f"necessity check needs ~{cost} evaluations > {budget}")
 
     memo = AttractionMemo(poly)  # shared by every subset
-    ids = [memo.id(c) for c in cands]
     sample_ids = [memo.id(s) for s in samples] if mode == "cover" else []
 
     tried = 0
-    for subset in itertools.combinations(range(len(cands)), k):
+    for subset in itertools.combinations(cands, k):
         tried += 1
-        beacons = [cands[i] for i in subset]
+        graph = AttractionGraph(poly, subset, memo)
         if mode == "cover":
-            if all(any(memo.attracts(ids[i], s) for i in subset) for s in sample_ids):
-                return ("counterexample", beacons)
+            done = all(next(graph.pulling(s), None) is not None for s in sample_ids)
         else:
-            graph = AttractionGraph(poly, beacons, memo)
-            if all(graph.route(s, t) is not None for s, t in pair_list):
-                return ("counterexample", beacons)
+            done = all(graph.route(s, t) is not None for s, t in pair_list)
+        if done:
+            return ("counterexample", graph.beacons)
     return ("pass", tried)

@@ -20,7 +20,9 @@ is_dead_point from every vertex and edge midpoint towards each reflex
 vertex.  Polygons with n <= 24 also get the attraction_path segments from
 every vertex and edge midpoint towards each reflex vertex.  Polygons with
 n <= 64 also get cover and route beacons with their traces, and those with
-n <= 24 both verifier reports.
+n <= 24 both verifier reports and the verifiers' inputs: the build_samples
+list at SamplePlan(grid=8, seed=1, jitter=4), default_pairs(poly, 16, 1)
+and necessity_candidates(poly).
 """
 
 import json
@@ -48,7 +50,14 @@ from rectbeacon.polygon import (  # noqa: E402
 )
 from rectbeacon.regions import slab_rects  # noqa: E402
 from rectbeacon.transforms import TRANSFORMS  # noqa: E402
-from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing  # noqa: E402
+from rectbeacon.verify import (  # noqa: E402
+    SamplePlan,
+    build_samples,
+    default_pairs,
+    necessity_candidates,
+    verify_coverage,
+    verify_routing,
+)
 
 
 def corpus():
@@ -149,6 +158,12 @@ def dump_paths(poly, out):
                 f"({path.terminal.x},{path.terminal.y}) {segs}")
 
 
+def dump_verifier_inputs(poly, out):
+    out(f"samples: {pts(build_samples(poly, SamplePlan(grid=8, seed=1, jitter=4)))}")
+    out("pairs: " + "; ".join(pts(pair) for pair in default_pairs(poly, 16, 1)))
+    out(f"candidates: {pts(necessity_candidates(poly))}")
+
+
 def dump(name, poly, out):
     out(f"# {name}: n={poly.n} r={poly.r} {pts(poly.vertices)}")
     k = kernel(poly)
@@ -171,6 +186,7 @@ def dump(name, poly, out):
             + "".join("1" if is_dead_point(poly, q, b) else "0" for q in starts))
     if poly.n <= 24:
         dump_paths(poly, out)
+        dump_verifier_inputs(poly, out)
     if poly.n > 64:
         return
     for place in (cover, route_beacons):

@@ -22,6 +22,7 @@ from rectbeacon.polygon import (
     _merge_ring,
     _split_rings,
     boundary_hits,
+    chord_sides,
     chords_on_line,
     count_reflex_below,
     iter_normal_cuts,
@@ -299,13 +300,15 @@ def test_plus_side_at_vertex_cuts_matches_chain_walk():
 
 def test_pocket_side_matches_chain_walk():
     """The side pocket_side names is the oracle's pocket, vertex order included,
-    and the other side is not."""
+    and the other side is not; the Side it returns is chord_sides' side of
+    the pocket."""
     ends = 0
     for p in CORPUS:
         for e in p.reflex_edges():
             for v in (e.a, e.b):
                 vi = p.vertex_index(v)
-                chord, is_minus = pocket_side(p, e.index, vi)
+                chord, is_minus, side = pocket_side(p, e.index, vi)
+                assert side == chord_sides(chord)[0 if is_minus else 1], (p.vertices, e.index, vi)
                 minus_ring, plus_ring = cut_oracle.split_rings(p, chord)
                 want = list(cut_oracle.pocket(p, e.index, vi).vertices)
                 pocket_ring, other_ring = (minus_ring, plus_ring) if is_minus else (plus_ring, minus_ring)

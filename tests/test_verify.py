@@ -6,7 +6,13 @@ import itertools
 
 from rectbeacon.attraction import attraction_path, attracts
 from rectbeacon.errors import BudgetExceeded
-from rectbeacon.generators import coverage_spiral, greedy_cover_spiral, random_rectilinear, routing_spiral
+from rectbeacon.generators import (
+    coverage_spiral,
+    greedy_cover_spiral,
+    random_rectilinear,
+    random_x_monotone,
+    routing_spiral,
+)
 from rectbeacon.geometry import Point
 from rectbeacon.placement import route_beacons
 from rectbeacon.polygon import CONVEX, validate
@@ -22,6 +28,7 @@ from rectbeacon.verify import (
     verify_routing,
 )
 
+import sample_oracle
 from shapes import square, u_shape
 
 
@@ -124,6 +131,36 @@ def test_exhaust_monotone_in_k():
     cands = sorted(set(cands), key=lambda q: q.key())
     res1, _ = exhaust_necessity(p, 1, "cover", candidates=cands, plan=SamplePlan(grid=10))
     assert res1 == "pass"  # one beacon cannot guard the r=5 spiral
+
+
+def test_unknown_necessity_mode_is_rejected():
+    with pytest.raises(ValueError):
+        exhaust_necessity(random_rectilinear(12, 2), 1, "routing")
+
+
+def test_verifier_inputs_match_fraction_oracle():
+    """build_samples, necessity_candidates and default_pairs, built on the
+    ints, against the Fraction oracle, list for list: the c04 and c05
+    plans on their corpora, spirals r = 1..15 at grid 40, and the default
+    pairs and candidates of random polygons of route_fuzz's sizes."""
+    cases = [(random_rectilinear(4 + 2 * (seed % 19), seed * 7 + 3), SamplePlan(grid=14, jitter=10, seed=seed))
+             for seed in range(200)]
+    cases += [(random_x_monotone(4 + 2 * (seed % 14), seed * 3 + 5), SamplePlan(grid=14, jitter=6, seed=seed))
+              for seed in range(100)]
+    cases += [(coverage_spiral(r)[0], SamplePlan(grid=40)) for r in range(1, 16)]
+    for p, plan in cases:
+        assert build_samples(p, plan) == sample_oracle.build_samples(p, plan), (p.vertices, plan)
+    pairs = 0
+    for seed in range(60):
+        p = random_rectilinear(8 + 2 * (seed % 12), seed)
+        got = default_pairs(p, 100, seed)
+        assert got == sample_oracle.default_pairs(p, 100, seed), p.vertices
+        pairs += len(got) - p.n * (p.n - 1)
+        extra = [Point(Fraction(x), Fraction(y, 3)) for x, y in ((seed, seed), (1, 7), (2, -3))]
+        for grid, more in ((6, ()), (5, extra)):
+            got = necessity_candidates(p, grid, more)
+            assert got == sample_oracle.necessity_candidates(p, grid, more), (p.vertices, grid)
+    assert pairs >= 60 * 90
 
 
 def test_budget_guard():
