@@ -21,6 +21,7 @@ from .polygon import (
     EAST,
     REFLEX,
     WEST,
+    Chord,
     Cut,
     RectPolygon,
     _chain,
@@ -34,7 +35,7 @@ from .polygon import (
     reflex_points_below,
     split,
 )
-from .transforms import TRANSFORMS, Transform, all_transforms
+from .transforms import TRANSFORMS
 
 
 class BeaconSet:
@@ -81,6 +82,13 @@ class TraceNode:
             "beacons": [[str(b.x), str(b.y)] for b in self.beacons],
             "children": [c.as_dict() for c in self.children],
         }
+
+
+def _map_trace(node: TraceNode, fn) -> None:
+    """Map the beacons of node and of every node below it through fn."""
+    node.beacons[:] = [fn(b) for b in node.beacons]
+    for c in node.children:
+        _map_trace(c, fn)
 
 
 def _ceil3(x: int) -> int:
@@ -231,6 +239,7 @@ def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
             last = exc
             continue
         inv = t.inverse
+        _map_trace(child, inv.point)
         return [inv.point(b) for b in beacons_q]
     raise InternalCaseError(f"no orientation admits the case analysis: {last}")
 
@@ -440,6 +449,7 @@ def cover_monotone(poly: RectPolygon, trace: Optional[TraceNode] = None) -> Beac
     root = trace if trace is not None else TraceNode("mono_root", poly.r)
     beacons_q = _cover_monotone_rec(q, root)
     inv = t.inverse
+    _map_trace(root, inv.point)
     beacons = _dedup([inv.point(b) for b in beacons_q])
     if len(beacons) > poly.r // 4 + 1:
         raise InternalCaseError(
@@ -507,20 +517,15 @@ def _pockets(poly: RectPolygon):
             yield e.index, vi, pocket_summary(poly, e.index, vi)
 
 
-def _build_chosen(poly: RectPolygon, e_idx: int, v_idx: int, summary: PocketSummary):
-    """Build the chosen pocket once: it must be xy-monotone and match its summary."""
-    pk = pocket(poly, e_idx, v_idx)
-    if not pk.is_xy_monotone() or (pk.r, pk.n) != (summary.r, summary.n):
-        raise InternalCaseError(f"chosen pocket {pk} is not xy-monotone or not {summary}")
-    return e_idx, v_idx
-
-
 def find_xy_monotone_pocket(poly: RectPolygon) -> Tuple[int, int]:
     """(edge index, endpoint vertex index) whose pocket is xy-monotone."""
     if not poly.reflex_edges():
         raise NotAChord("polygon has no reflex edge; it is already xy-monotone")
-    e_idx, v_idx, pk = min(_pockets(poly), key=lambda t: (t[2].n, t[0], t[1]))
-    return _build_chosen(poly, e_idx, v_idx, pk)
+    e_idx, v_idx, summary = min(_pockets(poly), key=lambda t: (t[2].n, t[0], t[1]))
+    pk = pocket(poly, e_idx, v_idx)
+    if not pk.is_xy_monotone() or (pk.r, pk.n) != (summary.r, summary.n):
+        raise InternalCaseError(f"chosen pocket {pk} is not xy-monotone or not {summary}")
+    return e_idx, v_idx
 
 
 def route_beacons(poly: RectPolygon, trace: Optional[TraceNode] = None) -> BeaconSet:
@@ -532,18 +537,6 @@ def route_beacons(poly: RectPolygon, trace: Optional[TraceNode] = None) -> Beaco
             f"routing used {len(beacons)} beacons, budget {(3 * poly.r) // 4}"
         )
     return BeaconSet(beacons, ["route"] * len(beacons), trace=root, mode="route")
-
-
-def _normalizing_transform(poly: RectPolygon, e_idx: int, v_idx: int) -> Transform:
-    """Transform making edge e a top reflex edge with v its left endpoint."""
-    e = poly.edges[e_idx]
-    v = poly.vertices[v_idx]
-    other = e.b if v == e.a else e.a
-    if e.kind == "reflex":
-        for t in all_transforms():
-            if t.point(_INWARD[e.direction]) == Point(0, 1) and t.point(v - other).x < 0:
-                return t
-    raise InternalCaseError("no dihedral transform normalizes the pocket edge")
 
 
 def _pocket_wraps(poly: RectPolygon, e_idx: int, pk: PocketSummary) -> bool:
@@ -574,9 +567,9 @@ def _select_routing_pocket(poly: RectPolygon) -> Optional[Tuple[int, int, Pocket
 
     Preference order: a pocket with at least one reflex vertex (that branch
     recurses the whole complement, so its shape is irrelevant); then a
-    rectangle pocket whose complement pocket stays below the edge line (the
-    sweep argument needs this); a rectangle pocket with a trivial complement
-    comes along for free with either.
+    rectangle pocket whose complement pocket stays on its side of the edge
+    line (the sweep argument needs this); a rectangle pocket with a trivial
+    complement comes along for free with either.
     """
     summaries = {(e_idx, vi): pk for e_idx, vi, pk in _pockets(poly)}
     monos = [(e_idx, vi, pk) for (e_idx, vi), pk in summaries.items() if pk.monotone]
@@ -598,13 +591,58 @@ def _route_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
     selected = _select_routing_pocket(poly)
     if selected is None:
         return _route_pair_fallback(poly, node)
+    # Route through the pocket A at end v of reflex edge e, xy-monotone as
+    # its summary says.
     e_idx, v_idx, summary = selected
-    t = _normalizing_transform(poly, e_idx, v_idx)
-    q = t.polygon(poly)
-    inv = t.inverse
-    vpi = _other_end(poly, e_idx, v_idx)
-    beacons_q = _route_normalized(q, t.vertex(v_idx, poly.n), t.vertex(vpi, poly.n), summary, node)
-    return [inv.point(b) for b in beacons_q]
+    r = poly.r
+    a_piece, b_piece, c_piece, p, qpt = _three_pieces(poly, e_idx, v_idx)
+    if not a_piece.is_xy_monotone() or (a_piece.r, a_piece.n) != (summary.r, summary.n):
+        raise InternalCaseError(f"chosen pocket {a_piece} is not xy-monotone or not {summary}")
+    if a_piece.r >= 1:
+        child = node.child(TraceNode("route(rA>=1)", r, f"b1={p} b2={qpt}"))
+        child.beacons.extend([p, qpt])
+        return ([p, qpt]
+                + _route_rec(b_piece, child.child(TraceNode("B", b_piece.r)))
+                + _route_rec(c_piece, child.child(TraceNode("C", c_piece.r))))
+    # r(A) = 0: A is a rectangle; b1 goes infinitesimally inward of e at v'.
+    e = poly.edges[e_idx]
+    b1 = _beacon_above(poly, e, poly.vertices[_other_end(poly, e_idx, v_idx)])
+    child = node.child(TraceNode("route(rA=0)", r, f"b1={b1}"))
+    child.beacons.append(b1)
+    out = [b1] + _route_rec(b_piece, child.child(TraceNode("B", b_piece.r)))
+    if c_piece.r == 0:
+        return out
+    return out + _route_sweep_c(c_piece, e, qpt, child)
+
+
+def _far_end(chord: Chord, w: Point) -> Point:
+    """The end of a chord that is not w."""
+    return chord.a if chord.b == w else chord.b
+
+
+def _three_pieces(poly: RectPolygon, e_idx: int, v_idx: int):
+    """(A, B, C, p, q): poly cut along reflex edge e's line at both its ends.
+
+    A is the pocket at v, cut off along the chord pocket_side materializes;
+    the rest is split at v', e's other end, into C, the pocket there, and
+    B, the middle piece that holds e.  p and q are the far ends of the
+    chords at v and at v'.  NotAChord if the cut at v' is no chord of the
+    rest.
+    """
+    o = poly.edges[e_idx].orientation
+    chord_a, pocket_is_minus, _ = pocket_side(poly, e_idx, v_idx)
+    minus, plus = split(poly, Cut(v_idx, o, _chord=chord_a))
+    a_piece, rest = (minus, plus) if pocket_is_minus else (plus, minus)
+    vprime = poly.vertices[_other_end(poly, e_idx, v_idx)]
+    where = rest.locate_boundary(vprime)
+    if where is None or not where[1]:
+        raise InternalCaseError(f"v' = {vprime} is no vertex of the piece beyond the cut at v")
+    cut_c = Cut(where[0], o)
+    chord_c = materialize(rest, cut_c)
+    minus, plus = split(rest, cut_c)
+    # e's pockets at both ends lie on the same side of its line.
+    c_piece, b_piece = (minus, plus) if pocket_is_minus else (plus, minus)
+    return a_piece, b_piece, c_piece, _far_end(chord_a, poly.vertices[v_idx]), _far_end(chord_c, vprime)
 
 
 def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
@@ -619,121 +657,74 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
     budget = (3 * poly.r) // 4
     for e in poly.reflex_edges():
         for vi in (e.index, (e.index + 1) % poly.n):
-            vpt, other = poly.vertices[vi], poly.vertices[_other_end(poly, e.index, vi)]
-            chord_a, pocket_is_minus, _ = pocket_side(poly, e.index, vi)
-            minus, plus = split(poly, Cut(vi, e.orientation, _chord=chord_a))
-            a_piece, rest = (minus, plus) if pocket_is_minus else (plus, minus)
-            ovi = rest.vertex_index(other)
-            if ovi is None:
-                continue
             try:
-                cut_c = Cut(ovi, e.orientation)
-                chord_c = materialize(rest, cut_c)
+                a_piece, b_piece, c_piece, p_pt, q_pt = _three_pieces(poly, e.index, vi)
             except NotAChord:
                 continue
-            minus2, plus2 = split(rest, cut_c)
-            # e's pockets at both ends lie on the same side of its line.
-            c_piece, b_piece = (minus2, plus2) if pocket_is_minus else (plus2, minus2)
-            cost = 2 + sum((3 * piece.r) // 4 for piece in (a_piece, b_piece, c_piece))
-            if cost > budget:
+            if 2 + sum((3 * piece.r) // 4 for piece in (a_piece, b_piece, c_piece)) > budget:
                 continue
-            p_pt = chord_a.a if chord_a.b == vpt else chord_a.b
-            q_pt = chord_c.a if chord_c.b == other else chord_c.b
-            child = node.child(TraceNode("route(pair-fallback)", poly.r,
-                                         f"b1={p_pt} b2={q_pt}"))
+            child = node.child(TraceNode("route(pair-fallback)", poly.r, f"b1={p_pt} b2={q_pt}"))
             child.beacons.extend([p_pt, q_pt])
             return ([p_pt, q_pt]
                     + _route_rec(a_piece, child.child(TraceNode("A", a_piece.r)))
                     + _route_rec(b_piece, child.child(TraceNode("B", b_piece.r)))
                     + _route_rec(c_piece, child.child(TraceNode("C", c_piece.r))))
-    raise InternalCaseError(
-        "no pocket choice and no in-budget pair split; routing is stuck"
-    )
+    raise InternalCaseError("no pocket choice and no in-budget pair split; routing is stuck")
 
 
-def _route_normalized(poly: RectPolygon, vi: int, vpi: int, summary: PocketSummary,
-                      node: TraceNode) -> List[Point]:
-    """poly has a top reflex edge with ends vi and vpi; vi is its west
-    endpoint and the pocket on vi's side is xy-monotone, as its summary
-    says."""
-    r = poly.r
-    v, vprime = poly.vertices[vi], poly.vertices[vpi]
-    cut_v = Cut(vi, "H")
-    chord_v = materialize(poly, cut_v)
-    p = chord_v.a if chord_v.b == v else chord_v.b  # the far (west) endpoint
-    a_piece, rest = split(poly, cut_v)
-    if not a_piece.is_xy_monotone() or (a_piece.r, a_piece.n) != (summary.r, summary.n):
-        raise InternalCaseError(f"chosen pocket {a_piece} is not xy-monotone or not {summary}")
-    where = rest.locate_boundary(vprime)
-    if where is None or not where[1]:
-        raise InternalCaseError(f"v' = {vprime} is no vertex of the piece beyond the cut at v")
-    cut_vp = Cut(where[0], "H")
-    chord_vp = materialize(rest, cut_vp)
-    qpt = chord_vp.a if chord_vp.b == vprime else chord_vp.b  # far (east) endpoint
-    c_piece, b_piece = split(rest, cut_vp)
-
-    if a_piece.r >= 1:
-        child = node.child(TraceNode("route(rA>=1)", r, f"b1={p} b2={qpt}"))
-        child.beacons.extend([p, qpt])
-        return ([p, qpt]
-                + _route_rec(b_piece, child.child(TraceNode("B", b_piece.r)))
-                + _route_rec(c_piece, child.child(TraceNode("C", c_piece.r))))
-
-    # r(A) = 0: A is a rectangle; b1 goes infinitesimally above v'.
-    b1 = _beacon_above(poly, vprime, a_piece, v)
-    child = node.child(TraceNode("route(rA=0)", r, f"b1={b1}"))
-    child.beacons.append(b1)
-    out = [b1] + _route_rec(b_piece, child.child(TraceNode("B", b_piece.r)))
-    if c_piece.r == 0:
-        return out
-    return out + _route_sweep_c(c_piece, qpt, child)
-
-
-def _beacon_above(poly: RectPolygon, vprime: Point, a_piece: RectPolygon, v: Point) -> Point:
-    # Half the least gap between vertex levels: the horizontal index rows
-    # hold every vertex level, times D and sorted.
+def _beacon_above(poly: RectPolygon, e, vprime: Point) -> Point:
+    """v' + delta * inward(e), inside poly: delta starts at half the least
+    gap between the levels of e's orientation, which the edge index rows
+    hold times D and sorted."""
     scale, index = poly.edge_index()
-    ys = list(dict.fromkeys(index["H"][0]))
-    delta = Fraction(min(b - a for a, b in zip(ys, ys[1:])), 2 * scale)
-    xmin, ymin, _, _ = a_piece.bbox()
-    lrc = Point(v.x, ymin)  # lower-right corner of the rectangle A
-    d = lrc - vprime
+    levels = list(dict.fromkeys(index[e.orientation][0]))
+    delta = Fraction(min(b - a for a, b in zip(levels, levels[1:])), 2 * scale)
+    inward = _INWARD[e.direction]
     for _ in range(64):
-        b1 = Point(vprime.x, vprime.y + delta)
-        if poly.contains(b1) == "in" and d.cross(b1 - vprime) < 0:
+        b1 = vprime + inward * delta
+        if poly.contains(b1) == "in":
             return b1
         delta /= 2
     raise InternalCaseError("could not place a beacon just above v'")
 
 
-def _route_sweep_c(c_piece: RectPolygon, qpt: Point, node: TraceNode) -> List[Point]:
-    """Sweep C downward from its top edge until xy-monotonicity breaks.
+# The C sweep runs in the frame of the reflex edge e it starts from, of
+# orientation o and half-plane sense s: a level is a coordinate across o,
+# and the upper side of a chord of orientation o is the side towards e's
+# line, so split(...)[::s] is (lower piece, upper piece).
 
-    Callers guarantee that C stays below the cut line (no wrap-around), so
-    the cut edge is C's top edge and the swept upper piece is meaningful.
+
+def _level_along(p: Point, o: str) -> Tuple[Fraction, Fraction]:
+    """p's coordinates across and along orientation o."""
+    return (p.y, p.x) if o == "H" else (p.x, p.y)
+
+
+def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List[Point]:
+    """Sweep C away from e's line, from its chord at v' on, until
+    xy-monotonicity breaks.
+
+    Callers guarantee that C stays on its side of the cut line (no
+    wrap-around), so the chord is C's top edge and the swept upper piece is
+    meaningful.
     """
-    top_level = max(p.y for p in c_piece.vertices)
-    if qpt.y != top_level:
+    o, sense = e.orientation, e.halfplane.sense
+    top_level = _level_along(qpt, o)[0]
+    coords = [_level_along(p, o) for p in c_piece.vertices]
+    if any(sense * (level - top_level) > 0 for level, _ in coords):
         raise InternalCaseError("sweep entered a wrapped complement pocket")
-    top_xs = [p.x for p in c_piece.vertices if p.y == top_level]
-    interval = (min(top_xs), max(top_xs))
-    levels = sorted({e.a.y for e in c_piece.edges if e.orientation == "H"
-                     and e.a.y < top_level}, reverse=True)
+    top = [u for level, u in coords if level == top_level]
+    interval = (min(top), max(top))
+    levels = sorted({x.level for x in c_piece.edges if x.orientation == o and x.level != top_level},
+                    reverse=sense > 0)
     prev_level = top_level
     for level in levels:
-        mid = (prev_level + level) / 2
-        over = [c for c in chords_on_line(c_piece, "H", mid)
+        over = [c for c in chords_on_line(c_piece, o, (prev_level + level) / 2)
                 if c.lo < interval[1] and interval[0] < c.hi]
-        ok = False
-        if len(over) == 1:
-            chord = over[0]
-            _, upper = split(c_piece, Cut(chord.a, "H", _chord=chord))
-            if upper.is_xy_monotone():
-                interval = (chord.lo, chord.hi)
-                ok = True
-        if not ok:
+        upper = split(c_piece, Cut(over[0].a, o, _chord=over[0]))[::sense][1] if len(over) == 1 else None
+        if upper is None or not upper.is_xy_monotone():
             # The event that broke monotonicity sits at the band's top level.
-            return _route_c_violation(c_piece, prev_level, interval, qpt, node)
+            return _route_c_violation(c_piece, e, prev_level, interval, qpt, node)
+        interval = (over[0].lo, over[0].hi)
         prev_level = level
     # Sweep exhausted: C is xy-monotone after all (isolated reflex vertices).
     child = node.child(TraceNode("route(C monotone)", c_piece.r))
@@ -743,64 +734,63 @@ def _route_sweep_c(c_piece: RectPolygon, qpt: Point, node: TraceNode) -> List[Po
     return []
 
 
-def _route_c_violation(c_piece: RectPolygon, level: Fraction,
+def _route_c_violation(c_piece: RectPolygon, e, level: Fraction,
                        interval, qpt: Point, node: TraceNode) -> List[Point]:
+    o = e.orientation
     lo_i, hi_i = interval
-    h_reflex = [e for e in c_piece.edges
-                if e.orientation == "H" and e.a.y == level and e.kind == "reflex"
-                and e.span()[0] <= hi_i and lo_i <= e.span()[1]]
-    if h_reflex:
-        if len(h_reflex) > 1:
-            raise InternalCaseError("two horizontal reflex edges stop the sweep at once")
-        return _route_c_three(c_piece, h_reflex[0], qpt, node)
-    # Vertical violator: its lower endpoint w sits at this level.
-    w_cands = [i for i in c_piece.reflex_indices
-               if c_piece.vertices[i].y == level and lo_i <= c_piece.vertices[i].x <= hi_i]
+    parallel = [x for x in c_piece.edges
+                if x.orientation == o and x.level == level and x.kind == "reflex"
+                and x.span()[0] <= hi_i and lo_i <= x.span()[1]]
+    if parallel:
+        if len(parallel) > 1:
+            raise InternalCaseError("two reflex edges parallel to e stop the sweep at once")
+        return _route_c_three(c_piece, e, parallel[0], qpt, node)
+    # A violator across o: its end w sits at this level.
+    coords = [_level_along(p, o) for p in c_piece.vertices]
+    w_cands = [i for i in c_piece.reflex_indices if coords[i][0] == level and lo_i <= coords[i][1] <= hi_i]
     if len(w_cands) != 1:
         raise InternalCaseError(f"sweep stop: {len(w_cands)} candidate vertices at {level}")
     wi = w_cands[0]
-    cut = Cut(wi, "H")
-    chord = materialize(c_piece, cut)
-    w = c_piece.vertices[wi]
-    b2 = chord.a if chord.b == w else chord.b
-    c2, c1 = split(c_piece, cut)
+    cut = Cut(wi, o)
+    b2 = _far_end(materialize(c_piece, cut), c_piece.vertices[wi])
+    c2, c1 = split(c_piece, cut)[::e.halfplane.sense]
     if not c1.is_xy_monotone():
-        raise InternalCaseError("upper sweep piece is not monotone (vertical case)")
+        raise InternalCaseError("upper sweep piece is not monotone (perpendicular case)")
     child = node.child(TraceNode("route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}"))
     child.beacons.extend([b2, qpt])
     return [b2, qpt] + _route_rec(c2, child.child(TraceNode("C2", c2.r)))
 
 
-def _route_c_three(c_piece: RectPolygon, eprime, qpt: Point, node: TraceNode) -> List[Point]:
-    """Split C along the full sweep segment through a horizontal reflex edge."""
-    w1, w2 = _endpoints_west_east(eprime)
+def _route_c_three(c_piece: RectPolygon, e, eprime, qpt: Point, node: TraceNode) -> List[Point]:
+    """Split C along the full sweep segment through a reflex edge e' parallel to e."""
+    o = e.orientation
     pieces_below: List[RectPolygon] = []
     upper = c_piece
     ends = []
-    for wpt, side in ((w1, "west"), (w2, "east")):
+    for wpt in sorted((eprime.a, eprime.b), key=lambda p: _level_along(p, o)[1]):
         wi = upper.vertex_index(wpt)
         if wi is None:
             ends.append(wpt)
             continue
         try:
-            cut = Cut(wi, "H")
+            cut = Cut(wi, o)
             chord = materialize(upper, cut)
         except NotAChord:
             ends.append(wpt)
             continue
-        far = chord.a if side == "west" else chord.b
-        ends.append(far)
+        ends.append(_far_end(chord, wpt))
+        # The piece the sweep started in keeps qpt; the other one may reach
+        # back towards e's line.
         below, upper = split(upper, cut)
+        if upper.vertex_index(qpt) is None:
+            below, upper = upper, below
         pieces_below.append(below)
-    c1 = upper
-    if not c1.is_xy_monotone():
-        raise InternalCaseError("upper sweep piece is not monotone (horizontal case)")
-    b2, b3 = sorted(ends, key=lambda p: p.x)[0], sorted(ends, key=lambda p: p.x)[-1]
-    beacons = [b2, b3]
-    if c1.r >= 2:
-        beacons.append(qpt)
+    if not upper.is_xy_monotone():
+        raise InternalCaseError("upper sweep piece is not monotone (parallel case)")
+    beacons = sorted(ends, key=lambda p: _level_along(p, o)[1]) + ([qpt] if upper.r >= 2 else [])
+    b2, b3 = beacons[:2]
     child = node.child(TraceNode("route(C three-piece)", c_piece.r,
-                                 f"b2={b2} b3={b3} bstar={'yes' if c1.r >= 2 else 'no'}"))
+                                 f"b2={b2} b3={b3} bstar={'yes' if upper.r >= 2 else 'no'}"))
     child.beacons.extend(beacons)
     out = list(beacons)
     for k, piece in enumerate(pieces_below):

@@ -1,12 +1,14 @@
 """The eight axis-preserving symmetries of the plane (dihedral group of the square).
 
-Placement case analyses are written for one orientation; inputs are mapped
-through a transform realizing that orientation and results mapped back.
+Two placement case analyses are written for one orientation: cover's
+no-safe-cut cases and cover_monotone's sweep.  Their input is mapped
+through a transform realizing that orientation, and the beacons and trace
+mapped back.  Routing runs in its input's frame and uses none of them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable
 
 from .geometry import Point
 from .polygon import RectPolygon
@@ -26,10 +28,6 @@ class Transform:
 
     def point(self, p: Point) -> Point:
         return self.fn(p)
-
-    def vertex(self, i: int, n: int) -> int:
-        """The index in polygon(poly) of vertex i of poly, n its vertex count."""
-        return n - 1 - i if self.mirror else i
 
     def polygon(self, poly: RectPolygon) -> RectPolygon:
         """poly's image, classified on poly's ints mapped the same way."""
@@ -60,7 +58,3 @@ TRANSFORMS = {
     "mirror_diag": Transform("mirror_diag", lambda p: Point(p.y, p.x), "mirror_diag"),
     "mirror_anti": Transform("mirror_anti", lambda p: Point(-p.y, -p.x), "mirror_anti"),
 }
-
-
-def all_transforms() -> List[Transform]:
-    return list(TRANSFORMS.values())

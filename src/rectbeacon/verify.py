@@ -198,13 +198,13 @@ class AttractionGraph:
         attr = self.memo.attracts
         return (i for i, b in enumerate(self._ids) if attr(b, source))
 
-    def route(self, s: Point, t: Point) -> Optional[int]:
-        """Chain length routing s to t (0 = direct attraction), or None."""
+    def route(self, s: int, t: int) -> Optional[int]:
+        """Chain length routing the point of memo id s to that of memo id t
+        (0 = direct attraction), or None."""
         attr, ids = self.memo.attracts, self._ids
         if self._succ is None:
             self._succ = [[j for j, dst in enumerate(ids) if i != j and attr(dst, src)]
                           for i, src in enumerate(ids)]
-        s, t = self.memo.id(s), self.memo.id(t)
         if attr(t, s):
             return 0
         frontier = list(self.pulling(s))
@@ -256,7 +256,7 @@ def verify_routing(poly: RectPolygon, beacons: Sequence[Point],
     failed = 0
     max_chain = 0
     for s, t in pairs:
-        chain = graph.route(s, t)
+        chain = graph.route(graph.memo.id(s), graph.memo.id(t))
         if chain is None:
             failed += 1
             if len(witnesses) < witness_limit:
@@ -314,7 +314,10 @@ def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
         raise BudgetExceeded(f"necessity check needs ~{cost} evaluations > {budget}")
 
     memo = AttractionMemo(poly)  # shared by every subset
-    sample_ids = [memo.id(s) for s in samples] if mode == "cover" else []
+    if mode == "cover":
+        sample_ids = [memo.id(s) for s in samples]
+    else:
+        pair_ids = [(memo.id(s), memo.id(t)) for s, t in pair_list]
 
     tried = 0
     for subset in itertools.combinations(cands, k):
@@ -323,7 +326,7 @@ def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
         if mode == "cover":
             done = all(next(graph.pulling(s), None) is not None for s in sample_ids)
         else:
-            done = all(graph.route(s, t) is not None for s, t in pair_list)
+            done = all(graph.route(s, t) is not None for s, t in pair_ids)
         if done:
             return ("counterexample", graph.beacons)
     return ("pass", tried)

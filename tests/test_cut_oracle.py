@@ -12,7 +12,7 @@ from rectbeacon.clipping import clip_fast
 from rectbeacon.errors import GeneralPositionViolated, InternalCaseError, NotAChord, NotRectilinear
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
-from rectbeacon.placement import _first_reflex_above, _pocket_wraps, _r_plus, pocket_summary
+from rectbeacon.placement import _first_reflex_above, _pocket_wraps, _r_plus, _three_pieces, pocket_summary
 from rectbeacon.polygon import (
     REFLEX,
     Chord,
@@ -33,7 +33,7 @@ from rectbeacon.polygon import (
     split,
     validate,
 )
-from rectbeacon.transforms import TRANSFORMS, all_transforms
+from rectbeacon.transforms import TRANSFORMS
 
 import clip_oracle
 import cut_oracle
@@ -272,6 +272,30 @@ def test_pocket_summaries_match_built_pockets():
     assert pockets >= 2000
 
 
+def test_three_pieces_are_both_pockets_and_the_middle():
+    """_three_pieces cuts both pockets of a reflex edge off: A and C have
+    the r and n of their summaries, the areas add up exactly, e lies on B's
+    boundary, and each far end is a corner of both pieces its chord bounds."""
+    splits = skipped = 0
+    for p in CORPUS:
+        for e in p.reflex_edges():
+            for vi, vpi in ((e.index, (e.index + 1) % p.n), ((e.index + 1) % p.n, e.index)):
+                try:
+                    a, b, c, far_v, far_vp = _three_pieces(p, e.index, vi)
+                except NotAChord:
+                    skipped += 1
+                    continue
+                sa, sc = pocket_summary(p, e.index, vi), pocket_summary(p, e.index, vpi)
+                assert (a.r, a.n) == (sa.r, sa.n), (p.vertices, e.index, vi)
+                assert (c.r, c.n) == (sc.r, sc.n), (p.vertices, e.index, vpi)
+                assert a.area() + b.area() + c.area() == p.area(), (p.vertices, e.index, vi)
+                assert b.contains(midpoint(e.a, e.b)) == "on", (p.vertices, e.index, vi)
+                for piece, end in ((a, far_v), (b, far_v), (b, far_vp), (c, far_vp)):
+                    assert piece.vertex_index(end) is not None, (p.vertices, e.index, vi)
+                splits += 1
+    assert splits >= 2000 and skipped < splits // 10
+
+
 def test_plus_side_at_vertex_cuts_matches_chain_walk():
     """r(P_plus) and the lowest reflex vertex above a cut, both read off the
     plus side's range, against the oracle's plus chain."""
@@ -466,15 +490,17 @@ def test_transformed_polygons_keep_their_ints():
     """Transform.polygon classifies on its input's ints, mapped: for all 8
     symmetries its classes, edges and edge index rows (divided by D) equal
     those of a polygon built from a fresh scaling of the same vertices, and
-    vertex i of the input is vertex t.vertex(i, n) of the image."""
-    for t in all_transforms():
+    vertex i of the input is vertex i of the image under a rotation and
+    vertex n - 1 - i under a mirror."""
+    for t in TRANSFORMS.values():
         for p in CORPUS + MAPPED:
             q = t.polygon(p)
             fresh = RectPolygon(q.vertices, _trusted=True)
             assert q.classes == fresh.classes, (t, p.vertices)
             assert _edge_table(q) == _edge_table(fresh), (t, p.vertices)
             assert _index_rows(q) == _index_rows(fresh), (t, p.vertices)
-            assert [q.vertices[t.vertex(i, p.n)] for i in range(p.n)] == [t.point(v) for v in p.vertices]
+            image = [q.vertices[p.n - 1 - i if t.name.startswith("mirror") else i] for i in range(p.n)]
+            assert image == [t.point(v) for v in p.vertices], (t, p.vertices)
 
 
 def test_trusted_collinear_vertex_at_fractional_coordinates_rejected():

@@ -14,7 +14,8 @@ from rectbeacon.placement import (
     find_xy_monotone_pocket,
     route_beacons,
 )
-from rectbeacon.polygon import pocket, split, validate
+from rectbeacon.polygon import RectPolygon, pocket, split, validate
+from rectbeacon.transforms import TRANSFORMS
 from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing
 
 from shapes import l_shape, square, u_shape
@@ -176,3 +177,47 @@ def test_route_chain_length_bounded():
         rep = verify_routing(p, bs.beacons, pair_count=20, seed=seed)
         assert rep.passed
         assert rep.stats["max_chain"] <= len(bs) + 1
+
+
+def _trace_beacons(node):
+    """The beacons of a trace node and of every node below it."""
+    return set(node.beacons).union(*(_trace_beacons(c) for c in node.children))
+
+
+def test_trace_beacons_are_the_placed_beacons():
+    """Together the trace nodes name exactly the beacons placed, in the
+    input's frame, also where a placement ran on a transformed copy: the
+    no-safe-cut frames of cover and the y-monotone frame of cover_monotone."""
+    fuzz = [random_rectilinear(8 + 2 * (s % 30), s) for s in range(90)]
+    for p in fuzz + [TRANSFORMS["mirror_x"].polygon(q) for q in fuzz]:
+        for place in (cover, route_beacons):
+            bs = place(p)
+            assert _trace_beacons(bs.trace) == set(bs.beacons), (place.__name__, p.vertices)
+    for s in range(20):
+        p = TRANSFORMS["rot90"].polygon(random_x_monotone(8 + 2 * (s % 10), s))
+        bs = cover_monotone(p)
+        assert _trace_beacons(bs.trace) == set(bs.beacons), p.vertices
+
+
+def _presentations(p):
+    """p under each of the 8 symmetries, each started at 3 vertices."""
+    for t in TRANSFORMS.values():
+        q = t.polygon(p)
+        for k in (0, q.n // 3, 2 * q.n // 3):
+            yield RectPolygon(q.vertices[k:] + q.vertices[:k], _trusted=True)
+
+
+def test_route_across_presentations():
+    """Routing runs in the frame it is given: under every symmetry and start
+    vertex it keeps the bound, and one presentation per polygon routes.
+    Under some symmetries the last polygon's sweep of C stops at a reflex
+    edge whose chord at one end cuts off a piece reaching back towards e's
+    line, not the piece the sweep started in."""
+    polys = [random_rectilinear(10 + 2 * seed, seed + 777) for seed in range(20)] + [random_rectilinear(46, 169)]
+    for seed, p in enumerate(polys):
+        for k, q in enumerate(_presentations(p)):
+            bs = route_beacons(q)
+            assert len(bs) <= 3 * q.r // 4, (seed, k)
+            if k == 5 + seed % 19:
+                rep = verify_routing(q, bs.beacons, pair_count=30, seed=seed)
+                assert rep.passed, (seed, k, rep.stats)

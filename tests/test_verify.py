@@ -179,7 +179,7 @@ def _fresh_necessity(poly, k, mode, cands, pairs, samples):
             ok = all(any(attracts(poly, b, s) for b in subset) for s in samples)
         else:
             graph = AttractionGraph(poly, subset)
-            ok = all(graph.route(s, t) is not None for s, t in pairs)
+            ok = all(graph.route(graph.memo.id(s), graph.memo.id(t)) is not None for s, t in pairs)
         if ok:
             return ("counterexample", list(subset))
     return ("pass", tried)
@@ -222,10 +222,12 @@ def test_route_between_points_that_are_not_beacons_matches_attracts_chains():
         pairs = [(s, t) for s, t in default_pairs(p, 30, seed=1) if s not in placed]
         memo = AttractionMemo(p)
         # A memo already holding the ids of other points and beacons.
-        AttractionGraph(p, [v for v in p.vertices if v not in placed][:3], memo).route(*pairs[0])
+        AttractionGraph(p, [v for v in p.vertices if v not in placed][:3], memo).route(
+            memo.id(pairs[0][0]), memo.id(pairs[0][1]))
         for beacons in (placed, placed[:1]):
             want = [_chain(p, beacons, s, t) for s, t in pairs]
             for graph in (AttractionGraph(p, beacons), AttractionGraph(p, beacons, memo)):
-                assert [graph.route(s, t) for s, t in pairs] == want
+                ids = [(graph.memo.id(s), graph.memo.id(t)) for s, t in pairs]
+                assert [graph.route(s, t) for s, t in ids] == want
             chains.update(want)
     assert {None, 0, 1, 2} <= chains
