@@ -1,12 +1,15 @@
 """Half-plane clipping of rectilinear polygons, twice over.
 
-Two deliberately independent implementations:
-
 * clip_fast: one walk along the chords of the clip line, which cut the
   polygon into pieces that each lie on one side of it; chord_sides names
   the side (O(n log n); used by the kernel algorithm);
 * clip_split: repeated chord splitting (simple and slow; used by the kernel
   oracle and as a cross-check in tests).
+
+Both take their chords from chords_on_line, their sides from chord_sides,
+their rings from polygon._cut_rings and their pieces from _piece.  The
+independent reference is tests/clip_oracle.py, which stitches the kept
+arcs by its own rules and merges rings by Fraction turns.
 
 Both return regularized full-dimensional pieces: boundary runs on the clip
 line are no chords, so nothing of measure zero is ever cut off.
@@ -18,16 +21,14 @@ from fractions import Fraction
 from typing import List
 
 from .errors import InternalCaseError
-from .geometry import Point
 from .polygon import (
     Cut,
     RectPolygon,
-    _chain,
+    _cut_rings,
     _piece,
     chord_sides,
     chords_on_line,
     split,
-    walk_range,
 )
 
 
@@ -35,44 +36,19 @@ def clip_fast(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> List
     """Keep {axis_coord <= c} (keep_low) or {axis_coord >= c} of the polygon.
 
     axis is 'y' or 'x'.  The chords of the line cut poly into pieces that
-    each lie on one side of it.  A piece's boundary runs from a chord end
-    along the polygon boundary to the next chord end, crosses that end's
-    chord, and so on until it closes; it is kept iff it leaves its chords at
-    the ends where the kept side's walk of chord_sides leaves them.
+    each lie on one side of it, one walk along all of them (_cut_rings); a
+    piece is kept iff it leaves its chords at the ends where the kept side's
+    walk of chord_sides leaves them.  Rings start at their first such end
+    in boundary order.
     """
     chords = chords_on_line(poly, "H" if axis == "y" else "V", c)
     if not chords:
         coords = [(v.y if axis == "y" else v.x) for v in poly.vertices]
         return [poly] if (max(coords) <= c if keep_low else min(coords) >= c) else []
-    side = 0 if keep_low else 1
-    # Every chord end (chord, 0 for a / 1 for b) in boundary order: a vertex
-    # before the interior of the edge that starts there.
-    located = sorted(((i, not vertex), k, e)
-                     for k, ch in enumerate(chords) for e, (i, vertex) in enumerate(ch.ends))
-    ends = [(k, e) for _, k, e in located]
-    following = {end: ends[(m + 1) % len(ends)] for m, end in enumerate(ends)}
-    out: List[RectPolygon] = []
-    seen = set()
-    for start in ends:
-        k, e = start
-        if start in seen or chord_sides(chords[k])[side].first != e:
-            continue
-        ring: List[Point] = []
-        end = start
-        while True:
-            if end in seen:
-                raise InternalCaseError(f"clip walk on {axis}={c} revisits a chord end")
-            seen.add(end)
-            (k, e), (k2, e2) = end, following[end]
-            s, t = walk_range(chords[k].ends[e], chords[k2].ends[e2])
-            ring.append((chords[k].a, chords[k].b)[e])
-            ring.extend(poly.vertices[v] for v in _chain(poly, s, t))
-            ring.append((chords[k2].a, chords[k2].b)[e2])
-            end = (k2, 1 - e2)
-            if end == start:
-                break
-        out.append(_piece(ring))
-    return out
+    # The kept side leaves every chord of the line at the same end.
+    first = chord_sides(chords[0])[0 if keep_low else 1].first
+    rings = _cut_rings(poly, chords, {(k, first) for k in range(len(chords))})
+    return [_piece(*ring) for ring in rings.values()]
 
 
 def clip_split(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> List[RectPolygon]:

@@ -4,7 +4,11 @@ kernel() implements the linear-time characterization: the kernel equals the
 intersection of the polygon with the axis box spanned by the supporting
 half-planes of its reflex edges.  kernel_oracle() recomputes the same set
 from first principles by clipping away the complement cone of every reflex
-vertex; it shares no clipping code with kernel() and exists to check it.
+vertex, and exists to check it.  Its clip, clip_split, cuts one chord at a
+time where kernel()'s clip_fast walks every chord of the line at once, but
+both take their chords from chords_on_line, their sides from chord_sides
+and their rings from the one boundary walk (_cut_rings), and build their
+pieces with _piece: a fault there can reach both sides of the comparison.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ from .polygon import (
     Chord,
     Cut,
     RectPolygon,
-    _chain,
+    _cut_rings,
+    _cyclic,
+    _piece,
     chord_sides,
     chords_on_line,
     count_reflex_below,
@@ -169,7 +171,7 @@ def _first_reflex_above(poly: RectPolygon, cut: Cut) -> Point:
     """Reflex vertex of P_plus above the cut with minimal level (ties: smaller cross)."""
     chord = materialize(poly, cut)
     _, plus = chord_sides(chord)
-    reflex = [poly.vertices[k] for k in _chain(poly, plus.s, plus.t) if poly.classes[k] == REFLEX]
+    reflex = [poly.vertices[k] for k in _cyclic(range(poly.n), plus.s, plus.t) if poly.classes[k] == REFLEX]
     above = [p for p in reflex if (p.y if chord.axis == "H" else p.x) > chord.level]
     if not above:
         raise InternalCaseError("no reflex vertex above the cut")
@@ -623,26 +625,18 @@ def _far_end(chord: Chord, w: Point) -> Point:
 def _three_pieces(poly: RectPolygon, e_idx: int, v_idx: int):
     """(A, B, C, p, q): poly cut along reflex edge e's line at both its ends.
 
-    A is the pocket at v, cut off along the chord pocket_side materializes;
-    the rest is split at v', e's other end, into C, the pocket there, and
-    B, the middle piece that holds e.  p and q are the far ends of the
-    chords at v and at v'.  NotAChord if the cut at v' is no chord of the
-    rest.
+    A and C are the pockets at v and at v', e's other end, and B, between
+    them, holds e; p and q are the far ends of their chords.  The chords
+    extend e both ways, so one walk along both cuts all three pieces.
     """
-    o = poly.edges[e_idx].orientation
-    chord_a, pocket_is_minus, _ = pocket_side(poly, e_idx, v_idx)
-    minus, plus = split(poly, Cut(v_idx, o, _chord=chord_a))
-    a_piece, rest = (minus, plus) if pocket_is_minus else (plus, minus)
-    vprime = poly.vertices[_other_end(poly, e_idx, v_idx)]
-    where = rest.locate_boundary(vprime)
-    if where is None or not where[1]:
-        raise InternalCaseError(f"v' = {vprime} is no vertex of the piece beyond the cut at v")
-    cut_c = Cut(where[0], o)
-    chord_c = materialize(rest, cut_c)
-    minus, plus = split(rest, cut_c)
-    # e's pockets at both ends lie on the same side of its line.
-    c_piece, b_piece = (minus, plus) if pocket_is_minus else (plus, minus)
-    return a_piece, b_piece, c_piece, _far_end(chord_a, poly.vertices[v_idx]), _far_end(chord_c, vprime)
+    vp_idx = _other_end(poly, e_idx, v_idx)
+    chord_a, _, side_a = pocket_side(poly, e_idx, v_idx)
+    chord_c, _, side_c = pocket_side(poly, e_idx, vp_idx)
+    # B leaves the chord at v' where the pocket there returns to it.
+    a, b, c = (0, side_a.first), (1, 1 - side_c.first), (1, side_c.first)
+    rings = _cut_rings(poly, [chord_a, chord_c], (a, b, c))
+    return (_piece(*rings[a]), _piece(*rings[b]), _piece(*rings[c]),
+            _far_end(chord_a, poly.vertices[v_idx]), _far_end(chord_c, poly.vertices[vp_idx]))
 
 
 def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
@@ -657,10 +651,7 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
     budget = (3 * poly.r) // 4
     for e in poly.reflex_edges():
         for vi in (e.index, (e.index + 1) % poly.n):
-            try:
-                a_piece, b_piece, c_piece, p_pt, q_pt = _three_pieces(poly, e.index, vi)
-            except NotAChord:
-                continue
+            a_piece, b_piece, c_piece, p_pt, q_pt = _three_pieces(poly, e.index, vi)
             if 2 + sum((3 * piece.r) // 4 for piece in (a_piece, b_piece, c_piece)) > budget:
                 continue
             child = node.child(TraceNode("route(pair-fallback)", poly.r, f"b1={p_pt} b2={q_pt}"))
@@ -706,6 +697,11 @@ def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List
     Callers guarantee that C stays on its side of the cut line (no
     wrap-around), so the chord is C's top edge and the swept upper piece is
     meaningful.
+
+    The sweep always stops.  C is pocket(poly, e, v'), cut along poly's own
+    chord, with r >= 1, and the r(A) = 0 branch runs only when no
+    xy-monotone pocket with r >= 1 exists, so C is not xy-monotone, and
+    nor is the last band's upper piece: C less a rectangle at its far level.
     """
     o, sense = e.orientation, e.halfplane.sense
     top_level = _level_along(qpt, o)[0]
@@ -726,12 +722,7 @@ def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List
             return _route_c_violation(c_piece, e, prev_level, interval, qpt, node)
         interval = (over[0].lo, over[0].hi)
         prev_level = level
-    # Sweep exhausted: C is xy-monotone after all (isolated reflex vertices).
-    child = node.child(TraceNode("route(C monotone)", c_piece.r))
-    if c_piece.r >= 1:
-        child.beacons.append(qpt)
-        return [qpt]
-    return []
+    raise InternalCaseError("the sweep of C ran out of levels, so C is xy-monotone")
 
 
 def _route_c_violation(c_piece: RectPolygon, e, level: Fraction,
@@ -762,37 +753,20 @@ def _route_c_violation(c_piece: RectPolygon, e, level: Fraction,
 
 
 def _route_c_three(c_piece: RectPolygon, e, eprime, qpt: Point, node: TraceNode) -> List[Point]:
-    """Split C along the full sweep segment through a reflex edge e' parallel to e."""
-    o = e.orientation
-    pieces_below: List[RectPolygon] = []
-    upper = c_piece
-    ends = []
-    for wpt in sorted((eprime.a, eprime.b), key=lambda p: _level_along(p, o)[1]):
-        wi = upper.vertex_index(wpt)
-        if wi is None:
-            ends.append(wpt)
-            continue
-        try:
-            cut = Cut(wi, o)
-            chord = materialize(upper, cut)
-        except NotAChord:
-            ends.append(wpt)
-            continue
-        ends.append(_far_end(chord, wpt))
-        # The piece the sweep started in keeps qpt; the other one may reach
-        # back towards e's line.
-        below, upper = split(upper, cut)
-        if upper.vertex_index(qpt) is None:
-            below, upper = upper, below
-        pieces_below.append(below)
+    """Split C along the full sweep segment through a reflex edge e' parallel
+    to e, by _three_pieces at e''s first end along o.  The upper piece holds
+    qpt; the two others, in order along o, are C2 and C3.  b2 and b3, the
+    far ends, are in order along o too."""
+    w = min((eprime.index, (eprime.index + 1) % c_piece.n),
+            key=lambda i: _level_along(c_piece.vertices[i], e.orientation)[1])
+    *pieces, b2, b3 = _three_pieces(c_piece, eprime.index, w)
+    upper = next(piece for piece in pieces if piece.vertex_index(qpt) is not None)
     if not upper.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (parallel case)")
-    beacons = sorted(ends, key=lambda p: _level_along(p, o)[1]) + ([qpt] if upper.r >= 2 else [])
-    b2, b3 = beacons[:2]
+    beacons = [b2, b3] + ([qpt] if upper.r >= 2 else [])
     child = node.child(TraceNode("route(C three-piece)", c_piece.r,
                                  f"b2={b2} b3={b3} bstar={'yes' if upper.r >= 2 else 'no'}"))
     child.beacons.extend(beacons)
-    out = list(beacons)
-    for k, piece in enumerate(pieces_below):
-        out += _route_rec(piece, child.child(TraceNode(f"C{k + 2}", piece.r)))
-    return out
+    below = [piece for piece in pieces if piece is not upper]
+    return beacons + [b for k, piece in enumerate(below)
+                      for b in _route_rec(piece, child.child(TraceNode(f"C{k + 2}", piece.r)))]

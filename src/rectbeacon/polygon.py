@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     GeneralPositionViolated,
+    InternalCaseError,
     NotAChord,
     NotRectilinear,
     NotSimple,
@@ -737,8 +738,10 @@ def split(poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
     locally-adjacent sense: it is the piece whose interior touches the chord
     from that side (it may still reach around to the other side elsewhere).
     """
-    minus, plus = _split_rings(poly, cut)
-    return _piece(*minus), _piece(*plus)
+    chord = materialize(poly, cut)
+    starts = tuple((0, side.first) for side in chord_sides(chord))
+    rings = _cut_rings(poly, [chord], starts)
+    return _piece(*rings[starts[0]]), _piece(*rings[starts[1]])
 
 
 # One side of a located chord: its vertices are s, s+1, ..., t-1 (cyclic),
@@ -788,41 +791,58 @@ def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[
     return chord, is_minus, minus if is_minus else plus
 
 
-def _chain(poly: RectPolygon, s: int, t: int) -> List[int]:
-    """Vertex indices s, s+1, ..., t-1 taken cyclically."""
-    return [k % poly.n for k in range(s, s + (t - s) % poly.n)]
+def _cyclic(seq: Sequence, s: int, t: int) -> Sequence:
+    """seq[s], seq[s+1], ..., seq[t-1], indices taken cyclically."""
+    s, t = s % len(seq), t % len(seq)
+    return seq[s:t] if s <= t else [*seq[s:], *seq[:t]]
 
 
-def _ring(poly: RectPolygon, chord: Chord, side: Side
-          ) -> Tuple[List[Point], Tuple[int, List[int], List[int]]]:
-    """The ring of one side, its walk from the chord end it leaves to the one
-    it reaches, and (M, xs, ys) of it on poly's ints: M is the common
-    denominator of D and the chord's coordinates, the chain's ints are
-    multiplied up to it and the chord's ends are scaled by it."""
-    chain = _chain(poly, side.s, side.t)
+def _cut_rings(poly: RectPolygon, chords: Sequence[Chord], starts) -> dict:
+    """{start: (ring, (M, xs, ys))}, in boundary order: the unmerged ring of
+    each piece that pairwise disjoint located chords cut poly into and that
+    leaves a chord at an end in starts, (k, 0) for chords[k].a, (k, 1) for
+    its b.  A ring runs from that end along the boundary to the next chord
+    end, crosses its chord and so on, until it is back.  M is the common
+    denominator of D and the chords' coordinates: poly's ints are multiplied
+    up to it and the chord ends scaled by it."""
+    # Every chord end in boundary order: a vertex before the interior of the
+    # edge that starts there.
+    ends = [(k, e) for _, k, e in sorted(((i, not vertex), k, e) for k, chord in enumerate(chords)
+                                         for e, (i, vertex) in enumerate(chord.ends))]
+    following = {end: ends[m + 1 - len(ends)] for m, end in enumerate(ends)}
     d, xs, ys = poly._ints
-    coords = (chord.level, chord.lo, chord.hi)
-    m = lcm(d, *(c.denominator for c in coords))
-    f = m // d
-    level, lo, hi = (c.numerator * (m // c.denominator) for c in coords)
-    ends = ((lo, level), (hi, level)) if chord.axis == "H" else ((level, lo), (level, hi))
-    (x0, y0), (x1, y1) = ends[side.first], ends[1 - side.first]
-    points = (chord.a, chord.b)
-    return ([points[side.first]] + [poly.vertices[k] for k in chain] + [points[1 - side.first]],
-            (m, [x0] + [xs[k] * f for k in chain] + [x1], [y0] + [ys[k] * f for k in chain] + [y1]))
-
-
-def _split_rings(poly: RectPolygon, cut: Cut):
-    """_ring of the minus side and of the plus side of the cut."""
-    chord = materialize(poly, cut)
-    minus, plus = chord_sides(chord)
-    return _ring(poly, chord, minus), _ring(poly, chord, plus)
+    m = lcm(d, *(c.denominator for chord in chords for c in (chord.level, chord.lo, chord.hi)))
+    xs, ys = (xs, ys) if m == d else ([x * (m // d) for x in xs], [y * (m // d) for y in ys])
+    at = []  # per chord: its ends as (point, x, y), the ints times M
+    for chord in chords:
+        level, lo, hi = (c.numerator * (m // c.denominator) for c in (chord.level, chord.lo, chord.hi))
+        at.append(((chord.a, lo, level), (chord.b, hi, level)) if chord.axis == "H"
+                  else ((chord.a, level, lo), (chord.b, level, hi)))
+    rings, seen = {}, set()
+    for start in ends:
+        if start not in starts or start in seen:
+            continue
+        ring, rx, ry = [], [], []
+        end = start
+        while True:
+            if end in seen:
+                raise InternalCaseError(f"cut walk on {chords[0].axis}={chords[0].level} revisits a chord end")
+            seen.add(end)
+            (k, e), (k2, e2) = end, following[end]
+            s, t = walk_range(chords[k].ends[e], chords[k2].ends[e2])
+            for out, seq, first, last in zip((ring, rx, ry), (poly.vertices, xs, ys), at[k][e], at[k2][e2]):
+                out += [first, *_cyclic(seq, s, t), last]
+            end = (k2, 1 - e2)
+            if end == start:
+                break
+        rings[start] = (ring, (m, rx, ry))
+    return rings
 
 
 def reflex_points_below(poly: RectPolygon, cut: Cut) -> List[Point]:
     """Reflex vertices of poly strictly inside the P_minus side of the cut, in CCW order."""
     minus, _ = chord_sides(materialize(poly, cut))
-    return [poly.vertices[k] for k in _chain(poly, minus.s, minus.t) if poly.classes[k] == REFLEX]
+    return [poly.vertices[k] for k in _cyclic(range(poly.n), minus.s, minus.t) if poly.classes[k] == REFLEX]
 
 
 def count_reflex_below(poly: RectPolygon, cut: Cut) -> int:
@@ -839,7 +859,8 @@ def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
 def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon:
     """Pocket of reflex edge e at endpoint v: the split side not containing e."""
     chord, _, side = pocket_side(poly, edge_index, vertex_index)
-    return _piece(*_ring(poly, chord, side))
+    start = (0, side.first)
+    return _piece(*_cut_rings(poly, [chord], (start,))[start])
 
 
 # --------------------------------------------------- normal cut enumeration

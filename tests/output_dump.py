@@ -19,10 +19,11 @@ bounding box, boundary_hits from every vertex towards each reflex vertex
 is_dead_point from every vertex and edge midpoint towards each reflex
 vertex.  Polygons with n <= 24 also get the attraction_path segments from
 every vertex and edge midpoint towards each reflex vertex.  Polygons with
-n <= 64 also get cover and route beacons with their traces, and those with
-n <= 24 both verifier reports and the verifiers' inputs: the build_samples
-list at SamplePlan(grid=8, seed=1, jitter=4), default_pairs(poly, 16, 1)
-and necessity_candidates(poly).
+n <= 64 also get the three pieces (A, B, C and the chords' far ends p and
+q) at every reflex-edge end, cover and route beacons with their traces,
+and those with n <= 24 both verifier reports and the verifiers' inputs:
+the build_samples list at SamplePlan(grid=8, seed=1, jitter=4),
+default_pairs(poly, 16, 1) and necessity_candidates(poly).
 """
 
 import json
@@ -38,7 +39,7 @@ from rectbeacon.errors import GeometryError  # noqa: E402
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear  # noqa: E402
 from rectbeacon.geometry import Point, midpoint  # noqa: E402
 from rectbeacon.kernel import kernel  # noqa: E402
-from rectbeacon.placement import cover, pocket_summary, route_beacons  # noqa: E402
+from rectbeacon.placement import _three_pieces, cover, pocket_summary, route_beacons  # noqa: E402
 from rectbeacon.polygon import (  # noqa: E402
     Cut,
     boundary_hits,
@@ -123,6 +124,16 @@ def dump_cuts(poly, out):
                 f"{pts(pocket(poly, e.index, vi).vertices)}")
 
 
+def dump_three_pieces(poly, out):
+    for e in poly.reflex_edges():
+        for vi in (e.index, (e.index + 1) % poly.n):
+            got = outcome(_three_pieces, poly, e.index, vi)
+            if not isinstance(got, str):
+                *parts, p, q = got
+                got = " | ".join(pts(x.vertices) for x in parts) + f" p={pts([p])} q={pts([q])}"
+            out(f"three pieces {e.index} {vi}: {got}")
+
+
 def dump_location(poly, out):
     xmin, ymin, xmax, ymax = poly.bbox()
     grid = [Point(xmin + (xmax - xmin) * Fraction(i, 8), ymin + (ymax - ymin) * Fraction(j, 8))
@@ -189,6 +200,7 @@ def dump(name, poly, out):
         dump_verifier_inputs(poly, out)
     if poly.n > 64:
         return
+    dump_three_pieces(poly, out)
     for place in (cover, route_beacons):
         bs = outcome(place, poly)
         if isinstance(bs, str):

@@ -19,8 +19,8 @@ from rectbeacon.polygon import (
     Cut,
     RectPolygon,
     _assert_chord,
+    _cut_rings,
     _merge_ring,
-    _split_rings,
     boundary_hits,
     chord_sides,
     chords_on_line,
@@ -220,6 +220,15 @@ def test_integer_chord_check_rejects_boundary_and_notch():
                 _assert_chord(p, Chord(e.orientation, e.level, *e.span(), None))
 
 
+def _split_rings(p, cut):
+    """_cut_rings' unmerged rings, with their ints, of the minus and the
+    plus side of a cut."""
+    chord = materialize(p, cut)
+    starts = [(0, side.first) for side in chord_sides(chord)]
+    rings = _cut_rings(p, [chord], starts)
+    return [rings[start] for start in starts]
+
+
 def test_normal_cut_classes_match_chain_walk():
     classes = 0
     for p in CORPUS:
@@ -272,19 +281,32 @@ def test_pocket_summaries_match_built_pockets():
     assert pockets >= 2000
 
 
+def _two_splits(p, e, vi, vpi):
+    """(A, B, C) by two single splits: the pocket at v off p, then the
+    pocket at v' off the rest, at v' located on the rest."""
+    chord, is_minus, _ = pocket_side(p, e.index, vi)
+    minus, plus = split(p, Cut(vi, e.orientation, _chord=chord))
+    a, rest = (minus, plus) if is_minus else (plus, minus)
+    where = rest.locate_boundary(p.vertices[vpi])
+    assert where is not None and where[1], (p.vertices, e.index, vi)
+    minus, plus = split(rest, Cut(where[0], e.orientation))
+    c, b = (minus, plus) if is_minus else (plus, minus)
+    return a, b, c
+
+
 def test_three_pieces_are_both_pockets_and_the_middle():
     """_three_pieces cuts both pockets of a reflex edge off: A and C have
     the r and n of their summaries, the areas add up exactly, e lies on B's
-    boundary, and each far end is a corner of both pieces its chord bounds."""
-    splits = skipped = 0
+    boundary, and each far end is a corner of both pieces its chord bounds.
+    One walk along both chords builds the same three polygons, vertex for
+    vertex, as a split at v followed by a split of the rest at v'."""
+    splits = 0
     for p in CORPUS:
         for e in p.reflex_edges():
             for vi, vpi in ((e.index, (e.index + 1) % p.n), ((e.index + 1) % p.n, e.index)):
-                try:
-                    a, b, c, far_v, far_vp = _three_pieces(p, e.index, vi)
-                except NotAChord:
-                    skipped += 1
-                    continue
+                a, b, c, far_v, far_vp = _three_pieces(p, e.index, vi)
+                assert [x.vertices for x in (a, b, c)] == [x.vertices for x in _two_splits(p, e, vi, vpi)], \
+                    (p.vertices, e.index, vi)
                 sa, sc = pocket_summary(p, e.index, vi), pocket_summary(p, e.index, vpi)
                 assert (a.r, a.n) == (sa.r, sa.n), (p.vertices, e.index, vi)
                 assert (c.r, c.n) == (sc.r, sc.n), (p.vertices, e.index, vpi)
@@ -293,7 +315,7 @@ def test_three_pieces_are_both_pockets_and_the_middle():
                 for piece, end in ((a, far_v), (b, far_v), (b, far_vp), (c, far_vp)):
                     assert piece.vertex_index(end) is not None, (p.vertices, e.index, vi)
                 splits += 1
-    assert splits >= 2000 and skipped < splits // 10
+    assert splits >= 2000
 
 
 def test_plus_side_at_vertex_cuts_matches_chain_walk():

@@ -207,17 +207,29 @@ def _presentations(p):
             yield RectPolygon(q.vertices[k:] + q.vertices[:k], _trusted=True)
 
 
+def _labelled(node, label):
+    """The nodes of a trace with the given label."""
+    return [node] * (node.label == label) + [m for c in node.children for m in _labelled(c, label)]
+
+
 def test_route_across_presentations():
     """Routing runs in the frame it is given: under every symmetry and start
     vertex it keeps the bound, and one presentation per polygon routes.
     Under some symmetries the last polygon's sweep of C stops at a reflex
     edge whose chord at one end cuts off a piece reaching back towards e's
-    line, not the piece the sweep started in."""
+    line, not the piece the sweep started in.  The sweep segment through a
+    reflex edge is cut at both its ends whichever comes first, so every
+    three-piece split of C recurses into the two pieces below, C2 and C3."""
     polys = [random_rectilinear(10 + 2 * seed, seed + 777) for seed in range(20)] + [random_rectilinear(46, 169)]
+    three = 0
     for seed, p in enumerate(polys):
         for k, q in enumerate(_presentations(p)):
             bs = route_beacons(q)
             assert len(bs) <= 3 * q.r // 4, (seed, k)
+            for node in _labelled(bs.trace, "route(C three-piece)"):
+                assert [c.label for c in node.children] == ["C2", "C3"], (seed, k, node.detail)
+                three += 1
             if k == 5 + seed % 19:
                 rep = verify_routing(q, bs.beacons, pair_count=30, seed=seed)
                 assert rep.passed, (seed, k, rep.stats)
+    assert three >= 60
