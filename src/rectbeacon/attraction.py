@@ -18,13 +18,21 @@ configurations):
   strictly decrease the distance; such a tie is declared a dead point
   (AmbiguousVertex) rather than picking a side.
 
-Every path runs on ints, in one integer frame: the start p and the beacon b
-are scaled by S = D*q, D the scale of the polygon's edge index and q the
-common denominator of p and b.  The vertices are then the polygon's scaled
-ints times q, and so are the levels and spans of the index rows.  The first
-contact of a free segment is the least t over the index rows across it,
-found by walking them outward from its start; slides and the vertex rules
-compare ints.
+Every path runs on ints, in the integer frame of its beacon.  A frame
+(_Frame) holds the beacon b scaled by S = D*q, D the scale of the
+polygon's edge index and q a multiple of b's denominator, together with
+the index and the polygon's ints; it locates b once, and raises
+PointOutsidePolygon there.  The vertices are the polygon's scaled ints
+times q, and so are the levels and spans of the index rows.  A start
+state is the start p scaled by the same S, with its location: p's
+denominator must divide q.  attracts, attraction_path and is_dead_point
+build a one-off frame at the common denominator of p and b; the verifiers
+keep one frame per beacon and q and one start state per point and q, and
+hand in starts they have already located.  No decision depends on which
+q: the compares below are homogeneous in S, and the row walks read
+coordinates divided by q.  The first contact of a free segment is the
+least t over the index rows across it, found by walking them outward from
+its start; slides and the vertex rules compare ints.
 
 The one point off the frame is a free segment's contact with the interior
 of an edge: it divides by the segment's extent |dl| across that edge, so it
@@ -99,38 +107,39 @@ class AttractionPath:
         return f"AttractionPath({self.start}->{self.beacon}, {len(self.segments)} segs, {tail})"
 
 
-class _Pull:
-    """The integer frame of one path from p towards b (see the module
-    docstring): p and b scaled by S = D*q, and the rules on it.  A point is
-    (X, Y, W), the coordinates times S*W."""
+class _Frame:
+    """The integer frame of every path towards beacon b at denominator q
+    (see the module docstring): b scaled by S = D*q, the edge index and the
+    polygon's ints, and the rules on them.  A point is (X, Y, W), the
+    coordinates times S*W.  A start state, ((X, Y, 1), where), is a start
+    on the frame with its location from locate_scaled."""
 
-    __slots__ = ("poly", "q", "s", "xs", "ys", "index", "bx", "by", "start", "where")
+    __slots__ = ("poly", "q", "s", "xs", "ys", "index", "bx", "by")
 
-    def __init__(self, poly: RectPolygon, p: Point, b: Point):
+    def __init__(self, poly: RectPolygon, b: Point, q: int):
+        """The frame of b at q, a multiple of b's denominator; b is located
+        here, once, and PointOutsidePolygon raised when it is outside."""
         d, self.index = poly.edge_index()
         _, self.xs, self.ys = poly._ints
         self.poly = poly
-        self.q = q = lcm(p.x.denominator, p.y.denominator, b.x.denominator, b.y.denominator)
-        self.s = s = d * q
-        px, py, self.bx, self.by = (c.numerator * (s // c.denominator) for c in (p.x, p.y, b.x, b.y))
-        self.start, self.where = (px, py, 1), poly.locate_scaled(px, py, q)
-        if self.where == "out":
-            raise PointOutsidePolygon(f"start {p} is outside the polygon")
+        self.q, self.s = q, d * q
+        self.bx, self.by = (c.numerator * (self.s // c.denominator) for c in (b.x, b.y))
         if poly.locate_scaled(self.bx, self.by, q) == "out":
             raise PointOutsidePolygon(f"beacon {b} is outside the polygon")
 
-    def begin(self) -> Tuple:
-        """First action from the start."""
-        if self.where == "in":
+    def begin(self, start: Tuple[Tuple[int, int, int], object]) -> Tuple:
+        """First action from the start state."""
+        point, where = start
+        if where == "in":
             return ("free",)
-        i, at_vertex = self.where
+        i, at_vertex = where
         if at_vertex:
             return self.vertex(i, None)
         # Inside edge i: free unless b lies strictly outside its line.
-        (x, y, _), xs, ys, j = self.start, self.xs, self.ys, (i + 1) % self.poly.n
+        (x, y, _), xs, ys, j = point, self.xs, self.ys, (i + 1) % self.poly.n
         if (self.by - y) * (xs[j] - xs[i]) - (self.bx - x) * (ys[j] - ys[i]) >= 0:
             return ("free",)
-        return self.hit_edge(i, self.start)
+        return self.hit_edge(i, point)
 
     def hit_edge(self, i: int, point: Tuple[int, int, int]) -> Tuple:
         """Straight motion blocked at point inside edge i: dead when it is
@@ -223,70 +232,85 @@ class _Pull:
         return Point(Fraction(x, w * self.s), Fraction(y, w * self.s))
 
 
-def _simulate(pull: _Pull) -> Tuple[List[Tuple[int, int, int]], List[Optional[int]], bool, Optional[str]]:
-    """Run the path on its frame: (its points, the slide edge of each segment
-    between them or None for a free one, reached, dead reason)."""
-    point = pull.start
+def _simulate(frame: _Frame, start: Tuple[Tuple[int, int, int], object]
+              ) -> Tuple[List[Tuple[int, int, int]], List[Optional[int]], bool, Optional[str]]:
+    """Run the path from a start state on its beacon's frame: (its points,
+    the slide edge of each segment between them or None for a free one,
+    reached, dead reason)."""
+    point = start[0]
     points, edges = [point], []
-    if point[0] == pull.bx and point[1] == pull.by:
+    if point[0] == frame.bx and point[1] == frame.by:
         return points, edges, True, None
     # pending action: ("free",) | ("slide", edge_index) | terminal tuples
-    action: Tuple = pull.begin()
-    limit = 8 * pull.poly.n + 64
+    action: Tuple = frame.begin(start)
+    limit = 8 * frame.poly.n + 64
     for _ in range(limit - 1):  # begin took the first of the limit steps
         if action[0] == "free":
-            hit = pull.free(point[0], point[1])
+            hit = frame.free(point[0], point[1])
             edges.append(None)
             if hit is None:
-                points.append((pull.bx, pull.by, 1))
-                return _finish(pull, points, edges, True, None)
+                points.append((frame.bx, frame.by, 1))
+                return _finish(frame, points, edges, True, None)
             point, action = hit
             points.append(point)
         elif action[0] == "slide":
             edges.append(action[1])
-            point, action = pull.slide(action[1], point)
+            point, action = frame.slide(action[1], point)
             points.append(point)
         elif action[0] == "dead":
-            return _finish(pull, points, edges, False, action[1])
+            return _finish(frame, points, edges, False, action[1])
         elif action[0] == "reached":
-            return _finish(pull, points, edges, True, None)
+            return _finish(frame, points, edges, True, None)
         else:
             raise InternalCaseError(f"unknown action {action}")  # pragma: no cover
     raise InternalCaseError("attraction path exceeded its event budget")
 
 
-def _finish(pull: _Pull, points: List[Tuple[int, int, int]], edges: List[Optional[int]],
+def _finish(frame: _Frame, points: List[Tuple[int, int, int]], edges: List[Optional[int]],
             reached: bool, reason: Optional[str]):
     """The path, once every segment is checked to shrink the squared
     distance to b strictly: (X - bx*W)^2 + (Y - by*W)^2 over W^2, compared
     cross-multiplied."""
-    bx, by = pull.bx, pull.by
+    bx, by = frame.bx, frame.by
     before = None
     for k, (x, y, w) in enumerate(points):
         dx, dy = x - bx * w, y - by * w
         now = (dx * dx + dy * dy, w * w)
         if before is not None and before[0] * now[1] <= now[0] * before[1]:
             e = edges[k - 1]
-            seg = Segment(pull.as_point(points[k - 1]), pull.as_point(points[k]), FREE if e is None else SLIDE, e)
+            seg = Segment(frame.as_point(points[k - 1]), frame.as_point(points[k]), FREE if e is None else SLIDE, e)
             raise InternalCaseError(f"distance to beacon failed to decrease on {seg}")
         before = now
     return points, edges, reached, reason
 
 
+def _one_path(poly: RectPolygon, p: Point, b: Point) -> Tuple[_Frame, Tuple[Tuple[int, int, int], object]]:
+    """A frame of b and the start state of p, for one path: q is the common
+    denominator of p and b, and p is located first."""
+    q = lcm(p.x.denominator, p.y.denominator, b.x.denominator, b.y.denominator)
+    s = poly.edge_index()[0] * q
+    px, py = (c.numerator * (s // c.denominator) for c in (p.x, p.y))
+    where = poly.locate_scaled(px, py, q)
+    if where == "out":
+        raise PointOutsidePolygon(f"start {p} is outside the polygon")
+    return _Frame(poly, b, q), ((px, py, 1), where)
+
+
 def attraction_path(poly: RectPolygon, p: Point, b: Point) -> AttractionPath:
     """Simulate the pull of beacon b on a point starting at p, exactly."""
-    pull = _Pull(poly, p, b)
-    points, edges, reached, reason = _simulate(pull)
-    at = [p] + [pull.as_point(point) for point in points[1:]]
+    frame, start = _one_path(poly, p, b)
+    points, edges, reached, reason = _simulate(frame, start)
+    at = [p] + [frame.as_point(point) for point in points[1:]]
     segments = [Segment(u, v, FREE if e is None else SLIDE, e) for u, v, e in zip(at, at[1:], edges)]
     return AttractionPath(p, b, segments, reached, reason)
 
 
 def attracts(poly: RectPolygon, b: Point, p: Point) -> bool:
     """True iff the beacon at b pulls p all the way to b."""
-    return _simulate(_Pull(poly, p, b))[2]
+    return _simulate(*_one_path(poly, p, b))[2]
 
 
 def is_dead_point(poly: RectPolygon, q: Point, b: Point) -> bool:
     """True iff q is a local minimum of the distance-to-b field on poly."""
-    return _Pull(poly, q, b).begin()[0] == "dead"
+    frame, start = _one_path(poly, q, b)
+    return frame.begin(start)[0] == "dead"

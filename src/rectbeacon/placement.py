@@ -35,6 +35,7 @@ from .polygon import (
     pocket,
     pocket_side,
     reflex_points_below,
+    side_piece,
     split,
 )
 from .transforms import TRANSFORMS
@@ -682,7 +683,8 @@ def _beacon_above(poly: RectPolygon, e, vprime: Point) -> Point:
 # The C sweep runs in the frame of the reflex edge e it starts from, of
 # orientation o and half-plane sense s: a level is a coordinate across o,
 # and the upper side of a chord of orientation o is the side towards e's
-# line, so split(...)[::s] is (lower piece, upper piece).
+# line, so split(...)[::s] is (lower piece, upper piece), and chord_sides(...)[::s]
+# their sides.
 
 
 def _level_along(p: Point, o: str) -> Tuple[Fraction, Fraction]:
@@ -716,7 +718,7 @@ def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List
     for level in levels:
         over = [c for c in chords_on_line(c_piece, o, (prev_level + level) / 2)
                 if c.lo < interval[1] and interval[0] < c.hi]
-        upper = split(c_piece, Cut(over[0].a, o, _chord=over[0]))[::sense][1] if len(over) == 1 else None
+        upper = side_piece(c_piece, over[0], chord_sides(over[0])[::sense][1]) if len(over) == 1 else None
         if upper is None or not upper.is_xy_monotone():
             # The event that broke monotonicity sits at the band's top level.
             return _route_c_violation(c_piece, e, prev_level, interval, qpt, node)

@@ -856,11 +856,17 @@ def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
     return count_reflex_below(poly, cut) % 3
 
 
+def side_piece(poly: RectPolygon, chord: Chord, side: Side) -> RectPolygon:
+    """The piece of poly on one Side of a located chord, from a walk that
+    starts there only: the other piece is not built."""
+    start = (0, side.first)
+    return _piece(*_cut_rings(poly, [chord], (start,))[start])
+
+
 def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon:
     """Pocket of reflex edge e at endpoint v: the split side not containing e."""
     chord, _, side = pocket_side(poly, edge_index, vertex_index)
-    start = (0, side.first)
-    return _piece(*_cut_rings(poly, [chord], (start,))[start])
+    return side_piece(poly, chord, side)
 
 
 # --------------------------------------------------- normal cut enumeration

@@ -23,7 +23,11 @@ n <= 64 also get the three pieces (A, B, C and the chords' far ends p and
 q) at every reflex-edge end, cover and route beacons with their traces,
 and those with n <= 24 both verifier reports and the verifiers' inputs:
 the build_samples list at SamplePlan(grid=8, seed=1, jitter=4),
-default_pairs(poly, 16, 1) and necessity_candidates(poly).
+default_pairs(poly, 16, 1) and necessity_candidates(poly).  Polygons with
+n <= 24 also get both verifier reports, witnesses included, for a beacon
+set that mostly fails: the first reflex vertex and an interior point off
+the sample lattices, a third of min(1, least gap between vertex levels)
+diagonally off vertex 0, which has denominator 3 on integer polygons.
 """
 
 import json
@@ -175,6 +179,24 @@ def dump_verifier_inputs(poly, out):
     out(f"candidates: {pts(necessity_candidates(poly))}")
 
 
+def off_lattice_point(poly):
+    """The first of the four points a third of min(1, least gap between
+    vertex levels) diagonally off vertex 0 that lies inside poly."""
+    levels = [sorted({getattr(v, axis) for v in poly.vertices}) for axis in "xy"]
+    third = min(1, *(b - a for c in levels for a, b in zip(c, c[1:]))) / Fraction(3)
+    v = poly.vertices[0]
+    return next(p for p in (Point(v.x + sx * third, v.y + sy * third) for sx in (1, -1) for sy in (1, -1))
+                if poly.contains(p) == "in")
+
+
+def dump_probe_reports(poly, out):
+    beacons = [poly.vertices[i] for i in poly.reflex_indices[:1]] + [off_lattice_point(poly)]
+    rep = verify_coverage(poly, beacons, SamplePlan(grid=8, seed=1, jitter=4))
+    out(f"probe {pts(beacons)} cover verify: {json.dumps(rep.as_dict(), sort_keys=True)}")
+    rep = verify_routing(poly, beacons, pair_count=16, seed=1)
+    out(f"probe {pts(beacons)} route verify: {json.dumps(rep.as_dict(), sort_keys=True)}")
+
+
 def dump(name, poly, out):
     out(f"# {name}: n={poly.n} r={poly.r} {pts(poly.vertices)}")
     k = kernel(poly)
@@ -198,6 +220,7 @@ def dump(name, poly, out):
     if poly.n <= 24:
         dump_paths(poly, out)
         dump_verifier_inputs(poly, out)
+        dump_probe_reports(poly, out)
     if poly.n > 64:
         return
     dump_three_pieces(poly, out)

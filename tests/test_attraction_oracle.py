@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from rectbeacon.attraction import SLIDE, _finish, _Pull, attraction_path, attracts, is_dead_point
+from rectbeacon.attraction import SLIDE, _finish, _one_path, attraction_path, attracts, is_dead_point
 from rectbeacon.errors import InternalCaseError
 from rectbeacon.generators import random_rectilinear
 from rectbeacon.geometry import Point, midpoint
@@ -89,10 +89,9 @@ def test_corpus_paths_towards_reflex_vertices_match_fraction_simulator(polys):
 def test_finish_rejects_a_segment_that_does_not_shrink_the_distance():
     p = random_rectilinear(8, 1)
     v = p.vertices[0]
-    pull = _Pull(p, v, p.vertices[p.reflex_indices[0]])
-    x, y, w = pull.start
+    frame, ((x, y, w), _) = _one_path(p, v, p.vertices[p.reflex_indices[0]])
     # The same point again, with weight 2: no decrease.
     with pytest.raises(InternalCaseError):
-        _finish(pull, [(x, y, w), (2 * x, 2 * y, 2)], [None], True, None)
+        _finish(frame, [(x, y, w), (2 * x, 2 * y, 2)], [None], True, None)
     # The beacon itself, with weight 3.
-    _finish(pull, [(x, y, w), (pull.bx * 3, pull.by * 3, 3)], [None], True, None)
+    _finish(frame, [(x, y, w), (frame.bx * 3, frame.by * 3, 3)], [None], True, None)

@@ -55,6 +55,26 @@ def test_verify_exit_codes(tmp_path):
     assert run(["verify", "cover", str(poly), str(bad), "--grid", "10"]).returncode == 1
 
 
+SQUARE4_JSON = json.dumps({"vertices": [["0", "0"], ["4", "0"], ["4", "4"], ["0", "4"]]})
+
+
+@pytest.mark.parametrize("mode", ["cover", "route"])
+@pytest.mark.parametrize("polygon, beacons", [
+    (SQUARE4_JSON, [["9", "9"]]),
+    # (3, 3) lies in the U's notch, between its towers.
+    (U_JSON, [["1", "1"], ["3", "3"]]),
+], ids=["square", "u_shape"])
+def test_verify_rejects_a_beacon_outside_the_polygon(tmp_path, mode, polygon, beacons):
+    poly = tmp_path / "poly.json"
+    poly.write_text(polygon)
+    path = tmp_path / "beacons.json"
+    path.write_text(json.dumps({"beacons": beacons, "mode": mode}))
+    got = run(["verify", mode, str(poly), str(path), "--grid", "6"])
+    assert got.returncode == 2, got.stdout
+    assert "is outside the polygon" in got.stderr
+    assert got.stdout == ""
+
+
 def test_malformed_input_exit_2(tmp_path):
     poly = tmp_path / "bad.json"
     poly.write_text("{not json")

@@ -13,7 +13,7 @@ from rectbeacon.generators import (
     random_x_monotone,
     routing_spiral,
 )
-from rectbeacon.geometry import Point
+from rectbeacon.geometry import Point, midpoint
 from rectbeacon.placement import route_beacons
 from rectbeacon.polygon import CONVEX, validate
 from rectbeacon.verify import (
@@ -231,3 +231,142 @@ def test_route_between_points_that_are_not_beacons_matches_attracts_chains():
                 assert [graph.route(s, t) for s, t in ids] == want
             chains.update(want)
     assert {None, 0, 1, 2} <= chains
+
+
+def _thirds(poly, count):
+    """Up to count interior points off every sample lattice: a third of
+    min(1, least gap between vertex levels) diagonally off the reflex
+    vertices, or off vertex 0 when there are none."""
+    levels = [sorted({getattr(v, axis) for v in poly.vertices}) for axis in "xy"]
+    third = min(1, *(b - a for c in levels for a, b in zip(c, c[1:]))) / Fraction(3)
+    found = []
+    for i in poly.reflex_indices or [0]:
+        v = poly.vertices[i]
+        found += [q for q in (Point(v.x + sx * third, v.y + sy * third) for sx in (1, -1) for sy in (1, -1))
+                  if poly.contains(q) == "in"][:1]
+    return found[:count]
+
+
+def _plain_coverage(poly, beacons, plan):
+    """verify_coverage's report by plain attracts and attraction_path calls."""
+    witnesses, uncovered = [], 0
+    samples = build_samples(poly, plan)
+    for s in samples:
+        if any(attracts(poly, b, s) for b in beacons):
+            continue
+        uncovered += 1
+        if len(witnesses) < 16:
+            paths = [attraction_path(poly, s, b) for b in beacons]
+            witnesses.append({"point": [str(s.x), str(s.y)], "outcomes": [
+                {"beacon": [str(b.x), str(b.y)], "outcome": p.outcome, "dead_reason": p.dead_reason,
+                 "terminal": [str(p.terminal.x), str(p.terminal.y)]} for b, p in zip(beacons, paths)]})
+    stats = {"samples": len(samples), "uncovered": uncovered, "beacons": len(beacons), "plan": repr(plan)}
+    return {"verdict": "fail" if uncovered else "pass", "witnesses": witnesses, "stats": stats}
+
+
+def _plain_routing(poly, beacons, pairs):
+    """verify_routing's report by breadth-first search on plain attracts."""
+    known = {}
+
+    def att(b, p):
+        if (b, p) not in known:
+            known[(b, p)] = attracts(poly, b, p)
+        return known[(b, p)]
+
+    witnesses, failed, max_chain = [], 0, 0
+    for s, t in pairs:
+        chain = None
+        if att(t, s):
+            chain = 0
+        else:
+            frontier = [b for b in beacons if att(b, s)]
+            seen, depth = set(frontier), 1
+            while frontier and chain is None:
+                if any(att(t, b) for b in frontier):
+                    chain = depth
+                frontier = [c for c in beacons if c not in seen and any(c != b and att(c, b) for b in frontier)]
+                seen.update(frontier)
+                depth += 1
+        if chain is None:
+            failed += 1
+            if len(witnesses) < 16:
+                witnesses.append({"from": [str(s.x), str(s.y)], "to": [str(t.x), str(t.y)]})
+        else:
+            max_chain = max(max_chain, chain)
+    stats = {"pairs": len(pairs), "unroutable": failed, "beacons": len(beacons), "max_chain": max_chain}
+    return {"verdict": "fail" if failed else "pass", "witnesses": witnesses, "stats": stats}
+
+
+def test_frames_match_fresh_paths():
+    """The memo's frames and located int starts against one-off attracts
+    calls, for every sample of SamplePlan(grid=8, jitter=4) and every
+    default pair point, towards beacons at reflex vertices, at edge
+    midpoints and at interior points with denominator 3; and both verifier
+    reports, witnesses included, against plain attracts loops, for the
+    placed beacon sets and for failing ones."""
+    from rectbeacon.placement import cover
+    from rectbeacon.transforms import TRANSFORMS
+    from rectbeacon.verify import _default_pair_ids, _sample_ids
+
+    polys = [random_rectilinear(n, seed) for n, seed in ((8, 1), (12, 2), (16, 4), (20, 7))]
+    polys += [coverage_spiral(r)[0] for r in (2, 3)]
+    polys += [TRANSFORMS["mirror_x"].polygon(p) for p in polys]
+    plan = SamplePlan(grid=8, seed=3, jitter=4)
+    compared = witnessed = 0
+    seen_verdicts = set()
+    for p in polys:
+        reflex = [p.vertices[i] for i in p.reflex_indices]
+        mids = [midpoint(e.a, e.b) for e in p.edges[:3]]
+        thirds = _thirds(p, 2)
+        assert thirds and all(c.denominator % 3 == 0 for q in thirds for c in (q.x, q.y))
+        beacons = reflex[:3] + mids + thirds
+        memo = AttractionMemo(p)
+        bids = [memo.id(b) for b in beacons]
+        sids = _sample_ids(memo, plan)
+        pairs = _default_pair_ids(memo, 16, 5)
+        pids = sorted({i for pair in pairs for i in pair})
+        # A pair point as a beacon, and every point as a source.
+        for b, bid in list(zip(beacons, bids)) + [(memo.point(i), i) for i in pids[::3]]:
+            for sid in sids + pids:
+                assert memo.attracts(bid, sid) == attracts(p, b, memo.point(sid)), (p.vertices, b, sid)
+                compared += 1
+        for bs in (cover(p).beacons, route_beacons(p).beacons, reflex[:1] + thirds[:1], thirds, mids[:2]):
+            got = verify_coverage(p, bs, plan).as_dict()
+            assert got == _plain_coverage(p, bs, plan), (p.vertices, bs)
+            rep = verify_routing(p, bs, pair_count=16, seed=5).as_dict()
+            assert rep == _plain_routing(p, bs, default_pairs(p, 16, 5)), (p.vertices, bs)
+            seen_verdicts.update((got["verdict"], rep["verdict"]))
+            witnessed += bool(got["witnesses"]) + bool(rep["witnesses"])
+    assert compared > 20000 and seen_verdicts == {"pass", "fail"} and witnessed > 20
+
+
+def test_locate_calls_per_path(monkeypatch):
+    """locate_scaled runs at most 1.1 times per simulated path over cover +
+    verify_coverage (c04's plan) and route_beacons + verify_routing(100) on
+    random polygons n = 12..44: the verifiers locate each beacon once and
+    hand in their samples and pair points located."""
+    import rectbeacon.attraction as attraction
+    import rectbeacon.verify as verify
+    from rectbeacon.placement import cover
+    from rectbeacon.polygon import RectPolygon
+
+    counts = {"locate": 0, "paths": 0}
+    locate, simulate = RectPolygon.locate_scaled, attraction._simulate
+
+    def counted_locate(self, *args):
+        counts["locate"] += 1
+        return locate(self, *args)
+
+    def counted_simulate(*args):
+        counts["paths"] += 1
+        return simulate(*args)
+
+    monkeypatch.setattr(RectPolygon, "locate_scaled", counted_locate)
+    monkeypatch.setattr(attraction, "_simulate", counted_simulate)
+    monkeypatch.setattr(verify, "_simulate", counted_simulate)
+    for n in range(12, 45, 2):
+        p = random_rectilinear(n, 1000 * n)
+        assert verify_coverage(p, cover(p).beacons, SamplePlan(grid=14, seed=n, jitter=10)).passed
+        assert verify_routing(p, route_beacons(p).beacons, pair_count=100, seed=n).passed
+    assert counts["paths"] > 10000
+    assert counts["locate"] <= 1.1 * counts["paths"], counts
