@@ -156,11 +156,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        plan = SamplePlan(grid=args.grid, seed=args.seed, jitter=args.jitter)
+    except ValueError as exc:
+        _fail_input(str(exc))
     poly = _load_polygon(args)
     beacons = _load(args.beacons, "beacons", jsonio.beacons_from_dict)
     if args.mode == "cover":
-        report = verify_coverage(poly, beacons, SamplePlan(grid=args.grid, seed=args.seed,
-                                                           jitter=args.jitter))
+        report = verify_coverage(poly, beacons, plan)
     else:
         pairs = _load(args.pairs, "pairs", jsonio.pairs_from_dict) if args.pairs else None
         report = verify_routing(poly, beacons, pairs=pairs, seed=args.seed)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Tuple, Union
 
 from .errors import GeometryError
 
@@ -28,25 +29,55 @@ def _spelled_digits(text: str) -> int:
     return sum(ch.isdigit() for ch in mantissa) + shift
 
 
+def ratio(text: str) -> Tuple[int, int]:
+    """(p, q), in lowest terms with q > 0, of a number string like '-3' or
+    '7/2'.
+
+    ASCII '[-]digits' and '[-]digits/digits' are read with int(), their
+    length being the digit guard.  Every other form that Fraction's parser
+    reads (whitespace, '+', '_', decimals, exponents, non-ASCII digits) goes
+    through it, once _spelled_digits has guarded it.  A string that is no
+    exact number, such as 'a' or '1/0', raises GeometryError, and so does
+    one that spells more than _MAX_DIGITS digits, before any number is built.
+    """
+    num, slash, den = text.partition("/")
+    body = num[1:] if num[:1] == "-" else num
+    plain = text.isascii() and body.isdigit() and (den.isdigit() or not slash)
+    if (len(body) + len(den) if plain else _spelled_digits(text)) > _MAX_DIGITS:
+        raise GeometryError(f"number with more than {_MAX_DIGITS} digits: {text[:24]!r}...")
+    if not plain:
+        try:
+            f = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise GeometryError(f"not an exact number: {text!r}") from None
+        return f.numerator, f.denominator
+    p, q = int(num), int(den) if slash else 1
+    if q == 0:
+        raise GeometryError(f"not an exact number: {text!r}")
+    if q == 1:
+        return p, 1
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def from_ratio(p: int, q: int) -> Fraction:
+    """The Scalar p/q of a pair in lowest terms, as ratio() returns it."""
+    return Fraction(p) if q == 1 else Fraction(p, q)
+
+
 def scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, Fraction or string like '7/2' / '-3' to an exact Scalar.
 
     Floats are rejected on purpose: silently rationalizing binary floats is a
-    classic source of wrong geometric predicates.  Strings like 'a' or '1/0'
-    raise GeometryError, and so does a string that spells more than
-    _MAX_DIGITS digits, exponent included, before any number is built.
+    classic source of wrong geometric predicates.  Strings are read by
+    ratio(), with its errors.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if _spelled_digits(value) > _MAX_DIGITS:
-            raise GeometryError(f"number with more than {_MAX_DIGITS} digits: {value[:24]!r}...")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise GeometryError(f"not an exact number: {value!r}") from None
+        return from_ratio(*ratio(value))
     raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .attraction import AttractionPath
 from .errors import GeometryError
-from .geometry import Point, format_scalar, scalar
+from .geometry import Point, format_scalar, from_ratio, ratio
 from .kernel import KernelRegion
 from .polygon import RectPolygon, validate
 
@@ -16,10 +17,26 @@ def point_to_json(p: Point) -> List[str]:
     return [format_scalar(p.x), format_scalar(p.y)]
 
 
-def point_from_json(item) -> Point:
+def _coordinate(value) -> Tuple[int, int]:
+    """(p, q), in lowest terms, of a JSON coordinate: a number string that
+    ratio() reads, or a JSON integer.  A JSON float is rejected, not rounded,
+    and so is a bool."""
+    if isinstance(value, str):
+        return ratio(value)
+    if type(value) is int:
+        return value, 1
+    raise GeometryError(f"a coordinate must be a string or an integer, not {value!r}")
+
+
+def _pair(item) -> list:
     if not isinstance(item, (list, tuple)) or len(item) != 2:
         raise GeometryError(f"expected [x, y], got {item!r}")
-    return Point(scalar(str(item[0])), scalar(str(item[1])))
+    return item
+
+
+def point_from_json(item) -> Point:
+    x, y = _pair(item)
+    return Point(from_ratio(*_coordinate(x)), from_ratio(*_coordinate(y)))
 
 
 def polygon_to_dict(poly: RectPolygon) -> dict:
@@ -36,8 +53,26 @@ def _list_field(data, name: str) -> list:
 
 
 def polygon_from_dict(data: dict, merge_collinear: bool = False) -> RectPolygon:
-    pts = [point_from_json(v) for v in _list_field(data, "vertices")]
-    return validate(pts, merge_collinear=merge_collinear)
+    """The validated polygon of data['vertices'].  On a rectilinear ring
+    every coordinate string appears at least twice, and each distinct one is
+    parsed once.  validate() gets the coordinates as parsed, times their
+    common denominator, as ints."""
+    memo: dict = {}
+    coords = []  # (scalar, p, q) per coordinate, x and y alternating
+    for item in _list_field(data, "vertices"):
+        for value in _pair(item):
+            c = memo.get(value) if isinstance(value, str) else None
+            if c is None:
+                p, q = _coordinate(value)
+                c = (from_ratio(p, q), p, q)
+                if isinstance(value, str):
+                    memo[value] = c
+            coords.append(c)
+    d = lcm(*{q for _, _, q in coords})
+    pts = [Point(coords[k][0], coords[k + 1][0]) for k in range(0, len(coords), 2)]
+    xs = [p * (d // q) for _, p, q in coords[0::2]]
+    ys = [p * (d // q) for _, p, q in coords[1::2]]
+    return validate(pts, merge_collinear=merge_collinear, _ints=(d, xs, ys))
 
 
 def beacons_to_dict(beacons: Sequence[Point], mode: str, bound: Optional[int] = None) -> dict:

@@ -159,6 +159,19 @@ def _turn(xs: List[int], ys: List[int], a: int, b: int, c: int) -> int:
     return (t > 0) - (t < 0)
 
 
+def _classify(verts: Sequence[Point], xs: List[int], ys: List[int]) -> Tuple[str, ...]:
+    """CONVEX or REFLEX for each vertex of a CCW ring, from the turns on the
+    ints; NotRectilinear at a straight vertex."""
+    n = len(xs)
+    classes = []
+    for i in range(n):
+        turn = _turn(xs, ys, i - 1, i, (i + 1) % n)
+        if turn == 0:
+            raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
+        classes.append(CONVEX if turn > 0 else REFLEX)
+    return tuple(classes)
+
+
 def _merge_ring(points: Sequence[Point], ints: Optional[Tuple[int, List[int], List[int]]] = None
                 ) -> Tuple[List[Point], Tuple[int, List[int], List[int]]]:
     """Drop repeated and 180-degree (collinear) vertices from a closed ring:
@@ -203,9 +216,11 @@ class RectPolygon:
                  "was_reversed", "_vertex_pos", "area2", "_prefix", "_ints", "_index", "_shots")
 
     def __init__(self, vertices: Sequence[Point], was_reversed: bool = False, _trusted: bool = False,
-                 _ints: Optional[Tuple[int, List[int], List[int]]] = None):
+                 _ints: Optional[Tuple[int, List[int], List[int]]] = None,
+                 _classes: Optional[Tuple[str, ...]] = None):
         """_ints is (D, xs, ys) of the vertices if the caller has them: the
-        coordinates times D, a common denominator, as ints, which every edge query reads."""
+        coordinates times D, a common denominator, as ints, which every edge
+        query reads.  _classes is _classify's result if the caller has it."""
         verts = tuple(vertices)
         if not _trusted:
             raise TypeError("use rectbeacon.polygon.validate() to build a RectPolygon")
@@ -214,13 +229,7 @@ class RectPolygon:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "was_reversed", was_reversed)
         d, xs, ys = _ints = _scaled(verts) if _ints is None else _ints
-        classes = []
-        for i in range(n):
-            turn = _turn(xs, ys, i - 1, i, (i + 1) % n)
-            if turn == 0:
-                raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
-            classes.append(CONVEX if turn > 0 else REFLEX)
-        classes = tuple(classes)
+        classes = _classify(verts, xs, ys) if _classes is None else _classes
         object.__setattr__(self, "classes", classes)
         reflex = tuple(i for i in range(n) if classes[i] == REFLEX)
         object.__setattr__(self, "reflex_indices", reflex)
@@ -312,19 +321,19 @@ class RectPolygon:
         through reflex vertex i, else None.  The chord extends i's incident
         edge of orientation o, away from it, to the first contact of that
         ray, found by one sweep over the ints the polygon was classified on
-        (_first_contacts); validate's general-position check reads the table
-        too.  forward says that the ray runs east or north, far is the far
-        end's coordinate along the chord, and end locates it: (vertex, True)
-        when the contact edge ends on the chord's line, else (edge, False)."""
+        (_shot_row); validate fills the "V" rows in its crossing sweep, and
+        its general-position check reads the table.  forward says that the
+        ray runs east or north, far is the far end's coordinate along the
+        chord, and end locates it: (vertex, True) when the contact edge ends
+        on the chord's line, else (edge, False)."""
         if o not in self._shots:
             _, xs, ys = self._ints
             along, across, perp = (ys, xs, "V") if o == "H" else (xs, ys, "H")
             rows = self._shots[o] = [None] * self.n
-            for i, forward, k in _first_contacts(self, along, across, perp):
-                j = (k + 1) % self.n
-                end = (k, True) if along[k] == along[i] else (j, True) if along[j] == along[i] else (k, False)
-                far = self.vertices[k].x if o == "H" else self.vertices[k].y
-                rows[i] = (forward, far, end)
+            perp_ids = [e.index for e in self.edges if e.orientation == perp]
+            for i, active in _sweep(self.n, along, across, perp_ids,
+                                    [(along[i], i) for i in self.reflex_indices]):
+                rows[i] = _shot_row(self.vertices, o, along, across, i, active)
         return self._shots[o]
 
     def contains(self, p: Point) -> str:
@@ -408,11 +417,16 @@ class RectPolygon:
 
 
 def validate(vertex_list: Iterable, merge_collinear: bool = False,
-             check_general_position: bool = True) -> RectPolygon:
+             check_general_position: bool = True,
+             _ints: Optional[Tuple[int, List[int], List[int]]] = None) -> RectPolygon:
     """Validate a vertex list into a RectPolygon.
 
     Accepts Points or (x, y) pairs of ints/strings/Fractions.  Clockwise
-    input is reversed automatically and flagged via .was_reversed.
+    input is reversed automatically and flagged via .was_reversed.  _ints is
+    (D, xs, ys) of the vertices if the caller has them, as RectPolygon
+    takes it.  The checks run in a fixed order, and the first that fails
+    raises: repeated vertex, axis-parallel edges, alternation, overlapping
+    collinear edges, crossing edges, n = 2r+4, general position.
     """
     pts: List[Point] = []
     for item in vertex_list:
@@ -424,11 +438,11 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
     if len(pts) < 4:
         raise NotRectilinear("a rectilinear polygon needs at least 4 vertices")
     if merge_collinear:
-        pts, (d, xs, ys) = _merge_ring(pts)
+        pts, (d, xs, ys) = _merge_ring(pts, _ints)
         if len(pts) < 4:
             raise NotRectilinear("degenerate polygon after merging collinear vertices")
     else:
-        d, xs, ys = _scaled(pts)
+        d, xs, ys = _scaled(pts) if _ints is None else _ints
 
     n = len(pts)
     # The coordinates times D, as ints: every later comparison is between ints.
@@ -447,19 +461,41 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
                 f"consecutive collinear edges at vertex {pts[(i + 1) % n]}; "
                 "either fix the input or pass merge_collinear=True"
             )
-
-    _check_simple(pts, orients, xs, ys)
+    _check_overlaps(pts, orients, xs, ys)
 
     # Orientation: normalize to CCW.  The lowest of the leftmost vertices of
-    # a simple polygon is convex, so its turn gives the orientation.
-    k = min(range(n), key=lambda i: (xs[i], ys[i]))
+    # a simple polygon is convex, so its turn gives the orientation.  Until
+    # the crossing check has passed, the ring may not be simple, and the
+    # classes and shot rows below are only provisional.
+    k = min(zip(xs, ys, range(n)))[2]
     was_reversed = _turn(xs, ys, k - 1, k, (k + 1) % n) < 0
-    if was_reversed:
-        pts.reverse()
-        xs.reverse()
-        ys.reverse()
+    verts, cx, cy = (pts[::-1], xs[::-1], ys[::-1]) if was_reversed else (pts, xs, ys)
+    classes = _classify(verts, cx, cy)
+    reflex = [i for i in range(n) if classes[i] == REFLEX]
 
-    poly = RectPolygon(pts, was_reversed=was_reversed, _trusted=True, _ints=(d, xs, ys))
+    # One sweep along x, over the horizontal edges, answers the crossing
+    # check at the vertical edges (items j < n, input indices, so that the
+    # first crossing reported is the same in either orientation) and the
+    # vertical shot rows at the reflex vertices (items n + i).
+    h_ids = [i for i in range(n) if cy[i] == cy[(i + 1) % n]]
+    queries = [(xs[j], j) for j in range(n) if orients[j] == "V"]
+    queries += [(cx[i], n + i) for i in reflex]
+    v_rows: List[Optional[tuple]] = [None] * n
+    for item, active in _sweep(n, cx, cy, h_ids, queries):
+        if item >= n:
+            v_rows[item - n] = _shot_row(verts, "V", cx, cy, item - n, active)
+            continue
+        lo, hi = sorted((ys[item], ys[(item + 1) % n]))
+        a = bisect_left(active, (lo + 1) * n)
+        if a < len(active) and active[a] < hi * n:
+            i = active[a] % n
+            # Reversed, edge i joins input vertices n-1-i and n-2-i.
+            i = (n - 2 - i) % n if was_reversed else i
+            raise NotSimple(f"edges {i} and {item} intersect at ({pts[item].x},{pts[i].y})")
+
+    poly = RectPolygon(verts, was_reversed=was_reversed, _trusted=True, _ints=(d, cx, cy),
+                       _classes=classes)
+    poly._shots["V"] = v_rows
     if check_general_position:
         _check_general_position(poly)
     return poly
@@ -469,22 +505,25 @@ def _sweep(n: int, along: List[int], across: List[int], edges: List[int], querie
     """Answer queries at coordinates of one axis against the edges crossing it.
 
     along and across are the vertex coordinates times D, as ints, along the
-    axis and across it.  queries holds (c, item) pairs, item in range(n).
-    In order of c, this yields (item, active): active is the sorted list of
-    the keys across[i] * n + i of the edges i whose closed span contains c,
-    so it is ordered by their level.  The list is reused; read it before
-    advancing.  One sort orders every event, an edge's start before the
-    queries at its coordinate and its end after.
+    axis and across it.  queries holds (c, item) pairs, item in range(2n).
+    In order of c, then of item, this yields (item, active): active is the
+    sorted list of the keys across[i] * n + i of the edges i whose closed
+    span contains c, so it is ordered by their level.  The list is reused;
+    read it before advancing.  One sort orders every event, an edge's start
+    before the queries at its coordinate and its end after.
     """
+    m = 2 * n
     events = []
     for i in edges:
         a, b = along[i], along[(i + 1) % n]
-        events += ((min(a, b) * 3) * n + i, (max(a, b) * 3 + 2) * n + i)
-    events += [(c * 3 + 1) * n + item for c, item in queries]
+        if a > b:
+            a, b = b, a
+        events += (a * 3 * m + i, (b * 3 + 2) * m + i)
+    events += [(c * 3 + 1) * m + item for c, item in queries]
     events.sort()
     active: List[int] = []
     for event in events:
-        ck, i = divmod(event, n)
+        ck, i = divmod(event, m)
         kind = ck % 3
         if kind == 1:
             yield i, active
@@ -494,48 +533,45 @@ def _sweep(n: int, along: List[int], across: List[int], edges: List[int], querie
             del active[bisect_left(active, across[i] * n + i)]
 
 
-def _check_simple(pts: List[Point], orients: List[str], xs: List[int], ys: List[int]) -> None:
-    """NotSimple unless the only edges that touch are consecutive ones.
-
-    Collinear edges are compared in sorted order.  Once none of them touch,
-    no vertex lies on another edge, so two edges can only meet in a crossing:
-    a horizontal edge at a level strictly inside a vertical edge's range.
-    """
+def _check_overlaps(pts: List[Point], orients: List[str], xs: List[int], ys: List[int]) -> None:
+    """NotSimple if two collinear edges touch; they are compared in sorted
+    order.  Once none of them touch, no vertex lies on another edge, so two
+    edges can only meet in a crossing: a horizontal edge at a level strictly
+    inside a vertical edge's range, which validate's sweep looks for."""
     n = len(pts)
-    h_ids = [i for i in range(n) if orients[i] == "H"]
-    v_ids = [i for i in range(n) if orients[i] == "V"]
-    for ids, along, across, name, axis in ((h_ids, xs, ys, "horizontal", "y"),
-                                          (v_ids, ys, xs, "vertical", "x")):
-        spans = sorted((across[i], *sorted((along[i], along[(i + 1) % n])), i) for i in ids)
+    for o, along, across, name, axis in (("H", xs, ys, "horizontal", "y"),
+                                         ("V", ys, xs, "vertical", "x")):
+        spans = []
+        for i in range(n):
+            if orients[i] == o:
+                a, b = along[i], along[(i + 1) % n]
+                spans.append((across[i], a, b, i) if a < b else (across[i], b, a, i))
+        spans.sort()
         for (l0, _, hi0, i), (l1, lo1, _, j) in zip(spans, spans[1:]):
             if l0 == l1 and lo1 <= hi0:
                 raise NotSimple(f"{name} edges {i} and {j} overlap on {axis}={getattr(pts[i], axis)}")
-    for j, active in _sweep(n, xs, ys, h_ids, [(xs[j], j) for j in v_ids]):
-        lo, hi = sorted((ys[j], ys[(j + 1) % n]))
-        k = bisect_left(active, (lo + 1) * n)
-        if k < len(active) and active[k] < hi * n:
-            i = active[k] % n
-            raise NotSimple(f"edges {i} and {j} intersect at ({pts[j].x},{pts[i].y})")
 
 
-def _first_contacts(poly: RectPolygon, along: List[int], across: List[int],
-                    perp: str) -> Iterator[Tuple[int, bool, int]]:
-    """(i, forward, k) for every reflex vertex i of poly: the ray extending
-    i's incident edge that is parallel to it, away from that edge, first
-    meets edge k, of orientation perp.  along and across are the vertex
-    coordinates times D, as ints, along and across the perp edges; forward
-    says that the ray runs towards greater across values.  The edges across
-    the ray are the active ones of a sweep, ordered by level, and the first
-    is the nearest on the ray's side of i."""
-    n, edges = poly.n, poly.edges
-    perp_ids = [e.index for e in edges if e.orientation == perp]
-    for i, active in _sweep(n, along, across, perp_ids, [(along[i], i) for i in poly.reflex_indices]):
-        # The incident edge parallel to the ray runs from its other end o to i.
-        o = i - 1 if edges[i - 1].orientation != perp else (i + 1) % n
-        if across[i] > across[o]:
-            yield i, True, active[bisect_left(active, (across[i] + 1) * n)] % n
-        else:
-            yield i, False, active[bisect_left(active, across[i] * n) - 1] % n
+def _shot_row(verts: Sequence[Point], o: str, along: List[int], across: List[int],
+              i: int, active: List[int]) -> Optional[tuple]:
+    """The shot table row of reflex vertex i for the chord of orientation o
+    (see RectPolygon.shots), from the active perpendicular edges of a sweep
+    at along[i].  along and across are the vertex coordinates times D, as
+    ints, along and across those edges.  The ray extending i's incident edge
+    that is parallel to it, away from that edge, first meets the nearest
+    active edge on its side of i.  None if there is none, which only a ring
+    that is not simple allows."""
+    n = len(along)
+    # The incident edge parallel to the ray runs from its other end u to i.
+    u = i - 1 if along[i - 1] == along[i] else (i + 1) % n
+    forward = across[i] > across[u]
+    a = bisect_left(active, (across[i] + forward) * n) - (not forward)
+    if not 0 <= a < len(active):
+        return None
+    k = active[a] % n
+    j = (k + 1) % n
+    end = (k, True) if along[k] == along[i] else (j, True) if along[j] == along[i] else (k, False)
+    return forward, verts[k].x if o == "H" else verts[k].y, end
 
 
 def _check_general_position(poly: RectPolygon) -> None:

@@ -30,9 +30,14 @@ from .polygon import RectPolygon
 
 
 class SamplePlan:
-    """Deterministic sample set description for verification runs."""
+    """Deterministic sample set description for verification runs: a
+    (grid+1) x (grid+1) lattice, grid >= 1, plus jitter >= 0 seeded points."""
 
     def __init__(self, grid: int = 40, seed: int = 0, jitter: int = 0):
+        if grid < 1:
+            raise ValueError(f"grid must be at least 1, not {grid}")
+        if jitter < 0:
+            raise ValueError(f"jitter must be at least 0, not {jitter}")
         self.grid = grid
         self.seed = seed
         self.jitter = jitter
@@ -69,7 +74,7 @@ def _sample_ids(memo: "AttractionMemo", plan: SamplePlan) -> List[int]:
     """The memo ids of build_samples' points, in its order, each entered as
     located ints."""
     poly = memo.poly
-    k = max(1, plan.grid)
+    k = plan.grid
     m = lcm(2, k, 1 << 12 if plan.jitter else 1)
     _, xs, ys = poly._ints
     h, n = m // 2, poly.n

@@ -250,12 +250,14 @@ _GOOD_BEACONS = json.dumps({"beacons": [["2", "2"]], "mode": "route"})
     (["kernel", "{bad}"], {"bad": _ring_json([(0, 0), (1, 0), (1, "1E-4300"), (0, "1E-4300")])}),
     (["cover", "{bad}"], {"bad": _ring_json([(0, 0), ("9" * 4301, 0), ("9" * 4301, 1), (0, 1)])}),
     (["verify", "cover", "{poly}", "{bad}"], {"bad": '{"beacons": [["2", "2e9999"]]}'}),
+    (["kernel", "{bad}"], {"bad": '{"vertices": [[0, 0], [2.5, 0], [2.5, 2], [0, 2]]}'}),
+    (["verify", "cover", "{poly}", "{bad}"], {"bad": '{"beacons": [[true, "2"]]}'}),
 ], ids=["pairs_missing", "pairs_bad_number", "pairs_short", "path_missing", "path_not_list",
         "polygon_not_list", "polygon_number", "polygon_null", "beacons_not_list",
         "beacons_number", "beacons_null", "polygon_zero_denominator", "pairs_zero_denominator",
         "polygon_exponent_past_digit_limit", "polygon_exponent_of_eight_digits",
         "polygon_negative_exponent_at_digit_limit", "polygon_digits_past_limit",
-        "beacons_exponent_past_digit_limit"])
+        "beacons_exponent_past_digit_limit", "polygon_json_float", "beacons_json_bool"])
 def test_unreadable_input_exits_2_with_one_error_line(tmp_path, command, files):
     paths = {"poly": tmp_path / "u.json", "beacons": tmp_path / "b.json",
              "missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json"}
@@ -267,6 +269,33 @@ def test_unreadable_input_exits_2_with_one_error_line(tmp_path, command, files):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: cannot read ") and r.stderr.count("\n") == 1, r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_json_coordinates_are_strings_or_integers_never_floats():
+    """A JSON float is rejected by name, not rounded to the nearest rational;
+    JSON integers read as their strings do."""
+    x = "0.12345678901234567890"
+    r = run(["kernel", "-"], inp=f'{{"vertices": [[0, 0], [{x}, 0], [{x}, 1], [0, 1]]}}')
+    assert r.returncode == 2, r.stdout
+    assert "not 0.12345678901234568" in r.stderr and r.stderr.count("\n") == 1, r.stderr
+    assert r.stdout == ""
+    ints = run(["kernel", "-"], inp=json.dumps({"vertices": [[0, 0], [6, 0], [6, 4], [4, 4],
+                                                             [4, 2], [2, 2], [2, 4], [0, 4]]}))
+    assert ints.returncode == 0, ints.stderr
+    assert ints.stdout == run(["kernel", "-"], inp=U_JSON).stdout
+
+
+@pytest.mark.parametrize("flags", [["--grid", "-1"], ["--grid", "0"], ["--jitter", "-5"]],
+                         ids=["grid_negative", "grid_0", "jitter_negative"])
+def test_verify_rejects_a_density_it_would_not_run(tmp_path, flags):
+    poly = tmp_path / "u.json"
+    poly.write_text(U_JSON)
+    beacons = tmp_path / "b.json"
+    beacons.write_text(json.dumps({"beacons": [["2", "2"]], "mode": "cover"}))
+    r = run(["verify", "cover", str(poly), str(beacons)] + flags)
+    assert r.returncode == 2, r.stdout
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("command", [

@@ -7,10 +7,12 @@ import pytest
 from rectbeacon.errors import GeneralPositionViolated, NotAChord, NotRectilinear, NotSimple
 from rectbeacon.generators import coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
+from rectbeacon import polygon
 from rectbeacon.polygon import (
     CONVEX,
     REFLEX,
     Cut,
+    RectPolygon,
     boundary_hits,
     chords_on_line,
     count_reflex_below,
@@ -436,11 +438,15 @@ def test_validate_matches_pairwise_oracle_on_random_rings():
     assert counts["valid"] >= 500, counts
 
 
-def test_validate_matches_pairwise_oracle_on_generated_families():
+def _generated_families():
     polys = [random_rectilinear(n, seed) for n in range(8, 196, 6) for seed in range(3)]
     polys += [coverage_spiral(r)[0] for r in range(1, 25)]
     polys += [uniform_spiral(r)[0] for r in range(1, 25)]
-    polys += [comb(k) for k in range(1, 30)] + [_comb(k) for k in range(2, 30)]
+    return polys + [comb(k) for k in range(1, 30)] + [_comb(k) for k in range(2, 30)]
+
+
+def test_validate_matches_pairwise_oracle_on_generated_families():
+    polys = _generated_families()
     rng = random.Random(5)
     rings = [list(p.vertices) for p in polys] + [list(p.vertices)[::-1] for p in polys]
     rings += [r for r in (_coarsened(p, rng) for p in polys * 4)
@@ -452,3 +458,46 @@ def test_validate_matches_pairwise_oracle_on_generated_families():
         _check_pair(got, ring)
         counts[got[0]] += 1
     assert counts["NotSimple"] >= 100 and counts["GeneralPositionViolated"] >= 100, counts
+
+
+# W_SHAPE, whose reflex corners (4,2) and (6,2) violate general position,
+# with its left wall run down through the bottom edge: (1,5)-(1,-1) crosses it.
+W_SHAPE_CROSSED = W_SHAPE[:-1] + [(1, 5), (1, -1), (0, -1)]
+
+
+@pytest.mark.parametrize("ring, message", [
+    (W_SHAPE_CROSSED, "edges 0 and 11 intersect at (1,0)"),
+    (W_SHAPE_CROSSED[::-1], "edges 12 and 1 intersect at (1,0)"),
+    ([(y, x) for x, y in W_SHAPE_CROSSED], "edges 11 and 0 intersect at (0,1)"),
+    ([(y, x) for x, y in W_SHAPE_CROSSED[::-1]], "edges 1 and 12 intersect at (0,1)"),
+], ids=["ccw", "cw", "mirrored_cw", "mirrored_ccw"])
+def test_crossing_is_reported_before_general_position(ring, message):
+    """The crossing wins, and its message names edges by their input index
+    whichever way the ring runs."""
+    pts = [Point(x, y) for x, y in ring]
+    assert _outcome(validate, pts) == _outcome(validate_oracle, pts) == ("NotSimple", None)
+    for check in (True, False):
+        with pytest.raises(NotSimple) as ei:
+            validate(ring, check_general_position=check)
+        assert str(ei.value) == message
+
+
+def test_validate_sweeps_once_per_axis_and_leaves_fresh_shot_tables(monkeypatch):
+    """validate sweeps along x once, for the crossing check and the "V" shot
+    rows, and along y once, for the "H" rows; both tables equal those a
+    polygon builds afresh, in either orientation of the input."""
+    calls = []
+    sweep = polygon._sweep
+    monkeypatch.setattr(polygon, "_sweep", lambda *args: calls.append(args) or sweep(*args))
+    for p in _generated_families():
+        if p.n > 64 and p.n % 3:
+            continue
+        in_general_position = not any(row is not None and row[2][1]
+                                      for o in "HV" for row in p.shots(o))
+        for ring in (list(p.vertices), list(p.vertices)[::-1]):
+            calls.clear()
+            q = validate(ring, check_general_position=in_general_position)
+            fresh = RectPolygon(q.vertices, _trusted=True, _ints=q._ints)
+            assert len(calls) == len(q._shots) == (2 if "H" in q._shots else 1)
+            for o in q._shots:
+                assert q._shots[o] == fresh.shots(o), (p, o)

@@ -370,3 +370,9 @@ def test_locate_calls_per_path(monkeypatch):
         assert verify_routing(p, route_beacons(p).beacons, pair_count=100, seed=n).passed
     assert counts["paths"] > 10000
     assert counts["locate"] <= 1.1 * counts["paths"], counts
+
+
+@pytest.mark.parametrize("kwargs", [{"grid": 0}, {"grid": -1}, {"jitter": -5}])
+def test_sample_plan_rejects_a_density_it_would_not_run(kwargs):
+    with pytest.raises(ValueError, match="grid must be at least 1|jitter must be at least 0"):
+        SamplePlan(**kwargs)
