@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .attraction import AttractionPath
 from .errors import GeometryError
-from .geometry import Point, format_scalar, from_ratio, ratio
+from .geometry import _MAX_DIGITS, Point, format_scalar, from_ratio, ratio
 from .kernel import KernelRegion
 from .polygon import RectPolygon, validate
 
@@ -17,13 +17,20 @@ def point_to_json(p: Point) -> List[str]:
     return [format_scalar(p.x), format_scalar(p.y)]
 
 
+# The least int with more than _MAX_DIGITS digits.
+_TOO_LONG = 10 ** _MAX_DIGITS
+
+
 def _coordinate(value) -> Tuple[int, int]:
     """(p, q), in lowest terms, of a JSON coordinate: a number string that
     ratio() reads, or a JSON integer.  A JSON float is rejected, not rounded,
-    and so is a bool."""
+    and so is a bool.  An integer longer than _MAX_DIGITS digits is refused
+    as a string that long is."""
     if isinstance(value, str):
         return ratio(value)
     if type(value) is int:
+        if abs(value) >= _TOO_LONG:
+            raise GeometryError(f"number with more than {_MAX_DIGITS} digits: a JSON integer")
         return value, 1
     raise GeometryError(f"a coordinate must be a string or an integer, not {value!r}")
 

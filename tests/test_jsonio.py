@@ -118,3 +118,11 @@ def test_coordinates_are_strings_or_json_integers():
             jsonio.polygon_from_dict({"vertices": [[0, 0], [bad, 0], [4, 4], [0, 4]]})
         with pytest.raises(GeometryError, match="a coordinate must be a string or an integer"):
             jsonio.point_from_json(["1", bad])
+    # A JSON integer meets the digit guard of a string: 4300 digits pass, 4301 do not.
+    for value in (10 ** 4300 - 1, -(10 ** 4300 - 1)):
+        assert jsonio.point_from_json([value, 0]) == Point(value, 0)
+    for value in (10 ** 4300, -(10 ** 4300), 10 ** 100_000):
+        with pytest.raises(GeometryError, match="number with more than 4300 digits"):
+            jsonio.point_from_json([0, value])
+        with pytest.raises(GeometryError, match="number with more than 4300 digits"):
+            jsonio.polygon_from_dict({"vertices": [[0, 0], [value, 0], [value, 4], [0, 4]]})

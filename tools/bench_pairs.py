@@ -1,12 +1,11 @@
 """Compare two source checkouts with the benchmark, in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH.json \\
-        [--workload NAME ...] [--pairs 10] [--seed 1]
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH.json [--seed 1]
 
-Each pair runs the benchmark command of CHANGE_DIR's BENCHMARK.json
-(`python3 perfbench/run.py --workload W --seed S --seconds T`, T its
-run_seconds) once in each checkout, on the same seed, in a fresh process and
-with the checkout as working directory.  Pair k uses seed SEED + k, and the
+For every workload of CHANGE_DIR's BENCHMARK.json, each of PAIRS pairs
+runs its benchmark command (`python3 perfbench/run.py --workload W --seed S
+--seconds T`, T its run_seconds) once in each checkout, on the same seed, in
+a fresh process and with the checkout as working directory.  Pair k uses seed SEED + k, and the
 parent runs first in even pairs, the change in odd ones.  Runs are
 sequential, so the two sides never share the machine.
 
@@ -28,6 +27,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+# Pairs per workload: fewer cannot show a change better in nine of ten.
+PAIRS = 10
 
 
 def _commit(root: Path) -> str:
@@ -82,24 +84,19 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workload", action="append", help="default: every workload")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, for quartiles")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
         "command": spec["command"], "run_seconds": spec["run_seconds"],
         "commits": {side: _commit(root) for side, root in sides.items()},
         "python": platform.python_version(), "nproc": os.cpu_count(),
-        "pairs": args.pairs, "seeds": [args.seed + k for k in range(args.pairs)],
+        "pairs": PAIRS, "seeds": [args.seed + k for k in range(PAIRS)],
         "order": "parent first in even pairs (0, 2, ...), change first in odd ones",
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in [w["name"] for w in spec["workloads"]]:
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(record["seeds"]):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
