@@ -18,9 +18,7 @@ from .geometry import Point, midpoint
 from .kernel import in_all_cones
 from .polygon import (
     _INWARD,
-    EAST,
     REFLEX,
-    WEST,
     Chord,
     Cut,
     RectPolygon,
@@ -29,16 +27,15 @@ from .polygon import (
     _piece,
     chord_sides,
     chords_on_line,
-    count_reflex_below,
+    # count_reflex_below stays importable from here, where perfbench's traced run wraps it.
+    count_reflex_below,  # noqa: F401
     iter_normal_cuts,
     materialize,
     pocket,
     pocket_side,
-    reflex_points_below,
     side_piece,
     split,
 )
-from .transforms import TRANSFORMS
 
 
 class BeaconSet:
@@ -87,15 +84,13 @@ class TraceNode:
         }
 
 
-def _map_trace(node: TraceNode, fn) -> None:
-    """Map the beacons of node and of every node below it through fn."""
-    node.beacons[:] = [fn(b) for b in node.beacons]
-    for c in node.children:
-        _map_trace(c, fn)
-
-
 def _ceil3(x: int) -> int:
     return -(-x // 3)
+
+
+def _level_along(p: Point, o: str) -> Tuple[Fraction, Fraction]:
+    """p's coordinates across and along orientation o."""
+    return (p.y, p.x) if o == "H" else (p.x, p.y)
 
 
 def _dedup(points: Sequence[Point]) -> List[Point]:
@@ -158,27 +153,6 @@ def find_safe_cut(poly: RectPolygon) -> Optional[Cut]:
     return None
 
 
-def _first_reflex_below(poly: RectPolygon, cut: Cut) -> Point:
-    """Reflex vertex of P_minus with maximal level (ties: smaller cross)."""
-    pts = reflex_points_below(poly, cut)
-    chord = materialize(poly, cut)
-    below = [p for p in pts if (p.y if chord.axis == "H" else p.x) < chord.level]
-    if not below:
-        raise InternalCaseError("no reflex vertex below the cut")
-    return max(below, key=lambda p: (p.y, -p.x) if chord.axis == "H" else (p.x, -p.y))
-
-
-def _first_reflex_above(poly: RectPolygon, cut: Cut) -> Point:
-    """Reflex vertex of P_plus above the cut with minimal level (ties: smaller cross)."""
-    chord = materialize(poly, cut)
-    _, plus = chord_sides(chord)
-    reflex = [poly.vertices[k] for k in _cyclic(range(poly.n), plus.s, plus.t) if poly.classes[k] == REFLEX]
-    above = [p for p in reflex if (p.y if chord.axis == "H" else p.x) > chord.level]
-    if not above:
-        raise InternalCaseError("no reflex vertex above the cut")
-    return min(above, key=lambda p: (p.y, p.x) if chord.axis == "H" else (p.x, p.y))
-
-
 def cover(poly: RectPolygon, trace: Optional[TraceNode] = None) -> BeaconSet:
     """Guard the polygon with at most max(1, ceil(r/3)) beacons.
 
@@ -222,34 +196,86 @@ class _OrientationRetry(Exception):
     """The case identities failed in this frame; try a mirrored one."""
 
 
+class _Frame(namedtuple("_Frame", "name sx sy")):
+    """The senses of x and y in which the no-safe-cut cases, written for one
+    orientation, are read; named by the symmetry that maps that orientation
+    there.  Levels across a cut of orientation o read with sense s, sy for H
+    and sx for V: chord_sides(...)[::s] and split(...)[::s] are (below, above).
+    """
+
+    __slots__ = ()
+
+    def senses(self, o: str) -> Tuple[int, int]:
+        """The senses across and along orientation o."""
+        return (self.sy, self.sx) if o == "H" else (self.sx, self.sy)
+
+    def key(self, p: Point, o: str) -> Tuple[Fraction, Fraction]:
+        """p's level across o and its coordinate along o, read in this frame."""
+        (level, along), (s, t) = _level_along(p, o), self.senses(o)
+        return level if s > 0 else -level, along if t > 0 else -along
+
+    def sides(self, poly: RectPolygon, cut: Cut):
+        return chord_sides(materialize(poly, cut))[::self.senses(cut.orientation)[0]]
+
+    def split(self, poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
+        return split(poly, cut)[::self.senses(cut.orientation)[0]]
+
+    def reflex(self, poly: RectPolygon, cut: Cut) -> Tuple[int, int]:
+        """Reflex vertices strictly below and strictly above a cut."""
+        return tuple(poly.reflex_counts(side.s, side.t)[0] for side in self.sides(poly, cut))
+
+
+_FRAMES = (_Frame("id", 1, 1), _Frame("mirror_x", -1, 1), _Frame("rot180", -1, -1), _Frame("mirror_y", 1, -1))
+
+
+def _reflex_points(poly: RectPolygon, side) -> List[Point]:
+    """The reflex vertices strictly inside a Side, in CCW order."""
+    return [poly.vertices[k] for k in _cyclic(range(poly.n), side.s, side.t) if poly.classes[k] == REFLEX]
+
+
+def _first_reflex(poly: RectPolygon, cut: Cut, f: _Frame, above: bool) -> Point:
+    """The reflex vertex strictly below (or above) the cut, on that side of
+    it, whose level is nearest the cut's; on ties the least along it."""
+    o = cut.orientation
+    level = f.key(materialize(poly, cut).a, o)[0]
+    keys = [(f.key(p, o), p) for p in _reflex_points(poly, f.sides(poly, cut)[above])]
+    gaps = [(k[0] - level if above else level - k[0], k[1], p) for k, p in keys]
+    gaps = [g for g in gaps if g[0] > 0]
+    if not gaps:
+        raise InternalCaseError(f"no reflex vertex {'above' if above else 'below'} the cut")
+    return min(gaps, key=lambda g: g[:2])[2]
+
+
 def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
+    """The paper's case analysis, tried in up to four frames in turn.  Only
+    the frame that runs leaves a trace node; its detail says which frames
+    gave up before it, and why."""
     r = poly.r
     if r % 3 == 1:
         raise InternalCaseError("no safe cut although r = 1 mod 3")
-    last = None
-    for tname in ("id", "mirror_x", "rot180", "mirror_y"):
-        t = TRANSFORMS[tname]
-        q = t.polygon(poly)
-        cset = [nc for nc in iter_normal_cuts(q, "H")
-                if nc.r_minus % 3 == 1 and nc.r_minus >= 4]
-        if not cset:
+    ncs = list(iter_normal_cuts(poly, "H"))
+    gave_up = []
+    for f in _FRAMES:
+        # The frame's 1-cuts, r_below = 1 mod 3 and at least 4: the lowest
+        # of the least r_below, then the westmost.
+        keys = [(nc.r_minus if f.sy > 0 else r - nc.r_minus, f.sy * nc.level,
+                 nc.lo if f.sx > 0 else -nc.hi, nc.cut) for nc in ncs]
+        keys = [k for k in keys if k[0] % 3 == 1 and k[0] >= 4]
+        if not keys:
             continue
-        cset.sort(key=lambda nc: (nc.r_minus, nc.level, nc.lo))
-        child = node.child(TraceNode(f"no_safe[{tname}]", r))
+        child = TraceNode(f"no_safe[{f.name}]", r, "; ".join(gave_up))
         try:
-            beacons_q = _no_safe_cases(q, cset[0].cut, child)
+            beacons = _no_safe_cases(poly, min(keys, key=lambda k: k[:3])[3], f, child)
         except _OrientationRetry as exc:
-            last = exc
+            gave_up.append(f"{f.name} gave up: {exc}")
             continue
-        inv = t.inverse
-        _map_trace(child, inv.point)
-        return [inv.point(b) for b in beacons_q]
-    raise InternalCaseError(f"no orientation admits the case analysis: {last}")
+        node.child(child)
+        return beacons
+    raise InternalCaseError(f"no orientation admits the case analysis: {'; '.join(gave_up)}")
 
 
-def _no_safe_cases(poly: RectPolygon, c: Cut, node: TraceNode) -> List[Point]:
-    r = poly.r
-    v = _first_reflex_below(poly, c)
+def _no_safe_cases(poly: RectPolygon, c: Cut, f: _Frame, node: TraceNode) -> List[Point]:
+    v = _first_reflex(poly, c, f, False)
     vi = poly.vertex_index(v)
     # v must bound a horizontal reflex edge, else a cut just below it would
     # have been safe.
@@ -259,26 +285,20 @@ def _no_safe_cases(poly: RectPolygon, c: Cut, node: TraceNode) -> List[Point]:
         raise InternalCaseError(
             f"first reflex vertex {v} below the 1-cut has no horizontal reflex edge"
         )
-    # Heading east, the interior lies above the edge: it faces up.
-    if hedge.direction == EAST:
-        return _no_safe_top(poly, c, hedge, node)
-    if hedge.direction == WEST:
-        return _no_safe_bottom(poly, c, hedge, node)
-    raise InternalCaseError(f"unexpected direction {hedge.direction} for event edge")
+    # The interior lies above the edge in this frame: it faces up.
+    if hedge.halfplane.sense == f.sy:
+        return _no_safe_top(poly, c, hedge, f, node)
+    return _no_safe_bottom(poly, c, hedge, f, node)
 
 
-def _endpoints_west_east(e) -> Tuple[Point, Point]:
-    """The ends of a horizontal edge, the west one first."""
-    return (e.b, e.a) if e.direction == WEST else (e.a, e.b)
-
-
-def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
+def _no_safe_top(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> List[Point]:
     r = poly.r
-    v1, v2 = _endpoints_west_east(e)
+    v1, v2 = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     i1, i2 = poly.vertex_index(v1), poly.vertex_index(v2)
     # Reflex vertices below the cuts just below v1 and v2.
-    k1 = count_reflex_below(poly, Cut(i1, "H", "before"))
-    k2 = count_reflex_below(poly, Cut(i2, "H", "before"))
+    before = ("before", "after")[::f.sy][0]
+    k1 = f.reflex(poly, Cut(i1, "H", before))[0]
+    k2 = f.reflex(poly, Cut(i2, "H", before))[0]
     m1, m2 = k1 % 3, k2 % 3
     if (m1 + m2) % 3 != 2:
         raise _OrientationRetry(f"top case: m1+m2 = {m1}+{m2} != 2 mod 3")
@@ -292,7 +312,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
             if k2 != 0:
                 raise InternalCaseError("case (a): 0-side lobe not empty")
             cprime = Cut(i1, "H")
-        minus, plus = split(poly, cprime)
+        minus, plus = f.split(poly, cprime)
         child = node.child(TraceNode("top(a)", r, repr(cprime)))
         return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
                 + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -307,7 +327,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
         # One wall is not a reflex edge: a single beacon at the opposite
         # endpoint guards everything below c.
         b_at = v2 if e1.kind != "reflex" else v1
-        minus, plus = split(poly, c)
+        minus, plus = f.split(poly, c)
         if not in_all_cones(minus, b_at):
             raise InternalCaseError(f"case (b): beacon {b_at} not in kernel of P_minus")
         child = node.child(TraceNode("top(b-wall)", r, f"beacon {b_at}"))
@@ -315,14 +335,14 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
         return [b_at] + _cover_rec(plus, child.child(TraceNode("plus", plus.r)))
     d1, d2 = Cut(i1, "V"), Cut(i2, "V")
     counts = {}
-    for name, d, vi in (("d1", d1, i1), ("d2", d2, i2)):
-        left = count_reflex_below(poly, d)
+    for name, d in (("d1", d1), ("d2", d2)):
+        left = f.reflex(poly, d)[0]
         counts[name] = (left, r - 1 - left)
     # (b)(i): some side of some d_i is divisible by three.
     for name, d in (("d1", d1), ("d2", d2)):
         left, right = counts[name]
         if left % 3 == 0 or right % 3 == 0:
-            minus, plus = split(poly, d)
+            minus, plus = f.split(poly, d)
             child = node.child(TraceNode(f"top(b-i,{name})", r, repr(d)))
             return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
                     + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -330,7 +350,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
     if r % 3 == 2:
         if residues != {2}:
             raise InternalCaseError(f"case (b)(ii): residues {residues}")
-        minus, plus = split(poly, d1)
+        minus, plus = f.split(poly, d1)
         child = node.child(TraceNode("top(b-ii)", r, repr(d1)))
         return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
                 + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -339,7 +359,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
         raise InternalCaseError(f"case (b)(iii) preconditions: r={r}, residues={residues}")
     if counts["d1"][0] != 1 or counts["d2"][1] != 1:
         raise InternalCaseError("case (b)(iii): outer strips must hold exactly one reflex vertex")
-    w = _first_reflex_above(poly, c)
+    w = _first_reflex(poly, c, f, True)
     wi = poly.vertex_index(w)
     w_hedge = next(x for x in (poly.edges[(wi - 1) % poly.n], poly.edges[wi])
                    if x.orientation == "H")
@@ -351,7 +371,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
     for ci in candidates:
         d = Cut(ci, "V")
         try:
-            left = count_reflex_below(poly, d)
+            left = f.reflex(poly, d)[0]
         except NotAChord:
             continue
         if left % 3 == 0 or (r - 1 - left) % 3 == 0:
@@ -359,14 +379,14 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
             break
     if chosen is None:
         raise InternalCaseError("case (b)(iii): no vertical cut at w/w' balances mod 3")
-    # The cut must land on the reflex edge e.
+    # The cut must land on the reflex edge e: its lower end lies on e's line.
     chord = materialize(poly, chosen)
     el_lo, el_hi = e.span()
-    if not (el_lo <= chord.level <= el_hi and chord.lo == e.a.y):
+    if not (el_lo <= chord.level <= el_hi and (chord.lo, chord.hi)[::f.sy][0] == e.level):
         raise InternalCaseError(
             f"case (b)(iii): vertical cut at {poly.vertices[chosen.anchor]} does not land on e"
         )
-    minus, plus = split(poly, chosen)
+    minus, plus = f.split(poly, chosen)
     child = node.child(TraceNode("top(b-iii)", r, repr(chosen)))
     result = (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
               + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -378,14 +398,15 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
     return result
 
 
-def _no_safe_bottom(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point]:
+def _no_safe_bottom(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> List[Point]:
     r = poly.r
-    v, vprime = _endpoints_west_east(e)
+    v, vprime = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     vi, vpi = poly.vertex_index(v), poly.vertex_index(vprime)
-    c1 = Cut(vi, "H", "before")
-    c2 = Cut(vpi, "H", "after")
-    m1 = count_reflex_below(poly, c1) % 3
-    m2 = count_reflex_below(poly, c2) % 3
+    before, after = ("before", "after")[::f.sy]
+    c1 = Cut(vi, "H", before)
+    c2 = Cut(vpi, "H", after)
+    m1 = f.reflex(poly, c1)[0] % 3
+    m2 = f.reflex(poly, c2)[0] % 3
     if r % 3 != 0:
         raise InternalCaseError(f"bottom case with r = {r} not divisible by 3")
     if (m2 - m1) % 3 != 1:
@@ -395,14 +416,14 @@ def _no_safe_bottom(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point
     if m2 == 0:
         # (m1, m2) = (2, 0): nothing reflex above the cut over v'; the
         # vertical cut through v balances the budget exactly.
-        if _r_plus(poly, c2) != 0:
+        if f.reflex(poly, c2)[1] != 0:
             raise InternalCaseError("bottom (2,0): reflex vertices above the c2 cut")
         d_v = Cut(vi, "V")
-        left = count_reflex_below(poly, d_v)
+        left = f.reflex(poly, d_v)[0]
         right = r - 1 - left
         if left % 3 != 0 or right % 3 != 2:
             raise _OrientationRetry(f"bottom (2,0): sides {(left, right)}")
-        minus, plus = split(poly, d_v)
+        minus, plus = f.split(poly, d_v)
         child = node.child(TraceNode("bottom(2,0)", r, repr(d_v)))
         return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
                 + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -410,16 +431,16 @@ def _no_safe_bottom(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point
         raise InternalCaseError("bottom (0,1): a vertical cut on e would have been safe")
     if (m1, m2) != (1, 2):
         raise InternalCaseError(f"bottom case: unexpected (m1,m2)={(m1, m2)}")
-    below = reflex_points_below(poly, c1)
+    below = _reflex_points(poly, f.sides(poly, c1)[0])
     if len(below) != 1:
         raise InternalCaseError(f"bottom case: {len(below)} reflex vertices below e")
     w = below[0]
-    if not w.x < v.x:
+    if not f.key(w, "H")[1] < f.key(v, "H")[1]:
         raise _OrientationRetry("bottom case: lone reflex vertex is not west of v")
     c_v = Cut(vi, "H")
     d_v = Cut(vi, "V")
-    minus_h, _ = split(poly, c_v)
-    minus_v, _ = split(poly, d_v)
+    minus_h, _ = f.split(poly, c_v)
+    minus_v, _ = f.split(poly, d_v)
     if minus_h.r % 3 != 0 or minus_v.r % 3 != 0 or minus_h.r + minus_v.r != r:
         raise InternalCaseError(
             f"bottom case counts: {minus_h.r} + {minus_v.r} vs r={r}"
@@ -430,30 +451,21 @@ def _no_safe_bottom(poly: RectPolygon, c: Cut, e, node: TraceNode) -> List[Point
     return _dedup(a + b)
 
 
-def _r_plus(poly: RectPolygon, cut: Cut) -> int:
-    """Reflex vertices strictly on the plus side of a cut."""
-    _, plus = chord_sides(materialize(poly, cut))
-    return poly.reflex_counts(plus.s, plus.t)[0]
-
-
 # ---------------------------------------------------------- monotone coverage
 
 
 def cover_monotone(poly: RectPolygon, trace: Optional[TraceNode] = None) -> BeaconSet:
-    """Guard a monotone polygon with at most floor(r/4) + 1 beacons."""
+    """Guard a monotone polygon with at most floor(r/4) + 1 beacons, swept
+    west to east (frame id) if x-monotone, else north to south (mirror_y)."""
     mono = poly.monotonicity()
     if mono["x_monotone"]:
-        t = TRANSFORMS["id"]
+        f, o = _FRAMES[0], "V"
     elif mono["y_monotone"]:
-        t = TRANSFORMS["rot90"]
+        f, o = _FRAMES[3], "H"
     else:
         raise NotMonotone("polygon is neither x- nor y-monotone")
-    q = t.polygon(poly)
     root = trace if trace is not None else TraceNode("mono_root", poly.r)
-    beacons_q = _cover_monotone_rec(q, root)
-    inv = t.inverse
-    _map_trace(root, inv.point)
-    beacons = _dedup([inv.point(b) for b in beacons_q])
+    beacons = _dedup(_cover_monotone_rec(poly, f, o, root))
     if len(beacons) > poly.r // 4 + 1:
         raise InternalCaseError(
             f"monotone cover used {len(beacons)} beacons, budget {poly.r // 4 + 1}"
@@ -461,32 +473,32 @@ def cover_monotone(poly: RectPolygon, trace: Optional[TraceNode] = None) -> Beac
     return BeaconSet(beacons, ["monotone"] * len(beacons), trace=root, mode="cover")
 
 
-def _cover_monotone_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
-    redges = [e for e in poly.reflex_edges()]
+def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -> List[Point]:
+    redges = poly.reflex_edges()
     if len(redges) <= 1:
         if redges:
             b = midpoint(redges[0].a, redges[0].b)
         else:
-            b = min(poly.vertices, key=lambda p: p.key())
+            b = min(poly.vertices, key=lambda p: f.key(p, o))
         if not in_all_cones(poly, b):
             raise InternalCaseError("monotone base beacon outside the kernel")
         node.child(TraceNode("mono_base", poly.r))
         node.beacons.append(b)
         return [b]
-    # Right endpoints of reflex edges, sorted left to right.
-    rights = sorted((_endpoints_west_east(e)[1] for e in redges), key=lambda p: (p.x, p.y))
-    e1 = next(e for e in redges if _endpoints_west_east(e)[1] == rights[0])
-    v2 = rights[1]
-    cut = Cut(poly.vertex_index(v2), "V")
-    minus, plus = split(poly, cut)
-    if len([x for x in minus.reflex_edges()]) > 1:
+    # The far ends of the reflex edges along the sweep, in sweep order.
+    far = {e.index: max(e.a, e.b, key=lambda p: f.key(p, o)) for e in redges}
+    rights = sorted(far.values(), key=lambda p: f.key(p, o))
+    e1 = next(e for e in redges if far[e.index] == rights[0])
+    cut = Cut(poly.vertex_index(rights[1]), o)
+    minus, plus = f.split(poly, cut)
+    if len(minus.reflex_edges()) > 1:
         raise InternalCaseError("left part of the monotone cut kept two reflex edges")
     b = midpoint(e1.a, e1.b)
     if not in_all_cones(minus, b):
         raise InternalCaseError("monotone beacon fell outside the left kernel")
     child = node.child(TraceNode("mono_cut", poly.r, repr(cut)))
     child.beacons.append(b)
-    return [b] + _cover_monotone_rec(plus, child.child(TraceNode("mono_rest", plus.r)))
+    return [b] + _cover_monotone_rec(plus, f, o, child.child(TraceNode("mono_rest", plus.r)))
 
 
 # ------------------------------------------------------------------- routing
@@ -685,11 +697,6 @@ def _beacon_above(poly: RectPolygon, e, vprime: Point) -> Point:
 # and the upper side of a chord of orientation o is the side towards e's
 # line, so split(...)[::s] is (lower piece, upper piece), and chord_sides(...)[::s]
 # their sides.
-
-
-def _level_along(p: Point, o: str) -> Tuple[Fraction, Fraction]:
-    """p's coordinates across and along orientation o."""
-    return (p.y, p.x) if o == "H" else (p.x, p.y)
 
 
 def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List[Point]:

@@ -875,12 +875,6 @@ def _cut_rings(poly: RectPolygon, chords: Sequence[Chord], starts) -> dict:
     return rings
 
 
-def reflex_points_below(poly: RectPolygon, cut: Cut) -> List[Point]:
-    """Reflex vertices of poly strictly inside the P_minus side of the cut, in CCW order."""
-    minus, _ = chord_sides(materialize(poly, cut))
-    return [poly.vertices[k] for k in _cyclic(range(poly.n), minus.s, minus.t) if poly.classes[k] == REFLEX]
-
-
 def count_reflex_below(poly: RectPolygon, cut: Cut) -> int:
     """Number of reflex vertices of poly strictly inside the P_minus side of the cut."""
     minus, _ = chord_sides(materialize(poly, cut))

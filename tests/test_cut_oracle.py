@@ -12,7 +12,14 @@ from rectbeacon.clipping import clip_fast
 from rectbeacon.errors import GeneralPositionViolated, InternalCaseError, NotAChord, NotRectilinear
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
-from rectbeacon.placement import _first_reflex_above, _pocket_wraps, _r_plus, _three_pieces, pocket_summary
+from rectbeacon.placement import (
+    _FRAMES,
+    _first_reflex,
+    _pocket_wraps,
+    _reflex_points,
+    _three_pieces,
+    pocket_summary,
+)
 from rectbeacon.polygon import (
     REFLEX,
     Chord,
@@ -29,7 +36,6 @@ from rectbeacon.polygon import (
     materialize,
     pocket,
     pocket_side,
-    reflex_points_below,
     split,
     validate,
 )
@@ -260,7 +266,8 @@ def test_reflex_below_at_vertex_cuts_matches_chain_walk():
             for o, side in [(o, side) for o in "HV" for side in (None, "before", "after")]:
                 cut = Cut(i, o, side)  # materialized once, by the first call
                 want = _outcome(cut_oracle.reflex_points_below, p, cut)
-                assert _outcome(reflex_points_below, p, cut) == want, (p.vertices, i, o, side)
+                got = _outcome(lambda p, cut: _reflex_points(p, chord_sides(materialize(p, cut))[0]), p, cut)
+                assert got == want, (p.vertices, i, o, side)
                 got = _outcome(count_reflex_below, p, cut)
                 assert got == (want if want == "NotAChord" else len(want)), (p.vertices, i, o, side)
                 cuts += want != "NotAChord"
@@ -318,9 +325,17 @@ def test_three_pieces_are_both_pockets_and_the_middle():
     assert splits >= 2000
 
 
-def test_plus_side_at_vertex_cuts_matches_chain_walk():
-    """r(P_plus) and the lowest reflex vertex above a cut, both read off the
-    plus side's range, against the oracle's plus chain."""
+def _frame_key(q, o, s):
+    """(level, along) of q across orientation o, both read with sense s."""
+    level, along = (q.y, q.x) if o == "H" else (q.x, q.y)
+    return (level, along) if s > 0 else (-level, -along)
+
+
+def test_frame_sides_at_vertex_cuts_match_chain_walk():
+    """The reflex counts on both sides of a cut and the first reflex vertex
+    below and above it, read in a frame of the no-safe-cut cases, against
+    the oracle's chains: in frame id and in rot180, which reverses the
+    senses both across and along the cut."""
     cuts = 0
     for p in CORPUS:
         for i in p.reflex_indices:
@@ -330,16 +345,23 @@ def test_plus_side_at_vertex_cuts_matches_chain_walk():
                     chord = materialize(p, cut)
                 except NotAChord:
                     continue
-                plus_chain = cut_oracle.split_rings(p, chord)[1][1:-1]
-                reflex = [q for q in plus_chain if p.classes[p.vertex_index(q)] == REFLEX]
-                assert _r_plus(p, cut) == len(reflex), (p.vertices, i, o, side)
-                key = (lambda q: (q.y, q.x)) if o == "H" else (lambda q: (q.x, q.y))
-                above = [q for q in reflex if key(q)[0] > chord.level]
-                try:
-                    got = _first_reflex_above(p, cut)
-                except InternalCaseError:
-                    got = None
-                assert got == (min(above, key=key) if above else None), (p.vertices, i, o, side)
+                chains = cut_oracle.split_rings(p, chord)
+                sides = [[q for q in chain[1:-1] if p.classes[p.vertex_index(q)] == REFLEX] for chain in chains]
+                for f, s in ((_FRAMES[0], 1), (_FRAMES[2], -1)):
+                    reflex = sides[::s]
+                    assert f.reflex(p, cut) == tuple(map(len, reflex)), (p.vertices, i, o, side, f.name)
+                    level = chord.level if s > 0 else -chord.level
+                    below, above = ([(_frame_key(q, o, s), q) for q in chain] for chain in reflex)
+                    below = [((k[0], -k[1]), q) for k, q in below if k[0] < level]
+                    above = [(k, q) for k, q in above if k[0] > level]
+                    want = (max(below, key=lambda kq: kq[0])[1] if below else None,
+                            min(above, key=lambda kq: kq[0])[1] if above else None)
+                    for above_cut in (False, True):
+                        try:
+                            got = _first_reflex(p, cut, f, above_cut)
+                        except InternalCaseError:
+                            got = None
+                        assert got == want[above_cut], (p.vertices, i, o, side, f.name, above_cut)
                 cuts += 1
     assert cuts >= 10000
 

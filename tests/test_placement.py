@@ -1,3 +1,5 @@
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from rectbeacon.placement import (
     find_xy_monotone_pocket,
     route_beacons,
 )
-from rectbeacon.polygon import RectPolygon, pocket, split, validate
+from rectbeacon.polygon import Cut, RectPolygon, pocket, split, validate
 from rectbeacon.transforms import TRANSFORMS
 from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing
 
@@ -186,8 +188,9 @@ def _trace_beacons(node):
 
 def test_trace_beacons_are_the_placed_beacons():
     """Together the trace nodes name exactly the beacons placed, in the
-    input's frame, also where a placement ran on a transformed copy: the
-    no-safe-cut frames of cover and the y-monotone frame of cover_monotone."""
+    input's frame, also where a placement read its cases in another frame:
+    the no-safe-cut frames of cover and the y-monotone sweep of
+    cover_monotone."""
     fuzz = [random_rectilinear(8 + 2 * (s % 30), s) for s in range(90)]
     for p in fuzz + [TRANSFORMS["mirror_x"].polygon(q) for q in fuzz]:
         for place in (cover, route_beacons):
@@ -207,9 +210,57 @@ def _presentations(p):
             yield RectPolygon(q.vertices[k:] + q.vertices[:k], _trusted=True)
 
 
+def _nodes(node):
+    """The nodes of a trace, node first."""
+    return [node] + [m for c in node.children for m in _nodes(c)]
+
+
 def _labelled(node, label):
     """The nodes of a trace with the given label."""
-    return [node] * (node.label == label) + [m for c in node.children for m in _labelled(c, label)]
+    return [m for m in _nodes(node) if m.label == label]
+
+
+def test_cover_monotone_names_cuts_of_its_input():
+    """A y-monotone polygon is swept from high y to low y: the cut each
+    root mono_cut node names is a horizontal cut of the input, and one of
+    its pieces is the rest the node recurses into."""
+    cuts = 0
+    for s in range(60):
+        p = TRANSFORMS["rot90"].polygon(random_x_monotone(8 + 2 * (s % 20), s))
+        for node in _labelled(cover_monotone(p).trace, "mono_cut")[:1]:
+            anchor, o = re.fullmatch(r"Cut\((\d+) ([HV])\)", node.detail).groups()
+            assert o == "H", (s, node.detail)
+            rest, = node.children
+            assert rest.r in {piece.r for piece in split(p, Cut(int(anchor), o))}, (s, node.detail)
+            cuts += 1
+    assert cuts >= 40
+
+
+def test_cover_across_presentations():
+    """Cover reads its no-safe-cut cases in the frame it is given: under
+    every symmetry and start vertex it keeps the bound with reflex
+    vertices, every no_safe node it leaves ran its cases, and one
+    presentation of each polygon that reached them guards it."""
+    labels = Counter()
+    for s in range(100):
+        p = random_rectilinear(8 + 2 * (s % 30), s)
+        verified = False
+        for k, q in enumerate(_presentations(p)):
+            bs = cover(q)
+            assert len(bs) <= ceil3(q.r), (s, k)
+            assert set(bs.beacons) <= {q.vertices[i] for i in q.reflex_indices}, (s, k)
+            assert _trace_beacons(bs.trace) == set(bs.beacons), (s, k)
+            no_safe = [m for m in _nodes(bs.trace) if m.label.startswith("no_safe[")]
+            for m in no_safe:
+                assert m.children, (s, k, m.label, m.detail)
+                labels.update([m.label] + [c.label for c in m.children])
+            if no_safe and not verified:
+                rep = verify_coverage(q, bs.beacons, SamplePlan(grid=20, jitter=8, seed=s))
+                assert rep.passed, (s, k, rep.witnesses[:1])
+                verified = True
+    assert sum(v for label, v in labels.items() if label.startswith("no_safe[")) >= 100, labels
+    assert labels["no_safe[id]"] >= 40 and labels["no_safe[rot180]"] >= 40, labels
+    assert labels["top(b-wall)"] >= 20, labels
 
 
 def test_route_across_presentations():

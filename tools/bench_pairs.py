@@ -9,6 +9,10 @@ a fresh process and with the checkout as working directory.  Pair k uses seed SE
 parent runs first in even pairs, the change in odd ones.  Runs are
 sequential, so the two sides never share the machine.
 
+A run that fails its own check (`"correct": false`) stops the comparison
+with a non-zero exit that names the checkout, the workload and the seed,
+so no failed run enters the medians.
+
 The output holds, per workload and side, the median and quartiles of every
 end-to-end metric BENCHMARK.json names, every run's metrics, and for each
 metric the number of pairs in which the change reads better, with ties
@@ -52,6 +56,10 @@ def _run(root: Path, command: list, workload: str, seed: int, seconds: float) ->
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(args)} failed in {root}:\n{proc.stderr}")
     out = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not out["correct"]:
+        notes = "".join(f"\n{line}" for line in proc.stdout.splitlines() if line.startswith("# failed"))
+        raise SystemExit(f"{root}: workload {workload}, seed {seed}: the run failed its own check "
+                         f"({out['failed']} of {out['attempted']} jobs failed){notes}")
     return {"seed": seed, "wall_s": round(wall, 2), "correct": out["correct"],
             "attempted": out["attempted"], "failed": out["failed"],
             "metrics": {k: v["value"] for k, v in out["metrics"].items()}}
