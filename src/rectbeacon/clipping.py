@@ -22,7 +22,6 @@ from typing import List
 
 from .errors import InternalCaseError
 from .polygon import (
-    Cut,
     RectPolygon,
     _cut_rings,
     _piece,
@@ -71,7 +70,7 @@ def clip_split(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> Lis
         chords = chords_on_line(p, line_axis, c)
         if not chords:
             raise InternalCaseError("straddling piece with no chord on the line")
-        minus, plus = split(p, Cut(chords[0].a, line_axis, _chord=chords[0]))
+        minus, plus = split(p, chords[0])
         work.append(minus)
         work.append(plus)
     return out

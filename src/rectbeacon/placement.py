@@ -33,7 +33,6 @@ from .polygon import (
     materialize,
     pocket,
     pocket_side,
-    side_piece,
     split,
 )
 
@@ -135,8 +134,9 @@ def cover_base(poly: RectPolygon) -> BeaconSet:
     return BeaconSet([b], [tag], mode="cover")
 
 
-def find_safe_cut(poly: RectPolygon) -> Optional[Cut]:
-    """A normal cut splitting the ceil(r/3) budget additively, or None.
+def find_safe_cut(poly: RectPolygon) -> Optional[Chord]:
+    """The chord of a normal cut splitting the ceil(r/3) budget additively,
+    or None.
 
     Scans every combinatorial class of normal cuts (horizontal bands first,
     in increasing level order, then vertical), first hit wins.
@@ -144,12 +144,11 @@ def find_safe_cut(poly: RectPolygon) -> Optional[Cut]:
     r = poly.r
     target = _ceil3(r)
     for orientation in ("H", "V"):
-        for nc in iter_normal_cuts(poly, orientation):
-            r_minus = nc.r_minus
+        for chord, r_minus in iter_normal_cuts(poly, orientation):
             r_plus = r - r_minus
             if r_minus >= 1 and r_plus >= 1 and _ceil3(r_minus) + _ceil3(r_plus) == target:
                 assert _ceil3(r_minus) + _ceil3(r_plus) == _ceil3(r)
-                return nc.cut
+                return chord
     return None
 
 
@@ -182,10 +181,10 @@ def _cover_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
         bs = cover_base(poly)
         node.beacons.extend(bs.beacons)
         return list(bs.beacons)
-    cut = find_safe_cut(poly)
-    if cut is not None:
-        minus, plus = split(poly, cut)
-        child = node.child(TraceNode("safe_cut", r, repr(cut)))
+    chord = find_safe_cut(poly)
+    if chord is not None:
+        minus, plus = split(poly, chord)
+        child = node.child(TraceNode("safe_cut", r, repr(chord)))
         a = _cover_rec(minus, child.child(TraceNode("safe_minus", minus.r)))
         b = _cover_rec(plus, child.child(TraceNode("safe_plus", plus.r)))
         return a + b
@@ -199,8 +198,9 @@ class _OrientationRetry(Exception):
 class _Frame(namedtuple("_Frame", "name sx sy")):
     """The senses of x and y in which the no-safe-cut cases, written for one
     orientation, are read; named by the symmetry that maps that orientation
-    there.  Levels across a cut of orientation o read with sense s, sy for H
-    and sx for V: chord_sides(...)[::s] and split(...)[::s] are (below, above).
+    there.  Levels across a chord of orientation o read with sense s, sy for
+    H and sx for V: chord_sides(...)[::s] and split(...)[::s] are (below,
+    above).
     """
 
     __slots__ = ()
@@ -214,15 +214,15 @@ class _Frame(namedtuple("_Frame", "name sx sy")):
         (level, along), (s, t) = _level_along(p, o), self.senses(o)
         return level if s > 0 else -level, along if t > 0 else -along
 
-    def sides(self, poly: RectPolygon, cut: Cut):
-        return chord_sides(materialize(poly, cut))[::self.senses(cut.orientation)[0]]
+    def sides(self, chord: Chord):
+        return chord_sides(chord)[::self.senses(chord.axis)[0]]
 
-    def split(self, poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
-        return split(poly, cut)[::self.senses(cut.orientation)[0]]
+    def split(self, poly: RectPolygon, chord: Chord) -> Tuple[RectPolygon, RectPolygon]:
+        return split(poly, chord)[::self.senses(chord.axis)[0]]
 
-    def reflex(self, poly: RectPolygon, cut: Cut) -> Tuple[int, int]:
-        """Reflex vertices strictly below and strictly above a cut."""
-        return tuple(poly.reflex_counts(side.s, side.t)[0] for side in self.sides(poly, cut))
+    def reflex(self, poly: RectPolygon, chord: Chord) -> Tuple[int, int]:
+        """Reflex vertices strictly below and strictly above a chord."""
+        return tuple(poly.reflex_counts(side.s, side.t)[0] for side in self.sides(chord))
 
 
 _FRAMES = (_Frame("id", 1, 1), _Frame("mirror_x", -1, 1), _Frame("rot180", -1, -1), _Frame("mirror_y", 1, -1))
@@ -233,12 +233,12 @@ def _reflex_points(poly: RectPolygon, side) -> List[Point]:
     return [poly.vertices[k] for k in _cyclic(range(poly.n), side.s, side.t) if poly.classes[k] == REFLEX]
 
 
-def _first_reflex(poly: RectPolygon, cut: Cut, f: _Frame, above: bool) -> Point:
-    """The reflex vertex strictly below (or above) the cut, on that side of
-    it, whose level is nearest the cut's; on ties the least along it."""
-    o = cut.orientation
-    level = f.key(materialize(poly, cut).a, o)[0]
-    keys = [(f.key(p, o), p) for p in _reflex_points(poly, f.sides(poly, cut)[above])]
+def _first_reflex(poly: RectPolygon, chord: Chord, f: _Frame, above: bool) -> Point:
+    """The reflex vertex strictly below (or above) the chord, on that side
+    of it, whose level is nearest the chord's; on ties the least along it."""
+    o = chord.axis
+    level = f.key(chord.a, o)[0]
+    keys = [(f.key(p, o), p) for p in _reflex_points(poly, f.sides(chord)[above])]
     gaps = [(k[0] - level if above else level - k[0], k[1], p) for k, p in keys]
     gaps = [g for g in gaps if g[0] > 0]
     if not gaps:
@@ -258,8 +258,8 @@ def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
     for f in _FRAMES:
         # The frame's 1-cuts, r_below = 1 mod 3 and at least 4: the lowest
         # of the least r_below, then the westmost.
-        keys = [(nc.r_minus if f.sy > 0 else r - nc.r_minus, f.sy * nc.level,
-                 nc.lo if f.sx > 0 else -nc.hi, nc.cut) for nc in ncs]
+        keys = [(rm if f.sy > 0 else r - rm, f.sy * chord.level,
+                 chord.lo if f.sx > 0 else -chord.hi, chord) for chord, rm in ncs]
         keys = [k for k in keys if k[0] % 3 == 1 and k[0] >= 4]
         if not keys:
             continue
@@ -274,7 +274,7 @@ def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
     raise InternalCaseError(f"no orientation admits the case analysis: {'; '.join(gave_up)}")
 
 
-def _no_safe_cases(poly: RectPolygon, c: Cut, f: _Frame, node: TraceNode) -> List[Point]:
+def _no_safe_cases(poly: RectPolygon, c: Chord, f: _Frame, node: TraceNode) -> List[Point]:
     v = _first_reflex(poly, c, f, False)
     vi = poly.vertex_index(v)
     # v must bound a horizontal reflex edge, else a cut just below it would
@@ -291,14 +291,14 @@ def _no_safe_cases(poly: RectPolygon, c: Cut, f: _Frame, node: TraceNode) -> Lis
     return _no_safe_bottom(poly, c, hedge, f, node)
 
 
-def _no_safe_top(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> List[Point]:
+def _no_safe_top(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> List[Point]:
     r = poly.r
     v1, v2 = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     i1, i2 = poly.vertex_index(v1), poly.vertex_index(v2)
     # Reflex vertices below the cuts just below v1 and v2.
     before = ("before", "after")[::f.sy][0]
-    k1 = f.reflex(poly, Cut(i1, "H", before))[0]
-    k2 = f.reflex(poly, Cut(i2, "H", before))[0]
+    k1 = f.reflex(poly, materialize(poly, Cut(i1, "H", before)))[0]
+    k2 = f.reflex(poly, materialize(poly, Cut(i2, "H", before)))[0]
     m1, m2 = k1 % 3, k2 % 3
     if (m1 + m2) % 3 != 2:
         raise _OrientationRetry(f"top case: m1+m2 = {m1}+{m2} != 2 mod 3")
@@ -312,7 +312,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> Li
             if k2 != 0:
                 raise InternalCaseError("case (a): 0-side lobe not empty")
             cprime = Cut(i1, "H")
-        minus, plus = f.split(poly, cprime)
+        minus, plus = f.split(poly, materialize(poly, cprime))
         child = node.child(TraceNode("top(a)", r, repr(cprime)))
         return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
                 + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -334,15 +334,16 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> Li
         child.beacons.append(b_at)
         return [b_at] + _cover_rec(plus, child.child(TraceNode("plus", plus.r)))
     d1, d2 = Cut(i1, "V"), Cut(i2, "V")
+    chords = {"d1": materialize(poly, d1), "d2": materialize(poly, d2)}
     counts = {}
-    for name, d in (("d1", d1), ("d2", d2)):
-        left = f.reflex(poly, d)[0]
+    for name, chord in chords.items():
+        left = f.reflex(poly, chord)[0]
         counts[name] = (left, r - 1 - left)
     # (b)(i): some side of some d_i is divisible by three.
     for name, d in (("d1", d1), ("d2", d2)):
         left, right = counts[name]
         if left % 3 == 0 or right % 3 == 0:
-            minus, plus = f.split(poly, d)
+            minus, plus = f.split(poly, chords[name])
             child = node.child(TraceNode(f"top(b-i,{name})", r, repr(d)))
             return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
                     + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -350,7 +351,7 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> Li
     if r % 3 == 2:
         if residues != {2}:
             raise InternalCaseError(f"case (b)(ii): residues {residues}")
-        minus, plus = f.split(poly, d1)
+        minus, plus = f.split(poly, chords["d1"])
         child = node.child(TraceNode("top(b-ii)", r, repr(d1)))
         return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
                 + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -371,22 +372,22 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> Li
     for ci in candidates:
         d = Cut(ci, "V")
         try:
-            left = f.reflex(poly, d)[0]
+            chord = materialize(poly, d)
         except NotAChord:
             continue
+        left = f.reflex(poly, chord)[0]
         if left % 3 == 0 or (r - 1 - left) % 3 == 0:
             chosen = d
             break
     if chosen is None:
         raise InternalCaseError("case (b)(iii): no vertical cut at w/w' balances mod 3")
     # The cut must land on the reflex edge e: its lower end lies on e's line.
-    chord = materialize(poly, chosen)
     el_lo, el_hi = e.span()
     if not (el_lo <= chord.level <= el_hi and (chord.lo, chord.hi)[::f.sy][0] == e.level):
         raise InternalCaseError(
             f"case (b)(iii): vertical cut at {poly.vertices[chosen.anchor]} does not land on e"
         )
-    minus, plus = f.split(poly, chosen)
+    minus, plus = f.split(poly, chord)
     child = node.child(TraceNode("top(b-iii)", r, repr(chosen)))
     result = (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
               + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -398,13 +399,13 @@ def _no_safe_top(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> Li
     return result
 
 
-def _no_safe_bottom(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) -> List[Point]:
+def _no_safe_bottom(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> List[Point]:
     r = poly.r
     v, vprime = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     vi, vpi = poly.vertex_index(v), poly.vertex_index(vprime)
     before, after = ("before", "after")[::f.sy]
-    c1 = Cut(vi, "H", before)
-    c2 = Cut(vpi, "H", after)
+    c1 = materialize(poly, Cut(vi, "H", before))
+    c2 = materialize(poly, Cut(vpi, "H", after))
     m1 = f.reflex(poly, c1)[0] % 3
     m2 = f.reflex(poly, c2)[0] % 3
     if r % 3 != 0:
@@ -419,11 +420,12 @@ def _no_safe_bottom(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) ->
         if f.reflex(poly, c2)[1] != 0:
             raise InternalCaseError("bottom (2,0): reflex vertices above the c2 cut")
         d_v = Cut(vi, "V")
-        left = f.reflex(poly, d_v)[0]
+        chord = materialize(poly, d_v)
+        left = f.reflex(poly, chord)[0]
         right = r - 1 - left
         if left % 3 != 0 or right % 3 != 2:
             raise _OrientationRetry(f"bottom (2,0): sides {(left, right)}")
-        minus, plus = f.split(poly, d_v)
+        minus, plus = f.split(poly, chord)
         child = node.child(TraceNode("bottom(2,0)", r, repr(d_v)))
         return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
                 + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
@@ -431,7 +433,7 @@ def _no_safe_bottom(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) ->
         raise InternalCaseError("bottom (0,1): a vertical cut on e would have been safe")
     if (m1, m2) != (1, 2):
         raise InternalCaseError(f"bottom case: unexpected (m1,m2)={(m1, m2)}")
-    below = _reflex_points(poly, f.sides(poly, c1)[0])
+    below = _reflex_points(poly, f.sides(c1)[0])
     if len(below) != 1:
         raise InternalCaseError(f"bottom case: {len(below)} reflex vertices below e")
     w = below[0]
@@ -439,8 +441,8 @@ def _no_safe_bottom(poly: RectPolygon, c: Cut, e, f: _Frame, node: TraceNode) ->
         raise _OrientationRetry("bottom case: lone reflex vertex is not west of v")
     c_v = Cut(vi, "H")
     d_v = Cut(vi, "V")
-    minus_h, _ = f.split(poly, c_v)
-    minus_v, _ = f.split(poly, d_v)
+    minus_h, _ = f.split(poly, materialize(poly, c_v))
+    minus_v, _ = f.split(poly, materialize(poly, d_v))
     if minus_h.r % 3 != 0 or minus_v.r % 3 != 0 or minus_h.r + minus_v.r != r:
         raise InternalCaseError(
             f"bottom case counts: {minus_h.r} + {minus_v.r} vs r={r}"
@@ -490,7 +492,7 @@ def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -
     rights = sorted(far.values(), key=lambda p: f.key(p, o))
     e1 = next(e for e in redges if far[e.index] == rights[0])
     cut = Cut(poly.vertex_index(rights[1]), o)
-    minus, plus = f.split(poly, cut)
+    minus, plus = f.split(poly, materialize(poly, cut))
     if len(minus.reflex_edges()) > 1:
         raise InternalCaseError("left part of the monotone cut kept two reflex edges")
     b = midpoint(e1.a, e1.b)
@@ -509,20 +511,28 @@ def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -
 PocketSummary = namedtuple("PocketSummary", "r n monotone s t")
 
 
+def _side_monotone(poly: RectPolygon, side) -> bool:
+    """Is the piece on a Side of a chord xy-monotone?  Read off poly's
+    prefix counts: when both chord ends are convex corners of the piece, as
+    an end inside an edge always is and the end at v of a pocket's chord
+    is, every vertex strictly inside the side keeps its class, so the
+    piece's reflex edges are those of poly with both ends inside."""
+    return poly.reflex_counts(side.s, side.t - 1)[1] == 0
+
+
 def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
     """r, n and xy-monotonicity of pocket(poly, e_idx, v_idx), without building it.
 
     The cut extends e past v and, in general position, ends inside an edge.
-    v and that far end are convex corners of the pocket; every vertex strictly
-    inside its chain keeps its class, so the pocket's reflex edges are the
-    reflex edges of poly with both ends inside.
+    v and that far end are convex corners of the pocket, so _side_monotone
+    reads its monotonicity.
     """
-    chord, _, (s, t, _) = pocket_side(poly, e_idx, v_idx)
+    chord, side = pocket_side(poly, e_idx, v_idx)
     if chord.ends[0][1] and chord.ends[1][1]:
         raise InternalCaseError(f"pocket cut from {poly.vertices[v_idx]} ends at a vertex")
+    s, t, _ = side
     r, _ = poly.reflex_counts(s, t)
-    _, reflex_edges = poly.reflex_counts(s, t - 1)
-    return PocketSummary(r, (t - s) % poly.n + 2, reflex_edges == 0, s, t)
+    return PocketSummary(r, (t - s) % poly.n + 2, _side_monotone(poly, side), s, t)
 
 
 def _pockets(poly: RectPolygon):
@@ -643,8 +653,8 @@ def _three_pieces(poly: RectPolygon, e_idx: int, v_idx: int):
     extend e both ways, so one walk along both cuts all three pieces.
     """
     vp_idx = _other_end(poly, e_idx, v_idx)
-    chord_a, _, side_a = pocket_side(poly, e_idx, v_idx)
-    chord_c, _, side_c = pocket_side(poly, e_idx, vp_idx)
+    chord_a, side_a = pocket_side(poly, e_idx, v_idx)
+    chord_c, side_c = pocket_side(poly, e_idx, vp_idx)
     # B leaves the chord at v' where the pocket there returns to it.
     a, b, c = (0, side_a.first), (1, 1 - side_c.first), (1, side_c.first)
     rings = _cut_rings(poly, [chord_a, chord_c], (a, b, c))
@@ -677,26 +687,25 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
 
 
 def _beacon_above(poly: RectPolygon, e, vprime: Point) -> Point:
-    """v' + delta * inward(e), inside poly: delta starts at half the least
-    gap between the levels of e's orientation, which the edge index rows
-    hold times D and sorted."""
+    """v' + delta * inward(e), delta half the least gap between distinct
+    levels of e's orientation, which the edge index rows hold times D and
+    sorted.  v' is a reflex end of e, so the step off e's line stays
+    strictly between the levels and inside poly."""
     scale, index = poly.edge_index()
     levels = list(dict.fromkeys(index[e.orientation][0]))
     delta = Fraction(min(b - a for a, b in zip(levels, levels[1:])), 2 * scale)
-    inward = _INWARD[e.direction]
-    for _ in range(64):
-        b1 = vprime + inward * delta
-        if poly.contains(b1) == "in":
-            return b1
-        delta /= 2
-    raise InternalCaseError("could not place a beacon just above v'")
+    b1 = vprime + _INWARD[e.direction] * delta
+    if poly.contains(b1) != "in":
+        raise InternalCaseError(f"the beacon {b1} just above v' is not inside")
+    return b1
 
 
 # The C sweep runs in the frame of the reflex edge e it starts from, of
 # orientation o and half-plane sense s: a level is a coordinate across o,
 # and the upper side of a chord of orientation o is the side towards e's
 # line, so split(...)[::s] is (lower piece, upper piece), and chord_sides(...)[::s]
-# their sides.
+# their sides.  A band's chord lies between vertex levels, so both its ends
+# lie inside edges and _side_monotone reads the upper piece's monotonicity.
 
 
 def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List[Point]:
@@ -725,8 +734,7 @@ def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List
     for level in levels:
         over = [c for c in chords_on_line(c_piece, o, (prev_level + level) / 2)
                 if c.lo < interval[1] and interval[0] < c.hi]
-        upper = side_piece(c_piece, over[0], chord_sides(over[0])[::sense][1]) if len(over) == 1 else None
-        if upper is None or not upper.is_xy_monotone():
+        if len(over) != 1 or not _side_monotone(c_piece, chord_sides(over[0])[::sense][1]):
             # The event that broke monotonicity sits at the band's top level.
             return _route_c_violation(c_piece, e, prev_level, interval, qpt, node)
         interval = (over[0].lo, over[0].hi)
@@ -751,9 +759,9 @@ def _route_c_violation(c_piece: RectPolygon, e, level: Fraction,
     if len(w_cands) != 1:
         raise InternalCaseError(f"sweep stop: {len(w_cands)} candidate vertices at {level}")
     wi = w_cands[0]
-    cut = Cut(wi, o)
-    b2 = _far_end(materialize(c_piece, cut), c_piece.vertices[wi])
-    c2, c1 = split(c_piece, cut)[::e.halfplane.sense]
+    chord = materialize(c_piece, Cut(wi, o))
+    b2 = _far_end(chord, c_piece.vertices[wi])
+    c2, c1 = split(c_piece, chord)[::e.halfplane.sense]
     if not c1.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (perpendicular case)")
     child = node.child(TraceNode("route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}"))

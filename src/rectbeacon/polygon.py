@@ -87,17 +87,19 @@ class EdgeRef:
 
 
 class Cut:
-    """A horizontal/vertical chord, possibly symbolic ('just below v').
+    """A cut through a vertex, possibly symbolic ('just below v').
 
-    anchor is a vertex index (int) or a boundary Point.  side is None for a
-    cut exactly through the anchor, or 'before'/'after' for the symbolic
-    infinitesimal displacement toward smaller/larger level coordinate.
+    anchor is a vertex index.  side is None for a cut exactly through the
+    vertex, or 'before'/'after' for the symbolic infinitesimal displacement
+    toward smaller/larger level coordinate.  materialize turns it into the
+    Chord that split, the counts and chord_sides take.
     """
 
-    __slots__ = ("anchor", "orientation", "side", "_chord")
+    __slots__ = ("anchor", "orientation", "side")
 
-    def __init__(self, anchor: Union[int, Point], orientation: str, side: Optional[str] = None,
-                 _chord: Optional["Chord"] = None):
+    def __init__(self, anchor: int, orientation: str, side: Optional[str] = None):
+        if not isinstance(anchor, int):
+            raise TypeError("a cut's anchor is a vertex index; chords_on_line gives other chords")
         if orientation not in ("H", "V"):
             raise ValueError("orientation must be 'H' or 'V'")
         if side not in (None, "before", "after"):
@@ -105,7 +107,6 @@ class Cut:
         self.anchor = anchor
         self.orientation = orientation
         self.side = side
-        self._chord = _chord
 
     def __repr__(self):
         s = "" if self.side is None else f" {self.side}"
@@ -113,7 +114,8 @@ class Cut:
 
 
 class Chord:
-    """A materialized cut: the maximal interior segment on an axis line.
+    """A located chord: the maximal interior segment on an axis line, the
+    one object that split, the reflex counts and chord_sides take.
 
     ends locates a and b on the boundary, each as (vertex index, True) or
     (index of the edge whose interior holds it, False).
@@ -713,41 +715,29 @@ def boundary_hits(poly: RectPolygon, z: Point, d: Point,
 
 
 def materialize(poly: RectPolygon, cut: Cut) -> Chord:
-    """Turn a possibly-symbolic Cut into a concrete Chord of poly.
+    """The Chord of poly that a vertex cut names.
 
     A cut through a reflex vertex extends one of its edges: it runs from
     the vertex, away from its incident edge along the cut, to the first
-    boundary contact of that ray, read off the polygon's shot table.  A cut
-    through a boundary point is the chord of the line through it that ends
-    there; a symbolic cut is the chord, on the line midway to the nearest
-    vertex level on its side, that spans the anchor's coordinate.
+    boundary contact of that ray, read off the polygon's shot table.  A
+    symbolic cut is the chord, on the line midway to the nearest vertex
+    level on its side, that spans the vertex's coordinate.
     """
-    if cut._chord is not None:
-        return cut._chord
-    o = cut.orientation
-    if isinstance(cut.anchor, int):
-        p = poly.vertices[cut.anchor % poly.n]
-        if cut.side is None and poly.classify(cut.anchor) != REFLEX:
-            raise NotAChord(f"no {o} cut at non-reflex vertex {p}")
-    else:
-        p = cut.anchor
-        if poly.vertex_index(p) is not None:
-            raise NotAChord("boundary-point cuts must not be anchored at a vertex")
+    o, i = cut.orientation, cut.anchor % poly.n
+    p = poly.vertices[i]
     level, want = (p.y, p.x) if o == "H" else (p.x, p.y)
-    if isinstance(cut.anchor, int) and cut.side is None:
-        here = (cut.anchor % poly.n, True)
-        forward, far, there = poly.shots(o)[here[0]]
-        chord = (Chord(o, level, want, far, (here, there)) if forward
-                 else Chord(o, level, far, want, (there, here)))
-    elif isinstance(cut.anchor, int):
+    if cut.side is None:
+        if poly.classes[i] != REFLEX:
+            raise NotAChord(f"no {o} cut at non-reflex vertex {p}")
+        forward, far, there = poly.shots(o)[i]
+        chord = (Chord(o, level, want, far, ((i, True), there)) if forward
+                 else Chord(o, level, far, want, (there, (i, True))))
+    else:
         level = _nearest_level(poly, level, o, cut.side)
         chord = next((c for c in chords_on_line(poly, o, level) if c.lo <= want <= c.hi), None)
-    else:
-        chord = next((c for c in chords_on_line(poly, o, level) if want in (c.lo, c.hi)), None)
-    if chord is None:
-        raise NotAChord(f"no chord of line {o}={level} reaches {p}")
+        if chord is None:
+            raise NotAChord(f"no chord of line {o}={level} reaches {p}")
     _assert_chord(poly, chord)
-    cut._chord = chord
     return chord
 
 
@@ -767,14 +757,13 @@ def _assert_chord(poly: RectPolygon, chord: Chord) -> None:
 # -------------------------------------------------------------------- split
 
 
-def split(poly: RectPolygon, cut: Cut) -> Tuple[RectPolygon, RectPolygon]:
-    """Split along a cut: returns (P_minus, P_plus).
+def split(poly: RectPolygon, chord: Chord) -> Tuple[RectPolygon, RectPolygon]:
+    """Split along a located chord: returns (P_minus, P_plus).
 
     P_minus is below a horizontal cut / left of a vertical one, in the
     locally-adjacent sense: it is the piece whose interior touches the chord
     from that side (it may still reach around to the other side elsewhere).
     """
-    chord = materialize(poly, cut)
     starts = tuple((0, side.first) for side in chord_sides(chord))
     rings = _cut_rings(poly, [chord], starts)
     return _piece(*rings[starts[0]]), _piece(*rings[starts[1]])
@@ -809,10 +798,9 @@ def chord_sides(chord: Chord) -> Tuple[Side, Side]:
     return (a_to_b, b_to_a) if chord.axis == "H" else (b_to_a, a_to_b)
 
 
-def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[Chord, bool, Side]:
+def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[Chord, Side]:
     """The chord of the cut extending reflex edge e through its endpoint v,
-    whether the pocket, the side without e, is the chord's minus side, and
-    the pocket's Side."""
+    and the Side of it that is the pocket, the side without e."""
     e = poly.edges[edge_index % poly.n]
     if e.kind != "reflex":
         raise NotAChord(f"edge {edge_index} is not a reflex edge")
@@ -823,8 +811,7 @@ def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[
     minus, plus = chord_sides(chord)
     # The walk from v starts along e when e leaves v, so the pocket is then
     # the side whose walk stops at v; otherwise the one that starts there.
-    is_minus = (minus.t == vi) == (e.index == vi)
-    return chord, is_minus, minus if is_minus else plus
+    return chord, minus if (minus.t == vi) == (e.index == vi) else plus
 
 
 def _cyclic(seq: Sequence, s: int, t: int) -> Sequence:
@@ -875,60 +862,38 @@ def _cut_rings(poly: RectPolygon, chords: Sequence[Chord], starts) -> dict:
     return rings
 
 
-def count_reflex_below(poly: RectPolygon, cut: Cut) -> int:
-    """Number of reflex vertices of poly strictly inside the P_minus side of the cut."""
-    minus, _ = chord_sides(materialize(poly, cut))
+def count_reflex_below(poly: RectPolygon, chord: Chord) -> int:
+    """Number of reflex vertices of poly strictly inside the P_minus side of a chord."""
+    minus, _ = chord_sides(chord)
     return poly.reflex_counts(minus.s, minus.t)[0]
 
 
-def m_cut_class(poly: RectPolygon, cut: Cut) -> int:
+def m_cut_class(poly: RectPolygon, chord: Chord) -> int:
     """m of the m-cut classification: r(P_minus) mod 3."""
-    return count_reflex_below(poly, cut) % 3
-
-
-def side_piece(poly: RectPolygon, chord: Chord, side: Side) -> RectPolygon:
-    """The piece of poly on one Side of a located chord, from a walk that
-    starts there only: the other piece is not built."""
-    start = (0, side.first)
-    return _piece(*_cut_rings(poly, [chord], (start,))[start])
+    return count_reflex_below(poly, chord) % 3
 
 
 def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon:
-    """Pocket of reflex edge e at endpoint v: the split side not containing e."""
-    chord, _, side = pocket_side(poly, edge_index, vertex_index)
-    return side_piece(poly, chord, side)
+    """Pocket of reflex edge e at endpoint v: the split side not containing
+    e, from a walk that starts there only: the other piece is not built."""
+    chord, side = pocket_side(poly, edge_index, vertex_index)
+    start = (0, side.first)
+    return _piece(*_cut_rings(poly, [chord], (start,))[start])
 
 
 # --------------------------------------------------- normal cut enumeration
 
 
-class NormalCutClass:
-    """One combinatorial class of normal cuts (band x chord) with its count."""
-
-    __slots__ = ("orientation", "level", "lo", "hi", "r_minus", "cut")
-
-    def __init__(self, orientation, level, lo, hi, r_minus, cut):
-        self.orientation = orientation
-        self.level = level
-        self.lo = lo
-        self.hi = hi
-        self.r_minus = r_minus
-        self.cut = cut
-
-    def __repr__(self):
-        return f"NormalCut({self.orientation}={self.level} [{self.lo},{self.hi}] r-={self.r_minus})"
-
-
-def iter_normal_cuts(poly: RectPolygon, orientation: str) -> Iterator[NormalCutClass]:
-    """All combinatorial classes of normal cuts of one orientation, generated
-    band by band in increasing level order.
+def iter_normal_cuts(poly: RectPolygon, orientation: str) -> Iterator[Tuple[Chord, int]]:
+    """(chord, r(P_minus)) for every combinatorial class of normal cuts of
+    one orientation, generated band by band in increasing level order.
 
     Bands between consecutive distinct vertex levels, the levels of the edge
     index rows of the cut's orientation, each contribute one representative
-    per chord; r(P_minus) is constant within a class.  A band's midpoint is
-    no vertex level, so the index rows across it, already in order along it,
-    pair up into its chords, and r(P_minus) is a prefix count between the
-    two edges a chord ends on.
+    chord per class; r(P_minus) is constant within a class.  A band's
+    midpoint is no vertex level, so the index rows across it, already in
+    order along it, pair up into its chords, each ending inside two edges,
+    and r(P_minus) is a prefix count between them.
     """
     d, index = poly.edge_index()
     levels = list(dict.fromkeys(index[orientation][0]))
@@ -939,6 +904,4 @@ def iter_normal_cuts(poly: RectPolygon, orientation: str) -> Iterator[NormalCutC
         for i, j in zip(ends[::2], ends[1::2]):
             chord = Chord(orientation, t, poly.edges[i].level, poly.edges[j].level, ((i, False), (j, False)))
             minus, _ = chord_sides(chord)
-            rm = poly.reflex_counts(minus.s, minus.t)[0]
-            cut = Cut(chord.a, orientation, _chord=chord)
-            yield NormalCutClass(orientation, t, chord.lo, chord.hi, rm, cut)
+            yield chord, poly.reflex_counts(minus.s, minus.t)[0]

@@ -2,13 +2,13 @@
 shoot the ray, walk the chain, build the piece.
 
 The chords on a line come from one scan that toggles inside/outside at
-every crossing and every boundary run on the line; a cut from a reflex
+every crossing and every boundary run on the line; a chord from a reflex
 vertex or a boundary point ends at the first boundary_hits contact of the
-ray leaving its anchor through the interior, and a cut from a reflex
+ray leaving its anchor through the interior, and a chord from a reflex
 vertex also at the first edge index row across that ray, walked outward
 from the vertex.  The boundary chain between two points is walked vertex
 by vertex, comparing positions along the CCW boundary located with
-locate_boundary.  The reflex vertices on the P_minus side of a cut are
+locate_boundary.  The reflex vertices on the P_minus side of a chord are
 read off that chain, normal-cut classes come from the line scan at each
 band midpoint, and a pocket's r, n, xy-monotonicity and wrap flag are read
 off the pocket built as a RectPolygon from the chain.  rectbeacon.polygon's
@@ -207,9 +207,9 @@ def split_rings(poly, chord):
     return chain_between(poly, b, a), chain_between(poly, a, b)
 
 
-def reflex_points_below(poly, cut):
-    """Reflex vertices strictly inside the P_minus side of the cut, in CCW order."""
-    chain = split_rings(poly, materialize(poly, cut))[0]
+def reflex_points_below(poly, chord):
+    """Reflex vertices strictly inside the P_minus side of a chord, in CCW order."""
+    chain = split_rings(poly, chord)[0]
     return [p for p in chain[1:-1] if poly.classes[poly.vertex_index(p)] == REFLEX]
 
 
@@ -221,8 +221,7 @@ def normal_cuts(poly, orientation):
         t = (levels[k] + levels[k + 1]) / 2
         for lo, hi in chords_on_line(poly, orientation, t):
             chord = Chord(orientation, t, lo, hi, None)  # the chain walk locates its ends
-            cut = Cut(chord.a, orientation, _chord=chord)
-            out.append((t, lo, hi, len(reflex_points_below(poly, cut))))
+            out.append((t, lo, hi, len(reflex_points_below(poly, chord))))
     return out
 
 

@@ -10,8 +10,8 @@ The corpus is random polygons n = 8..88 (ten seeds each), coverage spirals
 r = 1..24 and combs k = 1..19, each also mirrored.  For every polygon it
 prints the kernel, clip_fast at every vertex level (each ring started at
 its least (x, y) vertex, the pieces sorted), the slab boxes, every
-normal-cut class, every cut through or just beside a reflex vertex and from
-every edge midpoint (chord with its located ends, r(P_minus), both pieces),
+normal-cut class, every cut through or just beside a reflex vertex (chord
+with its located ends, r(P_minus), both pieces),
 every pocket with its summary, contains and locate_boundary at every
 vertex, every edge midpoint and the points of a 9 x 9 grid over the
 bounding box, boundary_hits from every vertex towards each reflex vertex
@@ -94,32 +94,29 @@ def outcome(fn, *args):
         return type(exc).__name__
 
 
-def chord(poly, cut):
-    ch = outcome(materialize, poly, cut)
-    return ch if isinstance(ch, str) else f"{ch.axis}={ch.level} [{ch.lo},{ch.hi}] ends={ch.ends}"
-
-
-def pieces(poly, cut):
-    got = outcome(split, poly, cut)
+def pieces(poly, chord):
+    got = outcome(split, poly, chord)
     return got if isinstance(got, str) else " | ".join(pts(p.vertices) for p in got)
+
+
+def vertex_cut(poly, cut):
+    """The cut's chord with its located ends, r(P_minus) and both pieces,
+    or the error that materialize raised, three times."""
+    ch = outcome(materialize, poly, cut)
+    if isinstance(ch, str):
+        return f"{ch} r-={ch} {ch}"
+    return (f"{ch.axis}={ch.level} [{ch.lo},{ch.hi}] ends={ch.ends} "
+            f"r-={count_reflex_below(poly, ch)} {pieces(poly, ch)}")
 
 
 def dump_cuts(poly, out):
     for o in "HV":
-        for nc in iter_normal_cuts(poly, o):
-            out(f"normal {o}={nc.level} [{nc.lo},{nc.hi}] r-={nc.r_minus} {pieces(poly, nc.cut)}")
+        for ch, r_minus in iter_normal_cuts(poly, o):
+            out(f"normal {o}={ch.level} [{ch.lo},{ch.hi}] r-={r_minus} {pieces(poly, ch)}")
     for i in poly.reflex_indices:
         for o in "HV":
             for side in (None, "before", "after"):
-                cut = Cut(i, o, side)
-                out(f"vertex cut {i} {o} {side}: {chord(poly, cut)} "
-                    f"r-={outcome(count_reflex_below, poly, cut)} {pieces(poly, cut)}")
-    for e in poly.edges:
-        m = midpoint(e.a, e.b)
-        for o in "HV":
-            cut = Cut(m, o)
-            out(f"edge cut {e.index} {o}: {chord(poly, cut)} "
-                f"r-={outcome(count_reflex_below, poly, cut)} {pieces(poly, cut)}")
+                out(f"vertex cut {i} {o} {side}: {vertex_cut(poly, Cut(i, o, side))}")
     for e in poly.reflex_edges():
         for v in (e.a, e.b):
             vi = poly.vertex_index(v)

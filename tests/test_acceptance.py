@@ -294,8 +294,8 @@ def test_c10_structural_identities():
         if not classes:
             continue
         rng.shuffle(classes)
-        for nc in classes[:4]:
-            minus, plus = split(p, nc.cut)
+        for chord, _ in classes[:4]:
+            minus, plus = split(p, chord)
             assert minus.area() + plus.area() == p.area()
             assert minus.n == 2 * minus.r + 4
             assert plus.n == 2 * plus.r + 4

@@ -98,7 +98,7 @@ def _split_pieces(p):
     for o in "HV":
         classes = list(iter_normal_cuts(p, o))
         if classes:
-            pieces += split(p, classes[len(classes) // 2].cut)
+            pieces += split(p, classes[len(classes) // 2][0])
     return pieces
 
 
@@ -124,19 +124,18 @@ def test_chords_on_line_matches_line_scan_and_locates_ends():
     assert lines >= 10000
 
 
-def test_materialize_matches_first_ray_contact():
-    """Cuts from edge midpoints end where the ray leaving the anchor through
-    the interior first meets the boundary, ends included; an anchor along
-    its cut or off the boundary makes no chord."""
+def test_chords_at_edge_midpoints_match_first_ray_contact():
+    """The chord across an edge's midpoint that ends there, one of the
+    chords on the line through it, ends where the ray leaving the midpoint
+    through the interior first meets the boundary, ends included."""
     edge_cuts = 0
     for p in CORPUS:
         for e in p.edges:
             m = midpoint(e.a, e.b)
             across = "V" if e.orientation == "H" else "H"
-            chord = materialize(p, Cut(m, across))
+            level, along = (m.y, m.x) if across == "H" else (m.x, m.y)
+            chord, = [c for c in chords_on_line(p, across, level) if along in (c.lo, c.hi)]
             assert (chord.lo, chord.hi, chord.ends) == cut_oracle.ray_cut(p, m, across), (p.vertices, e.index)
-            assert _outcome(materialize, p, Cut(m, e.orientation)) == "NotAChord"
-            assert _outcome(materialize, p, Cut(midpoint(chord.a, chord.b), across)) == "NotAChord"
             edge_cuts += 1
     assert edge_cuts >= 5000
 
@@ -200,8 +199,8 @@ def test_integer_chord_check_matches_fraction_midpoint():
     for p in CORPUS:
         for o in "HV":
             bands = {}
-            for nc in iter_normal_cuts(p, o):
-                bands.setdefault(nc.level, []).append(nc.cut._chord)
+            for chord, _ in iter_normal_cuts(p, o):
+                bands.setdefault(chord.level, []).append(chord)
             for level, chords in bands.items():
                 between = [Chord(o, level, c.hi, c2.lo, None) for c, c2 in zip(chords, chords[1:])]
                 span = [Chord(o, level, chords[0].lo, chords[-1].hi, None)] if between else []
@@ -226,10 +225,9 @@ def test_integer_chord_check_rejects_boundary_and_notch():
                 _assert_chord(p, Chord(e.orientation, e.level, *e.span(), None))
 
 
-def _split_rings(p, cut):
+def _split_rings(p, chord):
     """_cut_rings' unmerged rings, with their ints, of the minus and the
-    plus side of a cut."""
-    chord = materialize(p, cut)
+    plus side of a chord."""
     starts = [(0, side.first) for side in chord_sides(chord)]
     rings = _cut_rings(p, [chord], starts)
     return [rings[start] for start in starts]
@@ -240,37 +238,36 @@ def test_normal_cut_classes_match_chain_walk():
     for p in CORPUS:
         for o in ("H", "V"):
             got = list(iter_normal_cuts(p, o))
-            assert [(nc.level, nc.lo, nc.hi, nc.r_minus) for nc in got] \
+            assert [(chord.level, chord.lo, chord.hi, r_minus) for chord, r_minus in got] \
                 == cut_oracle.normal_cuts(p, o), (p.vertices, o)
-            for nc in got:
-                chord = nc.cut._chord
-                assert (chord.lo, chord.hi) == (nc.lo, nc.hi)
+            for chord, _ in got:
+                assert chord.axis == o
                 assert chord.ends == (p.locate_boundary(chord.a), p.locate_boundary(chord.b))
-                assert tuple(ring for ring, _ in _split_rings(p, nc.cut)) == cut_oracle.split_rings(p, chord)
+                assert tuple(ring for ring, _ in _split_rings(p, chord)) == cut_oracle.split_rings(p, chord)
             classes += len(got)
     assert classes >= 10000
 
 
-def _outcome(fn, p, cut):
-    try:
-        return fn(p, cut)
-    except NotAChord:
-        return "NotAChord"
+def _vertex_chords(p):
+    """(i, o, side, chord) for every cut through or just beside a reflex
+    vertex i that makes a chord."""
+    for i in p.reflex_indices:
+        for o, side in [(o, side) for o in "HV" for side in (None, "before", "after")]:
+            try:
+                yield i, o, side, materialize(p, Cut(i, o, side))
+            except NotAChord:
+                continue
 
 
 def test_reflex_below_at_vertex_cuts_matches_chain_walk():
     """Cuts through a reflex vertex end there, symbolic ones inside two edges."""
     cuts = 0
     for p in CORPUS:
-        for i in p.reflex_indices:
-            for o, side in [(o, side) for o in "HV" for side in (None, "before", "after")]:
-                cut = Cut(i, o, side)  # materialized once, by the first call
-                want = _outcome(cut_oracle.reflex_points_below, p, cut)
-                got = _outcome(lambda p, cut: _reflex_points(p, chord_sides(materialize(p, cut))[0]), p, cut)
-                assert got == want, (p.vertices, i, o, side)
-                got = _outcome(count_reflex_below, p, cut)
-                assert got == (want if want == "NotAChord" else len(want)), (p.vertices, i, o, side)
-                cuts += want != "NotAChord"
+        for i, o, side, chord in _vertex_chords(p):
+            want = cut_oracle.reflex_points_below(p, chord)
+            assert _reflex_points(p, chord_sides(chord)[0]) == want, (p.vertices, i, o, side)
+            assert count_reflex_below(p, chord) == len(want), (p.vertices, i, o, side)
+            cuts += 1
     assert cuts >= 10000
 
 
@@ -291,12 +288,13 @@ def test_pocket_summaries_match_built_pockets():
 def _two_splits(p, e, vi, vpi):
     """(A, B, C) by two single splits: the pocket at v off p, then the
     pocket at v' off the rest, at v' located on the rest."""
-    chord, is_minus, _ = pocket_side(p, e.index, vi)
-    minus, plus = split(p, Cut(vi, e.orientation, _chord=chord))
+    chord, side = pocket_side(p, e.index, vi)
+    is_minus = side == chord_sides(chord)[0]
+    minus, plus = split(p, chord)
     a, rest = (minus, plus) if is_minus else (plus, minus)
     where = rest.locate_boundary(p.vertices[vpi])
     assert where is not None and where[1], (p.vertices, e.index, vi)
-    minus, plus = split(rest, Cut(where[0], e.orientation))
+    minus, plus = split(rest, materialize(rest, Cut(where[0], e.orientation)))
     c, b = (minus, plus) if is_minus else (plus, minus)
     return a, b, c
 
@@ -338,48 +336,40 @@ def test_frame_sides_at_vertex_cuts_match_chain_walk():
     senses both across and along the cut."""
     cuts = 0
     for p in CORPUS:
-        for i in p.reflex_indices:
-            for o, side in [(o, side) for o in "HV" for side in (None, "before", "after")]:
-                cut = Cut(i, o, side)
-                try:
-                    chord = materialize(p, cut)
-                except NotAChord:
-                    continue
-                chains = cut_oracle.split_rings(p, chord)
-                sides = [[q for q in chain[1:-1] if p.classes[p.vertex_index(q)] == REFLEX] for chain in chains]
-                for f, s in ((_FRAMES[0], 1), (_FRAMES[2], -1)):
-                    reflex = sides[::s]
-                    assert f.reflex(p, cut) == tuple(map(len, reflex)), (p.vertices, i, o, side, f.name)
-                    level = chord.level if s > 0 else -chord.level
-                    below, above = ([(_frame_key(q, o, s), q) for q in chain] for chain in reflex)
-                    below = [((k[0], -k[1]), q) for k, q in below if k[0] < level]
-                    above = [(k, q) for k, q in above if k[0] > level]
-                    want = (max(below, key=lambda kq: kq[0])[1] if below else None,
-                            min(above, key=lambda kq: kq[0])[1] if above else None)
-                    for above_cut in (False, True):
-                        try:
-                            got = _first_reflex(p, cut, f, above_cut)
-                        except InternalCaseError:
-                            got = None
-                        assert got == want[above_cut], (p.vertices, i, o, side, f.name, above_cut)
-                cuts += 1
+        for i, o, side, chord in _vertex_chords(p):
+            chains = cut_oracle.split_rings(p, chord)
+            sides = [[q for q in chain[1:-1] if p.classes[p.vertex_index(q)] == REFLEX] for chain in chains]
+            for f, s in ((_FRAMES[0], 1), (_FRAMES[2], -1)):
+                reflex = sides[::s]
+                assert f.reflex(p, chord) == tuple(map(len, reflex)), (p.vertices, i, o, side, f.name)
+                level = chord.level if s > 0 else -chord.level
+                below, above = ([(_frame_key(q, o, s), q) for q in chain] for chain in reflex)
+                below = [((k[0], -k[1]), q) for k, q in below if k[0] < level]
+                above = [(k, q) for k, q in above if k[0] > level]
+                want = (max(below, key=lambda kq: kq[0])[1] if below else None,
+                        min(above, key=lambda kq: kq[0])[1] if above else None)
+                for above_cut in (False, True):
+                    try:
+                        got = _first_reflex(p, chord, f, above_cut)
+                    except InternalCaseError:
+                        got = None
+                    assert got == want[above_cut], (p.vertices, i, o, side, f.name, above_cut)
+            cuts += 1
     assert cuts >= 10000
 
 
 def test_pocket_side_matches_chain_walk():
-    """The side pocket_side names is the oracle's pocket, vertex order included,
-    and the other side is not; the Side it returns is chord_sides' side of
-    the pocket."""
+    """The Side pocket_side names, one of chord_sides' two, is the oracle's
+    pocket, vertex order included, and the other side is not."""
     ends = 0
     for p in CORPUS:
         for e in p.reflex_edges():
             for v in (e.a, e.b):
                 vi = p.vertex_index(v)
-                chord, is_minus, side = pocket_side(p, e.index, vi)
-                assert side == chord_sides(chord)[0 if is_minus else 1], (p.vertices, e.index, vi)
-                minus_ring, plus_ring = cut_oracle.split_rings(p, chord)
+                chord, side = pocket_side(p, e.index, vi)
+                k = chord_sides(chord).index(side)
                 want = list(cut_oracle.pocket(p, e.index, vi).vertices)
-                pocket_ring, other_ring = (minus_ring, plus_ring) if is_minus else (plus_ring, minus_ring)
+                pocket_ring, other_ring = cut_oracle.split_rings(p, chord)[::1 - 2 * k]
                 assert _merge_ring(pocket_ring)[0] == want, (p.vertices, e.index, vi)
                 assert _merge_ring(other_ring)[0] != want, (p.vertices, e.index, vi)
                 ends += 1
@@ -479,10 +469,10 @@ def test_classes_and_merged_rings_match_fraction_turns():
         padded = _padded(p)
         assert _merge_ring(padded)[0] == ring_oracle.merge_ring(padded) == list(p.vertices[1:] + p.vertices[:1])
         for o in "HV":
-            for nc in list(iter_normal_cuts(p, o))[:3]:
-                for ring, ints in _split_rings(p, nc.cut):
+            for chord, _ in list(iter_normal_cuts(p, o))[:3]:
+                for ring, ints in _split_rings(p, chord):
                     assert _merge_ring(ring)[0] == _merge_ring(ring, ints)[0] == ring_oracle.merge_ring(ring), \
-                        (p.vertices, nc)
+                        (p.vertices, chord)
                     rings += 1
         rings += 1
     assert rings >= 1000
@@ -517,7 +507,7 @@ def test_edge_table_matches_fraction_rule():
         clips = [(hp.axis, hp.c) for hp in (e.halfplane for e in p.reflex_edges())]
         for o, axis in (("H", "y"), ("V", "x")):
             classes = list(iter_normal_cuts(p, o))
-            clips.append((axis, classes[len(classes) // 2].level))
+            clips.append((axis, classes[len(classes) // 2][0].level))
         for axis, c in clips:
             made += clip_fast(p, axis, c, True) + clip_fast(p, axis, c, False)
         for q in [p] + made:

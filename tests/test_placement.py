@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from rectbeacon.errors import NotMonotone, TooManyReflexVertices
+from rectbeacon import placement
+from rectbeacon.errors import InternalCaseError, NotMonotone, TooManyReflexVertices
 from rectbeacon.generators import coverage_spiral, random_rectilinear, random_x_monotone
 from rectbeacon.geometry import Point
 from rectbeacon.kernel import in_all_cones, kernel
@@ -16,7 +17,18 @@ from rectbeacon.placement import (
     find_xy_monotone_pocket,
     route_beacons,
 )
-from rectbeacon.polygon import Cut, RectPolygon, pocket, split, validate
+from rectbeacon.polygon import (
+    Cut,
+    RectPolygon,
+    _cut_rings,
+    _piece,
+    chord_sides,
+    chords_on_line,
+    materialize,
+    pocket,
+    split,
+    validate,
+)
 from rectbeacon.transforms import TRANSFORMS
 from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing
 
@@ -63,9 +75,9 @@ def test_find_safe_cut_exists_for_r4():
     # r = 4 = 1 mod 3: any normal cut with a reflex vertex on each side works.
     for seed in range(6):
         p = random_rectilinear(12, seed)
-        cut = find_safe_cut(p)
-        assert cut is not None
-        minus, plus = split(p, cut)
+        chord = find_safe_cut(p)
+        assert chord is not None
+        minus, plus = split(p, chord)
         assert minus.r >= 1 and plus.r >= 1
         assert ceil3(minus.r) + ceil3(plus.r) == ceil3(p.r)
 
@@ -231,7 +243,8 @@ def test_cover_monotone_names_cuts_of_its_input():
             anchor, o = re.fullmatch(r"Cut\((\d+) ([HV])\)", node.detail).groups()
             assert o == "H", (s, node.detail)
             rest, = node.children
-            assert rest.r in {piece.r for piece in split(p, Cut(int(anchor), o))}, (s, node.detail)
+            assert rest.r in {piece.r for piece in split(p, materialize(p, Cut(int(anchor), o)))}, \
+                (s, node.detail)
             cuts += 1
     assert cuts >= 40
 
@@ -263,6 +276,12 @@ def test_cover_across_presentations():
     assert labels["top(b-wall)"] >= 20, labels
 
 
+def _route_polys():
+    """Twenty fuzz polygons and the one whose sweep of C stops at a reflex
+    edge whose chord cuts off a piece reaching back towards e's line."""
+    return [random_rectilinear(10 + 2 * seed, seed + 777) for seed in range(20)] + [random_rectilinear(46, 169)]
+
+
 def test_route_across_presentations():
     """Routing runs in the frame it is given: under every symmetry and start
     vertex it keeps the bound, and one presentation per polygon routes.
@@ -271,9 +290,8 @@ def test_route_across_presentations():
     line, not the piece the sweep started in.  The sweep segment through a
     reflex edge is cut at both its ends whichever comes first, so every
     three-piece split of C recurses into the two pieces below, C2 and C3."""
-    polys = [random_rectilinear(10 + 2 * seed, seed + 777) for seed in range(20)] + [random_rectilinear(46, 169)]
     three = 0
-    for seed, p in enumerate(polys):
+    for seed, p in enumerate(_route_polys()):
         for k, q in enumerate(_presentations(p)):
             bs = route_beacons(q)
             assert len(bs) <= 3 * q.r // 4, (seed, k)
@@ -284,3 +302,50 @@ def test_route_across_presentations():
                 rep = verify_routing(q, bs.beacons, pair_count=30, seed=seed)
                 assert rep.passed, (seed, k, rep.stats)
     assert three >= 60
+
+
+def test_sweep_band_counts_match_built_pieces(monkeypatch):
+    """The sweep of C reads each band's monotonicity off prefix counts: at
+    every band it visits, on the polygons of test_route_across_presentations
+    and of c07 in all their presentations, _side_monotone on each side of
+    each chord of the band's line says what is_xy_monotone says of the piece
+    built on that side."""
+    bands = sides = 0
+
+    def checked_chords(poly, axis, level):
+        nonlocal bands, sides
+        chords = chords_on_line(poly, axis, level)
+        for chord in chords:
+            assert not chord.ends[0][1] and not chord.ends[1][1], (poly.vertices, chord)
+            for side in chord_sides(chord):
+                start = (0, side.first)
+                built = _piece(*_cut_rings(poly, [chord], (start,))[start])
+                assert placement._side_monotone(poly, side) == built.is_xy_monotone(), (poly.vertices, chord)
+                sides += 1
+        bands += 1
+        return chords
+
+    monkeypatch.setattr(placement, "chords_on_line", checked_chords)
+    polys = _route_polys() + [random_rectilinear(4 + 2 * (seed % 15), seed * 11 + 17) for seed in range(200)]
+    for p in polys:
+        for q in _presentations(p):
+            route_beacons(q)
+    assert bands >= 3000 and sides >= 6000, (bands, sides)
+
+
+# Valid polygons on which routing gets stuck: each has no routing pocket
+# (every rectangle pocket's complement wraps round e's line), and every
+# three-piece split of the pair fallback costs more than floor(3r/4).
+ROUTE_GAP = [(14, 206213), (20, 203426), (28, 219570)]
+
+
+@pytest.mark.xfail(strict=True, raises=InternalCaseError,
+                   reason="known gap in routing pocket selection; see the FOUND line on "
+                          "route_beacons getting stuck in CHANGES.md")
+def test_route_gap_witnesses():
+    for n, seed in ROUTE_GAP:
+        p = random_rectilinear(n, seed)
+        bs = route_beacons(p)
+        assert len(bs) <= 3 * p.r // 4, (n, seed)
+        rep = verify_routing(p, bs.beacons, pair_count=30, seed=seed)
+        assert rep.passed, (n, seed, rep.stats)

@@ -177,8 +177,8 @@ def test_monotonicity_matches_sweep_oracle_on_fixtures():
 
 def test_split_square_vertical():
     p = square()
-    cut = Cut(Point(Fraction(1, 2), 0), "V")
-    minus, plus = split(p, cut)
+    chord, = chords_on_line(p, "V", Fraction(1, 2))
+    minus, plus = split(p, chord)
     assert minus.area() == Fraction(1, 2)
     assert plus.area() == Fraction(1, 2)
     assert minus.r == plus.r == 0
@@ -190,7 +190,7 @@ def test_split_square_vertical():
 def test_split_l_shape_at_reflex_vertex():
     p = l_shape()
     cut = Cut(p.vertex_index(Point(2, 2)), "H")
-    minus, plus = split(p, cut)
+    minus, plus = split(p, materialize(p, cut))
     assert sorted(v.key() for v in minus.vertices) == sorted(
         Point(x, y).key() for x, y in [(0, 0), (4, 0), (4, 2), (0, 2)]
     )
@@ -202,15 +202,15 @@ def test_split_l_shape_at_reflex_vertex():
 
 def test_split_conserves_area():
     p = u_shape()
-    cut = Cut(Point(1, 0), "V")
-    minus, plus = split(p, cut)
+    chord, = chords_on_line(p, "V", Fraction(1))
+    minus, plus = split(p, chord)
     assert minus.area() + plus.area() == p.area()
 
 
 def test_normal_cut_is_convex_edge_in_both_parts():
     p = u_shape()
-    cut = Cut(Point(1, 0), "V")  # normal vertical cut at x=1
-    minus, plus = split(p, cut)
+    chord, = chords_on_line(p, "V", Fraction(1))  # normal vertical cut at x=1
+    minus, plus = split(p, chord)
     for part in (minus, plus):
         for e in part.edges:
             if e.orientation == "V" and e.a.x == 1:
@@ -242,16 +242,16 @@ def test_pocket_has_fewer_vertices():
 def test_count_reflex_below_l_shape():
     p = l_shape()
     vi = p.vertex_index(Point(2, 2))
-    cut = Cut(vi, "H", "before")
-    assert count_reflex_below(p, cut) == 0
-    assert m_cut_class(p, cut) == 0
+    chord = materialize(p, Cut(vi, "H", "before"))
+    assert count_reflex_below(p, chord) == 0
+    assert m_cut_class(p, chord) == 0
 
 
 def test_count_reflex_above_includes_vertex():
     p = l_shape()
     vi = p.vertex_index(Point(2, 2))
-    cut = Cut(vi, "H", "after")
-    assert count_reflex_below(p, cut) == 1
+    chord = materialize(p, Cut(vi, "H", "after"))
+    assert count_reflex_below(p, chord) == 1
 
 
 def _spans(poly, axis, level):
