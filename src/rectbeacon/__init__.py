@@ -23,7 +23,6 @@ from .placement import (
 from .polygon import (
     CONVEX,
     REFLEX,
-    Cut,
     EdgeRef,
     RectPolygon,
     count_reflex_below,
@@ -48,7 +47,6 @@ __all__ = [
     "scalar",
     "RectPolygon",
     "EdgeRef",
-    "Cut",
     "validate",
     "split",
     "pocket",

@@ -188,9 +188,11 @@ def _cmd_bench(args) -> int:
         _fail_input(f"--sizes must be comma-separated integers, not {args.sizes!r}")
     if args.runs < 1:
         _fail_input(f"--runs must be at least 1, not {args.runs}")
+    if min(sizes) < 4:
+        _fail_input(f"--sizes must be at least 4, not {min(sizes)}")
     lines = ["n,t_kernel_ns,t_oracle_ns"]
     for n in sizes:
-        poly = comb(max(1, n // 4))
+        poly = comb(n // 4)
         t_k = []
         t_o = []
         for _ in range(args.runs):

@@ -185,6 +185,8 @@ def comb(k: int) -> RectPolygon:
     gaps between them floored at 11, 13, ... from right to left.  The floors
     are the only reflex edges, so the kernel is the base, reached by
     clipping; kernel_oracle is cut down to it at the first reflex vertex."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     top = 2 * k + 11
     ring = [(0, 0), (4 * k - 2, 0)]
     for i in range(k - 1, -1, -1):

@@ -58,22 +58,13 @@ def reflex_rect(poly: RectPolygon):
 
     Returns (x_lo, x_hi, y_lo, y_hi), None meaning the side is unbounded.
     """
-    x_lo = x_hi = y_lo = y_hi = None
+    levels = {}  # (orientation, sense) -> the levels of those reflex edges
     for e in poly.edges:
-        if e.kind != "reflex":
-            continue
-        hp = e.halfplane
-        if hp.axis == "y":
-            if hp.sense > 0:
-                y_lo = hp.c if y_lo is None else max(y_lo, hp.c)
-            else:
-                y_hi = hp.c if y_hi is None else min(y_hi, hp.c)
-        else:
-            if hp.sense > 0:
-                x_lo = hp.c if x_lo is None else max(x_lo, hp.c)
-            else:
-                x_hi = hp.c if x_hi is None else min(x_hi, hp.c)
-    return x_lo, x_hi, y_lo, y_hi
+        if e.kind == "reflex":
+            levels.setdefault((e.orientation, e.sense), []).append(e.level)
+    # The tightest level per (orientation, sense): the greatest lower bound, the least upper one.
+    return tuple((max if s > 0 else min)(levels[o, s]) if (o, s) in levels else None
+                 for o, s in (("V", 1), ("V", -1), ("H", 1), ("H", -1)))
 
 
 def _box_touches_boundary(poly: RectPolygon, bounds) -> bool:

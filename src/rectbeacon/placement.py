@@ -20,20 +20,20 @@ from .polygon import (
     _INWARD,
     REFLEX,
     Chord,
-    Cut,
     RectPolygon,
     _cut_rings,
     _cyclic,
     _piece,
+    chord_beside,
     chord_sides,
     chords_on_line,
     # count_reflex_below stays importable from here, where perfbench's traced run wraps it.
     count_reflex_below,  # noqa: F401
     iter_normal_cuts,
-    materialize,
     pocket,
     pocket_side,
     split,
+    vertex_chord,
 )
 
 
@@ -246,6 +246,16 @@ def _first_reflex(poly: RectPolygon, chord: Chord, f: _Frame, above: bool) -> Po
     return min(gaps, key=lambda g: g[:2])[2]
 
 
+def _cover_split(poly: RectPolygon, chord: Chord, f: _Frame, node: TraceNode, label: str) -> List[Point]:
+    """Split along a chord, its sides read in frame f, and cover both
+    pieces under a new child of node, labelled label, whose detail is the
+    chord."""
+    minus, plus = f.split(poly, chord)
+    child = node.child(TraceNode(label, poly.r, repr(chord)))
+    return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
+            + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
+
+
 def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
     """The paper's case analysis, tried in up to four frames in turn.  Only
     the frame that runs leaves a trace node; its detail says which frames
@@ -286,7 +296,7 @@ def _no_safe_cases(poly: RectPolygon, c: Chord, f: _Frame, node: TraceNode) -> L
             f"first reflex vertex {v} below the 1-cut has no horizontal reflex edge"
         )
     # The interior lies above the edge in this frame: it faces up.
-    if hedge.halfplane.sense == f.sy:
+    if hedge.sense == f.sy:
         return _no_safe_top(poly, c, hedge, f, node)
     return _no_safe_bottom(poly, c, hedge, f, node)
 
@@ -295,27 +305,17 @@ def _no_safe_top(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> 
     r = poly.r
     v1, v2 = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     i1, i2 = poly.vertex_index(v1), poly.vertex_index(v2)
-    # Reflex vertices below the cuts just below v1 and v2.
-    before = ("before", "after")[::f.sy][0]
-    k1 = f.reflex(poly, materialize(poly, Cut(i1, "H", before)))[0]
-    k2 = f.reflex(poly, materialize(poly, Cut(i2, "H", before)))[0]
+    # Reflex vertices below the chords just below v1 and v2.
+    k1 = f.reflex(poly, chord_beside(poly, i1, "H", -f.sy))[0]
+    k2 = f.reflex(poly, chord_beside(poly, i2, "H", -f.sy))[0]
     m1, m2 = k1 % 3, k2 % 3
     if (m1 + m2) % 3 != 2:
         raise _OrientationRetry(f"top case: m1+m2 = {m1}+{m2} != 2 mod 3")
     if {m1, m2} == {0, 2}:
         # Case (a): cut through the endpoint above the 2-side.
-        if m1 == 0:
-            if k1 != 0:
-                raise InternalCaseError("case (a): 0-side lobe not empty")
-            cprime = Cut(i2, "H")
-        else:
-            if k2 != 0:
-                raise InternalCaseError("case (a): 0-side lobe not empty")
-            cprime = Cut(i1, "H")
-        minus, plus = f.split(poly, materialize(poly, cprime))
-        child = node.child(TraceNode("top(a)", r, repr(cprime)))
-        return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
-                + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
+        if (k1 if m1 == 0 else k2) != 0:
+            raise InternalCaseError("case (a): 0-side lobe not empty")
+        return _cover_split(poly, vertex_chord(poly, i2 if m1 == 0 else i1, "H"), f, node, "top(a)")
     if not (m1 == 1 and m2 == 1):
         raise InternalCaseError(f"top case: unexpected (m1, m2) = {(m1, m2)}")
     # Case (b): both side lobes hold exactly one reflex vertex.
@@ -333,28 +333,21 @@ def _no_safe_top(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> 
         child = node.child(TraceNode("top(b-wall)", r, f"beacon {b_at}"))
         child.beacons.append(b_at)
         return [b_at] + _cover_rec(plus, child.child(TraceNode("plus", plus.r)))
-    d1, d2 = Cut(i1, "V"), Cut(i2, "V")
-    chords = {"d1": materialize(poly, d1), "d2": materialize(poly, d2)}
+    chords = {"d1": vertex_chord(poly, i1, "V"), "d2": vertex_chord(poly, i2, "V")}
     counts = {}
     for name, chord in chords.items():
         left = f.reflex(poly, chord)[0]
         counts[name] = (left, r - 1 - left)
     # (b)(i): some side of some d_i is divisible by three.
-    for name, d in (("d1", d1), ("d2", d2)):
+    for name, chord in chords.items():
         left, right = counts[name]
         if left % 3 == 0 or right % 3 == 0:
-            minus, plus = f.split(poly, chords[name])
-            child = node.child(TraceNode(f"top(b-i,{name})", r, repr(d)))
-            return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
-                    + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
+            return _cover_split(poly, chord, f, node, f"top(b-i,{name})")
     residues = {counts[name][0] % 3 for name in counts} | {counts[name][1] % 3 for name in counts}
     if r % 3 == 2:
         if residues != {2}:
             raise InternalCaseError(f"case (b)(ii): residues {residues}")
-        minus, plus = f.split(poly, chords["d1"])
-        child = node.child(TraceNode("top(b-ii)", r, repr(d1)))
-        return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
-                + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
+        return _cover_split(poly, chords["d1"], f, node, "top(b-ii)")
     # (b)(iii): r = 0 mod 3 and every residue is 1.
     if r % 3 != 0 or residues != {1}:
         raise InternalCaseError(f"case (b)(iii) preconditions: r={r}, residues={residues}")
@@ -368,29 +361,23 @@ def _no_safe_top(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> 
     if w_hedge.kind == "reflex":
         other = w_hedge.b if w_hedge.a == w else w_hedge.a
         candidates.append(poly.vertex_index(other))
-    chosen = None
     for ci in candidates:
-        d = Cut(ci, "V")
         try:
-            chord = materialize(poly, d)
+            chord = vertex_chord(poly, ci, "V")
         except NotAChord:
             continue
         left = f.reflex(poly, chord)[0]
         if left % 3 == 0 or (r - 1 - left) % 3 == 0:
-            chosen = d
             break
-    if chosen is None:
+    else:
         raise InternalCaseError("case (b)(iii): no vertical cut at w/w' balances mod 3")
     # The cut must land on the reflex edge e: its lower end lies on e's line.
     el_lo, el_hi = e.span()
     if not (el_lo <= chord.level <= el_hi and (chord.lo, chord.hi)[::f.sy][0] == e.level):
         raise InternalCaseError(
-            f"case (b)(iii): vertical cut at {poly.vertices[chosen.anchor]} does not land on e"
+            f"case (b)(iii): vertical cut at {poly.vertices[ci]} does not land on e"
         )
-    minus, plus = f.split(poly, chord)
-    child = node.child(TraceNode("top(b-iii)", r, repr(chosen)))
-    result = (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
-              + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
+    result = _cover_split(poly, chord, f, node, "top(b-iii)")
     # Coverage of the strip left of d1 relies on a beacon landing at an
     # endpoint of e1; the recursion is expected to produce one.
     e1_pts = {e1.a, e1.b}
@@ -403,9 +390,8 @@ def _no_safe_bottom(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) 
     r = poly.r
     v, vprime = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     vi, vpi = poly.vertex_index(v), poly.vertex_index(vprime)
-    before, after = ("before", "after")[::f.sy]
-    c1 = materialize(poly, Cut(vi, "H", before))
-    c2 = materialize(poly, Cut(vpi, "H", after))
+    c1 = chord_beside(poly, vi, "H", -f.sy)
+    c2 = chord_beside(poly, vpi, "H", f.sy)
     m1 = f.reflex(poly, c1)[0] % 3
     m2 = f.reflex(poly, c2)[0] % 3
     if r % 3 != 0:
@@ -419,16 +405,12 @@ def _no_safe_bottom(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) 
         # vertical cut through v balances the budget exactly.
         if f.reflex(poly, c2)[1] != 0:
             raise InternalCaseError("bottom (2,0): reflex vertices above the c2 cut")
-        d_v = Cut(vi, "V")
-        chord = materialize(poly, d_v)
+        chord = vertex_chord(poly, vi, "V")
         left = f.reflex(poly, chord)[0]
         right = r - 1 - left
         if left % 3 != 0 or right % 3 != 2:
             raise _OrientationRetry(f"bottom (2,0): sides {(left, right)}")
-        minus, plus = f.split(poly, chord)
-        child = node.child(TraceNode("bottom(2,0)", r, repr(d_v)))
-        return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
-                + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
+        return _cover_split(poly, chord, f, node, "bottom(2,0)")
     if (m1, m2) == (0, 1):
         raise InternalCaseError("bottom (0,1): a vertical cut on e would have been safe")
     if (m1, m2) != (1, 2):
@@ -439,10 +421,10 @@ def _no_safe_bottom(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) 
     w = below[0]
     if not f.key(w, "H")[1] < f.key(v, "H")[1]:
         raise _OrientationRetry("bottom case: lone reflex vertex is not west of v")
-    c_v = Cut(vi, "H")
-    d_v = Cut(vi, "V")
-    minus_h, _ = f.split(poly, materialize(poly, c_v))
-    minus_v, _ = f.split(poly, materialize(poly, d_v))
+    c_v = vertex_chord(poly, vi, "H")
+    minus_h, _ = f.split(poly, c_v)
+    d_v = vertex_chord(poly, vi, "V")
+    minus_v, _ = f.split(poly, d_v)
     if minus_h.r % 3 != 0 or minus_v.r % 3 != 0 or minus_h.r + minus_v.r != r:
         raise InternalCaseError(
             f"bottom case counts: {minus_h.r} + {minus_v.r} vs r={r}"
@@ -491,14 +473,14 @@ def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -
     far = {e.index: max(e.a, e.b, key=lambda p: f.key(p, o)) for e in redges}
     rights = sorted(far.values(), key=lambda p: f.key(p, o))
     e1 = next(e for e in redges if far[e.index] == rights[0])
-    cut = Cut(poly.vertex_index(rights[1]), o)
-    minus, plus = f.split(poly, materialize(poly, cut))
+    chord = vertex_chord(poly, poly.vertex_index(rights[1]), o)
+    minus, plus = f.split(poly, chord)
     if len(minus.reflex_edges()) > 1:
         raise InternalCaseError("left part of the monotone cut kept two reflex edges")
     b = midpoint(e1.a, e1.b)
     if not in_all_cones(minus, b):
         raise InternalCaseError("monotone beacon fell outside the left kernel")
-    child = node.child(TraceNode("mono_cut", poly.r, repr(cut)))
+    child = node.child(TraceNode("mono_cut", poly.r, repr(chord)))
     child.beacons.append(b)
     return [b] + _cover_monotone_rec(plus, f, o, child.child(TraceNode("mono_rest", plus.r)))
 
@@ -571,12 +553,12 @@ def _pocket_wraps(poly: RectPolygon, e_idx: int, pk: PocketSummary) -> bool:
     A wrapping complement pocket invalidates the monotone-sweep reasoning,
     so the selection below avoids it whenever it matters.
     """
-    hp = poly.edges[e_idx].halfplane
+    e = poly.edges[e_idx]
+    level = e.level
     # The pocket's two other corners lie on e's line.
     for k in range(pk.s, pk.s + pk.n - 2):
-        w = poly.vertices[k % poly.n]
-        coord = w.x if hp.axis == "x" else w.y
-        if (coord > hp.c) if hp.sense > 0 else (coord < hp.c):
+        coord = _level_along(poly.vertices[k % poly.n], e.orientation)[0]
+        if (coord > level) if e.sense > 0 else (coord < level):
             return True
     return False
 
@@ -701,7 +683,7 @@ def _beacon_above(poly: RectPolygon, e, vprime: Point) -> Point:
 
 
 # The C sweep runs in the frame of the reflex edge e it starts from, of
-# orientation o and half-plane sense s: a level is a coordinate across o,
+# orientation o and sense s: a level is a coordinate across o,
 # and the upper side of a chord of orientation o is the side towards e's
 # line, so split(...)[::s] is (lower piece, upper piece), and chord_sides(...)[::s]
 # their sides.  A band's chord lies between vertex levels, so both its ends
@@ -721,7 +703,7 @@ def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List
     xy-monotone pocket with r >= 1 exists, so C is not xy-monotone, and
     nor is the last band's upper piece: C less a rectangle at its far level.
     """
-    o, sense = e.orientation, e.halfplane.sense
+    o, sense = e.orientation, e.sense
     top_level = _level_along(qpt, o)[0]
     coords = [_level_along(p, o) for p in c_piece.vertices]
     if any(sense * (level - top_level) > 0 for level, _ in coords):
@@ -759,9 +741,9 @@ def _route_c_violation(c_piece: RectPolygon, e, level: Fraction,
     if len(w_cands) != 1:
         raise InternalCaseError(f"sweep stop: {len(w_cands)} candidate vertices at {level}")
     wi = w_cands[0]
-    chord = materialize(c_piece, Cut(wi, o))
+    chord = vertex_chord(c_piece, wi, o)
     b2 = _far_end(chord, c_piece.vertices[wi])
-    c2, c1 = split(c_piece, chord)[::e.halfplane.sense]
+    c2, c1 = split(c_piece, chord)[::e.sense]
     if not c1.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (perpendicular case)")
     child = node.child(TraceNode("route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}"))

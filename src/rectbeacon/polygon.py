@@ -28,29 +28,10 @@ REFLEX = "reflex"
 # Travel direction of an edge, from the CCW vertex order.
 EAST, NORTH, WEST, SOUTH = "E", "N", "W", "S"
 
-# Interior lies to the left of travel: the unit vector towards it, and the
-# sense of the closed half-plane on its side of the edge's line.
+# Interior lies to the left of travel: the unit vector towards it, and its
+# sense across the edge's line, +1 towards larger coordinates.
 _INWARD = {EAST: Point(0, 1), WEST: Point(0, -1), NORTH: Point(-1, 0), SOUTH: Point(1, 0)}
 _SENSE = {EAST: 1, WEST: -1, NORTH: -1, SOUTH: 1}
-
-
-class HalfPlane:
-    """Axis-parallel closed half-plane  {axis_coord <sense> c}."""
-
-    __slots__ = ("axis", "c", "sense")
-
-    def __init__(self, axis: str, c: Fraction, sense: int):
-        self.axis = axis  # 'x' or 'y': which coordinate is constrained
-        self.c = c
-        self.sense = sense  # +1: coord >= c ; -1: coord <= c
-
-    def contains(self, p: Point) -> bool:
-        v = p.x if self.axis == "x" else p.y
-        return v >= self.c if self.sense > 0 else v <= self.c
-
-    def __repr__(self):
-        op = ">=" if self.sense > 0 else "<="
-        return f"HalfPlane({self.axis} {op} {self.c})"
 
 
 class EdgeRef:
@@ -73,9 +54,10 @@ class EdgeRef:
         return self.a.y if self.orientation == "H" else self.a.x
 
     @property
-    def halfplane(self) -> HalfPlane:
-        """The closed half-plane bounded by the edge's line on the interior's side."""
-        return HalfPlane("y" if self.orientation == "H" else "x", self.level, _SENSE[self.direction])
+    def sense(self) -> int:
+        """+1 when the interior lies towards larger coordinates across the
+        edge's line, -1 when towards smaller ones."""
+        return _SENSE[self.direction]
 
     def span(self) -> Tuple[Fraction, Fraction]:
         """Closed range of the varying coordinate."""
@@ -84,33 +66,6 @@ class EdgeRef:
 
     def __repr__(self):
         return f"EdgeRef({self.index}: {self.a}->{self.b} {self.direction} {self.kind})"
-
-
-class Cut:
-    """A cut through a vertex, possibly symbolic ('just below v').
-
-    anchor is a vertex index.  side is None for a cut exactly through the
-    vertex, or 'before'/'after' for the symbolic infinitesimal displacement
-    toward smaller/larger level coordinate.  materialize turns it into the
-    Chord that split, the counts and chord_sides take.
-    """
-
-    __slots__ = ("anchor", "orientation", "side")
-
-    def __init__(self, anchor: int, orientation: str, side: Optional[str] = None):
-        if not isinstance(anchor, int):
-            raise TypeError("a cut's anchor is a vertex index; chords_on_line gives other chords")
-        if orientation not in ("H", "V"):
-            raise ValueError("orientation must be 'H' or 'V'")
-        if side not in (None, "before", "after"):
-            raise ValueError("side must be None, 'before' or 'after'")
-        self.anchor = anchor
-        self.orientation = orientation
-        self.side = side
-
-    def __repr__(self):
-        s = "" if self.side is None else f" {self.side}"
-        return f"Cut({self.anchor} {self.orientation}{s})"
 
 
 class Chord:
@@ -261,10 +216,6 @@ class RectPolygon:
         raise AttributeError("RectPolygon is immutable")
 
     # ---------------------------------------------------------------- queries
-
-    def classify(self, i: int) -> str:
-        """CONVEX or REFLEX for vertex i (interior angle 90 / 270 degrees)."""
-        return self.classes[i % self.n]
 
     def reflex_edges(self) -> List[EdgeRef]:
         return [e for e in self.edges if e.kind == "reflex"]
@@ -646,18 +597,6 @@ def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Chord]
     return chords
 
 
-def _nearest_level(poly: RectPolygon, coord: Fraction, axis: str, side: str) -> Fraction:
-    """Level for a symbolic cut: midway between coord and the nearest distinct
-    vertex coordinate on the requested side."""
-    d, index = poly.edge_index()
-    levels, num, den = index[axis][0], coord.numerator * d, coord.denominator
-    k = bisect_left(levels, -(-num // den)) - 1 if side == "before" else bisect_right(levels, num // den)
-    if not 0 <= k < len(levels):
-        where = {"before": ("below", "left of"), "after": ("above", "right of")}[side][axis == "V"]
-        raise NotAChord(f"no polygon level {where} {coord}")
-    return (coord + Fraction(levels[k], d)) / 2
-
-
 def _reach(c: int, dc: int, q: int, t_max: Optional[Fraction], levels: List[int]) -> Tuple[int, int]:
     """Closed range of the integers L with L*q on the stretch from c to
     c + t_max*dc, one coordinate of a ray scaled by q; the least or the
@@ -714,29 +653,42 @@ def boundary_hits(poly: RectPolygon, z: Point, d: Point,
     return hits
 
 
-def materialize(poly: RectPolygon, cut: Cut) -> Chord:
-    """The Chord of poly that a vertex cut names.
+def vertex_chord(poly: RectPolygon, i: int, o: str) -> Chord:
+    """The chord of orientation o through reflex vertex i.
 
-    A cut through a reflex vertex extends one of its edges: it runs from
-    the vertex, away from its incident edge along the cut, to the first
-    boundary contact of that ray, read off the polygon's shot table.  A
-    symbolic cut is the chord, on the line midway to the nearest vertex
-    level on its side, that spans the vertex's coordinate.
+    It extends i's incident edge of orientation o: it runs from the vertex,
+    away from that edge, to the first boundary contact of the ray, read off
+    the polygon's shot table.
     """
-    o, i = cut.orientation, cut.anchor % poly.n
+    i %= poly.n
     p = poly.vertices[i]
-    level, want = (p.y, p.x) if o == "H" else (p.x, p.y)
-    if cut.side is None:
-        if poly.classes[i] != REFLEX:
-            raise NotAChord(f"no {o} cut at non-reflex vertex {p}")
-        forward, far, there = poly.shots(o)[i]
-        chord = (Chord(o, level, want, far, ((i, True), there)) if forward
-                 else Chord(o, level, far, want, (there, (i, True))))
-    else:
-        level = _nearest_level(poly, level, o, cut.side)
-        chord = next((c for c in chords_on_line(poly, o, level) if c.lo <= want <= c.hi), None)
-        if chord is None:
-            raise NotAChord(f"no chord of line {o}={level} reaches {p}")
+    if poly.classes[i] != REFLEX:
+        raise NotAChord(f"no {o} cut at non-reflex vertex {p}")
+    level, at = (p.y, p.x) if o == "H" else (p.x, p.y)
+    forward, far, there = poly.shots(o)[i]
+    chord = (Chord(o, level, at, far, ((i, True), there)) if forward
+             else Chord(o, level, far, at, (there, (i, True))))
+    _assert_chord(poly, chord)
+    return chord
+
+
+def chord_beside(poly: RectPolygon, i: int, o: str, sense: int) -> Chord:
+    """The chord of orientation o just below or left of vertex i (sense -1),
+    or just above or right of it (sense +1): on the line midway between i's
+    level and the nearest distinct vertex level on that side, the chord
+    that spans i's coordinate along it."""
+    p = poly.vertices[i % poly.n]
+    coord, at = (p.y, p.x) if o == "H" else (p.x, p.y)
+    d, index = poly.edge_index()
+    levels, num, den = index[o][0], coord.numerator * d, coord.denominator
+    k = bisect_right(levels, num // den) if sense > 0 else bisect_left(levels, -(-num // den)) - 1
+    if not 0 <= k < len(levels):
+        where = (("below", "left of"), ("above", "right of"))[sense > 0][o == "V"]
+        raise NotAChord(f"no polygon level {where} {coord}")
+    level = (coord + Fraction(levels[k], d)) / 2
+    chord = next((c for c in chords_on_line(poly, o, level) if c.lo <= at <= c.hi), None)
+    if chord is None:
+        raise NotAChord(f"no chord of line {o}={level} reaches {p}")
     _assert_chord(poly, chord)
     return chord
 
@@ -807,7 +759,7 @@ def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[
     vi = vertex_index % poly.n
     if vi not in (e.index, (e.index + 1) % poly.n):
         raise NotAChord(f"vertex {vertex_index} is not an endpoint of edge {edge_index}")
-    chord = materialize(poly, Cut(vi, e.orientation))
+    chord = vertex_chord(poly, vi, e.orientation)
     minus, plus = chord_sides(chord)
     # The walk from v starts along e when e leaves v, so the pocket is then
     # the side whose walk stops at v; otherwise the one that starts there.

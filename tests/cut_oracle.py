@@ -11,7 +11,8 @@ by vertex, comparing positions along the CCW boundary located with
 locate_boundary.  The reflex vertices on the P_minus side of a chord are
 read off that chain, normal-cut classes come from the line scan at each
 band midpoint, and a pocket's r, n, xy-monotonicity and wrap flag are read
-off the pocket built as a RectPolygon from the chain.  rectbeacon.polygon's
+off the pocket built as a RectPolygon from the chain between the ends of
+the walked chord.  rectbeacon.polygon's
 chords with their ends, its shot table, index ranges and prefix counts and
 the pocket summaries of rectbeacon.placement are checked against them.
 """
@@ -26,10 +27,8 @@ from rectbeacon.polygon import (
     _INWARD,
     REFLEX,
     Chord,
-    Cut,
     RectPolygon,
     boundary_hits,
-    materialize,
 )
 
 from ring_oracle import merge_ring
@@ -227,11 +226,11 @@ def normal_cuts(poly, orientation):
 
 def pocket(poly, e_idx, v_idx):
     """The pocket of reflex edge e at endpoint v: of the two chains between
-    the ends of the cut extending e through v, the one without e's other
-    end, closed by the cut and built as a polygon."""
+    the ends of the walked chord extending e through v, the one without e's
+    other end, closed by the chord and built as a polygon."""
     e = poly.edges[e_idx]
     v = poly.vertices[v_idx]
-    chord = materialize(poly, Cut(v_idx, e.orientation))
+    chord = vertex_chord(poly, v_idx, e.orientation)
     ring = chain_between(poly, chord.a, chord.b)
     if (e.b if v == e.a else e.a) in ring:
         ring = chain_between(poly, chord.b, chord.a)
@@ -246,9 +245,9 @@ def pocket_summary(poly, e_idx, v_idx):
 
 def pocket_wraps(poly, e_idx, v_idx):
     """Does the built pocket reach strictly into e's interior half-plane?"""
-    hp = poly.edges[e_idx].halfplane
+    e = poly.edges[e_idx]
     for w in pocket(poly, e_idx, v_idx).vertices:
-        coord = w.x if hp.axis == "x" else w.y
-        if (coord > hp.c) if hp.sense > 0 else (coord < hp.c):
+        coord = w.y if e.orientation == "H" else w.x
+        if (coord > e.level) if e.sense > 0 else (coord < e.level):
             return True
     return False

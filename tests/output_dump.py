@@ -45,13 +45,13 @@ from rectbeacon.geometry import Point, midpoint  # noqa: E402
 from rectbeacon.kernel import kernel  # noqa: E402
 from rectbeacon.placement import _three_pieces, cover, pocket_summary, route_beacons  # noqa: E402
 from rectbeacon.polygon import (  # noqa: E402
-    Cut,
     boundary_hits,
+    chord_beside,
     count_reflex_below,
     iter_normal_cuts,
-    materialize,
     pocket,
     split,
+    vertex_chord,
 )
 from rectbeacon.regions import slab_rects  # noqa: E402
 from rectbeacon.transforms import TRANSFORMS  # noqa: E402
@@ -99,10 +99,10 @@ def pieces(poly, chord):
     return got if isinstance(got, str) else " | ".join(pts(p.vertices) for p in got)
 
 
-def vertex_cut(poly, cut):
-    """The cut's chord with its located ends, r(P_minus) and both pieces,
-    or the error that materialize raised, three times."""
-    ch = outcome(materialize, poly, cut)
+def vertex_cut(poly, make, *args):
+    """The chord make(poly, *args) with its located ends, r(P_minus) and
+    both pieces, or the error that make raised, three times."""
+    ch = outcome(make, poly, *args)
     if isinstance(ch, str):
         return f"{ch} r-={ch} {ch}"
     return (f"{ch.axis}={ch.level} [{ch.lo},{ch.hi}] ends={ch.ends} "
@@ -115,8 +115,9 @@ def dump_cuts(poly, out):
             out(f"normal {o}={ch.level} [{ch.lo},{ch.hi}] r-={r_minus} {pieces(poly, ch)}")
     for i in poly.reflex_indices:
         for o in "HV":
-            for side in (None, "before", "after"):
-                out(f"vertex cut {i} {o} {side}: {vertex_cut(poly, Cut(i, o, side))}")
+            for side, make, sense in ((None, vertex_chord, ()), ("before", chord_beside, (-1,)),
+                                      ("after", chord_beside, (1,))):
+                out(f"vertex cut {i} {o} {side}: {vertex_cut(poly, make, i, o, *sense)}")
     for e in poly.reflex_edges():
         for v in (e.a, e.b):
             vi = poly.vertex_index(v)

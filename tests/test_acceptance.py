@@ -258,7 +258,8 @@ def test_c09_attraction_model_properties():
             for seg in path.segments:
                 if seg.mode == "slide":
                     e = p.edges[seg.edge]
-                    assert not e.halfplane.contains(b), "bend on an edge containing the beacon"
+                    assert e.sense * ((b.y if e.orientation == "H" else b.x) - e.level) < 0, \
+                        "bend on an edge containing the beacon"
                     if path.reached:
                         assert e.kind != "convex", "reached path bent on a convex edge"
             if _segment_inside(p, s, b):

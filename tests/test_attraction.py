@@ -142,7 +142,8 @@ def test_bend_edges_block_beacon_halfplane():
     for seg in path.segments:
         if seg.mode == "slide":
             e = p.edges[seg.edge]
-            assert not e.halfplane.contains(path.beacon)
+            # The beacon lies strictly outside the edge's closed half-plane.
+            assert e.sense * ((path.beacon.y if e.orientation == "H" else path.beacon.x) - e.level) < 0
             assert e.kind != "convex" or not path.reached
 
 

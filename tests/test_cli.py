@@ -304,7 +304,10 @@ def test_verify_rejects_a_density_it_would_not_run(tmp_path, flags):
     ["gen", "spiral", "--kind", "uniform", "-r", "-1"],
     ["bench", "--runs", "0"],
     ["bench", "--sizes", "a"],
-], ids=["coverage_negative_r", "routing_r_0", "uniform_negative_r", "bench_no_runs", "bench_bad_sizes"])
+    ["bench", "--sizes", "0"],
+    ["gen", "comb", "-k", "0"],
+], ids=["coverage_negative_r", "routing_r_0", "uniform_negative_r", "bench_no_runs", "bench_bad_sizes",
+        "bench_size_0", "comb_k_0"])
 def test_bad_argument_exits_2_with_one_error_line(command):
     r = run(command)
     assert r.returncode == 2, r.stderr

@@ -23,21 +23,21 @@ from rectbeacon.placement import (
 from rectbeacon.polygon import (
     REFLEX,
     Chord,
-    Cut,
     RectPolygon,
     _assert_chord,
     _cut_rings,
     _merge_ring,
     boundary_hits,
+    chord_beside,
     chord_sides,
     chords_on_line,
     count_reflex_below,
     iter_normal_cuts,
-    materialize,
     pocket,
     pocket_side,
     split,
     validate,
+    vertex_chord,
 )
 from rectbeacon.transforms import TRANSFORMS
 
@@ -157,7 +157,7 @@ def test_vertex_chords_match_ray_cut():
                 forward = walked.ends[0] == (i, True)
                 assert rows[i] == (forward, walked.hi if forward else walked.lo, walked.ends[forward]), \
                     (p.vertices, i, o)
-                chord = materialize(p, Cut(i, o))
+                chord = vertex_chord(p, i, o)
                 assert (chord.lo, chord.hi, chord.ends) == (walked.lo, walked.hi, walked.ends) \
                     == cut_oracle.ray_cut(p, i, o), (p.vertices, i, o)
                 cuts += 1
@@ -249,14 +249,50 @@ def test_normal_cut_classes_match_chain_walk():
 
 
 def _vertex_chords(p):
-    """(i, o, side, chord) for every cut through or just beside a reflex
-    vertex i that makes a chord."""
+    """(i, o, side, chord) for every chord through a reflex vertex i (side
+    None) or just beside it (side -1 or +1, the sense chord_beside takes)."""
     for i in p.reflex_indices:
-        for o, side in [(o, side) for o in "HV" for side in (None, "before", "after")]:
+        for o, side in [(o, side) for o in "HV" for side in (None, -1, 1)]:
             try:
-                yield i, o, side, materialize(p, Cut(i, o, side))
+                yield i, o, side, vertex_chord(p, i, o) if side is None else chord_beside(p, i, o, side)
             except NotAChord:
                 continue
+
+
+def test_chords_beside_vertices_lie_midway_to_the_next_level():
+    """chord_beside's chord lies on the line midway between the vertex's
+    level and the nearest distinct vertex level on its side, taken from the
+    sorted Fraction coordinates, and spans the line scan's interval that
+    holds the vertex's coordinate along it.  At every vertex, both
+    orientations and both senses: NotAChord exactly when no vertex level
+    lies on that side or no such interval exists, which at a reflex vertex
+    never happens."""
+    chords = missing = 0
+    for p in CORPUS:
+        for o in "HV":
+            levels = sorted({(v.y if o == "H" else v.x) for v in p.vertices})
+            scans = {}
+            for i, v in enumerate(p.vertices):
+                level, along = (v.y, v.x) if o == "H" else (v.x, v.y)
+                for sense in (-1, 1):
+                    beyond = [t for t in levels if sense * (t - level) > 0]
+                    want = []
+                    if beyond:
+                        t = (level + min(beyond, key=lambda u: sense * u)) / 2
+                        if t not in scans:
+                            scans[t] = cut_oracle.chords_on_line(p, o, t)
+                        want = [(lo, hi) for lo, hi in scans[t] if lo <= along <= hi]
+                    if not want:
+                        assert p.classes[i] != REFLEX, (p.vertices, i, o, sense)
+                        with pytest.raises(NotAChord):
+                            chord_beside(p, i, o, sense)
+                        missing += 1
+                        continue
+                    chord = chord_beside(p, i, o, sense)
+                    assert (chord.axis, chord.level, [(chord.lo, chord.hi)]) == (o, t, want), \
+                        (p.vertices, i, o, sense)
+                    chords += 1
+    assert chords >= 15000 and missing >= 5000
 
 
 def test_reflex_below_at_vertex_cuts_matches_chain_walk():
@@ -294,7 +330,7 @@ def _two_splits(p, e, vi, vpi):
     a, rest = (minus, plus) if is_minus else (plus, minus)
     where = rest.locate_boundary(p.vertices[vpi])
     assert where is not None and where[1], (p.vertices, e.index, vi)
-    minus, plus = split(rest, materialize(rest, Cut(where[0], e.orientation)))
+    minus, plus = split(rest, vertex_chord(rest, where[0], e.orientation))
     c, b = (minus, plus) if is_minus else (plus, minus)
     return a, b, c
 
@@ -479,7 +515,7 @@ def test_classes_and_merged_rings_match_fraction_turns():
 
 
 def _edge_table(p):
-    return [(e.orientation, e.direction, e.kind, e.halfplane.axis, e.halfplane.c, e.halfplane.sense)
+    return [(e.orientation, e.direction, e.kind, "y" if e.orientation == "H" else "x", e.level, e.sense)
             for e in p.edges]
 
 
@@ -504,7 +540,7 @@ def test_edge_table_matches_fraction_rule():
     for p in MAPPED:
         made = _split_pieces(p)
         made += [pocket(p, e.index, v) for e in p.reflex_edges() for v in (e.index, (e.index + 1) % p.n)]
-        clips = [(hp.axis, hp.c) for hp in (e.halfplane for e in p.reflex_edges())]
+        clips = [("y" if e.orientation == "H" else "x", e.level) for e in p.reflex_edges()]
         for o, axis in (("H", "y"), ("V", "x")):
             classes = list(iter_normal_cuts(p, o))
             clips.append((axis, classes[len(classes) // 2][0].level))

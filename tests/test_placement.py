@@ -18,16 +18,15 @@ from rectbeacon.placement import (
     route_beacons,
 )
 from rectbeacon.polygon import (
-    Cut,
     RectPolygon,
     _cut_rings,
     _piece,
     chord_sides,
     chords_on_line,
-    materialize,
     pocket,
     split,
     validate,
+    vertex_chord,
 )
 from rectbeacon.transforms import TRANSFORMS
 from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing
@@ -240,11 +239,11 @@ def test_cover_monotone_names_cuts_of_its_input():
     for s in range(60):
         p = TRANSFORMS["rot90"].polygon(random_x_monotone(8 + 2 * (s % 20), s))
         for node in _labelled(cover_monotone(p).trace, "mono_cut")[:1]:
-            anchor, o = re.fullmatch(r"Cut\((\d+) ([HV])\)", node.detail).groups()
+            o = re.fullmatch(r"Chord\(([HV])=.*\)", node.detail).group(1)
             assert o == "H", (s, node.detail)
+            chord, = [c for c in (vertex_chord(p, i, o) for i in p.reflex_indices) if repr(c) == node.detail]
             rest, = node.children
-            assert rest.r in {piece.r for piece in split(p, materialize(p, Cut(int(anchor), o)))}, \
-                (s, node.detail)
+            assert rest.r in {piece.r for piece in split(p, chord)}, (s, node.detail)
             cuts += 1
     assert cuts >= 40
 

@@ -11,16 +11,16 @@ from rectbeacon import polygon
 from rectbeacon.polygon import (
     CONVEX,
     REFLEX,
-    Cut,
     RectPolygon,
     boundary_hits,
+    chord_beside,
     chords_on_line,
     count_reflex_below,
     m_cut_class,
-    materialize,
     pocket,
     split,
     validate,
+    vertex_chord,
 )
 
 import cut_oracle
@@ -189,8 +189,7 @@ def test_split_square_vertical():
 
 def test_split_l_shape_at_reflex_vertex():
     p = l_shape()
-    cut = Cut(p.vertex_index(Point(2, 2)), "H")
-    minus, plus = split(p, materialize(p, cut))
+    minus, plus = split(p, vertex_chord(p, p.vertex_index(Point(2, 2)), "H"))
     assert sorted(v.key() for v in minus.vertices) == sorted(
         Point(x, y).key() for x, y in [(0, 0), (4, 0), (4, 2), (0, 2)]
     )
@@ -242,7 +241,7 @@ def test_pocket_has_fewer_vertices():
 def test_count_reflex_below_l_shape():
     p = l_shape()
     vi = p.vertex_index(Point(2, 2))
-    chord = materialize(p, Cut(vi, "H", "before"))
+    chord = chord_beside(p, vi, "H", -1)
     assert count_reflex_below(p, chord) == 0
     assert m_cut_class(p, chord) == 0
 
@@ -250,7 +249,7 @@ def test_count_reflex_below_l_shape():
 def test_count_reflex_above_includes_vertex():
     p = l_shape()
     vi = p.vertex_index(Point(2, 2))
-    chord = materialize(p, Cut(vi, "H", "after"))
+    chord = chord_beside(p, vi, "H", 1)
     assert count_reflex_below(p, chord) == 1
 
 
@@ -288,10 +287,10 @@ def test_chords_on_line_matches_point_probing():
                 assert p.contains(probe) != "in"
 
 
-def test_materialize_rejects_cut_in_convex_vertex():
+def test_vertex_chord_rejects_convex_vertex():
     p = square()
     with pytest.raises(NotAChord):
-        materialize(p, Cut(0, "H"))
+        vertex_chord(p, 0, "H")
 
 
 def test_contains_modes():
