@@ -17,7 +17,6 @@ from .placement import (
     cover_base,
     cover_monotone,
     find_safe_cut,
-    find_xy_monotone_pocket,
     route_beacons,
 )
 from .polygon import (
@@ -67,7 +66,6 @@ __all__ = [
     "cover_base",
     "cover_monotone",
     "find_safe_cut",
-    "find_xy_monotone_pocket",
     "route_beacons",
     "coverage_spiral",
     "routing_spiral",

@@ -1,0 +1,8 @@
+"""`python -m rectbeacon ...` runs the command line, as `rectbeacon ...` does."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,7 +47,7 @@ def clip_fast(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> List
     # The kept side leaves every chord of the line at the same end.
     first = chord_sides(chords[0])[0 if keep_low else 1].first
     rings = _cut_rings(poly, chords, {(k, first) for k in range(len(chords))})
-    return [_piece(*ring) for ring in rings.values()]
+    return [_piece(ring) for ring in rings.values()]
 
 
 def clip_split(poly: RectPolygon, axis: str, c: Fraction, keep_low: bool) -> List[RectPolygon]:

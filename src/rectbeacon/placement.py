@@ -21,16 +21,18 @@ from .polygon import (
     REFLEX,
     Chord,
     RectPolygon,
+    _assert_chord,
     _cut_rings,
     _cyclic,
-    _piece,
+    _mapped_piece,
     chord_beside,
     chord_sides,
     chords_on_line,
     # count_reflex_below stays importable from here, where perfbench's traced run wraps it.
     count_reflex_below,  # noqa: F401
     iter_normal_cuts,
-    pocket,
+    # pocket stays importable from here, where perfbench's traced run wraps it.
+    pocket,  # noqa: F401
     pocket_side,
     split,
     vertex_chord,
@@ -492,6 +494,13 @@ def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -
 # strictly inside the pocket's chain are s, s+1, ..., t-1 (cyclic).
 PocketSummary = namedtuple("PocketSummary", "r n monotone s t")
 
+# One row of a routing node's pocket table, for end v of reflex edge e: the
+# chord that extends e through v, on e's line at level from lo to hi, which
+# leaves v forward (towards hi) or not and ends inside edge far; the Side of
+# it that is the pocket (s, t, first); and the pocket's r, n and
+# xy-monotonicity, as pocket_summary gives them.
+PocketRow = namedtuple("PocketRow", "level lo hi forward far s t first r n monotone")
+
 
 def _side_monotone(poly: RectPolygon, side) -> bool:
     """Is the piece on a Side of a chord xy-monotone?  Read off poly's
@@ -517,28 +526,101 @@ def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
     return PocketSummary(r, (t - s) % poly.n + 2, _side_monotone(poly, side), s, t)
 
 
-def _pockets(poly: RectPolygon):
-    """(edge index, endpoint vertex index, summary) for every reflex edge end."""
+def _row(poly: RectPolygon, e_idx: int, v_idx: int, level: Fraction, lo: Fraction, hi: Fraction,
+         forward: bool, far: int) -> PocketRow:
+    """The row of end v of reflex edge e for its chord, counted on poly's
+    boundary.  The pocket is the side without e.  The walk from v starts
+    along e when e leaves v, so the pocket is then the walk from the far
+    end back to v, which leaves the chord there; otherwise it is the walk
+    from v to the far end (see walk_range)."""
+    if e_idx == v_idx:
+        s, t, first = far + 1, v_idx, int(forward)
+    else:
+        s, t, first = v_idx + 1, far + 1, int(not forward)
+    return PocketRow(level, lo, hi, forward, far, s, t, first, poly.reflex_counts(s, t)[0],
+                     (t - s) % poly.n + 2, poly.reflex_counts(s, t - 1)[1] == 0)
+
+
+def _row_chord(poly: RectPolygon, e_idx: int, v_idx: int, row: PocketRow) -> Chord:
+    """The located chord of a row."""
+    ends = ((v_idx, True), (row.far, False))
+    return Chord(poly.edges[e_idx].orientation, row.level, row.lo, row.hi, ends if row.forward else ends[::-1])
+
+
+def _pocket_rows(poly: RectPolygon) -> dict:
+    """{(e, v): PocketRow} for both ends v of every reflex edge e, each
+    chord shot and checked afresh: the table of the routing root."""
+    rows = {}
     for e in poly.reflex_edges():
         for vi in (e.index, (e.index + 1) % poly.n):
-            yield e.index, vi, pocket_summary(poly, e.index, vi)
+            c = vertex_chord(poly, vi, e.orientation)
+            forward = c.ends[0] == (vi, True)
+            far, at_vertex = c.ends[forward]
+            if at_vertex:
+                raise InternalCaseError(f"pocket cut from {poly.vertices[vi]} ends at a vertex")
+            rows[e.index, vi] = _row(poly, e.index, vi, c.level, c.lo, c.hi, forward, far)
+    return rows
 
 
-def find_xy_monotone_pocket(poly: RectPolygon) -> Tuple[int, int]:
-    """(edge index, endpoint vertex index) whose pocket is xy-monotone."""
-    if not poly.reflex_edges():
-        raise NotAChord("polygon has no reflex edge; it is already xy-monotone")
-    e_idx, v_idx, summary = min(_pockets(poly), key=lambda t: (t[2].n, t[0], t[1]))
-    pk = pocket(poly, e_idx, v_idx)
-    if not pk.is_xy_monotone() or (pk.r, pk.n) != (summary.r, summary.n):
-        raise InternalCaseError(f"chosen pocket {pk} is not xy-monotone or not {summary}")
-    return e_idx, v_idx
+def _carried_pieces(poly: RectPolygon, rows: dict, chords: Sequence[Chord], starts) -> dict:
+    """{start: (piece, its pocket table)} for the pieces that _cut_rings
+    cuts poly into along chords that lie on one line, each table carried
+    over from poly's table rows without shooting a chord again.
+
+    A piece's reflex edges are those of poly with both ends strictly inside
+    one of its boundary walks, so each of its rows has a row of poly, whose
+    chord runs from the same vertex the same way.  That chord lies inside
+    poly but for its ends.  If it meets no cut chord, it lies in one piece,
+    inside it but for its ends, and ends at the same point of poly's
+    boundary, on the part of the same edge that the piece keeps: it is the
+    piece's chord as it stands, so it needs no second _assert_chord; the
+    first checked it when it was shot, or when it was carried across a cut.
+    A cut chord ends inside edges across its line, so a chord that crosses
+    it ends on an edge along that line, which no cut chord splits: the edge
+    lies wholly in another piece.  So the chord crosses a cut chord just
+    when the piece keeps nothing of the edge it ends on, and then it
+    crosses one, as the cut chords lie on one line.  The piece's chord
+    ends there, inside the piece's edge along that cut chord, and
+    _assert_chord checks it.  Every row's pocket is counted on the piece's
+    own prefix counts.
+    """
+    out = {}
+    for start, ring in _cut_rings(poly, chords, starts).items():
+        piece, parent, edge_of = _mapped_piece(ring)
+        table = {}
+        for e in piece.reflex_edges():
+            for vi in (e.index, (e.index + 1) % piece.n):
+                pv = parent[vi]
+                row = rows[parent[e.index], pv]
+                level, lo, hi, forward = row.level, row.lo, row.hi, row.forward
+                far = edge_of.get(row.far)
+                crossing = far is None
+                if crossing:
+                    k = _crossed(chords, e.orientation, level, lo, hi)
+                    if k is None:
+                        raise InternalCaseError(f"the chord of {poly.vertices[pv]} leaves its piece")
+                    far = edge_of[~k]
+                    lo, hi = (lo, chords[k].level) if forward else (chords[k].level, hi)
+                table[e.index, vi] = carried = _row(piece, e.index, vi, level, lo, hi, forward, far)
+                if crossing:
+                    _assert_chord(piece, _row_chord(piece, e.index, vi, carried))
+        out[start] = piece, table
+    return out
+
+
+def _crossed(chords: Sequence[Chord], o: str, level: Fraction, lo: Fraction, hi: Fraction) -> Optional[int]:
+    """The index of the cut chord that the chord of orientation o at level
+    from lo to hi crosses, else None."""
+    for k, cut in enumerate(chords):
+        if cut.axis != o and cut.lo < level < cut.hi and lo < cut.level < hi:
+            return k
+    return None
 
 
 def route_beacons(poly: RectPolygon, trace: Optional[TraceNode] = None) -> BeaconSet:
     """Place at most floor(3r/4) beacons routing every pair of points."""
     root = trace if trace is not None else TraceNode("route_root", poly.r)
-    beacons = _dedup(_route_rec(poly, root))
+    beacons = _dedup(_route_rec(poly, _pocket_rows(poly), root))
     if len(beacons) > (3 * poly.r) // 4:
         raise InternalCaseError(
             f"routing used {len(beacons)} beacons, budget {(3 * poly.r) // 4}"
@@ -546,9 +628,9 @@ def route_beacons(poly: RectPolygon, trace: Optional[TraceNode] = None) -> Beaco
     return BeaconSet(beacons, ["route"] * len(beacons), trace=root, mode="route")
 
 
-def _pocket_wraps(poly: RectPolygon, e_idx: int, pk: PocketSummary) -> bool:
-    """Does the pocket of e summarized by pk reach strictly into e's interior
-    half-plane?
+def _pocket_wraps(poly: RectPolygon, e_idx: int, pk) -> bool:
+    """Does the pocket of e summarized by pk, a PocketSummary or a
+    PocketRow, reach strictly into e's interior half-plane?
 
     A wrapping complement pocket invalidates the monotone-sweep reasoning,
     so the selection below avoids it whenever it matters.
@@ -568,9 +650,10 @@ def _other_end(poly: RectPolygon, e_idx: int, v_idx: int) -> int:
     return (e_idx + 1) % poly.n if v_idx == e_idx else e_idx
 
 
-def _select_routing_pocket(poly: RectPolygon) -> Optional[Tuple[int, int, PocketSummary]]:
-    """Pick (edge, endpoint, pocket summary) with a monotone pocket, avoiding
-    sweep pitfalls; the caller builds the pocket and checks it.
+def _select_routing_pocket(poly: RectPolygon, rows: dict) -> Optional[Tuple[int, int, PocketRow]]:
+    """Pick (edge, endpoint, row) of poly's pocket table with a monotone
+    pocket, avoiding sweep pitfalls; the caller builds the pocket and
+    checks it.
 
     Preference order: a pocket with at least one reflex vertex (that branch
     recurses the whole complement, so its shape is irrelevant); then a
@@ -578,48 +661,48 @@ def _select_routing_pocket(poly: RectPolygon) -> Optional[Tuple[int, int, Pocket
     line (the sweep argument needs this); a rectangle pocket with a trivial
     complement comes along for free with either.
     """
-    summaries = {(e_idx, vi): pk for e_idx, vi, pk in _pockets(poly)}
-    monos = [(e_idx, vi, pk) for (e_idx, vi), pk in summaries.items() if pk.monotone]
+    monos = [(e_idx, vi, row) for (e_idx, vi), row in rows.items() if row.monotone]
     if not monos:
         raise InternalCaseError("no xy-monotone pocket exists")
     rich = [(e_idx, vi, pk) for e_idx, vi, pk in monos if pk.r >= 1]
     if rich:
         return min(rich, key=lambda t: (-t[2].r, t[2].n, t[0], t[1]))
     for e_idx, vi, pk in sorted(monos, key=lambda t: (t[2].n, t[0], t[1])):
-        if not _pocket_wraps(poly, e_idx, summaries[e_idx, _other_end(poly, e_idx, vi)]):
+        if not _pocket_wraps(poly, e_idx, rows[e_idx, _other_end(poly, e_idx, vi)]):
             return e_idx, vi, pk
     return None  # caller falls back to the generic pair scheme
 
 
-def _route_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
+def _route_rec(poly: RectPolygon, rows: dict, node: TraceNode) -> List[Point]:
+    """Route poly, whose pocket table is rows."""
     if poly.is_xy_monotone():
         node.child(TraceNode("route_monotone", poly.r))
         return []
-    selected = _select_routing_pocket(poly)
+    selected = _select_routing_pocket(poly, rows)
     if selected is None:
-        return _route_pair_fallback(poly, node)
+        return _route_pair_fallback(poly, rows, node)
     # Route through the pocket A at end v of reflex edge e, xy-monotone as
     # its summary says.
     e_idx, v_idx, summary = selected
     r = poly.r
-    a_piece, b_piece, c_piece, p, qpt = _three_pieces(poly, e_idx, v_idx)
+    (a_piece, _), (b_piece, b_rows), (c_piece, c_rows), p, qpt = _three_pieces(poly, rows, e_idx, v_idx)
     if not a_piece.is_xy_monotone() or (a_piece.r, a_piece.n) != (summary.r, summary.n):
         raise InternalCaseError(f"chosen pocket {a_piece} is not xy-monotone or not {summary}")
     if a_piece.r >= 1:
         child = node.child(TraceNode("route(rA>=1)", r, f"b1={p} b2={qpt}"))
         child.beacons.extend([p, qpt])
         return ([p, qpt]
-                + _route_rec(b_piece, child.child(TraceNode("B", b_piece.r)))
-                + _route_rec(c_piece, child.child(TraceNode("C", c_piece.r))))
+                + _route_rec(b_piece, b_rows, child.child(TraceNode("B", b_piece.r)))
+                + _route_rec(c_piece, c_rows, child.child(TraceNode("C", c_piece.r))))
     # r(A) = 0: A is a rectangle; b1 goes infinitesimally inward of e at v'.
     e = poly.edges[e_idx]
     b1 = _beacon_above(poly, e, poly.vertices[_other_end(poly, e_idx, v_idx)])
     child = node.child(TraceNode("route(rA=0)", r, f"b1={b1}"))
     child.beacons.append(b1)
-    out = [b1] + _route_rec(b_piece, child.child(TraceNode("B", b_piece.r)))
+    out = [b1] + _route_rec(b_piece, b_rows, child.child(TraceNode("B", b_piece.r)))
     if c_piece.r == 0:
         return out
-    return out + _route_sweep_c(c_piece, e, qpt, child)
+    return out + _route_sweep_c(c_piece, c_rows, e, qpt, child)
 
 
 def _far_end(chord: Chord, w: Point) -> Point:
@@ -627,24 +710,26 @@ def _far_end(chord: Chord, w: Point) -> Point:
     return chord.a if chord.b == w else chord.b
 
 
-def _three_pieces(poly: RectPolygon, e_idx: int, v_idx: int):
-    """(A, B, C, p, q): poly cut along reflex edge e's line at both its ends.
+def _three_pieces(poly: RectPolygon, rows: dict, e_idx: int, v_idx: int):
+    """(A, B, C, p, q): poly cut along reflex edge e's line at both its ends,
+    each piece as (piece, its pocket table), carried over from poly's
+    table rows.
 
     A and C are the pockets at v and at v', e's other end, and B, between
     them, holds e; p and q are the far ends of their chords.  The chords
     extend e both ways, so one walk along both cuts all three pieces.
     """
     vp_idx = _other_end(poly, e_idx, v_idx)
-    chord_a, side_a = pocket_side(poly, e_idx, v_idx)
-    chord_c, side_c = pocket_side(poly, e_idx, vp_idx)
+    row_a, row_c = rows[e_idx, v_idx], rows[e_idx, vp_idx]
+    chord_a, chord_c = _row_chord(poly, e_idx, v_idx, row_a), _row_chord(poly, e_idx, vp_idx, row_c)
     # B leaves the chord at v' where the pocket there returns to it.
-    a, b, c = (0, side_a.first), (1, 1 - side_c.first), (1, side_c.first)
-    rings = _cut_rings(poly, [chord_a, chord_c], (a, b, c))
-    return (_piece(*rings[a]), _piece(*rings[b]), _piece(*rings[c]),
+    a, b, c = (0, row_a.first), (1, 1 - row_c.first), (1, row_c.first)
+    pieces = _carried_pieces(poly, rows, [chord_a, chord_c], (a, b, c))
+    return (pieces[a], pieces[b], pieces[c],
             _far_end(chord_a, poly.vertices[v_idx]), _far_end(chord_c, poly.vertices[vp_idx]))
 
 
-def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
+def _route_pair_fallback(poly: RectPolygon, rows: dict, node: TraceNode) -> List[Point]:
     """Three-piece split with beacons at both cut endpoints, all recursed.
 
     Sound for any reflex edge: the cut segments are convex edges of their
@@ -656,15 +741,13 @@ def _route_pair_fallback(poly: RectPolygon, node: TraceNode) -> List[Point]:
     budget = (3 * poly.r) // 4
     for e in poly.reflex_edges():
         for vi in (e.index, (e.index + 1) % poly.n):
-            a_piece, b_piece, c_piece, p_pt, q_pt = _three_pieces(poly, e.index, vi)
-            if 2 + sum((3 * piece.r) // 4 for piece in (a_piece, b_piece, c_piece)) > budget:
+            *pieces, p_pt, q_pt = _three_pieces(poly, rows, e.index, vi)
+            if 2 + sum((3 * piece.r) // 4 for piece, _ in pieces) > budget:
                 continue
             child = node.child(TraceNode("route(pair-fallback)", poly.r, f"b1={p_pt} b2={q_pt}"))
             child.beacons.extend([p_pt, q_pt])
-            return ([p_pt, q_pt]
-                    + _route_rec(a_piece, child.child(TraceNode("A", a_piece.r)))
-                    + _route_rec(b_piece, child.child(TraceNode("B", b_piece.r)))
-                    + _route_rec(c_piece, child.child(TraceNode("C", c_piece.r))))
+            return [p_pt, q_pt] + [b for name, (piece, piece_rows) in zip("ABC", pieces)
+                                   for b in _route_rec(piece, piece_rows, child.child(TraceNode(name, piece.r)))]
     raise InternalCaseError("no pocket choice and no in-budget pair split; routing is stuck")
 
 
@@ -690,7 +773,7 @@ def _beacon_above(poly: RectPolygon, e, vprime: Point) -> Point:
 # lie inside edges and _side_monotone reads the upper piece's monotonicity.
 
 
-def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List[Point]:
+def _route_sweep_c(c_piece: RectPolygon, c_rows: dict, e, qpt: Point, node: TraceNode) -> List[Point]:
     """Sweep C away from e's line, from its chord at v' on, until
     xy-monotonicity breaks.
 
@@ -718,13 +801,13 @@ def _route_sweep_c(c_piece: RectPolygon, e, qpt: Point, node: TraceNode) -> List
                 if c.lo < interval[1] and interval[0] < c.hi]
         if len(over) != 1 or not _side_monotone(c_piece, chord_sides(over[0])[::sense][1]):
             # The event that broke monotonicity sits at the band's top level.
-            return _route_c_violation(c_piece, e, prev_level, interval, qpt, node)
+            return _route_c_violation(c_piece, c_rows, e, prev_level, interval, qpt, node)
         interval = (over[0].lo, over[0].hi)
         prev_level = level
     raise InternalCaseError("the sweep of C ran out of levels, so C is xy-monotone")
 
 
-def _route_c_violation(c_piece: RectPolygon, e, level: Fraction,
+def _route_c_violation(c_piece: RectPolygon, c_rows: dict, e, level: Fraction,
                        interval, qpt: Point, node: TraceNode) -> List[Point]:
     o = e.orientation
     lo_i, hi_i = interval
@@ -734,7 +817,7 @@ def _route_c_violation(c_piece: RectPolygon, e, level: Fraction,
     if parallel:
         if len(parallel) > 1:
             raise InternalCaseError("two reflex edges parallel to e stop the sweep at once")
-        return _route_c_three(c_piece, e, parallel[0], qpt, node)
+        return _route_c_three(c_piece, c_rows, e, parallel[0], qpt, node)
     # A violator across o: its end w sits at this level.
     coords = [_level_along(p, o) for p in c_piece.vertices]
     w_cands = [i for i in c_piece.reflex_indices if coords[i][0] == level and lo_i <= coords[i][1] <= hi_i]
@@ -743,29 +826,31 @@ def _route_c_violation(c_piece: RectPolygon, e, level: Fraction,
     wi = w_cands[0]
     chord = vertex_chord(c_piece, wi, o)
     b2 = _far_end(chord, c_piece.vertices[wi])
-    c2, c1 = split(c_piece, chord)[::e.sense]
+    starts = [(0, side.first) for side in chord_sides(chord)]
+    pieces = _carried_pieces(c_piece, c_rows, [chord], starts)
+    (c2, c2_rows), (c1, _) = [pieces[start] for start in starts][::e.sense]
     if not c1.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (perpendicular case)")
     child = node.child(TraceNode("route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}"))
     child.beacons.extend([b2, qpt])
-    return [b2, qpt] + _route_rec(c2, child.child(TraceNode("C2", c2.r)))
+    return [b2, qpt] + _route_rec(c2, c2_rows, child.child(TraceNode("C2", c2.r)))
 
 
-def _route_c_three(c_piece: RectPolygon, e, eprime, qpt: Point, node: TraceNode) -> List[Point]:
+def _route_c_three(c_piece: RectPolygon, c_rows: dict, e, eprime, qpt: Point, node: TraceNode) -> List[Point]:
     """Split C along the full sweep segment through a reflex edge e' parallel
     to e, by _three_pieces at e''s first end along o.  The upper piece holds
     qpt; the two others, in order along o, are C2 and C3.  b2 and b3, the
     far ends, are in order along o too."""
     w = min((eprime.index, (eprime.index + 1) % c_piece.n),
             key=lambda i: _level_along(c_piece.vertices[i], e.orientation)[1])
-    *pieces, b2, b3 = _three_pieces(c_piece, eprime.index, w)
-    upper = next(piece for piece in pieces if piece.vertex_index(qpt) is not None)
+    *pieces, b2, b3 = _three_pieces(c_piece, c_rows, eprime.index, w)
+    upper, _ = next(piece for piece in pieces if piece[0].vertex_index(qpt) is not None)
     if not upper.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (parallel case)")
     beacons = [b2, b3] + ([qpt] if upper.r >= 2 else [])
     child = node.child(TraceNode("route(C three-piece)", c_piece.r,
                                  f"b2={b2} b3={b3} bstar={'yes' if upper.r >= 2 else 'no'}"))
     child.beacons.extend(beacons)
-    below = [piece for piece in pieces if piece is not upper]
-    return beacons + [b for k, piece in enumerate(below)
-                      for b in _route_rec(piece, child.child(TraceNode(f"C{k + 2}", piece.r)))]
+    below = [piece for piece in pieces if piece[0] is not upper]
+    return beacons + [b for k, (piece, rows) in enumerate(below)
+                      for b in _route_rec(piece, rows, child.child(TraceNode(f"C{k + 2}", piece.r)))]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
+from itertools import accumulate
 from math import lcm
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -116,50 +117,79 @@ def _turn(xs: List[int], ys: List[int], a: int, b: int, c: int) -> int:
     return (t > 0) - (t < 0)
 
 
+def _turns(xs: List[int], ys: List[int]) -> List[int]:
+    """The turn at every vertex of the ring through the points (xs[k],
+    ys[k]), from its predecessor to its successor, in index order: > 0
+    left, < 0 right, 0 straight or back."""
+    return [(x - a) * (d - y) - (y - b) * (c - x) for a, b, x, y, c, d
+            in zip(xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
+
+
 def _classify(verts: Sequence[Point], xs: List[int], ys: List[int]) -> Tuple[str, ...]:
     """CONVEX or REFLEX for each vertex of a CCW ring, from the turns on the
     ints; NotRectilinear at a straight vertex."""
-    n = len(xs)
-    classes = []
-    for i in range(n):
-        turn = _turn(xs, ys, i - 1, i, (i + 1) % n)
-        if turn == 0:
-            raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
-        classes.append(CONVEX if turn > 0 else REFLEX)
-    return tuple(classes)
+    turns = _turns(xs, ys)
+    if 0 in turns:
+        i = turns.index(0)
+        raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
+    return tuple(CONVEX if turn > 0 else REFLEX for turn in turns)
 
 
 def _merge_ring(points: Sequence[Point], ints: Optional[Tuple[int, List[int], List[int]]] = None
-                ) -> Tuple[List[Point], Tuple[int, List[int], List[int]]]:
+                ) -> Tuple[List[Point], Tuple[int, List[int], List[int]], List[int]]:
     """Drop repeated and 180-degree (collinear) vertices from a closed ring:
-    (the points kept, (D, xs, ys) of them), D a common denominator.  ints
-    is (D, xs, ys) of the points if the caller has them."""
+    (the points kept, (D, xs, ys) of them, their positions in the ring), D a
+    common denominator.  ints is (D, xs, ys) of the points if the caller
+    has them."""
     d, xs, ys = _scaled(points) if ints is None else ints
-    keep: List[int] = []
-    for k in range(len(points)):
-        if not keep or xs[k] != xs[keep[-1]] or ys[k] != ys[keep[-1]]:
-            keep.append(k)
+    # A point equal to the one before it repeats the last point kept.
+    keep = [k for k in range(len(points)) if k == 0 or xs[k] != xs[k - 1] or ys[k] != ys[k - 1]]
     if len(keep) > 1 and xs[keep[0]] == xs[keep[-1]] and ys[keep[0]] == ys[keep[-1]]:
         keep.pop()
     # Drop the first collinear vertex until none is left.  The vertices before
     # it keep their neighbours, so the scan steps back one place instead of
     # restarting, except after dropping the last vertex, vertex 0's neighbour.
-    i = 0
+    # It starts at the first collinear vertex, if any.
+    turns = _turns([xs[k] for k in keep], [ys[k] for k in keep]) if len(keep) >= 3 else []
+    i = turns.index(0) if 0 in turns else len(keep)
     while len(keep) >= 3 and i < len(keep):
         if _turn(xs, ys, keep[i - 1], keep[i], keep[(i + 1) % len(keep)]) == 0:
             del keep[i]
             i = 0 if i == len(keep) else max(i - 1, 0)
         else:
             i += 1
-    return [points[k] for k in keep], (d, [xs[k] for k in keep], [ys[k] for k in keep])
+    return [points[k] for k in keep], (d, [xs[k] for k in keep], [ys[k] for k in keep]), keep
 
 
-def _piece(ring: Sequence[Point], ints: Optional[Tuple[int, List[int], List[int]]] = None) -> "RectPolygon":
-    """The trusted polygon of a ring cut from a polygon: one scaling (or the
-    ints the caller has) merges the ring, classifies its vertices and edges
-    and later builds its index."""
-    verts, ints = _merge_ring(ring, ints)
+# A ring that chords cut from a polygon, unmerged: its points, (M, xs, ys)
+# of them, M a common denominator, and segs, which names what the ring runs
+# along from points[m] to points[m + 1]: the polygon's edge segs[m] when
+# segs[m] >= 0, else the chord ~segs[m] of the cut.
+Ring = namedtuple("Ring", "points ints segs")
+
+
+def _piece(ring: Ring) -> "RectPolygon":
+    """The trusted polygon of a ring cut from a polygon: the ring's ints
+    merge it, classify its vertices and edges and later build its index."""
+    verts, ints, _ = _merge_ring(ring.points, ring.ints)
     return RectPolygon(verts, _trusted=True, _ints=ints)
+
+
+def _mapped_piece(ring: Ring) -> Tuple["RectPolygon", List[int], dict]:
+    """(piece, parent, edge_of): _piece(ring), with parent[j] the segs label
+    that piece edge j starts with, which for a vertex strictly inside a
+    boundary walk of the ring is its index in the cut polygon, and edge_of
+    mapping every label of ring.segs to the piece edge that holds the
+    ring's segment of that label."""
+    verts, ints, keep = _merge_ring(ring.points, ring.ints)
+    # The segments after a dropped vertex continue the edge before it; the
+    # ring's first segments, before keep[0], end the last edge.
+    owner = [-1] * len(ring.segs)
+    for j, m in enumerate(keep):
+        owner[m] = j
+    owner = [j % len(keep) for j in accumulate(owner, max)]
+    return (RectPolygon(verts, _trusted=True, _ints=ints), [ring.segs[m] for m in keep],
+            dict(zip(ring.segs, owner)))
 
 
 class RectPolygon:
@@ -188,23 +218,20 @@ class RectPolygon:
         d, xs, ys = _ints = _scaled(verts) if _ints is None else _ints
         classes = _classify(verts, xs, ys) if _classes is None else _classes
         object.__setattr__(self, "classes", classes)
-        reflex = tuple(i for i in range(n) if classes[i] == REFLEX)
+        reflex = tuple([i for i, c in enumerate(classes) if c == REFLEX])
         object.__setattr__(self, "reflex_indices", reflex)
         object.__setattr__(self, "r", len(reflex))
         if n != 2 * self.r + 4:
             raise NotRectilinear(f"n = {n} but 2r+4 = {2 * self.r + 4}; polygon is not CCW-simple")
-        edges = []
-        for i in range(n):
-            j = (i + 1) % n
-            if ys[i] == ys[j]:
-                direction = EAST if xs[i] < xs[j] else WEST
-            else:
-                direction = NORTH if ys[i] < ys[j] else SOUTH
-            edges.append(EdgeRef(i, verts[i], verts[j], direction,
-                                 classes[i] if classes[i] == classes[j] else "mixed"))
-        object.__setattr__(self, "edges", tuple(edges))
+        # Each vertex with the next one.
+        xn, yn = xs[1:] + xs[:1], ys[1:] + ys[:1]
+        object.__setattr__(self, "edges", tuple([
+            EdgeRef(i, a, b, (EAST if x < x2 else WEST) if y == y2 else (NORTH if y < y2 else SOUTH),
+                    c if c == c2 else "mixed")
+            for i, (a, b, x, y, x2, y2, c, c2) in enumerate(zip(
+                verts, verts[1:] + verts[:1], xs, ys, xn, yn, classes, classes[1:] + classes[:1]))]))
         # Twice the integral of x dy; horizontal edges contribute nothing.
-        a2 = sum((xs[i - 1] + xs[i]) * (ys[i] - ys[i - 1]) for i in range(n))
+        a2 = sum([(x + x2) * (y2 - y) for x, y, x2, y2 in zip(xs, ys, xn, yn)])
         object.__setattr__(self, "area2", Fraction(a2, d * d))
         object.__setattr__(self, "_prefix", None)
         object.__setattr__(self, "_vertex_pos", None)
@@ -225,11 +252,8 @@ class RectPolygon:
         cyclically, none when s = t (mod n): a difference of prefix counts
         along the boundary, which are built on first use."""
         if self._prefix is None:
-            rv, re = [0], [0]
-            for i, e in enumerate(self.edges):
-                rv.append(rv[-1] + (self.classes[i] == REFLEX))
-                re.append(re[-1] + (e.kind == "reflex"))
-            object.__setattr__(self, "_prefix", (rv, re))
+            object.__setattr__(self, "_prefix", (list(accumulate([c == REFLEX for c in self.classes], initial=0)),
+                                                 list(accumulate([e.kind == "reflex" for e in self.edges], initial=0))))
         rv, re = self._prefix
         s, t = s % self.n, t % self.n
         wrap = self.n if s > t else 0
@@ -391,7 +415,7 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
     if len(pts) < 4:
         raise NotRectilinear("a rectilinear polygon needs at least 4 vertices")
     if merge_collinear:
-        pts, (d, xs, ys) = _merge_ring(pts, _ints)
+        pts, (d, xs, ys), _ = _merge_ring(pts, _ints)
         if len(pts) < 4:
             raise NotRectilinear("degenerate polygon after merging collinear vertices")
     else:
@@ -718,7 +742,7 @@ def split(poly: RectPolygon, chord: Chord) -> Tuple[RectPolygon, RectPolygon]:
     """
     starts = tuple((0, side.first) for side in chord_sides(chord))
     rings = _cut_rings(poly, [chord], starts)
-    return _piece(*rings[starts[0]]), _piece(*rings[starts[1]])
+    return _piece(rings[starts[0]]), _piece(rings[starts[1]])
 
 
 # One side of a located chord: its vertices are s, s+1, ..., t-1 (cyclic),
@@ -773,13 +797,15 @@ def _cyclic(seq: Sequence, s: int, t: int) -> Sequence:
 
 
 def _cut_rings(poly: RectPolygon, chords: Sequence[Chord], starts) -> dict:
-    """{start: (ring, (M, xs, ys))}, in boundary order: the unmerged ring of
-    each piece that pairwise disjoint located chords cut poly into and that
-    leaves a chord at an end in starts, (k, 0) for chords[k].a, (k, 1) for
-    its b.  A ring runs from that end along the boundary to the next chord
-    end, crosses its chord and so on, until it is back.  M is the common
+    """{start: Ring}, in boundary order: the unmerged ring of each piece
+    that pairwise disjoint located chords cut poly into and that leaves a
+    chord at an end in starts, (k, 0) for chords[k].a, (k, 1) for its b.  A
+    ring runs from that end along the boundary to the next chord end,
+    crosses its chord and so on, until it is back.  M is the common
     denominator of D and the chords' coordinates: poly's ints are multiplied
-    up to it and the chord ends scaled by it."""
+    up to it and the chord ends scaled by it.  A walk that leaves a chord
+    at vertex or inside edge i runs along edge i first, and each vertex it
+    passes starts the edge of its own index."""
     # Every chord end in boundary order: a vertex before the interior of the
     # edge that starts there.
     ends = [(k, e) for _, k, e in sorted(((i, not vertex), k, e) for k, chord in enumerate(chords)
@@ -793,24 +819,26 @@ def _cut_rings(poly: RectPolygon, chords: Sequence[Chord], starts) -> dict:
         level, lo, hi = (c.numerator * (m // c.denominator) for c in (chord.level, chord.lo, chord.hi))
         at.append(((chord.a, lo, level), (chord.b, hi, level)) if chord.axis == "H"
                   else ((chord.a, level, lo), (chord.b, level, hi)))
-    rings, seen = {}, set()
+    rings, seen, indices = {}, set(), range(poly.n)
     for start in ends:
         if start not in starts or start in seen:
             continue
-        ring, rx, ry = [], [], []
+        ring, rx, ry, segs = [], [], [], []
         end = start
         while True:
             if end in seen:
                 raise InternalCaseError(f"cut walk on {chords[0].axis}={chords[0].level} revisits a chord end")
             seen.add(end)
             (k, e), (k2, e2) = end, following[end]
-            s, t = walk_range(chords[k].ends[e], chords[k2].ends[e2])
+            leave = chords[k].ends[e]
+            s, t = walk_range(leave, chords[k2].ends[e2])
             for out, seq, first, last in zip((ring, rx, ry), (poly.vertices, xs, ys), at[k][e], at[k2][e2]):
                 out += [first, *_cyclic(seq, s, t), last]
+            segs += [leave[0], *_cyclic(indices, s, t), ~k2]
             end = (k2, 1 - e2)
             if end == start:
                 break
-        rings[start] = (ring, (m, rx, ry))
+        rings[start] = Ring(ring, (m, rx, ry), segs)
     return rings
 
 
@@ -830,7 +858,7 @@ def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon
     e, from a walk that starts there only: the other piece is not built."""
     chord, side = pocket_side(poly, edge_index, vertex_index)
     start = (0, side.first)
-    return _piece(*_cut_rings(poly, [chord], (start,))[start])
+    return _piece(_cut_rings(poly, [chord], (start,))[start])
 
 
 # --------------------------------------------------- normal cut enumeration

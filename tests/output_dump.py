@@ -43,7 +43,7 @@ from rectbeacon.errors import GeometryError  # noqa: E402
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear  # noqa: E402
 from rectbeacon.geometry import Point, midpoint  # noqa: E402
 from rectbeacon.kernel import kernel  # noqa: E402
-from rectbeacon.placement import _three_pieces, cover, pocket_summary, route_beacons  # noqa: E402
+from rectbeacon.placement import _pocket_rows, _three_pieces, cover, pocket_summary, route_beacons  # noqa: E402
 from rectbeacon.polygon import (  # noqa: E402
     boundary_hits,
     chord_beside,
@@ -127,12 +127,13 @@ def dump_cuts(poly, out):
 
 
 def dump_three_pieces(poly, out):
+    rows = _pocket_rows(poly)
     for e in poly.reflex_edges():
         for vi in (e.index, (e.index + 1) % poly.n):
-            got = outcome(_three_pieces, poly, e.index, vi)
+            got = outcome(_three_pieces, poly, rows, e.index, vi)
             if not isinstance(got, str):
                 *parts, p, q = got
-                got = " | ".join(pts(x.vertices) for x in parts) + f" p={pts([p])} q={pts([q])}"
+                got = " | ".join(pts(x.vertices) for x, _ in parts) + f" p={pts([p])} q={pts([q])}"
             out(f"three pieces {e.index} {vi}: {got}")
 
 

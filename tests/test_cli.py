@@ -21,11 +21,21 @@ U_JSON = json.dumps({"vertices": [["0", "0"], ["6", "0"], ["6", "4"], ["4", "4"]
                                   ["4", "2"], ["2", "2"], ["2", "4"], ["0", "4"]]})
 
 
-def run(args, inp=None):
+def run(args, inp=None, module="rectbeacon.cli"):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "rectbeacon.cli"] + args,
+    return subprocess.run([sys.executable, "-m", module] + args,
                           capture_output=True, text=True, input=inp, env=env)
+
+
+def test_package_runs_as_the_cli():
+    """python -m rectbeacon is the command line: it prints what python -m
+    rectbeacon.cli prints, with the same exit code, also on malformed
+    input."""
+    for args, inp, code in ((["gen", "random", "-n", "14", "--seed", "1"], None, 0), (["cover", "-"], "{", 2)):
+        got, want = run(args, inp, module="rectbeacon"), run(args, inp)
+        assert want.returncode == code, (args, want.stderr)
+        assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr), args
 
 
 def test_gen_cover_verify_pipeline(tmp_path):

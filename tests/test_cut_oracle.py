@@ -15,6 +15,7 @@ from rectbeacon.geometry import Point, midpoint
 from rectbeacon.placement import (
     _FRAMES,
     _first_reflex,
+    _pocket_rows,
     _pocket_wraps,
     _reflex_points,
     _three_pieces,
@@ -243,7 +244,7 @@ def test_normal_cut_classes_match_chain_walk():
             for chord, _ in got:
                 assert chord.axis == o
                 assert chord.ends == (p.locate_boundary(chord.a), p.locate_boundary(chord.b))
-                assert tuple(ring for ring, _ in _split_rings(p, chord)) == cut_oracle.split_rings(p, chord)
+                assert tuple(ring.points for ring in _split_rings(p, chord)) == cut_oracle.split_rings(p, chord)
             classes += len(got)
     assert classes >= 10000
 
@@ -343,9 +344,10 @@ def test_three_pieces_are_both_pockets_and_the_middle():
     vertex, as a split at v followed by a split of the rest at v'."""
     splits = 0
     for p in CORPUS:
+        rows = _pocket_rows(p)
         for e in p.reflex_edges():
             for vi, vpi in ((e.index, (e.index + 1) % p.n), ((e.index + 1) % p.n, e.index)):
-                a, b, c, far_v, far_vp = _three_pieces(p, e.index, vi)
+                (a, _), (b, _), (c, _), far_v, far_vp = _three_pieces(p, rows, e.index, vi)
                 assert [x.vertices for x in (a, b, c)] == [x.vertices for x in _two_splits(p, e, vi, vpi)], \
                     (p.vertices, e.index, vi)
                 sa, sc = pocket_summary(p, e.index, vi), pocket_summary(p, e.index, vpi)
@@ -506,7 +508,7 @@ def test_classes_and_merged_rings_match_fraction_turns():
         assert _merge_ring(padded)[0] == ring_oracle.merge_ring(padded) == list(p.vertices[1:] + p.vertices[:1])
         for o in "HV":
             for chord, _ in list(iter_normal_cuts(p, o))[:3]:
-                for ring, ints in _split_rings(p, chord):
+                for ring, ints, _ in _split_rings(p, chord):
                     assert _merge_ring(ring)[0] == _merge_ring(ring, ints)[0] == ring_oracle.merge_ring(ring), \
                         (p.vertices, chord)
                     rings += 1

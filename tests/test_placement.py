@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rectbeacon import placement
-from rectbeacon.errors import InternalCaseError, NotMonotone, TooManyReflexVertices
+from rectbeacon.errors import InternalCaseError, NotAChord, NotMonotone, TooManyReflexVertices
 from rectbeacon.generators import coverage_spiral, random_rectilinear, random_x_monotone
 from rectbeacon.geometry import Point
 from rectbeacon.kernel import in_all_cones, kernel
@@ -14,7 +14,7 @@ from rectbeacon.placement import (
     cover_base,
     cover_monotone,
     find_safe_cut,
-    find_xy_monotone_pocket,
+    pocket_summary,
     route_beacons,
 )
 from rectbeacon.polygon import (
@@ -144,6 +144,21 @@ def test_cover_monotone_bound_fuzz():
         assert len(bs) <= p.r // 4 + 1
         rep = verify_coverage(p, bs.beacons, SamplePlan(grid=14))
         assert rep.passed, (seed, rep.witnesses[:1])
+
+
+def find_xy_monotone_pocket(poly):
+    """(edge index, endpoint vertex index) of the pocket with the fewest
+    vertices, ties to the least indices, which the built pocket shows to
+    be xy-monotone."""
+    if not poly.reflex_edges():
+        raise NotAChord("polygon has no reflex edge; it is already xy-monotone")
+    summaries = [(pocket_summary(poly, e.index, vi), e.index, vi)
+                 for e in poly.reflex_edges() for vi in (e.index, (e.index + 1) % poly.n)]
+    summary, e_idx, v_idx = min(summaries, key=lambda t: (t[0].n, t[1], t[2]))
+    pk = pocket(poly, e_idx, v_idx)
+    if not pk.is_xy_monotone() or (pk.r, pk.n) != (summary.r, summary.n):
+        raise InternalCaseError(f"chosen pocket {pk} is not xy-monotone or not {summary}")
+    return e_idx, v_idx
 
 
 def test_find_xy_monotone_pocket_u_shape():
@@ -318,7 +333,7 @@ def test_sweep_band_counts_match_built_pieces(monkeypatch):
             assert not chord.ends[0][1] and not chord.ends[1][1], (poly.vertices, chord)
             for side in chord_sides(chord):
                 start = (0, side.first)
-                built = _piece(*_cut_rings(poly, [chord], (start,))[start])
+                built = _piece(_cut_rings(poly, [chord], (start,))[start])
                 assert placement._side_monotone(poly, side) == built.is_xy_monotone(), (poly.vertices, chord)
                 sides += 1
         bands += 1
@@ -330,6 +345,79 @@ def test_sweep_band_counts_match_built_pieces(monkeypatch):
         for q in _presentations(p):
             route_beacons(q)
     assert bands >= 3000 and sides >= 6000, (bands, sides)
+
+
+def test_carried_pocket_tables_match_fresh_summaries(monkeypatch):
+    """Every routing node's pocket table, carried down from the root's,
+    holds a row for both ends of every reflex edge of the node's polygon,
+    and each row is what a fresh pocket_summary and vertex_chord give
+    there: r, n, monotonicity, the pocket's side and the chord with its
+    located ends.  The polygons are output_dump's route corpus and those of
+    test_route_across_presentations in every presentation, whose sweeps of
+    C carry tables into two- and three-piece splits; some rows cross a cut
+    chord and are checked where they end on it."""
+    from output_dump import corpus
+
+    nodes, crossed = [], 0
+    route_rec, assert_chord = placement._route_rec, placement._assert_chord
+
+    def recorded(poly, rows, node):
+        nodes.append((poly, rows))
+        return route_rec(poly, rows, node)
+
+    def counted(poly, chord):
+        nonlocal crossed
+        crossed += 1
+        return assert_chord(poly, chord)
+
+    monkeypatch.setattr(placement, "_route_rec", recorded)
+    monkeypatch.setattr(placement, "_assert_chord", counted)
+    polys = [p for _, p in corpus() if p.n <= 64]
+    polys += [q for p in _route_polys() for q in _presentations(p)]
+    labels = Counter()
+    for p in polys:
+        labels.update(m.label for m in _nodes(route_beacons(p).trace))
+    rows = 0
+    for poly, table in nodes:
+        assert set(table) == {(e.index, vi) for e in poly.reflex_edges()
+                              for vi in (e.index, (e.index + 1) % poly.n)}, poly.vertices
+        for (e_idx, vi), row in table.items():
+            chord, carried = vertex_chord(poly, vi, poly.edges[e_idx].orientation), \
+                placement._row_chord(poly, e_idx, vi, row)
+            assert (carried.level, carried.lo, carried.hi, carried.ends) == (chord.level, chord.lo, chord.hi,
+                                                                             chord.ends), (poly.vertices, e_idx, vi)
+            assert (row.r, row.n, row.monotone, row.s, row.t) == pocket_summary(poly, e_idx, vi), \
+                (poly.vertices, e_idx, vi)
+            rows += 1
+    assert labels["C2"] >= 250 and labels["C3"] >= 140, labels
+    assert len(nodes) >= 5000 and rows >= 17000 and crossed >= 1000, (len(nodes), rows, crossed)
+
+
+def test_route_shoots_only_at_the_root(monkeypatch):
+    """On the n = 320 coverage spiral, routing reads every pocket from the
+    carried tables: no pocket_summary, no shot-table sweep after the root's
+    two, and at most 2n chord checks."""
+    from rectbeacon import polygon
+
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((placement, "pocket_summary"), (polygon, "_sweep"),
+                         (polygon, "_assert_chord"), (placement, "_assert_chord")):
+        counting(module, name)
+    p, _ = coverage_spiral(158)
+    assert p.n == 320
+    route_beacons(p)
+    assert calls["pocket_summary"] == 0 and calls["_sweep"] <= 2, calls
+    assert calls["_assert_chord"] <= 2 * p.n, calls
 
 
 # Valid polygons on which routing gets stuck: each has no routing pocket
