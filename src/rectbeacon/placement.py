@@ -593,13 +593,13 @@ def _carried_pieces(poly: RectPolygon, rows: dict, chords: Sequence[Chord], star
                 pv = parent[vi]
                 row = rows[parent[e.index], pv]
                 level, lo, hi, forward = row.level, row.lo, row.hi, row.forward
-                far = edge_of.get(row.far)
+                far = edge_of(row.far)
                 crossing = far is None
                 if crossing:
                     k = _crossed(chords, e.orientation, level, lo, hi)
                     if k is None:
                         raise InternalCaseError(f"the chord of {poly.vertices[pv]} leaves its piece")
-                    far = edge_of[~k]
+                    far = edge_of(~k)
                     lo, hi = (lo, chords[k].level) if forward else (chords[k].level, hi)
                 table[e.index, vi] = carried = _row(piece, e.index, vi, level, lo, hi, forward, far)
                 if crossing:

@@ -117,22 +117,15 @@ def _turn(xs: List[int], ys: List[int], a: int, b: int, c: int) -> int:
     return (t > 0) - (t < 0)
 
 
-def _turns(xs: List[int], ys: List[int]) -> List[int]:
-    """The turn at every vertex of the ring through the points (xs[k],
-    ys[k]), from its predecessor to its successor, in index order: > 0
-    left, < 0 right, 0 straight or back."""
-    return [(x - a) * (d - y) - (y - b) * (c - x) for a, b, x, y, c, d
-            in zip(xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
-
-
 def _classify(verts: Sequence[Point], xs: List[int], ys: List[int]) -> Tuple[str, ...]:
     """CONVEX or REFLEX for each vertex of a CCW ring, from the turns on the
-    ints; NotRectilinear at a straight vertex."""
-    turns = _turns(xs, ys)
+    ints (see _turn); NotRectilinear at a straight vertex."""
+    turns = [(x - a) * (d - y) - (y - b) * (c - x) for a, b, x, y, c, d
+             in zip(xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
     if 0 in turns:
         i = turns.index(0)
         raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
-    return tuple(CONVEX if turn > 0 else REFLEX for turn in turns)
+    return tuple([CONVEX if turn > 0 else REFLEX for turn in turns])
 
 
 def _merge_ring(points: Sequence[Point], ints: Optional[Tuple[int, List[int], List[int]]] = None
@@ -149,13 +142,13 @@ def _merge_ring(points: Sequence[Point], ints: Optional[Tuple[int, List[int], Li
     # Drop the first collinear vertex until none is left.  The vertices before
     # it keep their neighbours, so the scan steps back one place instead of
     # restarting, except after dropping the last vertex, vertex 0's neighbour.
-    # It starts at the first collinear vertex, if any.
-    turns = _turns([xs[k] for k in keep], [ys[k] for k in keep]) if len(keep) >= 3 else []
-    i = turns.index(0) if 0 in turns else len(keep)
-    while len(keep) >= 3 and i < len(keep):
-        if _turn(xs, ys, keep[i - 1], keep[i], keep[(i + 1) % len(keep)]) == 0:
+    i, n = 0, len(keep)
+    while n >= 3 and i < n:
+        a, b, c = keep[i - 1], keep[i], keep[(i + 1) % n]
+        if (xs[b] - xs[a]) * (ys[c] - ys[b]) == (ys[b] - ys[a]) * (xs[c] - xs[b]):  # a zero _turn
             del keep[i]
-            i = 0 if i == len(keep) else max(i - 1, 0)
+            n -= 1
+            i = 0 if i == n else max(i - 1, 0)
         else:
             i += 1
     return [points[k] for k in keep], (d, [xs[k] for k in keep], [ys[k] for k in keep]), keep
@@ -175,21 +168,22 @@ def _piece(ring: Ring) -> "RectPolygon":
     return RectPolygon(verts, _trusted=True, _ints=ints)
 
 
-def _mapped_piece(ring: Ring) -> Tuple["RectPolygon", List[int], dict]:
+def _mapped_piece(ring: Ring):
     """(piece, parent, edge_of): _piece(ring), with parent[j] the segs label
     that piece edge j starts with, which for a vertex strictly inside a
-    boundary walk of the ring is its index in the cut polygon, and edge_of
-    mapping every label of ring.segs to the piece edge that holds the
-    ring's segment of that label."""
+    boundary walk of the ring is its index in the cut polygon, and
+    edge_of(label) the piece edge that holds the ring's segment of that
+    label, None if the ring has none."""
     verts, ints, keep = _merge_ring(ring.points, ring.ints)
-    # The segments after a dropped vertex continue the edge before it; the
-    # ring's first segments, before keep[0], end the last edge.
-    owner = [-1] * len(ring.segs)
-    for j, m in enumerate(keep):
-        owner[m] = j
-    owner = [j % len(keep) for j in accumulate(owner, max)]
-    return (RectPolygon(verts, _trusted=True, _ints=ints), [ring.segs[m] for m in keep],
-            dict(zip(ring.segs, owner)))
+    at = dict(zip(ring.segs, range(len(ring.segs))))
+
+    def edge_of(label: int) -> Optional[int]:
+        m = at.get(label)
+        # The segments after a dropped vertex continue the edge before it;
+        # the ring's first segments, before keep[0], end the last edge.
+        return None if m is None else (bisect_right(keep, m) - 1) % len(keep)
+
+    return RectPolygon(verts, _trusted=True, _ints=ints), [ring.segs[m] for m in keep], edge_of
 
 
 class RectPolygon:
@@ -223,15 +217,18 @@ class RectPolygon:
         object.__setattr__(self, "r", len(reflex))
         if n != 2 * self.r + 4:
             raise NotRectilinear(f"n = {n} but 2r+4 = {2 * self.r + 4}; polygon is not CCW-simple")
-        # Each vertex with the next one.
-        xn, yn = xs[1:] + xs[:1], ys[1:] + ys[:1]
-        object.__setattr__(self, "edges", tuple([
-            EdgeRef(i, a, b, (EAST if x < x2 else WEST) if y == y2 else (NORTH if y < y2 else SOUTH),
-                    c if c == c2 else "mixed")
-            for i, (a, b, x, y, x2, y2, c, c2) in enumerate(zip(
-                verts, verts[1:] + verts[:1], xs, ys, xn, yn, classes, classes[1:] + classes[:1]))]))
+        edges = []
+        for i in range(n):
+            j = (i + 1) % n
+            if ys[i] == ys[j]:
+                direction = EAST if xs[i] < xs[j] else WEST
+            else:
+                direction = NORTH if ys[i] < ys[j] else SOUTH
+            edges.append(EdgeRef(i, verts[i], verts[j], direction,
+                                 classes[i] if classes[i] == classes[j] else "mixed"))
+        object.__setattr__(self, "edges", tuple(edges))
         # Twice the integral of x dy; horizontal edges contribute nothing.
-        a2 = sum([(x + x2) * (y2 - y) for x, y, x2, y2 in zip(xs, ys, xn, yn)])
+        a2 = sum([(xs[i - 1] + xs[i]) * (ys[i] - ys[i - 1]) for i in range(n)])
         object.__setattr__(self, "area2", Fraction(a2, d * d))
         object.__setattr__(self, "_prefix", None)
         object.__setattr__(self, "_vertex_pos", None)
