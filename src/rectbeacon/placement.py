@@ -532,7 +532,8 @@ def _row(poly: RectPolygon, e_idx: int, v_idx: int, level: Fraction, lo: Fractio
     boundary.  The pocket is the side without e.  The walk from v starts
     along e when e leaves v, so the pocket is then the walk from the far
     end back to v, which leaves the chord there; otherwise it is the walk
-    from v to the far end (see walk_range)."""
+    from v to the far end (see walk_range).  Its monotonicity is
+    _side_monotone's count."""
     if e_idx == v_idx:
         s, t, first = far + 1, v_idx, int(forward)
     else:

@@ -24,6 +24,7 @@ from rectbeacon.polygon import (
     chord_sides,
     chords_on_line,
     pocket,
+    pocket_side,
     split,
     validate,
     vertex_chord,
@@ -350,7 +351,7 @@ def test_sweep_band_counts_match_built_pieces(monkeypatch):
 def test_carried_pocket_tables_match_fresh_summaries(monkeypatch):
     """Every routing node's pocket table, carried down from the root's,
     holds a row for both ends of every reflex edge of the node's polygon,
-    and each row is what a fresh pocket_summary and vertex_chord give
+    and each row is what a fresh pocket_summary and pocket_side give
     there: r, n, monotonicity, the pocket's side and the chord with its
     located ends.  The polygons are output_dump's route corpus and those of
     test_route_across_presentations in every presentation, whose sweeps of
@@ -382,10 +383,11 @@ def test_carried_pocket_tables_match_fresh_summaries(monkeypatch):
         assert set(table) == {(e.index, vi) for e in poly.reflex_edges()
                               for vi in (e.index, (e.index + 1) % poly.n)}, poly.vertices
         for (e_idx, vi), row in table.items():
-            chord, carried = vertex_chord(poly, vi, poly.edges[e_idx].orientation), \
-                placement._row_chord(poly, e_idx, vi, row)
-            assert (carried.level, carried.lo, carried.hi, carried.ends) == (chord.level, chord.lo, chord.hi,
-                                                                             chord.ends), (poly.vertices, e_idx, vi)
+            chord, side = pocket_side(poly, e_idx, vi)
+            carried = placement._row_chord(poly, e_idx, vi, row)
+            assert (carried.level, carried.lo, carried.hi, carried.ends) == \
+                (chord.level, chord.lo, chord.hi, chord.ends), (poly.vertices, e_idx, vi)
+            assert (row.s, row.t, row.first) == side, (poly.vertices, e_idx, vi)
             assert (row.r, row.n, row.monotone, row.s, row.t) == pocket_summary(poly, e_idx, vi), \
                 (poly.vertices, e_idx, vi)
             rows += 1
