@@ -502,13 +502,14 @@ PocketSummary = namedtuple("PocketSummary", "r n monotone s t")
 PocketRow = namedtuple("PocketRow", "level lo hi forward far s t first r n monotone")
 
 
-def _side_monotone(poly: RectPolygon, side) -> bool:
-    """Is the piece on a Side of a chord xy-monotone?  Read off poly's
-    prefix counts: when both chord ends are convex corners of the piece, as
-    an end inside an edge always is and the end at v of a pocket's chord
-    is, every vertex strictly inside the side keeps its class, so the
-    piece's reflex edges are those of poly with both ends inside."""
-    return poly.reflex_counts(side.s, side.t - 1)[1] == 0
+def _side_monotone(poly: RectPolygon, s: int, t: int) -> bool:
+    """Is the piece on the Side (s, t, _) of a chord xy-monotone?  Read off
+    poly's prefix counts: when both chord ends are convex corners of the
+    piece, as an end inside an edge always is and the end at v of a
+    pocket's chord is, every vertex strictly inside the side keeps its
+    class, so the piece's reflex edges are those of poly with both ends
+    inside."""
+    return poly.reflex_counts(s, t - 1)[1] == 0
 
 
 def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
@@ -523,7 +524,7 @@ def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
         raise InternalCaseError(f"pocket cut from {poly.vertices[v_idx]} ends at a vertex")
     s, t, _ = side
     r, _ = poly.reflex_counts(s, t)
-    return PocketSummary(r, (t - s) % poly.n + 2, _side_monotone(poly, side), s, t)
+    return PocketSummary(r, (t - s) % poly.n + 2, _side_monotone(poly, s, t), s, t)
 
 
 def _row(poly: RectPolygon, e_idx: int, v_idx: int, level: Fraction, lo: Fraction, hi: Fraction,
@@ -532,14 +533,13 @@ def _row(poly: RectPolygon, e_idx: int, v_idx: int, level: Fraction, lo: Fractio
     boundary.  The pocket is the side without e.  The walk from v starts
     along e when e leaves v, so the pocket is then the walk from the far
     end back to v, which leaves the chord there; otherwise it is the walk
-    from v to the far end (see walk_range).  Its monotonicity is
-    _side_monotone's count."""
+    from v to the far end (see walk_range)."""
     if e_idx == v_idx:
         s, t, first = far + 1, v_idx, int(forward)
     else:
         s, t, first = v_idx + 1, far + 1, int(not forward)
     return PocketRow(level, lo, hi, forward, far, s, t, first, poly.reflex_counts(s, t)[0],
-                     (t - s) % poly.n + 2, poly.reflex_counts(s, t - 1)[1] == 0)
+                     (t - s) % poly.n + 2, _side_monotone(poly, s, t))
 
 
 def _row_chord(poly: RectPolygon, e_idx: int, v_idx: int, row: PocketRow) -> Chord:
@@ -800,7 +800,7 @@ def _route_sweep_c(c_piece: RectPolygon, c_rows: dict, e, qpt: Point, node: Trac
     for level in levels:
         over = [c for c in chords_on_line(c_piece, o, (prev_level + level) / 2)
                 if c.lo < interval[1] and interval[0] < c.hi]
-        if len(over) != 1 or not _side_monotone(c_piece, chord_sides(over[0])[::sense][1]):
+        if len(over) != 1 or not _side_monotone(c_piece, *chord_sides(over[0])[::sense][1][:2]):
             # The event that broke monotonicity sits at the band's top level.
             return _route_c_violation(c_piece, c_rows, e, prev_level, interval, qpt, node)
         interval = (over[0].lo, over[0].hi)

@@ -119,13 +119,15 @@ def _turn(xs: List[int], ys: List[int], a: int, b: int, c: int) -> int:
 
 def _classify(verts: Sequence[Point], xs: List[int], ys: List[int]) -> Tuple[str, ...]:
     """CONVEX or REFLEX for each vertex of a CCW ring, from the turns on the
-    ints (see _turn); NotRectilinear at a straight vertex."""
-    turns = [(x - a) * (d - y) - (y - b) * (c - x) for a, b, x, y, c, d
-             in zip(xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
-    if 0 in turns:
-        i = turns.index(0)
-        raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
-    return tuple([CONVEX if turn > 0 else REFLEX for turn in turns])
+    ints; NotRectilinear at a straight vertex."""
+    n = len(xs)
+    classes = []
+    for i in range(n):
+        turn = _turn(xs, ys, i - 1, i, (i + 1) % n)
+        if turn == 0:
+            raise NotRectilinear(f"collinear vertex at index {i}: {verts[i]}")
+        classes.append(CONVEX if turn > 0 else REFLEX)
+    return tuple(classes)
 
 
 def _merge_ring(points: Sequence[Point], ints: Optional[Tuple[int, List[int], List[int]]] = None
@@ -144,8 +146,7 @@ def _merge_ring(points: Sequence[Point], ints: Optional[Tuple[int, List[int], Li
     # restarting, except after dropping the last vertex, vertex 0's neighbour.
     i, n = 0, len(keep)
     while n >= 3 and i < n:
-        a, b, c = keep[i - 1], keep[i], keep[(i + 1) % n]
-        if (xs[b] - xs[a]) * (ys[c] - ys[b]) == (ys[b] - ys[a]) * (xs[c] - xs[b]):  # a zero _turn
+        if _turn(xs, ys, keep[i - 1], keep[i], keep[(i + 1) % n]) == 0:
             del keep[i]
             n -= 1
             i = 0 if i == n else max(i - 1, 0)

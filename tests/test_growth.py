@@ -24,12 +24,9 @@ def test_fit_exponent_recovers_a_power_law():
     assert growth.fit_exponent([(80, 1.0), (80, 2.0)]) is None
 
 
-def test_record_schema_at_small_n(tmp_path):
+def test_record_schema_at_small_n():
     growth = _growth()
-    out = tmp_path / "growth.json"
-    assert growth.main([f"here={TOOL.parent.parent}", "--out", str(out),
-                        "--start", "10", "--max-n", "40", "--fit-from", "10"]) == 0
-    rec = json.loads(out.read_text())
+    rec = json.loads(json.dumps(growth.record({"here": TOOL.parent.parent}, 10, 40, 5.0, 10)))
     assert {"python", "nproc", "start_n", "max_n", "limit_s", "fit_from", "order", "checkouts"} <= set(rec)
     here, = rec["checkouts"].values()
     assert here["commit"]

@@ -335,7 +335,7 @@ def test_sweep_band_counts_match_built_pieces(monkeypatch):
             for side in chord_sides(chord):
                 start = (0, side.first)
                 built = _piece(_cut_rings(poly, [chord], (start,))[start])
-                assert placement._side_monotone(poly, side) == built.is_xy_monotone(), (poly.vertices, chord)
+                assert placement._side_monotone(poly, side.s, side.t) == built.is_xy_monotone(), (poly.vertices, chord)
                 sides += 1
         bands += 1
         return chords

@@ -3,18 +3,20 @@
     python3 tools/growth.py --out GROWTH.json [NAME=DIR ...]
 
 Each NAME=DIR names a source checkout (default: change=the checkout this
-tool sits in).  For n = START, 2*START, ... up to --max-n, every checkout
+tool sits in).  For n = START, 2*START, ... up to MAX_N, every checkout
 times route_beacons and cover on the coverage spiral with n vertices and on
 random_rectilinear(n, n), each call in a fresh process per checkout and n,
 best of three when a call takes under a second.  A series stops after its
-first call of at least --limit seconds.  At each n the checkouts run in the
+first call of at least LIMIT_S seconds.  At each n the checkouts run in the
 given order, and in reverse order at every other n, so that two checkouts
 share the machine's slow spells.
 
 The record holds every timing, and per checkout, layer and family the
 growth exponent: the least-squares slope of log(seconds) against log(n)
-over the timings with n >= --fit-from.  It also records each checkout's
-commit, the Python version and nproc.  It is a record, not a gate.
+over the timings with n >= FIT_FROM.  It also records each checkout's
+commit, the Python version and nproc.  It is a record of one run, not a
+gate: on a shared machine one call's time can move by a third between
+runs, so compare exponents only when they differ by more than that noise.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ LAYERS = ("route_beacons", "cover")
 FAMILIES = ("coverage_spiral", "random")
 # A call this fast is timed three times and the best time kept.
 REPEAT_UNDER_S = 1.0
+# The first n, the last n, the time that ends a series and the first n
+# that the exponents are fitted from.
+START, MAX_N, LIMIT_S, FIT_FROM = 80, 2560, 5.0, 320
 
 
 def fit_exponent(points) -> float | None:
@@ -108,10 +113,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="*", metavar="NAME=DIR")
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--start", type=int, default=80)
-    ap.add_argument("--max-n", type=int, default=2560)
-    ap.add_argument("--limit", type=float, default=5.0)
-    ap.add_argument("--fit-from", type=int, default=320)
     ap.add_argument("--point", nargs=3, metavar=("SRC", "N", "SERIES"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.point:
@@ -120,13 +121,11 @@ def main(argv=None) -> int:
         return 0
     if args.out is None:
         ap.error("--out is required")
-    if args.start < 8 or args.start % 2:
-        ap.error("--start must be an even n of at least 8")
     if any("=" not in c for c in args.checkouts):
         ap.error("name each checkout as NAME=DIR")
     pairs = [c.split("=", 1) for c in args.checkouts] or [["change", Path(__file__).resolve().parent.parent]]
     checkouts = {name: Path(root).resolve() for name, root in pairs}
-    rec = record(checkouts, args.start, args.max_n, args.limit, args.fit_from)
+    rec = record(checkouts, START, MAX_N, LIMIT_S, FIT_FROM)
     args.out.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
     return 0
 
