@@ -25,7 +25,6 @@ from .polygon import (
     EdgeRef,
     RectPolygon,
     count_reflex_below,
-    m_cut_class,
     pocket,
     split,
     validate,
@@ -50,7 +49,6 @@ __all__ = [
     "split",
     "pocket",
     "count_reflex_below",
-    "m_cut_class",
     "CONVEX",
     "REFLEX",
     "AttractionPath",

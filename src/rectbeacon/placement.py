@@ -1,7 +1,8 @@
 """Constructive beacon placement: coverage and routing upper bounds.
 
 cover() places at most ceil(r/3) beacons, all at reflex vertices, following
-the safe-cut recursion with the full no-safe-cut case analysis.
+the safe-cut recursion and, where no cut is safe, the paper's top case, read
+in a frame where the reflex edge it starts from faces the 1-cut.
 cover_monotone() places at most floor(r/4)+1 beacons in a monotone polygon.
 route_beacons() places at most floor(3r/4) beacons so that every pair of
 points can be routed through them.
@@ -194,7 +195,8 @@ def _cover_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
 
 
 class _OrientationRetry(Exception):
-    """The case identities failed in this frame; try a mirrored one."""
+    """This frame cannot read the top case: v's reflex edge faces away from
+    the 1-cut, or the m1 + m2 identity fails; try the next frame."""
 
 
 class _Frame(namedtuple("_Frame", "name sx sy")):
@@ -222,9 +224,10 @@ class _Frame(namedtuple("_Frame", "name sx sy")):
     def split(self, poly: RectPolygon, chord: Chord) -> Tuple[RectPolygon, RectPolygon]:
         return split(poly, chord)[::self.senses(chord.axis)[0]]
 
-    def reflex(self, poly: RectPolygon, chord: Chord) -> Tuple[int, int]:
-        """Reflex vertices strictly below and strictly above a chord."""
-        return tuple(poly.reflex_counts(side.s, side.t)[0] for side in self.sides(chord))
+    def reflex(self, poly: RectPolygon, chord: Chord) -> int:
+        """The number of reflex vertices strictly below a chord."""
+        below = self.sides(chord)[0]
+        return poly.reflex_counts(below.s, below.t)[0]
 
 
 _FRAMES = (_Frame("id", 1, 1), _Frame("mirror_x", -1, 1), _Frame("rot180", -1, -1), _Frame("mirror_y", 1, -1))
@@ -259,9 +262,19 @@ def _cover_split(poly: RectPolygon, chord: Chord, f: _Frame, node: TraceNode, la
 
 
 def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
-    """The paper's case analysis, tried in up to four frames in turn.  Only
-    the frame that runs leaves a trace node; its detail says which frames
-    gave up before it, and why."""
+    """The paper's top case, tried in up to four frames in turn.  Only the
+    frame that runs leaves a trace node; its detail says which frames gave
+    up before it, and why.
+
+    The paper's bottom case, where the horizontal reflex edge at v, the
+    first reflex vertex below the 1-cut, faces away from the cut, is read
+    as the top case in a frame of the other y-sense.  A census ran cover on
+    random_rectilinear(8 + 2(s mod 40), 700000 + s) for s < 6,000, the
+    coverage spirals r <= 60, and random_rectilinear(8 + 2(s mod 40),
+    900000 + s) for s < 2,500 in all eight presentations.  Of its 1,616
+    no-safe-cut nodes, 781 had v's edge face away in id and mirror_x, and
+    rot180 solved every one.  With no top frame, cover fails loudly ("no
+    orientation admits the case analysis"); it returns no unchecked beacons."""
     r = poly.r
     if r % 3 == 1:
         raise InternalCaseError("no safe cut although r = 1 mod 3")
@@ -277,7 +290,7 @@ def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
             continue
         child = TraceNode(f"no_safe[{f.name}]", r, "; ".join(gave_up))
         try:
-            beacons = _no_safe_cases(poly, min(keys, key=lambda k: k[:3])[3], f, child)
+            beacons = _no_safe_top(poly, min(keys, key=lambda k: k[:3])[3], f, child)
         except _OrientationRetry as exc:
             gave_up.append(f"{f.name} gave up: {exc}")
             continue
@@ -286,30 +299,23 @@ def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
     raise InternalCaseError(f"no orientation admits the case analysis: {'; '.join(gave_up)}")
 
 
-def _no_safe_cases(poly: RectPolygon, c: Chord, f: _Frame, node: TraceNode) -> List[Point]:
+def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, node: TraceNode) -> List[Point]:
+    r = poly.r
     v = _first_reflex(poly, c, f, False)
     vi = poly.vertex_index(v)
     # v must bound a horizontal reflex edge, else a cut just below it would
     # have been safe.
-    hedges = [poly.edges[(vi - 1) % poly.n], poly.edges[vi]]
-    hedge = next((e for e in hedges if e.orientation == "H"), None)
-    if hedge is None or hedge.kind != "reflex":
-        raise InternalCaseError(
-            f"first reflex vertex {v} below the 1-cut has no horizontal reflex edge"
-        )
-    # The interior lies above the edge in this frame: it faces up.
-    if hedge.sense == f.sy:
-        return _no_safe_top(poly, c, hedge, f, node)
-    return _no_safe_bottom(poly, c, hedge, f, node)
-
-
-def _no_safe_top(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> List[Point]:
-    r = poly.r
+    e = next((x for x in (poly.edges[(vi - 1) % poly.n], poly.edges[vi]) if x.orientation == "H"), None)
+    if e is None or e.kind != "reflex":
+        raise InternalCaseError(f"first reflex vertex {v} below the 1-cut has no horizontal reflex edge")
+    # e's interior must face up, towards the 1-cut; if not, another frame reads it.
+    if e.sense != f.sy:
+        raise _OrientationRetry(f"v = {v}: its reflex edge faces away from the 1-cut")
     v1, v2 = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     i1, i2 = poly.vertex_index(v1), poly.vertex_index(v2)
     # Reflex vertices below the chords just below v1 and v2.
-    k1 = f.reflex(poly, chord_beside(poly, i1, "H", -f.sy))[0]
-    k2 = f.reflex(poly, chord_beside(poly, i2, "H", -f.sy))[0]
+    k1 = f.reflex(poly, chord_beside(poly, i1, "H", -f.sy))
+    k2 = f.reflex(poly, chord_beside(poly, i2, "H", -f.sy))
     m1, m2 = k1 % 3, k2 % 3
     if (m1 + m2) % 3 != 2:
         raise _OrientationRetry(f"top case: m1+m2 = {m1}+{m2} != 2 mod 3")
@@ -338,7 +344,7 @@ def _no_safe_top(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> 
     chords = {"d1": vertex_chord(poly, i1, "V"), "d2": vertex_chord(poly, i2, "V")}
     counts = {}
     for name, chord in chords.items():
-        left = f.reflex(poly, chord)[0]
+        left = f.reflex(poly, chord)
         counts[name] = (left, r - 1 - left)
     # (b)(i): some side of some d_i is divisible by three.
     for name, chord in chords.items():
@@ -368,7 +374,7 @@ def _no_safe_top(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> 
             chord = vertex_chord(poly, ci, "V")
         except NotAChord:
             continue
-        left = f.reflex(poly, chord)[0]
+        left = f.reflex(poly, chord)
         if left % 3 == 0 or (r - 1 - left) % 3 == 0:
             break
     else:
@@ -386,55 +392,6 @@ def _no_safe_top(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> 
     if not any(b in e1_pts for b in result):
         raise InternalCaseError("case (b)(iii): no beacon at an endpoint of e1")
     return result
-
-
-def _no_safe_bottom(poly: RectPolygon, c: Chord, e, f: _Frame, node: TraceNode) -> List[Point]:
-    r = poly.r
-    v, vprime = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
-    vi, vpi = poly.vertex_index(v), poly.vertex_index(vprime)
-    c1 = chord_beside(poly, vi, "H", -f.sy)
-    c2 = chord_beside(poly, vpi, "H", f.sy)
-    m1 = f.reflex(poly, c1)[0] % 3
-    m2 = f.reflex(poly, c2)[0] % 3
-    if r % 3 != 0:
-        raise InternalCaseError(f"bottom case with r = {r} not divisible by 3")
-    if (m2 - m1) % 3 != 1:
-        # The count identity holds when the 1-cut descended on v's side;
-        # otherwise the mirrored frame applies.
-        raise _OrientationRetry(f"bottom case identity: (m1,m2)={(m1, m2)}")
-    if m2 == 0:
-        # (m1, m2) = (2, 0): nothing reflex above the cut over v'; the
-        # vertical cut through v balances the budget exactly.
-        if f.reflex(poly, c2)[1] != 0:
-            raise InternalCaseError("bottom (2,0): reflex vertices above the c2 cut")
-        chord = vertex_chord(poly, vi, "V")
-        left = f.reflex(poly, chord)[0]
-        right = r - 1 - left
-        if left % 3 != 0 or right % 3 != 2:
-            raise _OrientationRetry(f"bottom (2,0): sides {(left, right)}")
-        return _cover_split(poly, chord, f, node, "bottom(2,0)")
-    if (m1, m2) == (0, 1):
-        raise InternalCaseError("bottom (0,1): a vertical cut on e would have been safe")
-    if (m1, m2) != (1, 2):
-        raise InternalCaseError(f"bottom case: unexpected (m1,m2)={(m1, m2)}")
-    below = _reflex_points(poly, f.sides(c1)[0])
-    if len(below) != 1:
-        raise InternalCaseError(f"bottom case: {len(below)} reflex vertices below e")
-    w = below[0]
-    if not f.key(w, "H")[1] < f.key(v, "H")[1]:
-        raise _OrientationRetry("bottom case: lone reflex vertex is not west of v")
-    c_v = vertex_chord(poly, vi, "H")
-    minus_h, _ = f.split(poly, c_v)
-    d_v = vertex_chord(poly, vi, "V")
-    minus_v, _ = f.split(poly, d_v)
-    if minus_h.r % 3 != 0 or minus_v.r % 3 != 0 or minus_h.r + minus_v.r != r:
-        raise InternalCaseError(
-            f"bottom case counts: {minus_h.r} + {minus_v.r} vs r={r}"
-        )
-    child = node.child(TraceNode("bottom-overlap", r, f"{c_v!r} & {d_v!r}"))
-    a = _cover_rec(minus_h, child.child(TraceNode("overlap_h", minus_h.r)))
-    b = _cover_rec(minus_v, child.child(TraceNode("overlap_v", minus_v.r)))
-    return _dedup(a + b)
 
 
 # ---------------------------------------------------------- monotone coverage
@@ -630,8 +587,8 @@ def route_beacons(poly: RectPolygon, trace: Optional[TraceNode] = None) -> Beaco
 
 
 def _pocket_wraps(poly: RectPolygon, e_idx: int, pk) -> bool:
-    """Does the pocket of e summarized by pk, a PocketSummary or a
-    PocketRow, reach strictly into e's interior half-plane?
+    """Does the pocket of e whose row is pk reach strictly into e's
+    interior half-plane?
 
     A wrapping complement pocket invalidates the monotone-sweep reasoning,
     so the selection below avoids it whenever it matters.

@@ -846,11 +846,6 @@ def count_reflex_below(poly: RectPolygon, chord: Chord) -> int:
     return poly.reflex_counts(minus.s, minus.t)[0]
 
 
-def m_cut_class(poly: RectPolygon, chord: Chord) -> int:
-    """m of the m-cut classification: r(P_minus) mod 3."""
-    return count_reflex_below(poly, chord) % 3
-
-
 def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon:
     """Pocket of reflex edge e at endpoint v: the split side not containing
     e, from a walk that starts there only: the other piece is not built."""

@@ -311,13 +311,14 @@ def test_reflex_below_at_vertex_cuts_matches_chain_walk():
 def test_pocket_summaries_match_built_pockets():
     pockets = 0
     for p in CORPUS:
+        rows = _pocket_rows(p)
         for e in p.reflex_edges():
             for v in (e.a, e.b):
                 vi = p.vertex_index(v)
                 s = pocket_summary(p, e.index, vi)
                 assert (s.r, s.n, s.monotone) == cut_oracle.pocket_summary(p, e.index, vi)
                 assert pocket(p, e.index, vi) == cut_oracle.pocket(p, e.index, vi)
-                assert _pocket_wraps(p, e.index, s) == cut_oracle.pocket_wraps(p, e.index, vi)
+                assert _pocket_wraps(p, e.index, rows[e.index, vi]) == cut_oracle.pocket_wraps(p, e.index, vi)
                 pockets += 1
     assert pockets >= 2000
 
@@ -368,10 +369,11 @@ def _frame_key(q, o, s):
 
 
 def test_frame_sides_at_vertex_cuts_match_chain_walk():
-    """The reflex counts on both sides of a cut and the first reflex vertex
-    below and above it, read in a frame of the no-safe-cut cases, against
-    the oracle's chains: in frame id and in rot180, which reverses the
-    senses both across and along the cut."""
+    """The reflex count below a cut and the first reflex vertex below and
+    above it, read in a frame of the no-safe-cut cases, against the
+    oracle's chains: in frame id and in rot180, which reverses the senses
+    both across and along the cut, so that the two frames count both
+    sides."""
     cuts = 0
     for p in CORPUS:
         for i, o, side, chord in _vertex_chords(p):
@@ -379,7 +381,7 @@ def test_frame_sides_at_vertex_cuts_match_chain_walk():
             sides = [[q for q in chain[1:-1] if p.classes[p.vertex_index(q)] == REFLEX] for chain in chains]
             for f, s in ((_FRAMES[0], 1), (_FRAMES[2], -1)):
                 reflex = sides[::s]
-                assert f.reflex(p, chord) == tuple(map(len, reflex)), (p.vertices, i, o, side, f.name)
+                assert f.reflex(p, chord) == len(reflex[0]), (p.vertices, i, o, side, f.name)
                 level = chord.level if s > 0 else -chord.level
                 below, above = ([(_frame_key(q, o, s), q) for q in chain] for chain in reflex)
                 below = [((k[0], -k[1]), q) for k, q in below if k[0] < level]

@@ -247,6 +247,11 @@ def _labelled(node, label):
     return [m for m in _nodes(node) if m.label == label]
 
 
+# The one reason a no-safe-cut frame gives up on: the horizontal reflex
+# edge at v, the first reflex vertex below the 1-cut, faces away from it.
+_FACES_AWAY = re.compile(r"(\w+) gave up: v = Point\([-\d/]+, [-\d/]+\): its reflex edge faces away from the 1-cut")
+
+
 def test_cover_monotone_names_cuts_of_its_input():
     """A y-monotone polygon is swept from high y to low y: the cut each
     root mono_cut node names is a horizontal cut of the input, and one of
@@ -267,8 +272,10 @@ def test_cover_monotone_names_cuts_of_its_input():
 def test_cover_across_presentations():
     """Cover reads its no-safe-cut cases in the frame it is given: under
     every symmetry and start vertex it keeps the bound with reflex
-    vertices, every no_safe node it leaves ran its cases, and one
-    presentation of each polygon that reached them guards it."""
+    vertices, every no_safe node it leaves ran the top case, every frame
+    that gave up before it did so because v's reflex edge faced away from
+    the 1-cut, never on the top case's identity, and one presentation of
+    each polygon that reached them guards it."""
     labels = Counter()
     for s in range(100):
         p = random_rectilinear(8 + 2 * (s % 30), s)
@@ -280,7 +287,10 @@ def test_cover_across_presentations():
             assert _trace_beacons(bs.trace) == set(bs.beacons), (s, k)
             no_safe = [m for m in _nodes(bs.trace) if m.label.startswith("no_safe[")]
             for m in no_safe:
-                assert m.children, (s, k, m.label, m.detail)
+                case, = m.children
+                assert case.label.startswith("top("), (s, k, m.label, case.label)
+                assert all(_FACES_AWAY.fullmatch(part) for part in m.detail.split("; ") if m.detail), \
+                    (s, k, m.label, m.detail)
                 labels.update([m.label] + [c.label for c in m.children])
             if no_safe and not verified:
                 rep = verify_coverage(q, bs.beacons, SamplePlan(grid=20, jitter=8, seed=s))
@@ -289,6 +299,20 @@ def test_cover_across_presentations():
     assert sum(v for label, v in labels.items() if label.startswith("no_safe[")) >= 100, labels
     assert labels["no_safe[id]"] >= 40 and labels["no_safe[rot180]"] >= 40, labels
     assert labels["top(b-wall)"] >= 20, labels
+
+
+def test_cover_reads_a_faced_away_edge_in_rot180():
+    """On random_rectilinear(40, 4) cover reaches a no-safe-cut node where
+    v's reflex edge faces away from the 1-cut in frames id and mirror_x;
+    rot180, of the other y-sense, reads the top case there, and the
+    beacons guard the polygon."""
+    p = random_rectilinear(40, 4)
+    bs = cover(p)
+    node, = _labelled(bs.trace, "no_safe[rot180]")
+    gave_up = [_FACES_AWAY.fullmatch(part) for part in node.detail.split("; ")]
+    assert all(gave_up) and [m.group(1) for m in gave_up] == ["id", "mirror_x"], node.detail
+    rep = verify_coverage(p, bs.beacons, SamplePlan(grid=20, jitter=8))
+    assert rep.passed, rep.witnesses[:1]
 
 
 def _route_polys():
