@@ -10,8 +10,14 @@ built as ints, times D*m for D the edge index's scale, located by
 locate_scaled.  Samples and pair points enter AttractionMemo as those ints,
 with their locations, and become Points only for a witness; the memo keeps
 one attraction frame per beacon, so a beacon is scaled and located once,
-not once per path.  AttractionGraph.pulling says which beacons pull a
-point, for coverage and for routing.
+not once per path.
+
+Both verifiers simulate only the paths that can change their report.
+AttractionGraph.puller stops at the first beacon that pulls a sample.
+verify_routing reads each pair's chain of beacons first and simulates the
+direct path from s to t only when no chain exists or the chain is longer
+than the running max_chain: otherwise the pair's chain is 0 or at most
+max_chain, and the report is the same either way.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # attracts stays importable from here, where perfbench's traced run wraps it.
 from .attraction import _Frame, _simulate, attraction_path, attracts  # noqa: F401
@@ -149,7 +155,7 @@ def verify_coverage(poly: RectPolygon, beacons: Sequence[Point],
     witnesses = []
     uncovered = 0
     for s in samples:
-        if next(graph.pulling(s), None) is not None:
+        if graph.puller(s) is not None:
             continue
         uncovered += 1
         if len(witnesses) < witness_limit:
@@ -259,9 +265,14 @@ class AttractionGraph:
     """Directed beacon-to-beacon attraction reachability with memoization.
 
     The frames of the beacons are built, and the beacons located, when the
-    graph is; pulling answers which beacons pull a point, for coverage and
-    for the first step of a route; the successor lists between the beacons
-    are built on the first route."""
+    graph is.  Each question simulates only the paths its answer needs.
+    puller stops at the first beacon that pulls a point, and asks first the
+    one that pulled the last point asked about: the verifiers ask about
+    samples sorted by (x, y), and neighbours mostly share a puller.  chain
+    reads a routing chain from the beacons' answers alone; per source it
+    keeps the breadth-first levels found so far, and a beacon's successors
+    are simulated when a search first steps past it.  route adds the direct
+    path."""
 
     def __init__(self, poly: RectPolygon, beacons: Sequence[Point],
                  memo: Optional[AttractionMemo] = None):
@@ -271,38 +282,56 @@ class AttractionGraph:
         self._ids = [self.memo.id(b) for b in self.beacons]
         for i in self._ids:
             self.memo.frame(i)
-        self._succ: Optional[List[List[int]]] = None
+        self._last = 0
+        self._succ: List[Optional[List[int]]] = [None] * len(self._ids)
+        self._levels: Dict[int, List[List[int]]] = {}
 
-    def pulling(self, source: int) -> Iterator[int]:
-        """The indices of the beacons that pull the point of memo id source,
-        in order; each beacon is simulated only when the iteration reaches it."""
-        attr = self.memo.attracts
-        return (i for i, b in enumerate(self._ids) if attr(b, source))
+    def puller(self, source: int) -> Optional[int]:
+        """The index of a beacon that pulls the point of memo id source, or
+        None: the last puller found first, then the others in index order,
+        each simulated only when it is asked."""
+        attr, ids, last = self.memo.attracts, self._ids, self._last
+        if ids and attr(ids[last], source):
+            return last
+        for i, b in enumerate(ids):
+            if i != last and attr(b, source):
+                self._last = i
+                return i
+        return None
+
+    def chain(self, s: int, t: int) -> Optional[int]:
+        """The least number of beacons, at least 1, that route the point of
+        memo id s to that of memo id t, or None: the first beacon pulls s,
+        each next beacon pulls the one before and t pulls the last.  The
+        direct path from s to t is not asked."""
+        attr, ids = self.memo.attracts, self._ids
+        levels = self._levels.get(s)
+        if levels is None:
+            levels = self._levels[s] = [[i for i, b in enumerate(ids) if attr(b, s)]]
+        # levels[d - 1] holds the beacons first reached from s by d of
+        # them; the next level is found when a search first needs it.
+        for depth, level in enumerate(levels, 1):
+            if any(attr(t, ids[i]) for i in level):
+                return depth
+            if depth == len(levels):
+                seen = set().union(*levels)
+                nxt = [j for j in dict.fromkeys(j for i in level for j in self._next(i)) if j not in seen]
+                if nxt:
+                    levels.append(nxt)
+        return None
+
+    def _next(self, i: int) -> List[int]:
+        """The indices of the beacons that pull the position of beacon i."""
+        succ = self._succ[i]
+        if succ is None:
+            attr, ids = self.memo.attracts, self._ids
+            succ = self._succ[i] = [j for j, b in enumerate(ids) if j != i and attr(b, ids[i])]
+        return succ
 
     def route(self, s: int, t: int) -> Optional[int]:
         """Chain length routing the point of memo id s to that of memo id t
         (0 = direct attraction), or None."""
-        attr, ids = self.memo.attracts, self._ids
-        if self._succ is None:
-            self._succ = [[j for j, dst in enumerate(ids) if i != j and attr(dst, src)]
-                          for i, src in enumerate(ids)]
-        if attr(t, s):
-            return 0
-        frontier = list(self.pulling(s))
-        seen = set(frontier)
-        depth = 1
-        while frontier:
-            if any(attr(t, ids[i]) for i in frontier):
-                return depth
-            nxt = []
-            for i in frontier:
-                for j in self._succ[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-            depth += 1
-        return None
+        return 0 if self.memo.attracts(t, s) else self.chain(s, t)
 
 
 def _default_pair_ids(memo: "AttractionMemo", count: int, seed: int) -> List[Tuple[int, int]]:
@@ -356,7 +385,12 @@ def verify_routing(poly: RectPolygon, beacons: Sequence[Point],
     failed = 0
     max_chain = 0
     for s, t in id_pairs:
-        chain = graph.route(s, t)
+        chain = graph.chain(s, t)
+        # The pair's chain is 0 when t pulls s straight, graph.chain's
+        # otherwise.  Only when that is None or above max_chain can the
+        # direct path change the report, so only then is it simulated.
+        if (chain is None or chain > max_chain) and memo.attracts(t, s):
+            chain = 0
         if chain is None:
             failed += 1
             if len(witnesses) < witness_limit:
@@ -423,9 +457,9 @@ def exhaust_necessity(poly: RectPolygon, k: int, mode: str,
         tried += 1
         graph = AttractionGraph(poly, subset, memo)
         if mode == "cover":
-            done = all(next(graph.pulling(s), None) is not None for s in sample_ids)
+            done = all(graph.puller(s) is not None for s in sample_ids)
         else:
-            done = all(graph.route(s, t) is not None for s, t in pair_ids)
+            done = all(graph.chain(s, t) is not None or memo.attracts(t, s) for s, t in pair_ids)
         if done:
             return ("counterexample", graph.beacons)
     return ("pass", tried)

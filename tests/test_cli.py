@@ -85,6 +85,30 @@ def test_verify_rejects_a_beacon_outside_the_polygon(tmp_path, mode, polygon, be
     assert got.stdout == ""
 
 
+@pytest.mark.parametrize("beacons", [[], [["3", "1/2"]]], ids=["no_beacon", "one_beacon"])
+@pytest.mark.parametrize("pair", [
+    [["9", "9"], ["1", "1"]],
+    [["5", "3"], ["3", "3"]],
+    [["9", "9"], ["3", "3"]],
+], ids=["source_outside", "target_outside", "both_outside"])
+def test_verify_route_rejects_a_pair_point_outside_the_polygon(tmp_path, beacons, pair):
+    """Routing simulates a pair's direct path only when its chain of
+    beacons can change the report, yet every pair point is located.  The
+    first pair routes from the U's right tower to its left one through
+    the beacon, if there is one, so the running max_chain is 1 when the
+    pair with a point outside comes."""
+    poly = tmp_path / "poly.json"
+    poly.write_text(U_JSON)
+    path = tmp_path / "beacons.json"
+    path.write_text(json.dumps({"beacons": beacons, "mode": "route"}))
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": [[["5", "3"], ["1", "3"]], pair]}))
+    got = run(["verify", "route", str(poly), str(path), "--pairs", str(pairs)])
+    assert got.returncode == 2, got.stdout
+    assert "is outside the polygon" in got.stderr
+    assert got.stdout == ""
+
+
 def test_malformed_input_exit_2(tmp_path):
     poly = tmp_path / "bad.json"
     poly.write_text("{not json")

@@ -26,10 +26,13 @@ def test_fit_exponent_recovers_a_power_law():
 
 def test_record_schema_at_small_n():
     growth = _growth()
-    rec = json.loads(json.dumps(growth.record({"here": TOOL.parent.parent}, 10, 40, 5.0, 10)))
+    fit_from = dict.fromkeys(growth.LAYERS, 10)
+    rec = json.loads(json.dumps(growth.record({"here": TOOL.parent.parent}, 10, 40, 5.0, fit_from)))
     assert {"python", "nproc", "start_n", "max_n", "limit_s", "fit_from", "order", "checkouts"} <= set(rec)
     here, = rec["checkouts"].values()
     assert here["commit"]
+    assert set(here["seconds"]) == set(here["exponents"]) == set(rec["fit_from"]) == set(growth.LAYERS)
+    assert {"verify_coverage", "verify_routing"} <= set(growth.LAYERS)
     for layer in growth.LAYERS:
         for family in growth.FAMILIES:
             points = here["seconds"][layer][family]

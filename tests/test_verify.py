@@ -202,8 +202,12 @@ def test_shared_memo_matches_fresh_graph_per_subset():
 
 def _chain(poly, beacons, s, t):
     """The routing chain length from s to t by breadth-first search on attracts."""
-    if attracts(poly, t, s):
-        return 0
+    return 0 if attracts(poly, t, s) else _beacon_chain(poly, beacons, s, t)
+
+
+def _beacon_chain(poly, beacons, s, t, attracts=attracts):
+    """The least number of beacons that route s to t, by breadth-first
+    search on attracts, or None; the direct path is not asked."""
     frontier = {b for b in beacons if attracts(poly, b, s)}
     seen, depth = set(frontier), 1
     while frontier:
@@ -297,6 +301,75 @@ def _plain_routing(poly, beacons, pairs):
     return {"verdict": "fail" if failed else "pass", "witnesses": witnesses, "stats": stats}
 
 
+def _direct_checks(poly, beacons, pairs):
+    """How often verify_routing's rule for the direct path t -> s meets
+    each of its cases, by plain attracts in pair order: a pair with no
+    chain of beacons that t pulls straight from s, a pair whose chain
+    exceeds the running max_chain but which t pulls straight from s (so
+    its chain is 0), and a pair whose direct check is skipped."""
+    known = {}
+
+    def att(poly, b, p):
+        if (b, p) not in known:
+            known[(b, p)] = attracts(poly, b, p)
+        return known[(b, p)]
+
+    counts = {"no chain, direct": 0, "above max, direct": 0, "skipped": 0}
+    max_chain = 0
+    for s, t in pairs:
+        chain = _beacon_chain(poly, beacons, s, t, att)
+        if chain is not None and chain <= max_chain:
+            counts["skipped"] += 1
+        elif att(poly, t, s):
+            counts["no chain, direct" if chain is None else "above max, direct"] += 1
+            chain = 0
+        if chain is not None:
+            max_chain = max(max_chain, chain)
+    return counts
+
+
+def test_lazy_verifiers_match_eager_reports():
+    """verify_routing, which simulates t -> s only when no chain of
+    beacons routes the pair or its chain exceeds the running max_chain,
+    against the eager _plain_routing on default pairs in given and
+    reversed order; each case of that rule occurs.  verify_coverage, which
+    asks the last puller first, against _plain_coverage for beacon lists
+    in given and reversed order."""
+    from rectbeacon.placement import cover
+
+    polys = [coverage_spiral(3)[0], random_rectilinear(12, 2), random_rectilinear(16, 4), random_rectilinear(20, 7)]
+    plan = SamplePlan(grid=8, seed=2, jitter=4)
+    cases = {"no chain, direct": 0, "above max, direct": 0, "skipped": 0}
+    verdicts = set()
+    for p in polys:
+        placed = route_beacons(p).beacons
+        mids = [midpoint(e.a, e.b) for e in p.edges[:2]]
+        for beacons in (placed, placed[:1], mids, cover(p).beacons):
+            for bs in (beacons, beacons[::-1]):
+                got = verify_coverage(p, bs, plan).as_dict()
+                assert got == _plain_coverage(p, bs, plan), (p.vertices, bs)
+                verdicts.add(got["verdict"])
+            pairs = default_pairs(p, 12, seed=3)
+            for ps in (pairs, pairs[::-1]):
+                got = verify_routing(p, beacons, pairs=ps).as_dict()
+                assert got == _plain_routing(p, beacons, ps), (p.vertices, beacons)
+                verdicts.add(got["verdict"])
+                for case, k in _direct_checks(p, beacons, ps).items():
+                    cases[case] += k
+    assert verdicts == {"pass", "fail"}
+    assert all(cases.values()), cases
+
+
+def test_no_beacons_on_the_square():
+    """The empty beacon list on the 4 x 4 square: no sample is covered at
+    grid 2, and every default pair routes by its direct path."""
+    p = validate([(0, 0), (4, 0), (4, 4), (0, 4)])
+    rep = verify_coverage(p, [], SamplePlan(grid=2))
+    assert not rep.passed and rep.stats["uncovered"] == rep.stats["samples"] == 9
+    rep = verify_routing(p, [])
+    assert rep.passed and rep.stats == {"pairs": 112, "unroutable": 0, "beacons": 0, "max_chain": 0}
+
+
 def test_frames_match_fresh_paths():
     """The memo's frames and located int starts against one-off attracts
     calls, for every sample of SamplePlan(grid=8, jitter=4) and every
@@ -370,6 +443,37 @@ def test_locate_calls_per_path(monkeypatch):
         assert verify_routing(p, route_beacons(p).beacons, pair_count=100, seed=n).passed
     assert counts["paths"] > 10000
     assert counts["locate"] <= 1.1 * counts["paths"], counts
+
+
+def test_paths_per_sample_and_per_pair(monkeypatch):
+    """On test_locate_calls_per_path's corpus, verify_coverage simulates at
+    most 1.1 paths per sample and verify_routing at most 0.5 per pair:
+    coverage asks the last puller first, and routing simulates a pair's
+    direct path only when it can change the report."""
+    import rectbeacon.verify as verify
+    from rectbeacon.placement import cover
+
+    paths = {"n": 0}
+    simulate = verify._simulate
+
+    def counted_simulate(*args):
+        paths["n"] += 1
+        return simulate(*args)
+
+    monkeypatch.setattr(verify, "_simulate", counted_simulate)
+    per = {"samples": [0, 0], "pairs": [0, 0]}
+    for n in range(12, 45, 2):
+        p = random_rectilinear(n, 1000 * n)
+        covering, routing = cover(p).beacons, route_beacons(p).beacons
+        for key, run in (("samples", lambda: verify_coverage(p, covering, SamplePlan(grid=14, seed=n, jitter=10))),
+                         ("pairs", lambda: verify_routing(p, routing, pair_count=100, seed=n))):
+            paths["n"] = 0
+            rep = run()
+            assert rep.passed
+            per[key][0] += paths["n"]
+            per[key][1] += rep.stats[key]
+    assert per["samples"][0] <= 1.1 * per["samples"][1], per
+    assert per["pairs"][0] <= 0.5 * per["pairs"][1], per
 
 
 @pytest.mark.parametrize("kwargs", [{"grid": 0}, {"grid": -1}, {"jitter": -5}])

@@ -1,20 +1,23 @@
-"""Record how route_beacons and cover grow with n, in one or more checkouts.
+"""Record how placement and verification grow with n, in one or more checkouts.
 
     python3 tools/growth.py --out GROWTH.json [NAME=DIR ...]
 
 Each NAME=DIR names a source checkout (default: change=the checkout this
 tool sits in).  For n = START, 2*START, ... up to MAX_N, every checkout
-times route_beacons and cover on the coverage spiral with n vertices and on
-random_rectilinear(n, n), each call in a fresh process per checkout and n,
-best of three when a call takes under a second.  A series stops after its
-first call of at least LIMIT_S seconds.  At each n the checkouts run in the
-given order, and in reverse order at every other n, so that two checkouts
-share the machine's slow spells.
+times route_beacons, cover, verify_coverage at c04's plan (grid 14, jitter
+10) and verify_routing with pair_count=100 on the coverage spiral with n
+vertices and on random_rectilinear(n, n), each call in a fresh process per
+checkout and n, best of three when a call takes under a second.  A
+verifier checks the beacons that cover or route_beacons places for it
+before its timed call.  A series stops after its first call of at least
+LIMIT_S seconds.  At each n the checkouts run in the given order, and in
+reverse order at every other n, so that two checkouts share the machine's
+slow spells.
 
 The record holds every timing, and per checkout, layer and family the
 growth exponent: the least-squares slope of log(seconds) against log(n)
-over the timings with n >= FIT_FROM.  It also records each checkout's
-commit, the Python version and nproc.  It is a record of one run, not a
+over the timings with n >= FIT_FROM[layer].  It also records each
+checkout's commit, the Python version and nproc.  It is a record of one run, not a
 gate: on a shared machine one call's time can move by a third between
 runs, so compare exponents only when they differ by more than that noise.
 """
@@ -29,18 +32,21 @@ import platform
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import _commit  # noqa: E402
 
-LAYERS = ("route_beacons", "cover")
+LAYERS = ("route_beacons", "cover", "verify_coverage", "verify_routing")
 FAMILIES = ("coverage_spiral", "random")
 # A call this fast is timed three times and the best time kept.
 REPEAT_UNDER_S = 1.0
-# The first n, the last n, the time that ends a series and the first n
-# that the exponents are fitted from.
-START, MAX_N, LIMIT_S, FIT_FROM = 80, 2560, 5.0, 320
+# The first n, the last n and the time that ends a series.
+START, MAX_N, LIMIT_S = 80, 2560, 5.0
+# The first n that each layer's exponents are fitted from: verify_routing
+# checks n(n - 1) vertex pairs, and its series ends by n = 320.
+FIT_FROM = {"route_beacons": 320, "cover": 320, "verify_coverage": 320, "verify_routing": 80}
 
 
 def fit_exponent(points) -> float | None:
@@ -61,15 +67,23 @@ def time_point(src: Path, n: int, series: list) -> dict:
     sys.path.insert(0, str(src))
     from rectbeacon.generators import coverage_spiral, random_rectilinear
     from rectbeacon.placement import cover, route_beacons
+    from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing
 
     polys = {"coverage_spiral": lambda: coverage_spiral((n - 4) // 2)[0], "random": lambda: random_rectilinear(n, n)}
-    layers = {"route_beacons": route_beacons, "cover": cover}
+    # Each layer's call on a polygon; a verifier's beacons are placed here,
+    # before its timed call.
+    calls = {
+        "route_beacons": lambda p: partial(route_beacons, p),
+        "cover": lambda p: partial(cover, p),
+        "verify_coverage": lambda p: partial(verify_coverage, p, cover(p).beacons, SamplePlan(grid=14, jitter=10)),
+        "verify_routing": lambda p: partial(verify_routing, p, route_beacons(p).beacons, pair_count=100),
+    }
     out = {}
     for layer, family in series:
-        poly, best = polys[family](), math.inf
+        call, best = calls[layer](polys[family]()), math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            layers[layer](poly)
+            call()
             best = min(best, time.perf_counter() - t0)
             if best >= REPEAT_UNDER_S:
                 break
@@ -77,7 +91,7 @@ def time_point(src: Path, n: int, series: list) -> dict:
     return out
 
 
-def record(checkouts: dict, start: int, max_n: int, limit: float, fit_from: int) -> dict:
+def record(checkouts: dict, start: int, max_n: int, limit: float, fit_from: dict) -> dict:
     series = {name: {layer: {family: [] for family in FAMILIES} for layer in LAYERS} for name in checkouts}
     n, k = start, 0
     while n <= max_n:
@@ -102,7 +116,7 @@ def record(checkouts: dict, start: int, max_n: int, limit: float, fit_from: int)
         "checkouts": {name: {
             "commit": _commit(root),
             "seconds": series[name],
-            "exponents": {layer: {family: fit_exponent([p for p in points if p[0] >= fit_from])
+            "exponents": {layer: {family: fit_exponent([p for p in points if p[0] >= fit_from[layer]])
                                   for family, points in by_family.items()}
                           for layer, by_family in series[name].items()},
         } for name, root in checkouts.items()},
