@@ -205,15 +205,16 @@ def _chain(poly, beacons, s, t):
     return 0 if attracts(poly, t, s) else _beacon_chain(poly, beacons, s, t)
 
 
-def _beacon_chain(poly, beacons, s, t, attracts=attracts):
+def _beacon_chain(poly, beacons, s, t, att=attracts):
     """The least number of beacons that route s to t, by breadth-first
-    search on attracts, or None; the direct path is not asked."""
-    frontier = {b for b in beacons if attracts(poly, b, s)}
+    search on att (plain attracts by default), or None; the direct path
+    is not asked."""
+    frontier = {b for b in beacons if att(poly, b, s)}
     seen, depth = set(frontier), 1
     while frontier:
-        if any(attracts(poly, t, b) for b in frontier):
+        if any(att(poly, t, b) for b in frontier):
             return depth
-        frontier = {c for c in beacons if c not in seen and any(c != b and attracts(poly, c, b) for b in frontier)}
+        frontier = {c for c in beacons if c not in seen and any(c != b and att(poly, c, b) for b in frontier)}
         seen |= frontier
         depth += 1
     return None
