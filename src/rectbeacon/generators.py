@@ -16,7 +16,7 @@ from .errors import (
 )
 from .geometry import Point, midpoint
 from .placement import BeaconSet
-from .polygon import RectPolygon, boundary_hits, validate
+from .polygon import RectPolygon, validate
 
 EAST = Point(1, 0)
 SOUTH = Point(0, -1)
@@ -197,6 +197,23 @@ def comb(k: int) -> RectPolygon:
     return validate(ring)
 
 
+def _ray_contacts(poly: RectPolygon, z: Point, d: Point) -> List[Point]:
+    """The boundary points on the ray z + t*d, t > 0, farthest first, by a
+    scan over the edges: an edge along the ray meets it only at its ends,
+    which the edges across it report."""
+    hits = {}
+    for e in poly.edges:
+        (zl, dl), (zu, du) = ((z.x, d.x), (z.y, d.y))[::1 if e.orientation == "V" else -1]
+        if dl == 0:
+            continue
+        t = (e.level - zl) / dl
+        u = zu + t * du
+        lo, hi = e.span()
+        if t > 0 and lo <= u <= hi:
+            hits[Point(e.level, u) if e.orientation == "V" else Point(u, e.level)] = t
+    return sorted(hits, key=hits.get, reverse=True)
+
+
 def greedy_cover_spiral(poly: RectPolygon, decomp: SpiralDecomposition) -> BeaconSet:
     """Greedy beacon chain along a coverage spiral.
 
@@ -224,7 +241,7 @@ def greedy_cover_spiral(poly: RectPolygon, decomp: SpiralDecomposition) -> Beaco
         witness = decomp.outer[m]  # outer corner of C_m, missed by b_{i-1}
         prev = beacons[-1]
         chosen = v
-        for _, pt, _, _ in reversed(boundary_hits(poly, v, prev - v)):
+        for pt in _ray_contacts(poly, v, prev - v):
             if attracts(poly, pt, witness):
                 chosen = pt
                 break

@@ -26,7 +26,6 @@ from .polygon import (
     _cut_rings,
     _cyclic,
     _mapped_piece,
-    chord_beside,
     chord_sides,
     chords_on_line,
     # count_reflex_below stays importable from here, where perfbench's traced run wraps it.
@@ -194,28 +193,28 @@ def _cover_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
     return _cover_no_safe_cut(poly, node)
 
 
-class _OrientationRetry(Exception):
-    """This frame cannot read the top case: v's reflex edge faces away from
-    the 1-cut, or the m1 + m2 identity fails; try the next frame."""
-
-
-class _Frame(namedtuple("_Frame", "name sx sy")):
-    """The senses of x and y in which the no-safe-cut cases, written for one
+class _Frame(namedtuple("_Frame", "name sx sy h")):
+    """The axes and senses in which the no-safe-cut cases, written for one
     orientation, are read; named by the symmetry that maps that orientation
-    there.  Levels across a chord of orientation o read with sense s, sy for
-    H and sx for V: chord_sides(...)[::s] and split(...)[::s] are (below,
-    above).
+    there.  h is the orientation of the polygon that plays horizontal.
+    Levels across a chord of orientation o read with sense s, sy for H and
+    sx for V: chord_sides(...)[::s] and split(...)[::s] are (below, above).
     """
 
     __slots__ = ()
 
+    def axis(self, o: str) -> str:
+        """The orientation of the polygon that plays orientation o of the
+        frame, and back."""
+        return o if self.h == "H" else "HV"[o == "H"]
+
     def senses(self, o: str) -> Tuple[int, int]:
-        """The senses across and along orientation o."""
+        """The senses across and along orientation o of the polygon."""
         return (self.sy, self.sx) if o == "H" else (self.sx, self.sy)
 
     def key(self, p: Point, o: str) -> Tuple[Fraction, Fraction]:
-        """p's level across o and its coordinate along o, read in this frame."""
-        (level, along), (s, t) = _level_along(p, o), self.senses(o)
+        """p's level across the frame's orientation o and its coordinate along it."""
+        (level, along), (s, t) = _level_along(p, self.axis(o)), self.senses(self.axis(o))
         return level if s > 0 else -level, along if t > 0 else -along
 
     def sides(self, chord: Chord):
@@ -230,7 +229,9 @@ class _Frame(namedtuple("_Frame", "name sx sy")):
         return poly.reflex_counts(below.s, below.t)[0]
 
 
-_FRAMES = (_Frame("id", 1, 1), _Frame("mirror_x", -1, 1), _Frame("rot180", -1, -1), _Frame("mirror_y", 1, -1))
+_FRAMES = (_Frame("id", 1, 1, "H"), _Frame("mirror_x", -1, 1, "H"), _Frame("rot180", -1, -1, "H"),
+           _Frame("mirror_y", 1, -1, "H"), _Frame("mirror_diag", 1, 1, "V"), _Frame("rot90", 1, -1, "V"),
+           _Frame("mirror_anti", -1, -1, "V"), _Frame("rot270", -1, 1, "V"))
 
 
 def _reflex_points(poly: RectPolygon, side) -> List[Point]:
@@ -241,7 +242,7 @@ def _reflex_points(poly: RectPolygon, side) -> List[Point]:
 def _first_reflex(poly: RectPolygon, chord: Chord, f: _Frame, above: bool) -> Point:
     """The reflex vertex strictly below (or above) the chord, on that side
     of it, whose level is nearest the chord's; on ties the least along it."""
-    o = chord.axis
+    o = f.axis(chord.axis)
     level = f.key(chord.a, o)[0]
     keys = [(f.key(p, o), p) for p in _reflex_points(poly, f.sides(chord)[above])]
     gaps = [(k[0] - level if above else level - k[0], k[1], p) for k, p in keys]
@@ -262,75 +263,90 @@ def _cover_split(poly: RectPolygon, chord: Chord, f: _Frame, node: TraceNode, la
 
 
 def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
-    """The paper's top case, tried in up to four frames in turn.  Only the
-    frame that runs leaves a trace node; its detail says which frames gave
-    up before it, and why.
+    """The paper's top case, read in the first frame, in _FRAMES order,
+    that has a 1-cut c whose v bounds a horizontal reflex edge facing c.
+    Only that frame leaves a trace node; its detail names the frames before
+    it, where v's edge faced away from the 1-cut.
 
-    The paper's bottom case, where the horizontal reflex edge at v, the
-    first reflex vertex below the 1-cut, faces away from the cut, is read
-    as the top case in a frame of the other y-sense.  A census ran cover on
-    random_rectilinear(8 + 2(s mod 40), 700000 + s) for s < 6,000, the
-    coverage spirals r <= 60, and random_rectilinear(8 + 2(s mod 40),
-    900000 + s) for s < 2,500 in all eight presentations.  Of its 1,616
-    no-safe-cut nodes, 781 had v's edge face away in id and mirror_x, and
-    rot180 solved every one.  With no top frame, cover fails loudly ("no
-    orientation admits the case analysis"); it returns no unchecked beacons."""
+    c is a normal cut of the frame's horizontal with r_below = 1 mod 3 and
+    at least 4: the lowest of the least r_below, then the westmost; v is
+    the first reflex vertex below c.  The paper's bottom case, where v's
+    edge faces away from c, is read as the top case in a frame of the other
+    sense or axis.  With no such frame cover fails loudly ("no orientation
+    admits the case analysis"); it returns no unchecked beacons."""
     r = poly.r
     if r % 3 == 1:
         raise InternalCaseError("no safe cut although r = 1 mod 3")
-    ncs = list(iter_normal_cuts(poly, "H"))
-    gave_up = []
+    classes, gave_up = {}, []
     for f in _FRAMES:
-        # The frame's 1-cuts, r_below = 1 mod 3 and at least 4: the lowest
-        # of the least r_below, then the westmost.
-        keys = [(rm if f.sy > 0 else r - rm, f.sy * chord.level,
-                 chord.lo if f.sx > 0 else -chord.hi, chord) for chord, rm in ncs]
-        keys = [k for k in keys if k[0] % 3 == 1 and k[0] >= 4]
-        if not keys:
+        if f.h not in classes:
+            classes[f.h] = list(iter_normal_cuts(poly, f.h))
+        # Every class as (r_below, level, along, chord), read in the frame.
+        s, t = f.senses(f.h)
+        rows = [(rm if s > 0 else r - rm, s * chord.level, chord.lo if t > 0 else -chord.hi, chord)
+                for chord, rm in classes[f.h]]
+        cuts = [k for k in rows if k[0] % 3 == 1 and k[0] >= 4]
+        if not cuts:
             continue
-        child = TraceNode(f"no_safe[{f.name}]", r, "; ".join(gave_up))
-        try:
-            beacons = _no_safe_top(poly, min(keys, key=lambda k: k[:3])[3], f, child)
-        except _OrientationRetry as exc:
-            gave_up.append(f"{f.name} gave up: {exc}")
+        c = min(cuts, key=lambda k: k[:3])[3]
+        v = _first_reflex(poly, c, f, False)
+        vi = poly.vertex_index(v)
+        # v must bound a horizontal reflex edge, else a cut just below it
+        # would have been safe.
+        e = next((x for x in (poly.edges[(vi - 1) % poly.n], poly.edges[vi]) if x.orientation == f.h), None)
+        if e is None or e.kind != "reflex":
+            raise InternalCaseError(f"first reflex vertex {v} below the 1-cut has no horizontal reflex edge")
+        if e.sense != s:
+            gave_up.append(f"{f.name} gave up: v = {v}: its reflex edge faces away from the 1-cut")
             continue
-        node.child(child)
-        return beacons
+        return _no_safe_top(poly, c, f, e, rows, node.child(TraceNode(f"no_safe[{f.name}]", r, "; ".join(gave_up))))
     raise InternalCaseError(f"no orientation admits the case analysis: {'; '.join(gave_up)}")
 
 
-def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, node: TraceNode) -> List[Point]:
-    r = poly.r
-    v = _first_reflex(poly, c, f, False)
-    vi = poly.vertex_index(v)
-    # v must bound a horizontal reflex edge, else a cut just below it would
-    # have been safe.
-    e = next((x for x in (poly.edges[(vi - 1) % poly.n], poly.edges[vi]) if x.orientation == "H"), None)
-    if e is None or e.kind != "reflex":
-        raise InternalCaseError(f"first reflex vertex {v} below the 1-cut has no horizontal reflex edge")
-    # e's interior must face up, towards the 1-cut; if not, another frame reads it.
-    if e.sense != f.sy:
-        raise _OrientationRetry(f"v = {v}: its reflex edge faces away from the 1-cut")
+def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNode) -> List[Point]:
+    """The top case at 1-cut c, whose first reflex vertex below bounds the
+    horizontal reflex edge e from v1 to v2, facing c; rows are the frame's
+    classes of its horizontal as (r_below, level, along, chord).
+
+    k1 and k2 count the reflex vertices below the classes of the band just
+    below e that span v1 and v2, and the case needs m1 + m2 = 2 mod 3
+    (mi = ki mod 3).  That holds when v lies on the floor of the strip that
+    sweeps down from c.  The strip is the rectangle under c down to the
+    first level where its cross-section changes; it cannot just end there,
+    as r_below(c) >= 4.  A wall stepping out or a floor stepping in, one
+    reflex vertex and one convex one, would leave one chord below, whose
+    lobe holds r_below(c) - 1 = 0 mod 3 reflex vertices: a safe cut.  Two
+    reflex vertices on the floor other than the ends of one edge would be
+    joined by a chord through the interior, which general position
+    excludes.  So if v is on the floor, the floor is e, facing c, and just
+    below it the strip's cross-section is the two classes beside v1 and
+    v2, each cutting off a lobe inside P-(c): r_below(c) = 2 + k1 + k2 =
+    1 mod 3.  A lobe that winds back up past the floor can put v off it;
+    when v's edge then faces away from c, the frame gave up before this
+    case ran.  When it faces c, the identity is not proved; no census
+    polygon broke it, and it stays a guard."""
+    r, vo = poly.r, f.axis("V")
     v1, v2 = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     i1, i2 = poly.vertex_index(v1), poly.vertex_index(v2)
-    # Reflex vertices below the chords just below v1 and v2.
-    k1 = f.reflex(poly, chord_beside(poly, i1, "H", -f.sy))
-    k2 = f.reflex(poly, chord_beside(poly, i2, "H", -f.sy))
+    level = f.key(v1, "H")[0]
+    band = max(k[1] for k in rows if k[1] < level)
+    k1, k2 = (next(k[0] for k in rows if k[1] == band and k[3].lo <= along <= k[3].hi)
+              for along in (_level_along(p, f.h)[1] for p in (v1, v2)))
     m1, m2 = k1 % 3, k2 % 3
     if (m1 + m2) % 3 != 2:
-        raise _OrientationRetry(f"top case: m1+m2 = {m1}+{m2} != 2 mod 3")
+        raise InternalCaseError(f"top case: m1+m2 = {m1}+{m2} != 2 mod 3")
     if {m1, m2} == {0, 2}:
         # Case (a): cut through the endpoint above the 2-side.
         if (k1 if m1 == 0 else k2) != 0:
             raise InternalCaseError("case (a): 0-side lobe not empty")
-        return _cover_split(poly, vertex_chord(poly, i2 if m1 == 0 else i1, "H"), f, node, "top(a)")
+        return _cover_split(poly, vertex_chord(poly, i2 if m1 == 0 else i1, f.h), f, node, "top(a)")
     if not (m1 == 1 and m2 == 1):
         raise InternalCaseError(f"top case: unexpected (m1, m2) = {(m1, m2)}")
     # Case (b): both side lobes hold exactly one reflex vertex.
     if k1 != 1 or k2 != 1:
         raise InternalCaseError("case (b): lobes must hold exactly one reflex vertex")
-    e1 = next(x for x in (poly.edges[(i1 - 1) % poly.n], poly.edges[i1]) if x.orientation == "V")
-    e2 = next(x for x in (poly.edges[(i2 - 1) % poly.n], poly.edges[i2]) if x.orientation == "V")
+    e1 = next(x for x in (poly.edges[(i1 - 1) % poly.n], poly.edges[i1]) if x.orientation == vo)
+    e2 = next(x for x in (poly.edges[(i2 - 1) % poly.n], poly.edges[i2]) if x.orientation == vo)
     if e1.kind != "reflex" or e2.kind != "reflex":
         # One wall is not a reflex edge: a single beacon at the opposite
         # endpoint guards everything below c.
@@ -341,7 +357,7 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, node: TraceNode) -> Lis
         child = node.child(TraceNode("top(b-wall)", r, f"beacon {b_at}"))
         child.beacons.append(b_at)
         return [b_at] + _cover_rec(plus, child.child(TraceNode("plus", plus.r)))
-    chords = {"d1": vertex_chord(poly, i1, "V"), "d2": vertex_chord(poly, i2, "V")}
+    chords = {"d1": vertex_chord(poly, i1, vo), "d2": vertex_chord(poly, i2, vo)}
     counts = {}
     for name, chord in chords.items():
         left = f.reflex(poly, chord)
@@ -364,14 +380,14 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, node: TraceNode) -> Lis
     w = _first_reflex(poly, c, f, True)
     wi = poly.vertex_index(w)
     w_hedge = next(x for x in (poly.edges[(wi - 1) % poly.n], poly.edges[wi])
-                   if x.orientation == "H")
+                   if x.orientation == f.h)
     candidates = [wi]
     if w_hedge.kind == "reflex":
         other = w_hedge.b if w_hedge.a == w else w_hedge.a
         candidates.append(poly.vertex_index(other))
     for ci in candidates:
         try:
-            chord = vertex_chord(poly, ci, "V")
+            chord = vertex_chord(poly, ci, vo)
         except NotAChord:
             continue
         left = f.reflex(poly, chord)
@@ -381,7 +397,7 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, node: TraceNode) -> Lis
         raise InternalCaseError("case (b)(iii): no vertical cut at w/w' balances mod 3")
     # The cut must land on the reflex edge e: its lower end lies on e's line.
     el_lo, el_hi = e.span()
-    if not (el_lo <= chord.level <= el_hi and (chord.lo, chord.hi)[::f.sy][0] == e.level):
+    if not (el_lo <= chord.level <= el_hi and (chord.lo, chord.hi)[::f.senses(vo)[1]][0] == e.level):
         raise InternalCaseError(
             f"case (b)(iii): vertical cut at {poly.vertices[ci]} does not land on e"
         )

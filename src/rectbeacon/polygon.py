@@ -619,62 +619,6 @@ def chords_on_line(poly: RectPolygon, axis: str, level: Fraction) -> List[Chord]
     return chords
 
 
-def _reach(c: int, dc: int, q: int, t_max: Optional[Fraction], levels: List[int]) -> Tuple[int, int]:
-    """Closed range of the integers L with L*q on the stretch from c to
-    c + t_max*dc, one coordinate of a ray scaled by q; the least or the
-    greatest of the sorted levels stands in for an unbounded end."""
-    near_lo, near_hi = -(-c // q), c // q
-    if dc == 0:
-        return near_lo, near_hi
-    if t_max is None:
-        return (near_lo, levels[-1]) if dc > 0 else (levels[0], near_hi)
-    far, den = c * t_max.denominator + t_max.numerator * dc, q * t_max.denominator
-    return (near_lo, far // den) if dc > 0 else (-(-far // den), near_hi)
-
-
-def boundary_hits(poly: RectPolygon, z: Point, d: Point,
-                  t_max: Optional[Fraction] = None) -> List[Tuple[Fraction, Point, str, int]]:
-    """Boundary contacts of the ray z + t*d for 0 < t (<= t_max), sorted by t.
-
-    A contact is (t, point, 'vertex', vertex index), or (t, point, 'edge',
-    edge index) for a point interior to that edge; at equal t a vertex comes
-    first.  An edge collinear with the ray contributes only its endpoints,
-    which its perpendicular neighbours report.  The ray is scaled to
-    integers by D*q, q the common denominator of z and d: the edge index
-    gives the edges whose level lies in the ray's extent by bisection, int
-    compares drop those whose span misses it, and integer cross-multiplying
-    places the contact on the rest.
-    """
-    scale, index = poly.edge_index()
-    q = lcm(z.x.denominator, z.y.denominator, d.x.denominator, d.y.denominator)
-    zx, zy, dx, dy = (c.numerator * (scale * q // c.denominator) for c in (z.x, z.y, d.x, d.y))
-    reach = {o: _reach(c, dc, q, t_max, index[o][0]) for o, c, dc in (("V", zx, dx), ("H", zy, dy))}
-    found = {}
-    # By edge orientation: the ray across the edges, then along them.
-    for o, zl, dl, zu, du, along in (("V", zx, dx, zy, dy, "H"), ("H", zy, dy, zx, dx, "V")):
-        if dl == 0:
-            continue
-        levels, rows = index[o]
-        (llo, lhi), (ulo, uhi) = reach[o], reach[along]
-        qw, sign = q * abs(dl), (1 if dl > 0 else -1)
-        for level, lo, hi, vlo, vhi, i in rows[bisect_left(levels, llo):bisect_right(levels, lhi)]:
-            num = level * q - zl  # t = num / dl
-            if num == 0 or hi < ulo or lo > uhi:
-                continue
-            # The contact's coordinate along the edge, times D*q*|dl|.
-            u = (zu * dl + num * du) * sign
-            if u == lo * qw:
-                found["vertex", vlo] = (Fraction(num, dl), poly.vertices[vlo])
-            elif u == hi * qw:
-                found["vertex", vhi] = (Fraction(num, dl), poly.vertices[vhi])
-            elif lo * qw < u < hi * qw:
-                at, across = Fraction(u, qw * scale), poly.edges[i].level
-                found["edge", i] = (Fraction(num, dl), Point(across, at) if o == "V" else Point(at, across))
-    hits = [(t, pt, kind, i) for (kind, i), (t, pt) in found.items()]
-    hits.sort(key=lambda h: (h[0], h[2] == "edge"))
-    return hits
-
-
 def vertex_chord(poly: RectPolygon, i: int, o: str) -> Chord:
     """The chord of orientation o through reflex vertex i.
 
@@ -690,27 +634,6 @@ def vertex_chord(poly: RectPolygon, i: int, o: str) -> Chord:
     forward, far, there = poly.shots(o)[i]
     chord = (Chord(o, level, at, far, ((i, True), there)) if forward
              else Chord(o, level, far, at, (there, (i, True))))
-    _assert_chord(poly, chord)
-    return chord
-
-
-def chord_beside(poly: RectPolygon, i: int, o: str, sense: int) -> Chord:
-    """The chord of orientation o just below or left of vertex i (sense -1),
-    or just above or right of it (sense +1): on the line midway between i's
-    level and the nearest distinct vertex level on that side, the chord
-    that spans i's coordinate along it."""
-    p = poly.vertices[i % poly.n]
-    coord, at = (p.y, p.x) if o == "H" else (p.x, p.y)
-    d, index = poly.edge_index()
-    levels, num, den = index[o][0], coord.numerator * d, coord.denominator
-    k = bisect_right(levels, num // den) if sense > 0 else bisect_left(levels, -(-num // den)) - 1
-    if not 0 <= k < len(levels):
-        where = (("below", "left of"), ("above", "right of"))[sense > 0][o == "V"]
-        raise NotAChord(f"no polygon level {where} {coord}")
-    level = (coord + Fraction(levels[k], d)) / 2
-    chord = next((c for c in chords_on_line(poly, o, level) if c.lo <= at <= c.hi), None)
-    if chord is None:
-        raise NotAChord(f"no chord of line {o}={level} reaches {p}")
     _assert_chord(poly, chord)
     return chord
 

@@ -1,7 +1,7 @@
 """Independent oracle for attraction paths: the event simulator in Fractions.
 
 Every event runs on exact rational Points: the first boundary contact of a
-free segment is the first of boundary_hits' sorted contacts, slides and
+free segment is the first of boundary_hits_scan's sorted contacts, slides and
 vertex rules compare Fraction dot products with the unit directions of the
 edges, and _finish checks with Point.dist2 that every segment brings the
 point closer to the beacon.  rectbeacon.attraction, which runs the same
@@ -21,7 +21,9 @@ from rectbeacon.attraction import (
 )
 from rectbeacon.errors import InternalCaseError, PointOutsidePolygon
 from rectbeacon.geometry import Point
-from rectbeacon.polygon import CONVEX, REFLEX, RectPolygon, _INWARD, boundary_hits
+from rectbeacon.polygon import CONVEX, REFLEX, RectPolygon, _INWARD
+
+from segment_oracle import boundary_hits_scan
 
 _UNIT = {"E": Point(1, 0), "N": Point(0, 1), "W": Point(-1, 0), "S": Point(0, -1)}
 _BACK = {"E": "W", "N": "S", "W": "E", "S": "N"}
@@ -56,7 +58,7 @@ def attraction_path(poly: RectPolygon, p: Point, b: Point) -> AttractionPath:
     limit = 8 * poly.n + 64
     for _ in range(limit - 1):  # _begin took the first of the limit steps
         if action[0] == "free":
-            hits = boundary_hits(poly, z, b - z, 1)
+            hits = boundary_hits_scan(poly, z, b - z, 1)
             if not hits or hits[0][1] == b:
                 segments.append(Segment(z, b, FREE))
                 return _finish(poly, p, b, segments, True, None)

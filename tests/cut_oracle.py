@@ -3,8 +3,8 @@ shoot the ray, walk the chain, build the piece.
 
 The chords on a line come from one scan that toggles inside/outside at
 every crossing and every boundary run on the line; a chord from a reflex
-vertex or a boundary point ends at the first boundary_hits contact of the
-ray leaving its anchor through the interior, and a chord from a reflex
+vertex or a boundary point ends at the first boundary_hits_scan contact of
+the ray leaving its anchor through the interior, and a chord from a reflex
 vertex also at the first edge index row across that ray, walked outward
 from the vertex.  The boundary chain between two points is walked vertex
 by vertex, comparing positions along the CCW boundary located with
@@ -28,10 +28,10 @@ from rectbeacon.polygon import (
     REFLEX,
     Chord,
     RectPolygon,
-    boundary_hits,
 )
 
 from ring_oracle import merge_ring
+from segment_oracle import boundary_hits_scan
 
 _UNIT = {"E": Point(1, 0), "N": Point(0, 1), "W": Point(-1, 0), "S": Point(0, -1)}
 
@@ -109,7 +109,7 @@ def ray_cut(poly, anchor, orientation):
     else:
         start = anchor
         ray = _INWARD[poly.edges[poly.locate_boundary(anchor)[0]].direction]
-    hits = boundary_hits(poly, start, ray)
+    hits = boundary_hits_scan(poly, start, ray)
     if not hits:
         return None
     a, b = sorted((start, hits[0][1]), key=lambda p: (p.x, p.y))

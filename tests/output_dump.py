@@ -10,13 +10,10 @@ The corpus is random polygons n = 8..88 (ten seeds each), coverage spirals
 r = 1..24 and combs k = 1..19, each also mirrored.  For every polygon it
 prints the kernel, clip_fast at every vertex level (each ring started at
 its least (x, y) vertex, the pieces sorted), the slab boxes, every
-normal-cut class, every cut through or just beside a reflex vertex (chord
-with its located ends, r(P_minus), both pieces),
-every pocket with its summary, contains and locate_boundary at every
-vertex, every edge midpoint and the points of a 9 x 9 grid over the
-bounding box, boundary_hits from every vertex towards each reflex vertex
-(t_max = 1) and along the four axis rays from every edge midpoint, and
-is_dead_point from every vertex and edge midpoint towards each reflex
+normal-cut class, every cut through a reflex vertex (chord with its
+located ends, r(P_minus), both pieces), every pocket with its summary,
+contains and locate_boundary at every vertex, every edge midpoint and the
+points of a 9 x 9 grid over the bounding box, and is_dead_point from every vertex and edge midpoint towards each reflex
 vertex.  Polygons with n <= 24 also get the attraction_path segments from
 every vertex and edge midpoint towards each reflex vertex.  Polygons with
 n <= 64 also get the three pieces (A, B, C and the chords' far ends p and
@@ -45,8 +42,6 @@ from rectbeacon.geometry import Point, midpoint  # noqa: E402
 from rectbeacon.kernel import kernel  # noqa: E402
 from rectbeacon.placement import _pocket_rows, _three_pieces, cover, pocket_summary, route_beacons  # noqa: E402
 from rectbeacon.polygon import (  # noqa: E402
-    boundary_hits,
-    chord_beside,
     count_reflex_below,
     iter_normal_cuts,
     pocket,
@@ -99,10 +94,10 @@ def pieces(poly, chord):
     return got if isinstance(got, str) else " | ".join(pts(p.vertices) for p in got)
 
 
-def vertex_cut(poly, make, *args):
-    """The chord make(poly, *args) with its located ends, r(P_minus) and
-    both pieces, or the error that make raised, three times."""
-    ch = outcome(make, poly, *args)
+def vertex_cut(poly, i, o):
+    """The chord vertex_chord(poly, i, o) with its located ends, r(P_minus)
+    and both pieces, or the error that vertex_chord raised, three times."""
+    ch = outcome(vertex_chord, poly, i, o)
     if isinstance(ch, str):
         return f"{ch} r-={ch} {ch}"
     return (f"{ch.axis}={ch.level} [{ch.lo},{ch.hi}] ends={ch.ends} "
@@ -115,9 +110,7 @@ def dump_cuts(poly, out):
             out(f"normal {o}={ch.level} [{ch.lo},{ch.hi}] r-={r_minus} {pieces(poly, ch)}")
     for i in poly.reflex_indices:
         for o in "HV":
-            for side, make, sense in ((None, vertex_chord, ()), ("before", chord_beside, (-1,)),
-                                      ("after", chord_beside, (1,))):
-                out(f"vertex cut {i} {o} {side}: {vertex_cut(poly, make, i, o, *sense)}")
+            out(f"vertex cut {i} {o} None: {vertex_cut(poly, i, o)}")
     for e in poly.reflex_edges():
         for v in (e.a, e.b):
             vi = poly.vertex_index(v)
@@ -145,19 +138,6 @@ def dump_location(poly, out):
                          ("midpoints", [midpoint(e.a, e.b) for e in poly.edges]),
                          ("grid", grid)):
         out(f"locate {name}: " + " ".join(f"{poly.contains(p)}{poly.locate_boundary(p)}" for p in points))
-
-
-def dump_hits(poly, out):
-    def shown(hits):
-        return " ".join(f"{t}({p.x},{p.y}){kind[0]}{i}" for t, p, kind, i in hits)
-
-    targets = [poly.vertices[i] for i in poly.reflex_indices]
-    for i, z in enumerate(poly.vertices):
-        out(f"hits from {i}: " + " ; ".join(shown(boundary_hits(poly, z, b - z, 1)) for b in targets))
-    for e in poly.edges:
-        z = midpoint(e.a, e.b)
-        out(f"rays from edge {e.index}: " + " ; ".join(
-            shown(boundary_hits(poly, z, d)) for d in (Point(1, 0), Point(-1, 0), Point(0, 1), Point(0, -1))))
 
 
 def dump_paths(poly, out):
@@ -210,7 +190,6 @@ def dump(name, poly, out):
     out("slabs " + " ".join(f"[{x1},{y1},{x2},{y2}]" for x1, y1, x2, y2 in slab_rects(poly)))
     dump_cuts(poly, out)
     dump_location(poly, out)
-    dump_hits(poly, out)
     targets = [poly.vertices[i] for i in poly.reflex_indices][:6]
     starts = list(poly.vertices) + [midpoint(e.a, e.b) for e in poly.edges]
     for b in targets:

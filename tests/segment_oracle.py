@@ -3,8 +3,8 @@
 first_hit is a general cross-product intersection against every edge,
 written without using that the edges are axis-parallel.  boundary_hits_scan
 walks every edge with Fractions, comparing its level and span with the
-ray's extent.  rectbeacon.polygon.boundary_hits, which bisects an integer
-edge index instead, is checked against both.
+ray's extent; the cut and attraction oracles take their contacts from it,
+and the greedy spiral placement's own edge scan is checked against it.
 """
 
 from rectbeacon.geometry import Point
@@ -65,8 +65,12 @@ def _extent(c, dc, far):
 
 
 def boundary_hits_scan(poly, z, d, t_max=None):
-    """Boundary contacts of the ray z + t*d for 0 < t (<= t_max), sorted by t,
-    with the contract of rectbeacon.polygon.boundary_hits."""
+    """Boundary contacts of the ray z + t*d for 0 < t (<= t_max), sorted by t.
+
+    A contact is (t, point, 'vertex', vertex index), or (t, point, 'edge',
+    edge index) for a point interior to that edge; at equal t a vertex comes
+    first.  An edge collinear with the ray contributes only its endpoints,
+    which its perpendicular neighbours report."""
     fx, fy = (None, None) if t_max is None else (z.x + t_max * d.x, z.y + t_max * d.y)
     xs, ys = _extent(z.x, d.x, fx), _extent(z.y, d.y, fy)
     # By edge orientation: z, d and the ray's extent across the edge, then along it.

@@ -1,5 +1,5 @@
 """Chords, the shot table, prefix counts, chord sides, pocket summaries,
-point location, boundary contacts, clips, vertex classes, merged rings and
+point location, clips, vertex classes, merged rings and
 transformed polygons against the line-scan, ray, row-walk, chain-walk,
 build, two-pass, edge-scan, arc-stitching, Fraction-turn and fresh-scaling
 oracles."""
@@ -28,8 +28,6 @@ from rectbeacon.polygon import (
     _assert_chord,
     _cut_rings,
     _merge_ring,
-    boundary_hits,
-    chord_beside,
     chord_sides,
     chords_on_line,
     count_reflex_below,
@@ -47,7 +45,6 @@ import cut_oracle
 import location_oracle
 import ring_oracle
 import shapes
-from segment_oracle import boundary_hits_scan
 
 
 def _corpus():
@@ -249,25 +246,43 @@ def test_normal_cut_classes_match_chain_walk():
     assert classes >= 10000
 
 
+def _chord_beside(p, i, o, sense):
+    """The chord of orientation o just below or left of vertex i (sense -1),
+    or just above or right of it (sense +1): of chords_on_line on the line
+    midway between i's level and the nearest distinct vertex level on that
+    side, the one that spans i's coordinate along it.  NotAChord when no
+    such level or chord exists."""
+    v = p.vertices[i]
+    level, along = (v.y, v.x) if o == "H" else (v.x, v.y)
+    beyond = [t for t in {(u.y if o == "H" else u.x) for u in p.vertices} if sense * (t - level) > 0]
+    if not beyond:
+        raise NotAChord(f"no vertex level on side {sense} of {v}")
+    t = (level + min(beyond, key=lambda u: sense * u)) / 2
+    chord = next((c for c in chords_on_line(p, o, t) if c.lo <= along <= c.hi), None)
+    if chord is None:
+        raise NotAChord(f"no chord of line {o}={t} reaches {v}")
+    return chord
+
+
 def _vertex_chords(p):
     """(i, o, side, chord) for every chord through a reflex vertex i (side
-    None) or just beside it (side -1 or +1, the sense chord_beside takes)."""
+    None) or just beside it (side -1 or +1, the sense _chord_beside takes)."""
     for i in p.reflex_indices:
         for o, side in [(o, side) for o in "HV" for side in (None, -1, 1)]:
             try:
-                yield i, o, side, vertex_chord(p, i, o) if side is None else chord_beside(p, i, o, side)
+                yield i, o, side, vertex_chord(p, i, o) if side is None else _chord_beside(p, i, o, side)
             except NotAChord:
                 continue
 
 
 def test_chords_beside_vertices_lie_midway_to_the_next_level():
-    """chord_beside's chord lies on the line midway between the vertex's
-    level and the nearest distinct vertex level on its side, taken from the
-    sorted Fraction coordinates, and spans the line scan's interval that
-    holds the vertex's coordinate along it.  At every vertex, both
-    orientations and both senses: NotAChord exactly when no vertex level
-    lies on that side or no such interval exists, which at a reflex vertex
-    never happens."""
+    """_chord_beside's chord, from chords_on_line, lies on the line midway
+    between the vertex's level and the nearest distinct vertex level on its
+    side, taken from the sorted Fraction coordinates, and spans the line
+    scan's interval that holds the vertex's coordinate along it.  At every
+    vertex, both orientations and both senses: NotAChord exactly when no
+    vertex level lies on that side or no such interval exists, which at a
+    reflex vertex never happens."""
     chords = missing = 0
     for p in CORPUS:
         for o in "HV":
@@ -286,12 +301,13 @@ def test_chords_beside_vertices_lie_midway_to_the_next_level():
                     if not want:
                         assert p.classes[i] != REFLEX, (p.vertices, i, o, sense)
                         with pytest.raises(NotAChord):
-                            chord_beside(p, i, o, sense)
+                            _chord_beside(p, i, o, sense)
                         missing += 1
                         continue
-                    chord = chord_beside(p, i, o, sense)
+                    chord = _chord_beside(p, i, o, sense)
                     assert (chord.axis, chord.level, [(chord.lo, chord.hi)]) == (o, t, want), \
                         (p.vertices, i, o, sense)
+                    _assert_chord(p, chord)
                     chords += 1
     assert chords >= 15000 and missing >= 5000
 
@@ -371,15 +387,16 @@ def _frame_key(q, o, s):
 def test_frame_sides_at_vertex_cuts_match_chain_walk():
     """The reflex count below a cut and the first reflex vertex below and
     above it, read in a frame of the no-safe-cut cases, against the
-    oracle's chains: in frame id and in rot180, which reverses the senses
+    oracle's chains: in frame id, in rot180, which reverses the senses
     both across and along the cut, so that the two frames count both
-    sides."""
+    sides, and in mirror_anti, which swaps the axes and reverses both
+    senses, so that it reads every cut as rot180 does."""
     cuts = 0
     for p in CORPUS:
         for i, o, side, chord in _vertex_chords(p):
             chains = cut_oracle.split_rings(p, chord)
             sides = [[q for q in chain[1:-1] if p.classes[p.vertex_index(q)] == REFLEX] for chain in chains]
-            for f, s in ((_FRAMES[0], 1), (_FRAMES[2], -1)):
+            for f, s in ((_FRAMES[0], 1), (_FRAMES[2], -1), (_FRAMES[6], -1)):
                 reflex = sides[::s]
                 assert f.reflex(p, chord) == len(reflex[0]), (p.vertices, i, o, side, f.name)
                 level = chord.level if s > 0 else -chord.level
@@ -396,6 +413,24 @@ def test_frame_sides_at_vertex_cuts_match_chain_walk():
                     assert got == want[above_cut], (p.vertices, i, o, side, f.name, above_cut)
             cuts += 1
     assert cuts >= 10000
+
+
+def test_frames_read_their_symmetry():
+    """A frame's key of a point is frame id's key of the point's image
+    under the frame's symmetry, in both orientations, at every vertex of
+    the corpus: the first four frames keep the axes, the last four swap
+    them, and together they are the eight symmetries."""
+    points = 0
+    for f in _FRAMES:
+        t = TRANSFORMS[f.name]
+        for p in CORPUS:
+            for q in p.vertices:
+                for o in "HV":
+                    assert f.key(q, o) == _FRAMES[0].key(t.point(q), o), (f.name, q, o)
+                points += 1
+    assert [f.h for f in _FRAMES] == ["H"] * 4 + ["V"] * 4
+    assert sorted(f.name for f in _FRAMES) == sorted(TRANSFORMS)
+    assert points >= 40000
 
 
 def test_pocket_side_matches_chain_walk():
@@ -436,26 +471,6 @@ def test_point_location_matches_two_pass_oracle():
             assert p.locate_boundary(q) == location_oracle.locate_boundary(p, q), (p.vertices, q)
         points += len(probes)
     assert points >= 60000
-
-
-def test_boundary_hits_matches_edge_scan():
-    """Vertex to vertex, edge midpoint to reflex vertex and back and the
-    four axis rays from every edge midpoint, on the corpus and on its mapped
-    copies.  Only polygons with n <= 24 are queried, to keep the test short."""
-    axes = (Point(1, 0), Point(-1, 0), Point(0, 1), Point(0, -1))
-    queries = 0
-    for p in [p for p in CORPUS + MAPPED if p.n <= 24]:
-        mids = [midpoint(e.a, e.b) for e in p.edges]
-        segments = [(z, b) for z in p.vertices for b in p.vertices if z != b]
-        for i in p.reflex_indices:
-            segments += [(z, p.vertices[i]) for z in mids] + [(p.vertices[i], z) for z in mids]
-        for z, b in segments:
-            assert boundary_hits(p, z, b - z, 1) == boundary_hits_scan(p, z, b - z, 1), (p.vertices, z, b)
-        for z in mids:
-            for d in axes:
-                assert boundary_hits(p, z, d) == boundary_hits_scan(p, z, d), (p.vertices, z, d)
-        queries += len(segments) + 4 * len(mids)
-    assert queries >= 70000
 
 
 def _rings(pieces):

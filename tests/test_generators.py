@@ -5,6 +5,7 @@ import pytest
 from rectbeacon.attraction import attracts, attraction_path, DEAD_AMBIGUOUS
 from rectbeacon.errors import GenerationFailed, NotCoverageSpiral
 from rectbeacon.generators import (
+    _ray_contacts,
     coverage_spiral,
     greedy_cover_spiral,
     random_rectilinear,
@@ -12,7 +13,9 @@ from rectbeacon.generators import (
     routing_spiral,
     uniform_spiral,
 )
-from rectbeacon.geometry import midpoint
+from rectbeacon.geometry import Point, midpoint
+
+from segment_oracle import boundary_hits_scan, first_hit
 
 
 def test_coverage_spiral_zero_is_rectangle():
@@ -98,6 +101,30 @@ def test_greedy_middle_beacons_in_their_rectangles():
         k = len(bs)
         for i in range(2, k):
             assert d.rect("A", 3 * i - 1).contains(bs.beacons[i - 1]), (r, i)
+
+
+def test_greedy_ray_scan_matches_the_edge_scan_oracle():
+    """The contacts of a ray that the greedy placement tries, farthest
+    first, are boundary_hits_scan's in reverse: from every vertex towards
+    every other vertex, every rectangle centre of the decomposition and
+    along the four axes, on coverage spirals r = 2..8 and two random
+    polygons.  The oracle's first contact on each segment to a vertex is
+    the cross-product oracle's."""
+    axes = [Point(1, 0), Point(-1, 0), Point(0, 1), Point(0, -1)]
+    polys = [coverage_spiral(r) for r in range(2, 9)] + [(random_rectilinear(n, n), None) for n in (12, 20)]
+    rays = 0
+    for p, d in polys:
+        targets = list(p.vertices) + ([rect.center() for _, _, rect in d.rects] if d else [])
+        for z in p.vertices:
+            for ray in [b - z for b in targets if b != z] + axes:
+                want = boundary_hits_scan(p, z, ray)
+                assert _ray_contacts(p, z, ray) == [pt for _, pt, _, _ in reversed(want)], (p.vertices, z, ray)
+                rays += 1
+            for b in p.vertices:
+                if b != z:
+                    hits = boundary_hits_scan(p, z, b - z, 1)
+                    assert (hits[0] if hits else None) == first_hit(p, z, b), (p.vertices, z, b)
+    assert rays >= 4000
 
 
 def test_greedy_requires_coverage_kind():

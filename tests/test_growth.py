@@ -24,6 +24,23 @@ def test_fit_exponent_recovers_a_power_law():
     assert growth.fit_exponent([(80, 1.0), (80, 2.0)]) is None
 
 
+def test_exponents_fit_the_n_every_checkout_reached():
+    """A series that stopped early limits the other checkout's fit to the n
+    both reached: the longer series bends after n = 160, so a fit over all
+    its n would read less than 2."""
+    growth = _growth()
+    series = {
+        "long": {"cover": {"random": [[80, 1.0], [160, 4.0], [320, 8.0], [640, 16.0]]}},
+        "short": {"cover": {"random": [[80, 2.0], [160, 16.0]]}},
+    }
+    got = growth.shared_exponents(series, {"cover": 80})
+    assert got["long"]["cover"]["random"] == pytest.approx(2.0)
+    assert got["short"]["cover"]["random"] == pytest.approx(3.0)
+    assert growth.fit_exponent([(n, t) for n, t in series["long"]["cover"]["random"]]) < 1.5
+    assert growth.shared_exponents(series, {"cover": 160}) == {"long": {"cover": {"random": None}},
+                                                               "short": {"cover": {"random": None}}}
+
+
 def test_record_schema_at_small_n():
     growth = _growth()
     fit_from = dict.fromkeys(growth.LAYERS, 10)

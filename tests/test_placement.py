@@ -315,6 +315,28 @@ def test_cover_reads_a_faced_away_edge_in_rot180():
     assert rep.passed, rep.witnesses[:1]
 
 
+def test_cover_swaps_the_axes_when_no_sense_reads_the_top_case():
+    """In presentations rot270 and mirror_anti of random_rectilinear(84,
+    700998) cover reaches a node (r = 9, n = 22) where v's reflex edge
+    faces away from the 1-cut in all four frames that keep the axes; a
+    frame that swaps them reads the top case, and the beacons guard the
+    polygon within the bound, at reflex vertices."""
+    p = random_rectilinear(84, 700998)
+    for name in ("rot270", "mirror_anti"):
+        q = TRANSFORMS[name].polygon(p)
+        bs = cover(q)
+        assert len(bs) <= ceil3(q.r) == 14, name
+        assert set(bs.beacons) <= {q.vertices[i] for i in q.reflex_indices}, name
+        swapped = [m for m in _nodes(bs.trace) if m.label in {f"no_safe[{f.name}]" for f in placement._FRAMES[4:]}]
+        assert swapped, name
+        for m in swapped:
+            gave_up = [_FACES_AWAY.fullmatch(part) for part in m.detail.split("; ")]
+            assert all(gave_up) and [g.group(1) for g in gave_up][:4] == ["id", "mirror_x", "rot180", "mirror_y"], \
+                (name, m.detail)
+        rep = verify_coverage(q, bs.beacons, SamplePlan(grid=20, jitter=8))
+        assert rep.passed, (name, rep.witnesses[:1])
+
+
 def _route_polys():
     """Twenty fuzz polygons and the one whose sweep of C stops at a reflex
     edge whose chord cuts off a piece reaching back towards e's line."""

@@ -16,7 +16,9 @@ slow spells.
 
 The record holds every timing, and per checkout, layer and family the
 growth exponent: the least-squares slope of log(seconds) against log(n)
-over the timings with n >= FIT_FROM[layer].  It also records each
+over the timings with n >= FIT_FROM[layer] at the n that every checkout
+reached, so that a slower checkout's shorter series is compared like for
+like.  It also records each
 checkout's commit, the Python version and nproc.  It is a record of one run, not a
 gate: on a shared machine one call's time can move by a third between
 runs, so compare exponents only when they differ by more than that noise.
@@ -59,6 +61,20 @@ def fit_exponent(points) -> float | None:
     my = sum(y for _, y in points) / len(points)
     return (sum((x - mx) * (y - my) for x, y in points)
             / sum((x - mx) ** 2 for x, _ in points))
+
+
+def shared_exponents(series: dict, fit_from: dict) -> dict:
+    """{checkout: {layer: {family: exponent}}} from {checkout: {layer:
+    {family: [[n, seconds], ...]}}}, each fitted over the n from
+    fit_from[layer] on that every checkout timed."""
+    first = next(iter(series.values()))
+    shared = {(layer, family): set.intersection(*({n for n, _ in s[layer][family]} for s in series.values()))
+              for layer, by_family in first.items() for family in by_family}
+    return {name: {layer: {family: fit_exponent([p for p in points
+                                                 if p[0] >= fit_from[layer] and p[0] in shared[layer, family]])
+                           for family, points in by_family.items()}
+                   for layer, by_family in s.items()}
+            for name, s in series.items()}
 
 
 def time_point(src: Path, n: int, series: list) -> dict:
@@ -109,6 +125,7 @@ def record(checkouts: dict, start: int, max_n: int, limit: float, fit_from: dict
                 series[name][layer][family].append([n, round(seconds, 6)])
             print(f"{name} n={n}: {proc.stdout.strip()}", file=sys.stderr)
         n, k = 2 * n, k + 1
+    exponents = shared_exponents(series, fit_from)
     return {
         "python": platform.python_version(), "nproc": os.cpu_count(),
         "start_n": start, "max_n": max_n, "limit_s": limit, "fit_from": fit_from,
@@ -116,9 +133,7 @@ def record(checkouts: dict, start: int, max_n: int, limit: float, fit_from: dict
         "checkouts": {name: {
             "commit": _commit(root),
             "seconds": series[name],
-            "exponents": {layer: {family: fit_exponent([p for p in points if p[0] >= fit_from[layer]])
-                                  for family, points in by_family.items()}
-                          for layer, by_family in series[name].items()},
+            "exponents": exponents[name],
         } for name, root in checkouts.items()},
     }
 
