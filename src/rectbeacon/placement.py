@@ -214,7 +214,8 @@ class _Frame(namedtuple("_Frame", "name sx sy h")):
 
     def key(self, p: Point, o: str) -> Tuple[Fraction, Fraction]:
         """p's level across the frame's orientation o and its coordinate along it."""
-        (level, along), (s, t) = _level_along(p, self.axis(o)), self.senses(self.axis(o))
+        o = self.axis(o)
+        (level, along), (s, t) = _level_along(p, o), self.senses(o)
         return level if s > 0 else -level, along if t > 0 else -along
 
     def sides(self, chord: Chord):
