@@ -47,10 +47,11 @@ def _write_text(path: str, text: str) -> None:
 
 def _load(path: str, what: str, parse):
     """parse(JSON data of the file at path); a file that cannot be read,
-    decoded or parsed exits with code 2."""
+    decoded or parsed, or that nests too deep for the decoder, exits with
+    code 2."""
     try:
         return parse(json.loads(_read_text(path)))
-    except (GeometryError, OSError, ValueError) as exc:
+    except (GeometryError, OSError, ValueError, RecursionError) as exc:
         _fail_input(f"cannot read {what} from {path}: {exc}")
 
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InternalCaseError, NotAChord, NotMonotone, TooManyReflexVertices
+from .errors import InternalCaseError, NotMonotone, TooManyReflexVertices
 from .geometry import Point, midpoint
 from .kernel import in_all_cones
 from .polygon import (
@@ -325,7 +325,25 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNod
     1 mod 3.  A lobe that winds back up past the floor can put v off it;
     when v's edge then faces away from c, the frame gave up before this
     case ran.  When it faces c, the identity is not proved; no census
-    polygon broke it, and it stays a guard."""
+    polygon broke it, and it stays a guard.
+
+    Case (b) with both walls reflex reads two counts: the reflex vertices
+    west of d1, the vertical chord up from v1, and east of d2, the one up
+    from v2.  The wall e1 at v1 is a reflex edge, so its lower end u1 is
+    reflex, and as k1 = 1, u1 is the only reflex vertex in the lobe under
+    the class beside v1.  Take the vertical normal cuts of the bands just
+    west and just east of v1 that extend d1.  Both end on the same edge
+    above, because d1 ends inside an edge (general position).  The
+    boundary between their lower ends runs through u1, up e1 and along e,
+    so their west counts are L and L + 2, and d1's two sides hold L + 1
+    and r - L - 2.  As r != 1 mod 3, a normal cut is safe when both sides
+    are >= 1 and one side is 0 mod 3.  So "no safe cut" forces
+    r != 2 mod 3, and L = 0 or L = 2 mod 3; the same holds for R, the
+    count east of the cut just east of v2.  Hence d1's east side and d2's
+    west side are never 0 mod 3, and the paper's case (b)(ii), for
+    r = 2 mod 3, never runs.  When (b)(i) finds neither outer side
+    divisible by three, L = R = 0: both outer sides hold one reflex vertex
+    and r = 0 mod 3, which are (b)(iii)'s preconditions."""
     r, vo = poly.r, f.axis("V")
     v1, v2 = sorted((e.a, e.b), key=lambda p: f.key(p, "H"))  # west, east
     i1, i2 = poly.vertex_index(v1), poly.vertex_index(v2)
@@ -341,9 +359,8 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNod
         if (k1 if m1 == 0 else k2) != 0:
             raise InternalCaseError("case (a): 0-side lobe not empty")
         return _cover_split(poly, vertex_chord(poly, i2 if m1 == 0 else i1, f.h), f, node, "top(a)")
-    if not (m1 == 1 and m2 == 1):
-        raise InternalCaseError(f"top case: unexpected (m1, m2) = {(m1, m2)}")
-    # Case (b): both side lobes hold exactly one reflex vertex.
+    # Case (b): m1 = m2 = 1, the only pair left; both side lobes hold
+    # exactly one reflex vertex.
     if k1 != 1 or k2 != 1:
         raise InternalCaseError("case (b): lobes must hold exactly one reflex vertex")
     e1 = next(x for x in (poly.edges[(i1 - 1) % poly.n], poly.edges[i1]) if x.orientation == vo)
@@ -358,26 +375,16 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNod
         child = node.child(TraceNode("top(b-wall)", r, f"beacon {b_at}"))
         child.beacons.append(b_at)
         return [b_at] + _cover_rec(plus, child.child(TraceNode("plus", plus.r)))
-    chords = {"d1": vertex_chord(poly, i1, vo), "d2": vertex_chord(poly, i2, vo)}
-    counts = {}
-    for name, chord in chords.items():
-        left = f.reflex(poly, chord)
-        counts[name] = (left, r - 1 - left)
-    # (b)(i): some side of some d_i is divisible by three.
-    for name, chord in chords.items():
-        left, right = counts[name]
-        if left % 3 == 0 or right % 3 == 0:
-            return _cover_split(poly, chord, f, node, f"top(b-i,{name})")
-    residues = {counts[name][0] % 3 for name in counts} | {counts[name][1] % 3 for name in counts}
-    if r % 3 == 2:
-        if residues != {2}:
-            raise InternalCaseError(f"case (b)(ii): residues {residues}")
-        return _cover_split(poly, chords["d1"], f, node, "top(b-ii)")
-    # (b)(iii): r = 0 mod 3 and every residue is 1.
-    if r % 3 != 0 or residues != {1}:
-        raise InternalCaseError(f"case (b)(iii) preconditions: r={r}, residues={residues}")
-    if counts["d1"][0] != 1 or counts["d2"][1] != 1:
-        raise InternalCaseError("case (b)(iii): outer strips must hold exactly one reflex vertex")
+    d1, d2 = vertex_chord(poly, i1, vo), vertex_chord(poly, i2, vo)
+    left, right = f.reflex(poly, d1), r - 1 - f.reflex(poly, d2)
+    # (b)(i): the outer side of d1 or of d2 is divisible by three.
+    if left % 3 == 0:
+        return _cover_split(poly, d1, f, node, "top(b-i,d1)")
+    if right % 3 == 0:
+        return _cover_split(poly, d2, f, node, "top(b-i,d2)")
+    # (b)(iii): no other case is left, as the docstring argues.
+    if r % 3 != 0 or (left, right) != (1, 1):
+        raise InternalCaseError(f"case (b)(iii) preconditions: r={r}, outer sides {(left, right)}")
     w = _first_reflex(poly, c, f, True)
     wi = poly.vertex_index(w)
     w_hedge = next(x for x in (poly.edges[(wi - 1) % poly.n], poly.edges[wi])
@@ -387,12 +394,9 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNod
         other = w_hedge.b if w_hedge.a == w else w_hedge.a
         candidates.append(poly.vertex_index(other))
     for ci in candidates:
-        try:
-            chord = vertex_chord(poly, ci, vo)
-        except NotAChord:
-            continue
-        left = f.reflex(poly, chord)
-        if left % 3 == 0 or (r - 1 - left) % 3 == 0:
+        chord = vertex_chord(poly, ci, vo)
+        west = f.reflex(poly, chord)
+        if west % 3 == 0 or (r - 1 - west) % 3 == 0:
             break
     else:
         raise InternalCaseError("case (b)(iii): no vertical cut at w/w' balances mod 3")

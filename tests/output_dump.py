@@ -7,7 +7,9 @@ so running it in two checkouts and comparing the files with one diff shows
 whether a change keeps every output below byte-identical.
 
 The corpus is random polygons n = 8..88 (ten seeds each), coverage spirals
-r = 1..24 and combs k = 1..19, each also mirrored.  For every polygon it
+r = 1..24 and combs k = 1..19, each also mirrored, and the witnesses of
+cover's case (b), CASE_B_I and CASE_B_III of shapes.py, in all eight
+presentations.  For every polygon it
 prints the kernel, clip_fast at every vertex level (each ring started at
 its least (x, y) vertex, the pieces sorted), the slab boxes, every
 normal-cut class, every cut through a reflex vertex (chord with its
@@ -46,6 +48,7 @@ from rectbeacon.polygon import (  # noqa: E402
     iter_normal_cuts,
     pocket,
     split,
+    validate,
     vertex_chord,
 )
 from rectbeacon.regions import slab_rects  # noqa: E402
@@ -58,6 +61,7 @@ from rectbeacon.verify import (  # noqa: E402
     verify_coverage,
     verify_routing,
 )
+from shapes import CASE_B_I, CASE_B_III  # noqa: E402
 
 
 def corpus():
@@ -65,7 +69,10 @@ def corpus():
              for n in range(8, 90, 8) for s in range(10)]
     polys += [(f"coverage_spiral r={r}", coverage_spiral(r)[0]) for r in range(1, 25)]
     polys += [(f"comb k={k}", comb(k)) for k in range(1, 20)]
-    return polys + [(name + " mirror_x", TRANSFORMS["mirror_x"].polygon(p)) for name, p in polys]
+    polys += [(name + " mirror_x", TRANSFORMS["mirror_x"].polygon(p)) for name, p in polys]
+    return polys + [(f"{name} {t.name}", t.polygon(validate(ring)))
+                    for name, ring in (("CASE_B_I", CASE_B_I), ("CASE_B_III", CASE_B_III))
+                    for t in TRANSFORMS.values()]
 
 
 def pts(points):

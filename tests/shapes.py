@@ -44,3 +44,13 @@ W_SHAPE_VERTICAL = [(y, x) for x, y in W_SHAPE]
 # the boundary through the convex corners (2,1) and (3,1): general position holds.
 STEP_FLOOR = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 1), (4, 1), (4, 0), (5, 0),
               (5, 5), (0, 5)]
+
+# Witnesses of cover's case (b) with both walls reflex, r = 6, in general
+# position.  From the no-safe-cut node at the root, CASE_B_III reaches
+# top(b-iii) in presentations id, rot180, mirror_x and mirror_y; CASE_B_I,
+# the same first ten vertices under another top, reaches top(b-i,d1) in id
+# and rot180 and top(b-i,d2) in mirror_x and mirror_y.  Their other
+# presentations reach top(a).
+CASE_B_III = [(0, -4), (6, -4), (6, -2), (2, -2), (2, 0), (8, 0), (8, -6), (3, -6), (3, -8), (10, -8),
+              (10, 4), (5, 4), (5, 6), (10, 6), (10, 10), (0, 10)]
+CASE_B_I = CASE_B_III[:10] + [(10, 10), (0, 10), (0, 6), (1, 6), (1, 4), (0, 4)]

@@ -286,12 +286,15 @@ _GOOD_BEACONS = json.dumps({"beacons": [["2", "2"]], "mode": "route"})
     (["verify", "cover", "{poly}", "{bad}"], {"bad": '{"beacons": [["2", "2e9999"]]}'}),
     (["kernel", "{bad}"], {"bad": '{"vertices": [[0, 0], [2.5, 0], [2.5, 2], [0, 2]]}'}),
     (["verify", "cover", "{poly}", "{bad}"], {"bad": '{"beacons": [[true, "2"]]}'}),
+    (["kernel", "{bad}"], {"bad": "[" * 200000}),
+    (["verify", "cover", "{poly}", "{bad}"], {"bad": '{"beacons": ' + "[" * 200000}),
 ], ids=["pairs_missing", "pairs_bad_number", "pairs_short", "path_missing", "path_not_list",
         "polygon_not_list", "polygon_number", "polygon_null", "beacons_not_list",
         "beacons_number", "beacons_null", "polygon_zero_denominator", "pairs_zero_denominator",
         "polygon_exponent_past_digit_limit", "polygon_exponent_of_eight_digits",
         "polygon_negative_exponent_at_digit_limit", "polygon_digits_past_limit",
-        "beacons_exponent_past_digit_limit", "polygon_json_float", "beacons_json_bool"])
+        "beacons_exponent_past_digit_limit", "polygon_json_float", "beacons_json_bool",
+        "polygon_nested_too_deep", "beacons_nested_too_deep"])
 def test_unreadable_input_exits_2_with_one_error_line(tmp_path, command, files):
     paths = {"poly": tmp_path / "u.json", "beacons": tmp_path / "b.json",
              "missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json"}

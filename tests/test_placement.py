@@ -32,7 +32,7 @@ from rectbeacon.polygon import (
 from rectbeacon.transforms import TRANSFORMS
 from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing
 
-from shapes import l_shape, square, u_shape
+from shapes import CASE_B_I, CASE_B_III, l_shape, square, u_shape
 
 # A 16-vertex polygon with r = 6 that admits no safe cut, found by
 # exhaustive candidate enumeration over a fuzz corpus and frozen here.
@@ -335,6 +335,29 @@ def test_cover_swaps_the_axes_when_no_sense_reads_the_top_case():
                 (name, m.detail)
         rep = verify_coverage(q, bs.beacons, SamplePlan(grid=20, jitter=8))
         assert rep.passed, (name, rep.witnesses[:1])
+
+
+def test_cover_case_b_witnesses_reach_both_walls_reflex():
+    """CASE_B_I and CASE_B_III, in all eight presentations, reach the end of
+    the top case (b) where both walls are reflex edges: top(b-i,d1),
+    top(b-i,d2) and top(b-iii) each place beacons, top(b-ii) never runs,
+    and every cover guards its polygon with at most 2 = ceil(6/3) beacons,
+    all reflex vertices named by the trace."""
+    labels = Counter()
+    for ring in (CASE_B_I, CASE_B_III):
+        p = validate(ring)
+        assert p.r == 6
+        for name, t in TRANSFORMS.items():
+            q = t.polygon(p)
+            bs = cover(q)
+            labels.update(m.label for m in _nodes(bs.trace) if m.label.startswith("top("))
+            assert len(bs) <= 2, name
+            assert set(bs.beacons) <= {q.vertices[i] for i in q.reflex_indices}, name
+            assert _trace_beacons(bs.trace) == set(bs.beacons), name
+            rep = verify_coverage(q, bs.beacons, SamplePlan(grid=100, jitter=200))
+            assert rep.passed, (name, rep.witnesses[:1])
+    assert labels["top(b-i,d1)"] and labels["top(b-i,d2)"] and labels["top(b-iii)"], labels
+    assert "top(b-ii)" not in labels, labels
 
 
 def _route_polys():
