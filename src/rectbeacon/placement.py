@@ -141,16 +141,16 @@ def find_safe_cut(poly: RectPolygon) -> Optional[Chord]:
     or None.
 
     Scans every combinatorial class of normal cuts (horizontal bands first,
-    in increasing level order, then vertical), first hit wins.
+    in increasing level order, then vertical), first hit wins.  Each class
+    is decided on its count alone; only the one returned builds its chord.
     """
     r = poly.r
     target = _ceil3(r)
     for orientation in ("H", "V"):
-        for chord, r_minus in iter_normal_cuts(poly, orientation):
-            r_plus = r - r_minus
-            if r_minus >= 1 and r_plus >= 1 and _ceil3(r_minus) + _ceil3(r_plus) == target:
-                assert _ceil3(r_minus) + _ceil3(r_plus) == _ceil3(r)
-                return chord
+        for cut in iter_normal_cuts(poly, orientation):
+            r_minus = cut.r_minus
+            if 1 <= r_minus < r and _ceil3(r_minus) + _ceil3(r - r_minus) == target:
+                return cut.chord
     return None
 
 

@@ -156,17 +156,64 @@ def _merge_ring(points: Sequence[Point], ints: Optional[Tuple[int, List[int], Li
 
 
 # A ring that chords cut from a polygon, unmerged: its points, (M, xs, ys)
-# of them, M a common denominator, and segs, which names what the ring runs
+# of them, M a common denominator, segs, which names what the ring runs
 # along from points[m] to points[m + 1]: the polygon's edge segs[m] when
-# segs[m] >= 0, else the chord ~segs[m] of the cut.
-Ring = namedtuple("Ring", "points ints segs")
+# segs[m] >= 0, else the chord ~segs[m] of the cut, and classes, the class
+# in the polygon of each point strictly inside a boundary walk, None at the
+# chord ends.
+Ring = namedtuple("Ring", "points ints segs classes")
+
+
+def _merge_cut_ring(ring: Ring) -> Tuple[List[Point], Tuple[int, List[int], List[int]],
+                                         Tuple[str, ...], Sequence[int]]:
+    """(points, (M, xs, ys), classes, keep): _merge_ring of a ring that
+    _cut_rings made, with the classes of the points it keeps.
+
+    A point strictly inside a boundary walk has, on either side, the same
+    neighbour as in the cut polygon or a chord end on the same edge of it,
+    so it keeps its class and is never collinear.  So only the chord ends
+    are turned.  No chord end repeats its neighbour, and one that is
+    collinear runs straight on, so dropping it changes no other point's
+    turn: one pass over the chord ends drops what _merge_ring would.  When
+    it drops none, the ring's own lists are returned.  InternalCaseError at
+    a chord end that repeats a point or turns back, which no cut of a
+    polygon along its disjoint chords makes."""
+    points, ints, _, classes = ring
+    _, xs, ys = ints
+    n, classes, dropped = len(points), list(classes), []
+    k = -1
+    for _ in range(classes.count(None)):
+        k = classes.index(None, k + 1)
+        b, c = k - 1, (k + 1) % n
+        turn = _turn(xs, ys, b, k, c)
+        if turn:
+            classes[k] = CONVEX if turn > 0 else REFLEX
+        elif (xs[k] - xs[b]) * (xs[c] - xs[k]) + (ys[k] - ys[b]) * (ys[c] - ys[k]) > 0:
+            dropped.append(k)
+        else:
+            raise InternalCaseError(f"cut ring repeats a point or turns back at chord end {points[k]}")
+    if not dropped:
+        return points, ints, tuple(classes), range(n)
+    return (_without(points, dropped), (ints[0], _without(xs, dropped), _without(ys, dropped)),
+            tuple(_without(classes, dropped)), _without(range(n), dropped))
+
+
+def _without(seq: Sequence, dropped: List[int]) -> list:
+    """seq less the items at the increasing indices dropped, by slices."""
+    out, s = [], 0
+    for k in dropped:
+        out += seq[s:k]
+        s = k + 1
+    out += seq[s:]
+    return out
 
 
 def _piece(ring: Ring) -> "RectPolygon":
     """The trusted polygon of a ring cut from a polygon: the ring's ints
-    merge it, classify its vertices and edges and later build its index."""
-    verts, ints, _ = _merge_ring(ring.points, ring.ints)
-    return RectPolygon(verts, _trusted=True, _ints=ints)
+    and classes merge it, give it the classes of its vertices, and classify
+    its edges and later build its index."""
+    verts, ints, classes, _ = _merge_cut_ring(ring)
+    return RectPolygon(verts, _trusted=True, _ints=ints, _classes=classes)
 
 
 def _mapped_piece(ring: Ring):
@@ -175,7 +222,7 @@ def _mapped_piece(ring: Ring):
     boundary walk of the ring is its index in the cut polygon, and
     edge_of(label) the piece edge that holds the ring's segment of that
     label, None if the ring has none."""
-    verts, ints, keep = _merge_ring(ring.points, ring.ints)
+    verts, ints, classes, keep = _merge_cut_ring(ring)
     at = dict(zip(ring.segs, range(len(ring.segs))))
 
     def edge_of(label: int) -> Optional[int]:
@@ -184,7 +231,8 @@ def _mapped_piece(ring: Ring):
         # the ring's first segments, before keep[0], end the last edge.
         return None if m is None else (bisect_right(keep, m) - 1) % len(keep)
 
-    return RectPolygon(verts, _trusted=True, _ints=ints), [ring.segs[m] for m in keep], edge_of
+    parent = ring.segs if len(keep) == len(ring.segs) else [ring.segs[m] for m in keep]
+    return RectPolygon(verts, _trusted=True, _ints=ints, _classes=classes), parent, edge_of
 
 
 class RectPolygon:
@@ -202,7 +250,9 @@ class RectPolygon:
                  _classes: Optional[Tuple[str, ...]] = None):
         """_ints is (D, xs, ys) of the vertices if the caller has them: the
         coordinates times D, a common denominator, as ints, which every edge
-        query reads.  _classes is _classify's result if the caller has it."""
+        query reads.  _classes is _classify's result if the caller has it,
+        or the classes that a piece cut from a polygon inherits from it
+        (_merge_cut_ring)."""
         verts = tuple(vertices)
         if not _trusted:
             raise TypeError("use rectbeacon.polygon.validate() to build a RectPolygon")
@@ -735,16 +785,16 @@ def _cut_rings(poly: RectPolygon, chords: Sequence[Chord], starts) -> dict:
     d, xs, ys = poly._ints
     m = lcm(d, *(c.denominator for chord in chords for c in (chord.level, chord.lo, chord.hi)))
     xs, ys = (xs, ys) if m == d else ([x * (m // d) for x in xs], [y * (m // d) for y in ys])
-    at = []  # per chord: its ends as (point, x, y), the ints times M
+    at = []  # per chord: its ends as (point, x, y, class), the ints times M
     for chord in chords:
         level, lo, hi = (c.numerator * (m // c.denominator) for c in (chord.level, chord.lo, chord.hi))
-        at.append(((chord.a, lo, level), (chord.b, hi, level)) if chord.axis == "H"
-                  else ((chord.a, level, lo), (chord.b, level, hi)))
+        at.append(((chord.a, lo, level, None), (chord.b, hi, level, None)) if chord.axis == "H"
+                  else ((chord.a, level, lo, None), (chord.b, level, hi, None)))
     rings, seen, indices = {}, set(), range(poly.n)
     for start in ends:
         if start not in starts or start in seen:
             continue
-        ring, rx, ry, segs = [], [], [], []
+        ring, rx, ry, segs, classes = [], [], [], [], []
         end = start
         while True:
             if end in seen:
@@ -753,13 +803,14 @@ def _cut_rings(poly: RectPolygon, chords: Sequence[Chord], starts) -> dict:
             (k, e), (k2, e2) = end, following[end]
             leave = chords[k].ends[e]
             s, t = walk_range(leave, chords[k2].ends[e2])
-            for out, seq, first, last in zip((ring, rx, ry), (poly.vertices, xs, ys), at[k][e], at[k2][e2]):
+            for out, seq, first, last in zip((ring, rx, ry, classes), (poly.vertices, xs, ys, poly.classes),
+                                             at[k][e], at[k2][e2]):
                 out += [first, *_cyclic(seq, s, t), last]
             segs += [leave[0], *_cyclic(indices, s, t), ~k2]
             end = (k2, 1 - e2)
             if end == start:
                 break
-        rings[start] = Ring(ring, (m, rx, ry), segs)
+        rings[start] = Ring(ring, (m, rx, ry), segs, classes)
     return rings
 
 
@@ -780,24 +831,52 @@ def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon
 # --------------------------------------------------- normal cut enumeration
 
 
-def iter_normal_cuts(poly: RectPolygon, orientation: str) -> Iterator[Tuple[Chord, int]]:
-    """(chord, r(P_minus)) for every combinatorial class of normal cuts of
-    one orientation, generated band by band in increasing level order.
+class NormalCut:
+    """One combinatorial class of normal cuts, as iter_normal_cuts yields
+    it: r_minus, the number of reflex vertices of P_minus, counted on the
+    boundary, and chord, its representative, which is built on first use.
+    It reads as the pair (chord, r_minus)."""
+
+    __slots__ = ("poly", "axis", "level2", "i", "j", "r_minus", "_chord")
+
+    def __init__(self, poly: RectPolygon, axis: str, level2: int, i: int, j: int, r_minus: int):
+        # The chord lies on the axis line at level2 / 2D, D the edge index's
+        # scale, and ends inside edges i and j.
+        self.poly, self.axis, self.level2, self.i, self.j, self.r_minus = poly, axis, level2, i, j, r_minus
+        self._chord = None
+
+    @property
+    def chord(self) -> Chord:
+        if self._chord is None:
+            edges = self.poly.edges
+            self._chord = Chord(self.axis, Fraction(self.level2, 2 * self.poly.edge_index()[0]),
+                                edges[self.i].level, edges[self.j].level, ((self.i, False), (self.j, False)))
+        return self._chord
+
+    def __getitem__(self, k: int):
+        return (self.chord, self.r_minus)[k]
+
+
+def iter_normal_cuts(poly: RectPolygon, orientation: str) -> Iterator[NormalCut]:
+    """Every combinatorial class of normal cuts of one orientation, as a
+    NormalCut, which reads as (chord, r(P_minus)), generated band by band
+    in increasing level order.
 
     Bands between consecutive distinct vertex levels, the levels of the edge
     index rows of the cut's orientation, each contribute one representative
     chord per class; r(P_minus) is constant within a class.  A band's
     midpoint is no vertex level, so the index rows across it, already in
-    order along it, pair up into its chords, each ending inside two edges,
-    and r(P_minus) is a prefix count between them.
+    order along it, pair up into its chords, each ending inside two edges
+    i and j, i before j along the band.  P_minus is the walk from edge i to
+    edge j for a horizontal chord and back for a vertical one (chord_sides),
+    so r(P_minus) is a prefix count between them, read without the chord.
     """
-    d, index = poly.edge_index()
+    index = poly.edge_index()[1]
     levels = list(dict.fromkeys(index[orientation][0]))
     across = index["V" if orientation == "H" else "H"][1]
+    horizontal = orientation == "H"
     for below, above in zip(levels, levels[1:]):
         ends = [i for _, lo, hi, _, _, i in across if lo <= below < hi]
-        t = Fraction(below + above, 2 * d)
         for i, j in zip(ends[::2], ends[1::2]):
-            chord = Chord(orientation, t, poly.edges[i].level, poly.edges[j].level, ((i, False), (j, False)))
-            minus, _ = chord_sides(chord)
-            yield chord, poly.reflex_counts(minus.s, minus.t)[0]
+            s, t = (i + 1, j + 1) if horizontal else (j + 1, i + 1)
+            yield NormalCut(poly, orientation, below + above, i, j, poly.reflex_counts(s, t)[0])

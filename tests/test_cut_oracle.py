@@ -12,6 +12,7 @@ from rectbeacon.clipping import clip_fast
 from rectbeacon.errors import GeneralPositionViolated, InternalCaseError, NotAChord, NotRectilinear
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
+from rectbeacon import placement, polygon
 from rectbeacon.placement import (
     _FRAMES,
     _first_reflex,
@@ -19,15 +20,20 @@ from rectbeacon.placement import (
     _pocket_wraps,
     _reflex_points,
     _three_pieces,
+    find_safe_cut,
     pocket_summary,
 )
 from rectbeacon.polygon import (
+    CONVEX,
     REFLEX,
     Chord,
     RectPolygon,
+    Ring,
     _assert_chord,
     _cut_rings,
+    _mapped_piece,
     _merge_ring,
+    _piece,
     chord_sides,
     chords_on_line,
     count_reflex_below,
@@ -47,9 +53,12 @@ import ring_oracle
 import shapes
 
 
+FUZZ = [random_rectilinear(n, seed) for n in range(8, 90, 8) for seed in range(3)]
+
+
 def _corpus():
     """Fuzz polygons, coverage and uniform spirals and combs, each also mirrored."""
-    polys = [random_rectilinear(n, seed) for n in range(8, 90, 8) for seed in range(3)]
+    polys = list(FUZZ)
     polys += [coverage_spiral(r)[0] for r in range(1, 19)]
     polys += [uniform_spiral(r)[0] for r in range(1, 19)]
     polys += [comb(k) for k in range(1, 16)]
@@ -517,7 +526,8 @@ def test_classes_and_merged_rings_match_fraction_turns():
     """Vertex classes and merged rings, decided on integer-scaled
     coordinates, against the Fraction turns: on the mapped copies, on their
     rings padded with repeated, collinear and doubled-back points and on the
-    unmerged rings of their splits."""
+    unmerged rings of their splits, whose pieces inherit the classes of
+    their vertices."""
     rings = 0
     for p in MAPPED:
         assert list(p.classes) == ring_oracle.classes(p.vertices), p.vertices
@@ -525,12 +535,96 @@ def test_classes_and_merged_rings_match_fraction_turns():
         assert _merge_ring(padded)[0] == ring_oracle.merge_ring(padded) == list(p.vertices[1:] + p.vertices[:1])
         for o in "HV":
             for chord, _ in list(iter_normal_cuts(p, o))[:3]:
-                for ring, ints, _ in _split_rings(p, chord):
+                for cut in _split_rings(p, chord):
+                    ring, ints = cut.points, cut.ints
                     assert _merge_ring(ring)[0] == _merge_ring(ring, ints)[0] == ring_oracle.merge_ring(ring), \
                         (p.vertices, chord)
+                    piece = _piece(cut)
+                    assert list(piece.classes) == ring_oracle.classes(piece.vertices), (p.vertices, chord)
                     rings += 1
         rings += 1
     assert rings >= 1000
+
+
+def test_carried_pieces_inherit_classes_and_merge_like_fraction_turns(monkeypatch):
+    """Every piece that _carried_pieces builds on the routing recursion of
+    the fuzz polygons with n <= 64, mirrored too, keeps the vertices that
+    the Fraction merge keeps of its unmerged ring and has their Fraction
+    classes: the pocket chords leave reflex vertices, so many rings drop a
+    chord end."""
+    built = []
+
+    def recorded(ring):
+        made = _mapped_piece(ring)
+        built.append((ring, made[0]))
+        return made
+
+    monkeypatch.setattr(placement, "_mapped_piece", recorded)
+    polys = [q for p in FUZZ if p.n <= 64 for q in (p, TRANSFORMS["mirror_x"].polygon(p))]
+    for p in polys:
+        placement.route_beacons(p)
+    dropped = 0
+    for ring, piece in built:
+        assert list(piece.vertices) == ring_oracle.merge_ring(ring.points), ring.points
+        assert list(piece.classes) == ring_oracle.classes(piece.vertices), ring.points
+        dropped += piece.n < len(ring.points)
+    assert len(built) >= 600 and dropped >= 200, (len(built), dropped)
+
+
+def test_cut_ring_merge_rejects_repeats_and_spikes():
+    """A chord end that repeats its neighbour or turns back, which no cut
+    of a polygon along its chords makes, would change the turns of the
+    points beside it, whose classes the ring carries: the merge raises."""
+    rings = [([(0, 0), (6, 0), (6, 4), (8, 4), (3, 4), (0, 4)], [CONVEX, CONVEX, REFLEX, None, None, CONVEX]),
+             ([(0, 0), (4, 0), (4, 4), (4, 4), (0, 4)], [CONVEX, CONVEX, None, None, CONVEX])]
+    for points, classes in rings:
+        points = [Point(x, y) for x, y in points]
+        ring = Ring(points, (1, [p.x.numerator for p in points], [p.y.numerator for p in points]),
+                    list(range(len(points))), classes)
+        with pytest.raises(InternalCaseError, match="repeats a point or turns back"):
+            _piece(ring)
+
+
+def test_find_safe_cut_is_the_first_safe_class(monkeypatch):
+    """find_safe_cut returns the chord of the first class of
+    iter_normal_cuts, horizontal before vertical, whose sides, counted on
+    its chord by count_reflex_below, split the ceil(r/3) budget
+    additively: the same level, ends and located ends; None when no class
+    is safe.  It builds no other chord."""
+    found = none = 0
+    made = []
+
+    class Counted(Chord):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    for p in CORPUS + MAPPED:
+        want = None
+        for o in "HV":
+            for chord, r_minus in iter_normal_cuts(p, o):
+                below = count_reflex_below(p, chord)
+                assert below == r_minus, (p.vertices, chord)
+                if 1 <= below < p.r and -(-below // 3) - (-(p.r - below) // 3) == -(-p.r // 3):
+                    want = chord
+                    break
+            if want is not None:
+                break
+        with monkeypatch.context() as m:
+            m.setattr(polygon, "Chord", Counted)
+            made.clear()
+            got = find_safe_cut(p)
+        if want is None:
+            assert got is None and not made, p.vertices
+            none += 1
+        else:
+            assert (got.axis, got.level, got.lo, got.hi, got.ends) \
+                == (want.axis, want.level, want.lo, want.hi, want.ends), p.vertices
+            assert len(made) == 1, p.vertices
+            found += 1
+    assert found >= 250 and none >= 40, (found, none)
 
 
 def _edge_table(p):
