@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from rectbeacon import placement, polygon
 from rectbeacon.clipping import clip_fast
 from rectbeacon.errors import GeneralPositionViolated, InternalCaseError, NotAChord, NotRectilinear
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear, uniform_spiral
 from rectbeacon.geometry import Point, midpoint
-from rectbeacon import placement, polygon
 from rectbeacon.placement import (
     _FRAMES,
     _first_reflex,
