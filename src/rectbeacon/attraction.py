@@ -123,7 +123,7 @@ class _Frame:
         _, self.xs, self.ys = poly._ints
         self.poly = poly
         self.q, self.s = q, d * q
-        self.bx, self.by = (c.numerator * (self.s // c.denominator) for c in (b.x, b.y))
+        self.bx, self.by, _ = poly._scale_point(b, q)
         if poly.locate_scaled(self.bx, self.by, q) == "out":
             raise PointOutsidePolygon(f"beacon {b} is outside the polygon")
 
@@ -288,8 +288,7 @@ def _one_path(poly: RectPolygon, p: Point, b: Point) -> Tuple[_Frame, Tuple[Tupl
     """A frame of b and the start state of p, for one path: q is the common
     denominator of p and b, and p is located first."""
     q = lcm(p.x.denominator, p.y.denominator, b.x.denominator, b.y.denominator)
-    s = poly.edge_index()[0] * q
-    px, py = (c.numerator * (s // c.denominator) for c in (p.x, p.y))
+    px, py, _ = poly._scale_point(p, q)
     where = poly.locate_scaled(px, py, q)
     if where == "out":
         raise PointOutsidePolygon(f"start {p} is outside the polygon")

@@ -33,7 +33,7 @@ from .polygon import (
     iter_normal_cuts,
     # pocket stays importable from here, where perfbench's traced run wraps it.
     pocket,  # noqa: F401
-    pocket_side,
+    pocket_walk,
     split,
     vertex_chord,
 )
@@ -468,15 +468,11 @@ def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -
 # ------------------------------------------------------------------- routing
 
 
-# What pocket() would build, counted on the boundary: the vertices of poly
-# strictly inside the pocket's chain are s, s+1, ..., t-1 (cyclic).
-PocketSummary = namedtuple("PocketSummary", "r n monotone s t")
-
 # One row of a routing node's pocket table, for end v of reflex edge e: the
 # chord that extends e through v, on e's line at level from lo to hi, which
 # leaves v forward (towards hi) or not and ends inside edge far; the Side of
-# it that is the pocket (s, t, first); and the pocket's r, n and
-# xy-monotonicity, as pocket_summary gives them.
+# it that is the pocket (s, t, first, from pocket_walk); and the pocket's r,
+# n and xy-monotonicity, counted on the boundary: what pocket() would build.
 PocketRow = namedtuple("PocketRow", "level lo hi forward far s t first r n monotone")
 
 
@@ -490,32 +486,11 @@ def _side_monotone(poly: RectPolygon, s: int, t: int) -> bool:
     return poly.reflex_counts(s, t - 1)[1] == 0
 
 
-def pocket_summary(poly: RectPolygon, e_idx: int, v_idx: int) -> PocketSummary:
-    """r, n and xy-monotonicity of pocket(poly, e_idx, v_idx), without building it.
-
-    The cut extends e past v and, in general position, ends inside an edge.
-    v and that far end are convex corners of the pocket, so _side_monotone
-    reads its monotonicity.
-    """
-    chord, side = pocket_side(poly, e_idx, v_idx)
-    if chord.ends[0][1] and chord.ends[1][1]:
-        raise InternalCaseError(f"pocket cut from {poly.vertices[v_idx]} ends at a vertex")
-    s, t, _ = side
-    r, _ = poly.reflex_counts(s, t)
-    return PocketSummary(r, (t - s) % poly.n + 2, _side_monotone(poly, s, t), s, t)
-
-
 def _row(poly: RectPolygon, e_idx: int, v_idx: int, level: Fraction, lo: Fraction, hi: Fraction,
          forward: bool, far: int) -> PocketRow:
     """The row of end v of reflex edge e for its chord, counted on poly's
-    boundary.  The pocket is the side without e.  The walk from v starts
-    along e when e leaves v, so the pocket is then the walk from the far
-    end back to v, which leaves the chord there; otherwise it is the walk
-    from v to the far end (see walk_range)."""
-    if e_idx == v_idx:
-        s, t, first = far + 1, v_idx, int(forward)
-    else:
-        s, t, first = v_idx + 1, far + 1, int(not forward)
+    boundary."""
+    s, t, first = pocket_walk(e_idx, v_idx, forward, (far, False))
     return PocketRow(level, lo, hi, forward, far, s, t, first, poly.reflex_counts(s, t)[0],
                      (t - s) % poly.n + 2, _side_monotone(poly, s, t))
 

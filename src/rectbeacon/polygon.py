@@ -243,7 +243,7 @@ class RectPolygon:
     """
 
     __slots__ = ("vertices", "n", "classes", "r", "reflex_indices", "edges",
-                 "was_reversed", "_vertex_pos", "area2", "_prefix", "_ints", "_index", "_shots")
+                 "was_reversed", "_vertex_pos", "_prefix", "_ints", "_index", "_shots")
 
     def __init__(self, vertices: Sequence[Point], was_reversed: bool = False, _trusted: bool = False,
                  _ints: Optional[Tuple[int, List[int], List[int]]] = None,
@@ -260,7 +260,7 @@ class RectPolygon:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "was_reversed", was_reversed)
-        d, xs, ys = _ints = _scaled(verts) if _ints is None else _ints
+        _, xs, ys = _ints = _scaled(verts) if _ints is None else _ints
         classes = _classify(verts, xs, ys) if _classes is None else _classes
         object.__setattr__(self, "classes", classes)
         reflex = tuple([i for i, c in enumerate(classes) if c == REFLEX])
@@ -278,9 +278,6 @@ class RectPolygon:
             edges.append(EdgeRef(i, verts[i], verts[j], direction,
                                  classes[i] if classes[i] == classes[j] else "mixed"))
         object.__setattr__(self, "edges", tuple(edges))
-        # Twice the integral of x dy; horizontal edges contribute nothing.
-        a2 = sum([(xs[i - 1] + xs[i]) * (ys[i] - ys[i - 1]) for i in range(n)])
-        object.__setattr__(self, "area2", Fraction(a2, d * d))
         object.__setattr__(self, "_prefix", None)
         object.__setattr__(self, "_vertex_pos", None)
         object.__setattr__(self, "_ints", _ints)
@@ -308,7 +305,10 @@ class RectPolygon:
         return rv[t] - rv[s] + rv[wrap], re[t] - re[s] + re[wrap]
 
     def area(self) -> Fraction:
-        return self.area2 / 2
+        """The area, on the ints: half the integral of x dy, to which
+        horizontal edges contribute nothing."""
+        d, xs, ys = self._ints
+        return Fraction(sum([(xs[i - 1] + xs[i]) * (ys[i] - ys[i - 1]) for i in range(self.n)]), 2 * d * d)
 
     def bbox(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         xs = [p.x for p in self.vertices]
@@ -366,10 +366,12 @@ class RectPolygon:
         where = self.locate_scaled(*self._scale_point(p))
         return "on" if isinstance(where, tuple) else where
 
-    def _scale_point(self, p: Point) -> Tuple[int, int, int]:
-        """(x, y, q): p times D*q as ints, q the common denominator of p."""
-        q = lcm(p.x.denominator, p.y.denominator)
-        s = self.edge_index()[0] * q
+    def _scale_point(self, p: Point, q: Optional[int] = None) -> Tuple[int, int, int]:
+        """(x, y, q): p times D*q as ints, D the scale of the polygon's ints
+        and q a multiple of p's denominators, by default their lcm."""
+        if q is None:
+            q = lcm(p.x.denominator, p.y.denominator)
+        s = self._ints[0] * q
         return p.x.numerator * (s // p.x.denominator), p.y.numerator * (s // p.y.denominator), q
 
     def locate_scaled(self, x: int, y: int, q: int) -> Union[Tuple[int, bool], str]:
@@ -745,20 +747,18 @@ def chord_sides(chord: Chord) -> Tuple[Side, Side]:
     return (a_to_b, b_to_a) if chord.axis == "H" else (b_to_a, a_to_b)
 
 
-def pocket_side(poly: RectPolygon, edge_index: int, vertex_index: int) -> Tuple[Chord, Side]:
-    """The chord of the cut extending reflex edge e through its endpoint v,
-    and the Side of it that is the pocket, the side without e."""
-    e = poly.edges[edge_index % poly.n]
-    if e.kind != "reflex":
-        raise NotAChord(f"edge {edge_index} is not a reflex edge")
-    vi = vertex_index % poly.n
-    if vi not in (e.index, (e.index + 1) % poly.n):
-        raise NotAChord(f"vertex {vertex_index} is not an endpoint of edge {edge_index}")
-    chord = vertex_chord(poly, vi, e.orientation)
-    minus, plus = chord_sides(chord)
-    # The walk from v starts along e when e leaves v, so the pocket is then
-    # the side whose walk stops at v; otherwise the one that starts there.
-    return chord, minus if (minus.t == vi) == (e.index == vi) else plus
+def pocket_walk(e_idx: int, v_idx: int, forward: bool, far: Tuple[int, bool]) -> Tuple[int, int, int]:
+    """(s, t, first): the Side that is the pocket of reflex edge e at its end
+    v, of the chord extending e through v, which leaves v forward (towards
+    its b end) or not and ends at the located point far.  The pocket is the
+    side without e.  The walk from v starts along e when e leaves v, so the
+    pocket is then the walk from the far end back to v, which leaves the
+    chord there; otherwise it is the walk from v to the far end (see
+    walk_range)."""
+    j, at_vertex = far
+    if e_idx == v_idx:
+        return j + 1, v_idx, int(forward)
+    return v_idx + 1, j if at_vertex else j + 1, int(not forward)
 
 
 def _cyclic(seq: Sequence, s: int, t: int) -> Sequence:
@@ -823,8 +823,15 @@ def count_reflex_below(poly: RectPolygon, chord: Chord) -> int:
 def pocket(poly: RectPolygon, edge_index: int, vertex_index: int) -> RectPolygon:
     """Pocket of reflex edge e at endpoint v: the split side not containing
     e, from a walk that starts there only: the other piece is not built."""
-    chord, side = pocket_side(poly, edge_index, vertex_index)
-    start = (0, side.first)
+    e = poly.edges[edge_index % poly.n]
+    if e.kind != "reflex":
+        raise NotAChord(f"edge {edge_index} is not a reflex edge")
+    vi = vertex_index % poly.n
+    if vi not in (e.index, (e.index + 1) % poly.n):
+        raise NotAChord(f"vertex {vertex_index} is not an endpoint of edge {edge_index}")
+    chord = vertex_chord(poly, vi, e.orientation)
+    forward = chord.ends[0] == (vi, True)
+    start = (0, pocket_walk(e.index, vi, forward, chord.ends[forward])[2])
     return _piece(_cut_rings(poly, [chord], (start,))[start])
 
 

@@ -203,10 +203,7 @@ class AttractionMemo:
     def id(self, p: Point) -> int:
         i = self.ids.get(p)
         if i is None:
-            m = lcm(p.x.denominator, p.y.denominator)
-            s = self.poly._ints[0] * m
-            i = self.ids[p] = self.add(p.x.numerator * (s // p.x.denominator),
-                                       p.y.numerator * (s // p.y.denominator), m)
+            i = self.ids[p] = self.add(*self.poly._scale_point(p))
             self.points[i] = p
         return i
 
@@ -416,7 +413,7 @@ def necessity_candidates(poly: RectPolygon, grid: int = 6,
     s = d * m
     cands = {(x * m, y * m) for x, y in zip(xs, ys)}
     for p in extra:
-        x, y = p.x.numerator * (s // p.x.denominator), p.y.numerator * (s // p.y.denominator)
+        x, y, _ = poly._scale_point(p, m)
         if poly.locate_scaled(x, y, m) != "out":
             cands.add((x, y))
     cands.update(_lattice(poly, grid, m))

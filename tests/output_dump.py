@@ -13,7 +13,8 @@ presentations.  For every polygon it
 prints the kernel, clip_fast at every vertex level (each ring started at
 its least (x, y) vertex, the pieces sorted), the slab boxes, every
 normal-cut class, every cut through a reflex vertex (chord with its
-located ends, r(P_minus), both pieces), every pocket with its summary,
+located ends, r(P_minus), both pieces), every pocket with its row of
+the root's pocket table (r, n, monotonicity and its side's walk s..t),
 contains and locate_boundary at every vertex, every edge midpoint and the
 points of a 9 x 9 grid over the bounding box, and is_dead_point from every vertex and edge midpoint towards each reflex
 vertex.  Polygons with n <= 24 also get the attraction_path segments from
@@ -42,7 +43,7 @@ from rectbeacon.errors import GeometryError  # noqa: E402
 from rectbeacon.generators import comb, coverage_spiral, random_rectilinear  # noqa: E402
 from rectbeacon.geometry import Point, midpoint  # noqa: E402
 from rectbeacon.kernel import kernel  # noqa: E402
-from rectbeacon.placement import _pocket_rows, _three_pieces, cover, pocket_summary, route_beacons  # noqa: E402
+from rectbeacon.placement import _pocket_rows, _three_pieces, cover, route_beacons  # noqa: E402
 from rectbeacon.polygon import (  # noqa: E402
     count_reflex_below,
     iter_normal_cuts,
@@ -118,10 +119,11 @@ def dump_cuts(poly, out):
     for i in poly.reflex_indices:
         for o in "HV":
             out(f"vertex cut {i} {o} None: {vertex_cut(poly, i, o)}")
+    rows = _pocket_rows(poly)
     for e in poly.reflex_edges():
         for v in (e.a, e.b):
             vi = poly.vertex_index(v)
-            s = pocket_summary(poly, e.index, vi)
+            s = rows[e.index, vi]
             out(f"pocket {e.index} {vi}: r={s.r} n={s.n} monotone={s.monotone} s={s.s} t={s.t} "
                 f"{pts(pocket(poly, e.index, vi).vertices)}")
 

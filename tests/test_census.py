@@ -17,20 +17,27 @@ def _census():
 
 def test_census_counts_the_labels_of_a_tiny_corpus():
     """Four fuzz seeds of each random group, spirals r <= 4 and the two
-    witnesses, in 8 presentations each: every cover succeeds, the witnesses
-    reach case (b)'s both-walls end, and the digest is reproducible.  A
-    cover that raises is listed as a failure, and the census goes on."""
+    witnesses, in 8 presentations each: every cover and every route
+    succeeds, the witnesses reach case (b)'s both-walls end, every route
+    trace has its root, and both digests are reproducible.  A placement
+    that raises is listed as a failure, and the census goes on."""
     census = _census()
     names = [name for name, _ in census.corpus(4, 4, 4)]
     assert len(names) == len(set(names)) == 8 * (4 + 4 + 4 + 2)
     assert names[0] == "random_rectilinear(8, 700000) id" and names[-1] == "CASE_B_III mirror_anti"
     got = json.loads(json.dumps(census.census(census.corpus(4, 4, 4))))
-    assert set(got) == {"covers", "failures", "labels", "digest"}
-    assert got["covers"] == len(names) and got["failures"] == {}
+    assert set(got) == {"covers", "failures", "labels", "digest",
+                        "routes", "route_failures", "route_labels", "route_digest"}
+    assert got["covers"] == got["routes"] == len(names) and got["failures"] == got["route_failures"] == {}
     assert all(re.fullmatch(r"no_safe\[\w+\]|top\(.+\)", label) for label in got["labels"]), got["labels"]
     assert (got["labels"]["top(b-i,d1)"], got["labels"]["top(b-i,d2)"], got["labels"]["top(b-iii)"]) == (2, 2, 4)
-    assert re.fullmatch(r"[0-9a-f]{64}", got["digest"])
-    assert census.census(census.corpus(4, 4, 4))["digest"] == got["digest"]
-    assert census.census(census.corpus(4, 4, 3))["digest"] != got["digest"]
+    assert got["route_labels"]["route_root"] == len(names), got["route_labels"]
+    assert all(re.fullmatch(r"route[_(].+|[ABC]\d?", label) for label in got["route_labels"]), got["route_labels"]
+    assert got["route_digest"] != got["digest"]
+    again, fewer = census.census(census.corpus(4, 4, 4)), census.census(census.corpus(4, 4, 3))
+    for key in ("digest", "route_digest"):
+        assert re.fullmatch(r"[0-9a-f]{64}", got[key])
+        assert again[key] == got[key] and fewer[key] != got[key], key
     failed = census.census([("not a polygon", None)])
-    assert failed["covers"] == 1 and list(failed["failures"]) == ["not a polygon"], failed
+    assert failed["covers"] == failed["routes"] == 1, failed
+    assert list(failed["failures"]) == list(failed["route_failures"]) == ["not a polygon"], failed

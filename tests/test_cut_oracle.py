@@ -21,7 +21,6 @@ from rectbeacon.placement import (
     _reflex_points,
     _three_pieces,
     find_safe_cut,
-    pocket_summary,
 )
 from rectbeacon.polygon import (
     CONVEX,
@@ -39,7 +38,7 @@ from rectbeacon.polygon import (
     count_reflex_below,
     iter_normal_cuts,
     pocket,
-    pocket_side,
+    pocket_walk,
     split,
     validate,
     vertex_chord,
@@ -334,25 +333,28 @@ def test_reflex_below_at_vertex_cuts_matches_chain_walk():
 
 
 def test_pocket_summaries_match_built_pockets():
+    """The r, n and monotonicity of each row of the root's pocket table
+    are those of the oracle's built pocket."""
     pockets = 0
     for p in CORPUS:
         rows = _pocket_rows(p)
         for e in p.reflex_edges():
             for v in (e.a, e.b):
                 vi = p.vertex_index(v)
-                s = pocket_summary(p, e.index, vi)
-                assert (s.r, s.n, s.monotone) == cut_oracle.pocket_summary(p, e.index, vi)
+                row = rows[e.index, vi]
+                assert (row.r, row.n, row.monotone) == cut_oracle.pocket_summary(p, e.index, vi)
                 assert pocket(p, e.index, vi) == cut_oracle.pocket(p, e.index, vi)
                 assert _pocket_wraps(p, e.index, rows[e.index, vi]) == cut_oracle.pocket_wraps(p, e.index, vi)
                 pockets += 1
     assert pockets >= 2000
 
 
-def _two_splits(p, e, vi, vpi):
-    """(A, B, C) by two single splits: the pocket at v off p, then the
-    pocket at v' off the rest, at v' located on the rest."""
-    chord, side = pocket_side(p, e.index, vi)
-    is_minus = side == chord_sides(chord)[0]
+def _two_splits(p, rows, e, vi, vpi):
+    """(A, B, C) by two single splits: the pocket at v off p, on the side
+    its row names, then the pocket at v' off the rest, at v' located on
+    the rest."""
+    chord = vertex_chord(p, vi, e.orientation)
+    is_minus = rows[e.index, vi].first == chord_sides(chord)[0].first
     minus, plus = split(p, chord)
     a, rest = (minus, plus) if is_minus else (plus, minus)
     where = rest.locate_boundary(p.vertices[vpi])
@@ -374,9 +376,9 @@ def test_three_pieces_are_both_pockets_and_the_middle():
         for e in p.reflex_edges():
             for vi, vpi in ((e.index, (e.index + 1) % p.n), ((e.index + 1) % p.n, e.index)):
                 (a, _), (b, _), (c, _), far_v, far_vp = _three_pieces(p, rows, e.index, vi)
-                assert [x.vertices for x in (a, b, c)] == [x.vertices for x in _two_splits(p, e, vi, vpi)], \
+                assert [x.vertices for x in (a, b, c)] == [x.vertices for x in _two_splits(p, rows, e, vi, vpi)], \
                     (p.vertices, e.index, vi)
-                sa, sc = pocket_summary(p, e.index, vi), pocket_summary(p, e.index, vpi)
+                sa, sc = rows[e.index, vi], rows[e.index, vpi]
                 assert (a.r, a.n) == (sa.r, sa.n), (p.vertices, e.index, vi)
                 assert (c.r, c.n) == (sc.r, sc.n), (p.vertices, e.index, vpi)
                 assert a.area() + b.area() + c.area() == p.area(), (p.vertices, e.index, vi)
@@ -442,22 +444,29 @@ def test_frames_read_their_symmetry():
     assert points >= 40000
 
 
-def test_pocket_side_matches_chain_walk():
-    """The Side pocket_side names, one of chord_sides' two, is the oracle's
-    pocket, vertex order included, and the other side is not."""
-    ends = 0
-    for p in CORPUS:
+def test_pocket_walk_matches_chain_walk():
+    """The Side pocket_walk names for the chord of a reflex edge's end, one
+    of chord_sides' two, is the oracle's pocket, vertex order included, and
+    the other side is not; pocket builds the oracle's pocket.  Also on the
+    polygons whose reflex vertices see each other, where most of these
+    chords end at a vertex."""
+    ends = vertex_ends = 0
+    for p in CORPUS + _aligned():
         for e in p.reflex_edges():
             for v in (e.a, e.b):
                 vi = p.vertex_index(v)
-                chord, side = pocket_side(p, e.index, vi)
+                chord = vertex_chord(p, vi, e.orientation)
+                forward = chord.ends[0] == (vi, True)
+                side = pocket_walk(e.index, vi, forward, chord.ends[forward])
                 k = chord_sides(chord).index(side)
-                want = list(cut_oracle.pocket(p, e.index, vi).vertices)
+                want = cut_oracle.pocket(p, e.index, vi)
                 pocket_ring, other_ring = cut_oracle.split_rings(p, chord)[::1 - 2 * k]
-                assert _merge_ring(pocket_ring)[0] == want, (p.vertices, e.index, vi)
-                assert _merge_ring(other_ring)[0] != want, (p.vertices, e.index, vi)
+                assert _merge_ring(pocket_ring)[0] == list(want.vertices), (p.vertices, e.index, vi)
+                assert _merge_ring(other_ring)[0] != list(want.vertices), (p.vertices, e.index, vi)
+                assert pocket(p, e.index, vi) == want, (p.vertices, e.index, vi)
                 ends += 1
-    assert ends >= 2000
+                vertex_ends += chord.ends[forward][1]
+    assert ends >= 2000 and vertex_ends >= 450, (ends, vertex_ends)
 
 
 def test_point_location_matches_two_pass_oracle():

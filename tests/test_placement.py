@@ -10,11 +10,11 @@ from rectbeacon.generators import coverage_spiral, random_rectilinear, random_x_
 from rectbeacon.geometry import Point
 from rectbeacon.kernel import in_all_cones, kernel
 from rectbeacon.placement import (
+    _pocket_rows,
     cover,
     cover_base,
     cover_monotone,
     find_safe_cut,
-    pocket_summary,
     route_beacons,
 )
 from rectbeacon.polygon import (
@@ -24,7 +24,6 @@ from rectbeacon.polygon import (
     chord_sides,
     chords_on_line,
     pocket,
-    pocket_side,
     split,
     validate,
     vertex_chord,
@@ -153,12 +152,10 @@ def find_xy_monotone_pocket(poly):
     be xy-monotone."""
     if not poly.reflex_edges():
         raise NotAChord("polygon has no reflex edge; it is already xy-monotone")
-    summaries = [(pocket_summary(poly, e.index, vi), e.index, vi)
-                 for e in poly.reflex_edges() for vi in (e.index, (e.index + 1) % poly.n)]
-    summary, e_idx, v_idx = min(summaries, key=lambda t: (t[0].n, t[1], t[2]))
+    (e_idx, v_idx), row = min(_pocket_rows(poly).items(), key=lambda kv: (kv[1].n, kv[0]))
     pk = pocket(poly, e_idx, v_idx)
-    if not pk.is_xy_monotone() or (pk.r, pk.n) != (summary.r, summary.n):
-        raise InternalCaseError(f"chosen pocket {pk} is not xy-monotone or not {summary}")
+    if not pk.is_xy_monotone() or (pk.r, pk.n) != (row.r, row.n):
+        raise InternalCaseError(f"chosen pocket {pk} is not xy-monotone or not {row}")
     return e_idx, v_idx
 
 
@@ -420,9 +417,9 @@ def test_sweep_band_counts_match_built_pieces(monkeypatch):
 def test_carried_pocket_tables_match_fresh_summaries(monkeypatch):
     """Every routing node's pocket table, carried down from the root's,
     holds a row for both ends of every reflex edge of the node's polygon,
-    and each row is what a fresh pocket_summary and pocket_side give
-    there: r, n, monotonicity, the pocket's side and the chord with its
-    located ends.  The polygons are output_dump's route corpus and those of
+    and each row is the row of a fresh root table, _pocket_rows, there:
+    r, n, monotonicity, the pocket's side, one of chord_sides' two, and
+    the chord with its located ends, which is vertex_chord's.  The polygons are output_dump's route corpus and those of
     test_route_across_presentations in every presentation, whose sweeps of
     C carry tables into two- and three-piece splits; some rows cross a cut
     chord and are checked where they end on it."""
@@ -449,16 +446,16 @@ def test_carried_pocket_tables_match_fresh_summaries(monkeypatch):
         labels.update(m.label for m in _nodes(route_beacons(p).trace))
     rows = 0
     for poly, table in nodes:
-        assert set(table) == {(e.index, vi) for e in poly.reflex_edges()
-                              for vi in (e.index, (e.index + 1) % poly.n)}, poly.vertices
+        fresh = _pocket_rows(poly)
+        assert set(table) == set(fresh) == {(e.index, vi) for e in poly.reflex_edges()
+                                            for vi in (e.index, (e.index + 1) % poly.n)}, poly.vertices
         for (e_idx, vi), row in table.items():
-            chord, side = pocket_side(poly, e_idx, vi)
+            chord = vertex_chord(poly, vi, poly.edges[e_idx].orientation)
             carried = placement._row_chord(poly, e_idx, vi, row)
             assert (carried.level, carried.lo, carried.hi, carried.ends) == \
                 (chord.level, chord.lo, chord.hi, chord.ends), (poly.vertices, e_idx, vi)
-            assert (row.s, row.t, row.first) == side, (poly.vertices, e_idx, vi)
-            assert (row.r, row.n, row.monotone, row.s, row.t) == pocket_summary(poly, e_idx, vi), \
-                (poly.vertices, e_idx, vi)
+            assert (row.s, row.t, row.first) in chord_sides(chord), (poly.vertices, e_idx, vi)
+            assert row == fresh[e_idx, vi], (poly.vertices, e_idx, vi)
             rows += 1
     assert labels["C2"] >= 250 and labels["C3"] >= 140, labels
     assert len(nodes) >= 5000 and rows >= 17000 and crossed >= 1000, (len(nodes), rows, crossed)
@@ -466,8 +463,8 @@ def test_carried_pocket_tables_match_fresh_summaries(monkeypatch):
 
 def test_route_shoots_only_at_the_root(monkeypatch):
     """On the n = 320 coverage spiral, routing reads every pocket from the
-    carried tables: no pocket_summary, no shot-table sweep after the root's
-    two, and at most 2n chord checks."""
+    carried tables: one pocket table shot, the root's, no shot-table sweep
+    after the root's two, and at most 2n chord checks."""
     from rectbeacon import polygon
 
     calls = Counter()
@@ -481,13 +478,13 @@ def test_route_shoots_only_at_the_root(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((placement, "pocket_summary"), (polygon, "_sweep"),
+    for module, name in ((placement, "_pocket_rows"), (polygon, "_sweep"),
                          (polygon, "_assert_chord"), (placement, "_assert_chord")):
         counting(module, name)
     p, _ = coverage_spiral(158)
     assert p.n == 320
     route_beacons(p)
-    assert calls["pocket_summary"] == 0 and calls["_sweep"] <= 2, calls
+    assert calls["_pocket_rows"] == 1 and calls["_sweep"] <= 2, calls
     assert calls["_assert_chord"] <= 2 * p.n, calls
 
 

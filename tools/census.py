@@ -1,4 +1,4 @@
-"""Run cover on a fixed corpus and count the no-safe-cut cases it reaches.
+"""Run cover and route on a fixed corpus and count the cases they reach.
 
     python3 tools/census.py
 
@@ -14,9 +14,10 @@ transforms.TRANSFORMS:
 It prints one JSON object: the number of covers, the failures (each cover
 that raised, with the first line of its error), the count of every
 no_safe[...] and top(...) trace label, and a SHA-256 digest over every
-cover's name, beacons and trace (or error).  Two checkouts that print the
-same digest placed the same beacons by the same recursion on the whole
-corpus.
+cover's name, beacons and trace (or error); then the same for
+route_beacons, as routes, route_failures, route_labels, which counts every
+trace label, and route_digest.  Two checkouts that print the same digest
+placed the same beacons by the same recursion on the whole corpus.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from rectbeacon.generators import coverage_spiral, random_rectilinear  # noqa: E402
-from rectbeacon.placement import cover  # noqa: E402
+from rectbeacon.placement import cover, route_beacons  # noqa: E402
 from rectbeacon.polygon import validate  # noqa: E402
 from rectbeacon.transforms import TRANSFORMS  # noqa: E402
 from shapes import CASE_B_I, CASE_B_III  # noqa: E402
@@ -59,22 +60,39 @@ def _labels(node):
         yield from _labels(c)
 
 
-def census(polys) -> dict:
-    """The census of cover over (name, polygon) pairs, as main prints it."""
-    covers, failures, labels, digest = 0, {}, Counter(), hashlib.sha256()
-    for name, p in polys:
-        covers += 1
+class _Tally:
+    """The failures, trace label counts and digest of one placement."""
+
+    def __init__(self, place, counted):
+        self.place, self.counted = place, counted
+        self.failures, self.labels, self.digest = {}, Counter(), hashlib.sha256()
+
+    def add(self, name, p):
         try:
-            bs = cover(p)
+            bs = self.place(p)
         except Exception as exc:  # a census reports every failure and goes on
-            failures[name] = type(exc).__name__ + ": " + str(exc).partition("\n")[0]
-            digest.update(f"{name}\t{failures[name]}\n".encode())
-            continue
-        labels.update(label for label in _labels(bs.trace) if label.startswith(("no_safe[", "top(")))
+            self.failures[name] = type(exc).__name__ + ": " + str(exc).partition("\n")[0]
+            self.digest.update(f"{name}\t{self.failures[name]}\n".encode())
+            return
+        self.labels.update(label for label in _labels(bs.trace) if self.counted(label))
         beacons = " ".join(f"({b.x},{b.y})" for b in bs.beacons)
-        digest.update(f"{name}\t{beacons}\t{json.dumps(bs.trace.as_dict(), sort_keys=True)}\n".encode())
-    return {"covers": covers, "failures": failures, "labels": dict(sorted(labels.items())),
-            "digest": digest.hexdigest()}
+        self.digest.update(f"{name}\t{beacons}\t{json.dumps(bs.trace.as_dict(), sort_keys=True)}\n".encode())
+
+
+def census(polys) -> dict:
+    """The census of cover and route_beacons over (name, polygon) pairs, as
+    main prints it."""
+    count = 0
+    covers = _Tally(cover, lambda label: label.startswith(("no_safe[", "top(")))
+    routes = _Tally(route_beacons, lambda label: True)
+    for name, p in polys:
+        count += 1
+        covers.add(name, p)
+        routes.add(name, p)
+    return {"covers": count, "failures": covers.failures, "labels": dict(sorted(covers.labels.items())),
+            "digest": covers.digest.hexdigest(),
+            "routes": count, "route_failures": routes.failures,
+            "route_labels": dict(sorted(routes.labels.items())), "route_digest": routes.digest.hexdigest()}
 
 
 def main() -> int:
