@@ -344,7 +344,7 @@ def test_pocket_summaries_match_built_pockets():
                 row = rows[e.index, vi]
                 assert (row.r, row.n, row.monotone) == cut_oracle.pocket_summary(p, e.index, vi)
                 assert pocket(p, e.index, vi) == cut_oracle.pocket(p, e.index, vi)
-                assert _pocket_wraps(p, e.index, rows[e.index, vi]) == cut_oracle.pocket_wraps(p, e.index, vi)
+                assert _pocket_wraps(p, e.index, row) == cut_oracle.pocket_wraps(p, e.index, vi)
                 pockets += 1
     assert pockets >= 2000
 
