@@ -347,7 +347,10 @@ class RectPolygon:
         edge of orientation o, away from it, to the first contact of that
         ray, found by one sweep over the ints the polygon was classified on
         (_shot_row); validate fills the "V" rows in its crossing sweep, and
-        its general-position check reads the table.  forward says that the
+        its general-position check reads a table only for an orientation
+        whose collinear edges leave a gap with reflex vertices at both
+        ends, so the "H" rows are most often built where a chord is first
+        asked for.  forward says that the
         ray runs east or north, far is the far end's coordinate along the
         chord, and end locates it: (vertex, True) when the contact edge ends
         on the chord's line, else (edge, False)."""
@@ -453,7 +456,11 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
     (D, xs, ys) of the vertices if the caller has them, as RectPolygon
     takes it.  The checks run in a fixed order, and the first that fails
     raises: repeated vertex, axis-parallel edges, alternation, overlapping
-    collinear edges, crossing edges, n = 2r+4, general position.
+    collinear edges, crossing edges, n = 2r+4, general position.  One sweep
+    along x answers the crossing check and fills the "V" shot rows.  The
+    general-position check sweeps along y only when the overlap check's
+    sorted spans leave a gap between two horizontal edges on one line with
+    a reflex vertex at each end (_check_general_position).
     """
     pts: List[Point] = []
     for item in vertex_list:
@@ -488,7 +495,7 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
                 f"consecutive collinear edges at vertex {pts[(i + 1) % n]}; "
                 "either fix the input or pass merge_collinear=True"
             )
-    _check_overlaps(pts, orients, xs, ys)
+    gaps = _check_overlaps(pts, orients, xs, ys)
 
     # Orientation: normalize to CCW.  The lowest of the leftmost vertices of
     # a simple polygon is convex, so its turn gives the orientation.  Until
@@ -524,7 +531,9 @@ def validate(vertex_list: Iterable, merge_collinear: bool = False,
                        _classes=classes)
     poly._shots["V"] = v_rows
     if check_general_position:
-        _check_general_position(poly)
+        # The classes by input index: input vertex a is vertex n-1-a reversed.
+        by_input = classes[::-1] if was_reversed else classes
+        _check_general_position(poly, {o for o, a, b in gaps if by_input[a] == by_input[b] == REFLEX})
     return poly
 
 
@@ -560,12 +569,17 @@ def _sweep(n: int, along: List[int], across: List[int], edges: List[int], querie
             del active[bisect_left(active, across[i] * n + i)]
 
 
-def _check_overlaps(pts: List[Point], orients: List[str], xs: List[int], ys: List[int]) -> None:
+def _check_overlaps(pts: List[Point], orients: List[str], xs: List[int], ys: List[int]
+                    ) -> List[Tuple[str, int, int]]:
     """NotSimple if two collinear edges touch; they are compared in sorted
     order.  Once none of them touch, no vertex lies on another edge, so two
     edges can only meet in a crossing: a horizontal edge at a level strictly
-    inside a vertical edge's range, which validate's sweep looks for."""
-    n = len(pts)
+    inside a vertical edge's range, which validate's sweep looks for.
+
+    Returns the gaps between edges that are consecutive along a common line,
+    as (orientation, a, b): a ends the edge before the gap and b starts the
+    one after it, both input indices."""
+    n, gaps = len(pts), []
     for o, along, across, name, axis in (("H", xs, ys, "horizontal", "y"),
                                          ("V", ys, xs, "vertical", "x")):
         spans = []
@@ -575,8 +589,14 @@ def _check_overlaps(pts: List[Point], orients: List[str], xs: List[int], ys: Lis
                 spans.append((across[i], a, b, i) if a < b else (across[i], b, a, i))
         spans.sort()
         for (l0, _, hi0, i), (l1, lo1, _, j) in zip(spans, spans[1:]):
-            if l0 == l1 and lo1 <= hi0:
-                raise NotSimple(f"{name} edges {i} and {j} overlap on {axis}={getattr(pts[i], axis)}")
+            if l0 == l1:
+                if lo1 <= hi0:
+                    raise NotSimple(f"{name} edges {i} and {j} overlap on {axis}={getattr(pts[i], axis)}")
+                # From edge i's higher end to edge j's lower one; an edge's
+                # higher end is its second vertex iff it runs forward.
+                i1, j1 = (i + 1) % n, (j + 1) % n
+                gaps.append((o, i1 if along[i] < along[i1] else i, j if along[j] < along[j1] else j1))
+    return gaps
 
 
 def _shot_row(verts: Sequence[Point], o: str, along: List[int], across: List[int],
@@ -601,17 +621,24 @@ def _shot_row(verts: Sequence[Point], o: str, along: List[int], across: List[int
     return forward, verts[k].x if o == "H" else verts[k].y, end
 
 
-def _check_general_position(poly: RectPolygon) -> None:
+def _check_general_position(poly: RectPolygon, suspect: Iterable[str]) -> None:
     """GeneralPositionViolated if an axis cut joins two reflex vertices.
 
     Such a cut leaves each of its ends along the extension of an incident
     edge, and meets the boundary nowhere in between.  So it is the chord of
-    a shot table row, both orientations, whose far end is a vertex: the ray
-    reaches that vertex through the interior, so it is reflex too.  Of all
-    pairs, the one reported is the first in the order of the reflex vertices.
+    a shot table row whose far end is a vertex: the ray reaches that vertex
+    through the interior, so it is reflex too.  Both incident edges lie on
+    the cut's line with no boundary point between them, so they are
+    consecutive among the edges on that line, and the gap between them has
+    a reflex vertex at each end.  suspect holds the orientations with such
+    a gap, and only their tables are read: an orientation without one has
+    no pair, and its table is not built here.  Of all pairs, the one
+    reported is the first in the order of the reflex vertices.
     """
     pairs = []
     for o in "HV":
+        if o not in suspect:
+            continue
         for i, row in enumerate(poly.shots(o)):
             if row is not None and row[2][1]:
                 u = row[2][0]
