@@ -636,9 +636,7 @@ def _check_general_position(poly: RectPolygon, suspect: Iterable[str]) -> None:
     reported is the first in the order of the reflex vertices.
     """
     pairs = []
-    for o in "HV":
-        if o not in suspect:
-            continue
+    for o in suspect:
         for i, row in enumerate(poly.shots(o)):
             if row is not None and row[2][1]:
                 u = row[2][0]

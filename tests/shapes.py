@@ -44,6 +44,12 @@ W_SHAPE_VERTICAL = [(y, x) for x, y in W_SHAPE]
 # the boundary through the convex corners (2,1) and (3,1): general position holds.
 STEP_FLOOR = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 1), (4, 1), (4, 0), (5, 0),
               (5, 5), (0, 5)]
+# Reflex (12,10) and (8,10) end two horizontal edges on y = 10 and face each
+# other across the gap between them, but the walls x = 9 and x = 11 of the
+# notch rising from the bottom to y = 14 block the segment: general position
+# holds.
+FACING_BLOCKED = [(0, 0), (9, 0), (9, 14), (11, 14), (11, 0), (20, 0), (20, 20), (16, 20), (16, 10),
+                  (12, 10), (12, 20), (8, 20), (8, 10), (4, 10), (4, 20), (0, 20)]
 
 # Witnesses of cover's case (b) with both walls reflex, r = 6, in general
 # position.  From the no-safe-cut node at the root, CASE_B_III reaches

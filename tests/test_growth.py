@@ -49,7 +49,8 @@ def test_record_schema_at_small_n():
     here, = rec["checkouts"].values()
     assert here["commit"]
     assert set(here["seconds"]) == set(here["exponents"]) == set(rec["fit_from"]) == set(growth.LAYERS)
-    assert {"verify_coverage", "verify_routing"} <= set(growth.LAYERS)
+    assert {"validate", "kernel", "verify_coverage", "verify_routing"} <= set(growth.LAYERS)
+    assert growth.FIT_FROM["validate"] == growth.FIT_FROM["kernel"] == 320
     for layer in growth.LAYERS:
         for family in growth.FAMILIES:
             points = here["seconds"][layer][family]

@@ -22,6 +22,7 @@ from rectbeacon.polygon import (
 
 import cut_oracle
 from shapes import (
+    FACING_BLOCKED,
     L_SHAPE,
     OVERLAPPING_EDGES,
     SQUARE,
@@ -409,22 +410,99 @@ def test_crossing_is_reported_before_general_position(ring, message):
         assert str(ei.value) == message
 
 
+def _reflex_bounded_gap(p, o):
+    """True iff two edges of orientation o, consecutive on one line of p,
+    leave a gap with a reflex vertex at each end."""
+    lines = {}
+    for e in p.edges:
+        if e.orientation == o:
+            ends = (e.index, (e.index + 1) % p.n)
+            lo_end, hi_end = ends if e.direction in "EN" else ends[::-1]
+            lines.setdefault(e.level, []).append((e.span(), lo_end, hi_end))
+    return any(p.classes[before[2]] == p.classes[after[1]] == REFLEX
+               for row in map(sorted, lines.values()) for before, after in zip(row, row[1:]))
+
+
 def test_validate_sweeps_once_per_axis_and_leaves_fresh_shot_tables(monkeypatch):
     """validate sweeps along x once, for the crossing check and the "V" shot
-    rows, and along y once, for the "H" rows; both tables equal those a
-    polygon builds afresh, in either orientation of the input."""
+    rows.  It sweeps along y, for the "H" rows, only to check general
+    position on a polygon with a reflex-bounded horizontal gap, and only
+    then is there an "H" table.  Every table left equals the one a polygon
+    builds afresh, in either orientation of the input."""
     calls = []
     sweep = polygon._sweep
     monkeypatch.setattr(polygon, "_sweep", lambda *args: calls.append(args) or sweep(*args))
+    seen = Counter()
     for p in _generated_families():
-        if p.n > 64 and p.n % 3:
-            continue
         in_general_position = not any(row is not None and row[2][1]
                                       for o in "HV" for row in p.shots(o))
+        suspect = _reflex_bounded_gap(p, "H")
+        seen[suspect, in_general_position] += 1
         for ring in (list(p.vertices), list(p.vertices)[::-1]):
             calls.clear()
-            q = validate(ring, check_general_position=in_general_position)
+            try:
+                q = validate(ring)
+            except GeneralPositionViolated:
+                assert not in_general_position and len(calls) == 1 + suspect, p
+                calls.clear()
+                q = validate(ring, check_general_position=False)
+            built = suspect and in_general_position
             fresh = RectPolygon(q.vertices, _trusted=True, _ints=q._ints)
-            assert len(calls) == len(q._shots) == (2 if "H" in q._shots else 1)
+            assert len(calls) == len(q._shots) == 1 + built, p
+            assert ("H" in q._shots) == built, p
             for o in q._shots:
                 assert q._shots[o] == fresh.shots(o), (p, o)
+    # No family has a blocked gap; FACING_BLOCKED is one.
+    assert seen[False, True] and seen[True, False], seen
+
+
+@pytest.mark.parametrize("ring, sweeps", [
+    (FACING_BLOCKED, 2),
+    ([(y, x) for x, y in FACING_BLOCKED], 1),
+    (STEP_FLOOR, 1),
+], ids=["facing_blocked", "facing_blocked_mirrored", "step_floor"])
+def test_general_position_reads_the_table_of_a_reflex_bounded_gap(monkeypatch, ring, sweeps):
+    """FACING_BLOCKED's reflex (12,10) and (8,10) bound a horizontal gap, so
+    validate builds the "H" table to look, and finds the notch walls in the
+    way.  Mirrored in y = x, the gap is vertical, and the crossing sweep's
+    "V" rows answer it.  STEP_FLOOR's aligned reflex vertices bound no gap:
+    the one between their edges ends at convex corners."""
+    calls = []
+    sweep = polygon._sweep
+    monkeypatch.setattr(polygon, "_sweep", lambda *args: calls.append(args) or sweep(*args))
+    p = validate(ring)
+    assert len(calls) == sweeps and ("H" in p._shots) == (sweeps == 2)
+    assert _outcome(validate, ring) == _outcome(validate_oracle, [Point(x, y) for x, y in ring])
+
+
+def _full_table_scan(ring):
+    """validate(ring), with general position decided from every row of both
+    shot tables of a freshly built polygon: the least pair of reflex
+    vertices that a row with a vertex far end joins."""
+    q = validate(ring, check_general_position=False)
+    fresh = RectPolygon(q.vertices, _trusted=True, _ints=q._ints)
+    pairs = [tuple(sorted((i, row[2][0]))) for o in "HV" for i, row in enumerate(fresh.shots(o))
+             if row is not None and row[2][1]]
+    if pairs:
+        raise GeneralPositionViolated("full table scan", pair=tuple(q.vertices[k] for k in min(pairs)))
+    return q
+
+
+def test_general_position_from_gaps_matches_a_full_table_scan():
+    """Reading only the tables of orientations with a reflex-bounded gap
+    gives the outcome and the pair of a scan of both tables, on the
+    generated families in four presentations and on the random rings of
+    the pairwise-oracle test."""
+    rings = [ring for p in _generated_families()
+             for ring in (list(p.vertices), [Point(v.y, v.x) for v in p.vertices])]
+    rings += [ring[::-1] for ring in rings]
+    rng = random.Random(11)
+    rings += [_random_ring(rng, *((4, 4) if k % 2 else (5, 5))) for k in range(20000)]
+    axes = Counter()
+    for ring in rings:
+        got = _outcome(validate, ring)
+        assert got == _outcome(_full_table_scan, ring), ring
+        if got[0] == "GeneralPositionViolated":
+            a, b = got[1]
+            axes["H" if a.y == b.y else "V"] += 1
+    assert axes["H"] >= 100 and axes["V"] >= 100, axes

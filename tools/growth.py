@@ -1,13 +1,15 @@
-"""Record how placement and verification grow with n, in one or more checkouts.
+"""Record how validation, the kernel, placement and verification grow with n.
 
     python3 tools/growth.py --out GROWTH.json [NAME=DIR ...]
 
 Each NAME=DIR names a source checkout (default: change=the checkout this
 tool sits in).  For n = START, 2*START, ... up to MAX_N, every checkout
-times route_beacons, cover, verify_coverage at c04's plan (grid 14, jitter
-10) and verify_routing with pair_count=100 on the coverage spiral with n
-vertices and on random_rectilinear(n, n), each call in a fresh process per
-checkout and n, best of three when a call takes under a second.  A
+times validate (jsonio.polygon_from_dict on the polygon's JSON text, as
+`rectbeacon kernel -` reads it), kernel, route_beacons, cover,
+verify_coverage at c04's plan (grid 14, jitter 10) and verify_routing with
+pair_count=100 on the coverage spiral with n vertices and on
+random_rectilinear(n, n), each call in a fresh process per checkout and n,
+best of three when a call takes under a second.  A
 verifier checks the beacons that cover or route_beacons places for it
 before its timed call.  A series stops after its first call of at least
 LIMIT_S seconds.  At each n the checkouts run in the given order, and in
@@ -40,7 +42,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import _commit  # noqa: E402
 
-LAYERS = ("route_beacons", "cover", "verify_coverage", "verify_routing")
+LAYERS = ("validate", "kernel", "route_beacons", "cover", "verify_coverage", "verify_routing")
 FAMILIES = ("coverage_spiral", "random")
 # A call this fast is timed three times and the best time kept.
 REPEAT_UNDER_S = 1.0
@@ -48,7 +50,8 @@ REPEAT_UNDER_S = 1.0
 START, MAX_N, LIMIT_S = 80, 2560, 5.0
 # The first n that each layer's exponents are fitted from: verify_routing
 # checks n(n - 1) vertex pairs, and its series ends by n = 320.
-FIT_FROM = {"route_beacons": 320, "cover": 320, "verify_coverage": 320, "verify_routing": 80}
+FIT_FROM = {"validate": 320, "kernel": 320, "route_beacons": 320, "cover": 320, "verify_coverage": 320,
+            "verify_routing": 80}
 
 
 def fit_exponent(points) -> float | None:
@@ -81,7 +84,9 @@ def time_point(src: Path, n: int, series: list) -> dict:
     """{"layer family": seconds} for the (layer, family) pairs in series,
     with rectbeacon imported from src."""
     sys.path.insert(0, str(src))
+    from rectbeacon import jsonio
     from rectbeacon.generators import coverage_spiral, random_rectilinear
+    from rectbeacon.kernel import kernel
     from rectbeacon.placement import cover, route_beacons
     from rectbeacon.verify import SamplePlan, verify_coverage, verify_routing
 
@@ -89,6 +94,9 @@ def time_point(src: Path, n: int, series: list) -> dict:
     # Each layer's call on a polygon; a verifier's beacons are placed here,
     # before its timed call.
     calls = {
+        "validate": lambda p: partial(lambda text: jsonio.polygon_from_dict(json.loads(text)),
+                                      jsonio.dumps(jsonio.polygon_to_dict(p))),
+        "kernel": lambda p: partial(kernel, p),
         "route_beacons": lambda p: partial(route_beacons, p),
         "cover": lambda p: partial(cover, p),
         "verify_coverage": lambda p: partial(verify_coverage, p, cover(p).beacons, SamplePlan(grid=14, jitter=10)),
