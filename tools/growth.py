@@ -8,8 +8,10 @@ times validate (jsonio.polygon_from_dict on the polygon's JSON text, as
 `rectbeacon kernel -` reads it), kernel, route_beacons, cover,
 verify_coverage at c04's plan (grid 14, jitter 10) and verify_routing with
 pair_count=100 on the coverage spiral with n vertices and on
-random_rectilinear(n, n), each call in a fresh process per checkout and n,
-best of three when a call takes under a second.  A
+random_rectilinear(n, n), each call in a fresh process per checkout and n.
+A call under a second is repeated, at least three times and for at least
+REPEAT_FOR_S seconds in all, and its best time is kept, so that calls of a
+few milliseconds, such as validate's, are timed over many runs.  A
 verifier checks the beacons that cover or route_beacons places for it
 before its timed call.  A series stops after its first call of at least
 LIMIT_S seconds.  At each n the checkouts run in the given order, and in
@@ -44,8 +46,9 @@ from bench_pairs import _commit  # noqa: E402
 
 LAYERS = ("validate", "kernel", "route_beacons", "cover", "verify_coverage", "verify_routing")
 FAMILIES = ("coverage_spiral", "random")
-# A call this fast is timed three times and the best time kept.
-REPEAT_UNDER_S = 1.0
+# A call this fast is timed at least three times and for REPEAT_FOR_S
+# seconds in all, and the best time kept.
+REPEAT_UNDER_S, REPEAT_FOR_S = 1.0, 0.2
 # The first n, the last n and the time that ends a series.
 START, MAX_N, LIMIT_S = 80, 2560, 5.0
 # The first n that each layer's exponents are fitted from: verify_routing
@@ -104,13 +107,12 @@ def time_point(src: Path, n: int, series: list) -> dict:
     }
     out = {}
     for layer, family in series:
-        call, best = calls[layer](polys[family]()), math.inf
-        for _ in range(3):
+        call, best, spent, runs = calls[layer](polys[family]()), math.inf, 0.0, 0
+        while not runs or (best < REPEAT_UNDER_S and (runs < 3 or spent < REPEAT_FOR_S)):
             t0 = time.perf_counter()
             call()
-            best = min(best, time.perf_counter() - t0)
-            if best >= REPEAT_UNDER_S:
-                break
+            seconds = time.perf_counter() - t0
+            best, spent, runs = min(best, seconds), spent + seconds, runs + 1
         out[f"{layer} {family}"] = best
     return out
 
