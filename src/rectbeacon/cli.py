@@ -25,7 +25,7 @@ from .generators import (
     uniform_spiral,
 )
 from .kernel import kernel, kernel_oracle
-from .placement import TraceNode, cover, route_beacons
+from .placement import cover, cover_monotone, route_beacons
 from .svg import render_svg
 from .verify import SamplePlan, verify_coverage, verify_routing
 
@@ -117,28 +117,24 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_cover(args) -> int:
     poly = _load_polygon(args)
-    trace = TraceNode("root", poly.r)
     if args.monotone:
-        from .placement import cover_monotone
-
-        bs = cover_monotone(poly, trace)
+        bs = cover_monotone(poly)
         bound = poly.r // 4 + 1
     else:
-        bs = cover(poly, trace)
+        bs = cover(poly)
         bound = max(1, -(-poly.r // 3))
     _write_text(args.output, jsonio.dumps(jsonio.beacons_to_dict(bs.beacons, "cover", bound)))
     if args.trace:
-        _write_text(args.trace, jsonio.dumps(trace.as_dict()))
+        _write_text(args.trace, jsonio.dumps(bs.trace.as_dict()))
     return 0
 
 
 def _cmd_route(args) -> int:
     poly = _load_polygon(args)
-    trace = TraceNode("route_root", poly.r)
-    bs = route_beacons(poly, trace)
+    bs = route_beacons(poly)
     _write_text(args.output, jsonio.dumps(jsonio.beacons_to_dict(bs.beacons, "route", (3 * poly.r) // 4)))
     if args.trace:
-        _write_text(args.trace, jsonio.dumps(trace.as_dict()))
+        _write_text(args.trace, jsonio.dumps(bs.trace.as_dict()))
     return 0
 
 

@@ -185,11 +185,7 @@ def _cover_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
         return list(bs.beacons)
     chord = find_safe_cut(poly)
     if chord is not None:
-        minus, plus = split(poly, chord)
-        child = node.child(TraceNode("safe_cut", r, repr(chord)))
-        a = _cover_rec(minus, child.child(TraceNode("safe_minus", minus.r)))
-        b = _cover_rec(plus, child.child(TraceNode("safe_plus", plus.r)))
-        return a + b
+        return _cover_split(poly, chord, _FRAMES[0], node, "safe_cut", ("safe_minus", "safe_plus"))
     return _cover_no_safe_cut(poly, node)
 
 
@@ -253,14 +249,15 @@ def _first_reflex(poly: RectPolygon, chord: Chord, f: _Frame, above: bool) -> Po
     return min(gaps, key=lambda g: g[:2])[2]
 
 
-def _cover_split(poly: RectPolygon, chord: Chord, f: _Frame, node: TraceNode, label: str) -> List[Point]:
+def _cover_split(poly: RectPolygon, chord: Chord, f: _Frame, node: TraceNode, label: str,
+                 halves: Tuple[str, str] = ("minus", "plus")) -> List[Point]:
     """Split along a chord, its sides read in frame f, and cover both
     pieces under a new child of node, labelled label, whose detail is the
-    chord."""
+    chord; the pieces' nodes are labelled halves, below side first."""
     minus, plus = f.split(poly, chord)
     child = node.child(TraceNode(label, poly.r, repr(chord)))
-    return (_cover_rec(minus, child.child(TraceNode("minus", minus.r)))
-            + _cover_rec(plus, child.child(TraceNode("plus", plus.r))))
+    return (_cover_rec(minus, child.child(TraceNode(halves[0], minus.r)))
+            + _cover_rec(plus, child.child(TraceNode(halves[1], plus.r))))
 
 
 def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
@@ -604,59 +601,81 @@ def _other_end(poly: RectPolygon, e_idx: int, v_idx: int) -> int:
     return (e_idx + 1) % poly.n if v_idx == e_idx else e_idx
 
 
-def _select_routing_pocket(poly: RectPolygon, rows: dict) -> Optional[Tuple[int, int, PocketRow]]:
-    """Pick (edge, endpoint, row) of poly's pocket table with a monotone
-    pocket, avoiding sweep pitfalls; the caller builds the pocket and
-    checks it.
+def _select_routing_pocket(poly: RectPolygon, rows: dict) -> Tuple[str, int, int]:
+    """The routing move at poly, (label, e, v), read off its pocket table
+    alone: the caller cuts at end v of reflex edge e and checks the pieces.
 
-    Preference order: a pocket with at least one reflex vertex (that branch
-    recurses the whole complement, so its shape is irrelevant); then a
-    rectangle pocket whose complement pocket stays on its side of the edge
-    line (the sweep argument needs this); a rectangle pocket with a trivial
-    complement comes along for free with either.
+    The rules, first that applies: a monotone pocket with at least one
+    reflex vertex, route(rA>=1), which recurses the whole complement, so its
+    shape is irrelevant; a monotone rectangle pocket whose complement pocket
+    stays on its side of the edge line, route(rA=0), as the sweep argument
+    needs; else the first row, in table order, whose pair split fits
+    floor(3r/4), route(pair-fallback).  The pair split places a beacon at
+    each cut end and recurses all three pieces.  It is sound for any reflex
+    edge: the cut segments are convex edges of their pieces, each beacon
+    lies on the shared boundary of two pieces, and the two beacons attract
+    each other straight along the edge's line.  It costs one beacon more
+    than the sweep, so it comes last.  Its pieces' counts are the rows'
+    r(A) and r(C), and r(B) = r - r(A) - r(C) - 2, as both cuts straighten
+    v and v' in B.
     """
     monos = [(e_idx, vi, row) for (e_idx, vi), row in rows.items() if row.monotone]
     if not monos:
         raise InternalCaseError("no xy-monotone pocket exists")
     rich = [(e_idx, vi, pk) for e_idx, vi, pk in monos if pk.r >= 1]
     if rich:
-        return min(rich, key=lambda t: (-t[2].r, t[2].n, t[0], t[1]))
+        e_idx, vi, _ = min(rich, key=lambda t: (-t[2].r, t[2].n, t[0], t[1]))
+        return "route(rA>=1)", e_idx, vi
     for e_idx, vi, pk in sorted(monos, key=lambda t: (t[2].n, t[0], t[1])):
         if not _pocket_wraps(poly, e_idx, rows[e_idx, _other_end(poly, e_idx, vi)]):
-            return e_idx, vi, pk
-    return None  # caller falls back to the generic pair scheme
+            return "route(rA=0)", e_idx, vi
+    for (e_idx, vi), row in rows.items():
+        r_c = rows[e_idx, _other_end(poly, e_idx, vi)].r
+        if 2 + sum(3 * k // 4 for k in (row.r, poly.r - row.r - r_c - 2, r_c)) <= 3 * poly.r // 4:
+            return "route(pair-fallback)", e_idx, vi
+    raise InternalCaseError("no pocket choice and no in-budget pair split; routing is stuck")
 
 
 def _route_rec(poly: RectPolygon, rows: dict, node: TraceNode) -> List[Point]:
-    """Route poly, whose pocket table is rows."""
+    """Route poly, whose pocket table is rows, by the move that
+    _select_routing_pocket reads off it, cutting only that split."""
     if poly.is_xy_monotone():
         node.child(TraceNode("route_monotone", poly.r))
         return []
-    selected = _select_routing_pocket(poly, rows)
-    if selected is None:
-        return _route_pair_fallback(poly, rows, node)
+    label, e_idx, v_idx = _select_routing_pocket(poly, rows)
+    row_a, row_c = rows[e_idx, v_idx], rows[e_idx, _other_end(poly, e_idx, v_idx)]
+    a, b, c, p, qpt = _three_pieces(poly, rows, e_idx, v_idx)
+    counts = (row_a.r, poly.r - row_a.r - row_c.r - 2, row_c.r)
+    if (a[0].r, b[0].r, c[0].r) != counts:
+        raise InternalCaseError(f"the split at {poly.vertices[v_idx]} does not hold the table's counts {counts}")
+    if label == "route(pair-fallback)":
+        return _place_and_recurse(node, label, poly.r, f"b1={p} b2={qpt}", [p, qpt], zip("ABC", (a, b, c)))
     # Route through the pocket A at end v of reflex edge e, xy-monotone as
-    # its summary says.
-    e_idx, v_idx, summary = selected
-    r = poly.r
-    (a_piece, _), (b_piece, b_rows), (c_piece, c_rows), p, qpt = _three_pieces(poly, rows, e_idx, v_idx)
-    if not a_piece.is_xy_monotone() or (a_piece.r, a_piece.n) != (summary.r, summary.n):
-        raise InternalCaseError(f"chosen pocket {a_piece} is not xy-monotone or not {summary}")
-    if a_piece.r >= 1:
-        child = node.child(TraceNode("route(rA>=1)", r, f"b1={p} b2={qpt}"))
-        child.beacons.extend([p, qpt])
-        return ([p, qpt]
-                + _route_rec(b_piece, b_rows, child.child(TraceNode("B", b_piece.r)))
-                + _route_rec(c_piece, c_rows, child.child(TraceNode("C", c_piece.r))))
+    # its row says.
+    if not a[0].is_xy_monotone() or a[0].n != row_a.n:
+        raise InternalCaseError(f"chosen pocket {a[0]} is not xy-monotone or not {row_a}")
+    if label == "route(rA>=1)":
+        return _place_and_recurse(node, label, poly.r, f"b1={p} b2={qpt}", [p, qpt], zip("BC", (b, c)))
     # r(A) = 0: A is a rectangle; b1 goes infinitesimally inward of e at v'.
+    (b_piece, b_rows), (c_piece, c_rows) = b, c
     e = poly.edges[e_idx]
     b1 = _beacon_above(poly, e, poly.vertices[_other_end(poly, e_idx, v_idx)])
-    child = node.child(TraceNode("route(rA=0)", r, f"b1={b1}"))
+    child = node.child(TraceNode(label, poly.r, f"b1={b1}"))
     child.beacons.append(b1)
     out = [b1] + _route_rec(b_piece, b_rows, child.child(TraceNode("B", b_piece.r)))
     if c_piece.r == 0:
         return out
     return out + _route_sweep_c(c_piece, c_rows, e, qpt, child)
+
+
+def _place_and_recurse(node: TraceNode, label: str, r: int, detail: str, beacons: List[Point],
+                       named) -> List[Point]:
+    """Place beacons under a new child of node, labelled label, and route
+    each (name, (piece, its pocket table)) of named under a child of it."""
+    child = node.child(TraceNode(label, r, detail))
+    child.beacons.extend(beacons)
+    return beacons + [b for name, (piece, rows) in named
+                      for b in _route_rec(piece, rows, child.child(TraceNode(name, piece.r)))]
 
 
 def _far_end(chord: Chord, w: Point) -> Point:
@@ -681,28 +700,6 @@ def _three_pieces(poly: RectPolygon, rows: dict, e_idx: int, v_idx: int):
     pieces = _carried_pieces(poly, rows, [chord_a, chord_c], (a, b, c))
     return (pieces[a], pieces[b], pieces[c],
             _far_end(chord_a, poly.vertices[v_idx]), _far_end(chord_c, poly.vertices[vp_idx]))
-
-
-def _route_pair_fallback(poly: RectPolygon, rows: dict, node: TraceNode) -> List[Point]:
-    """Three-piece split with beacons at both cut endpoints, all recursed.
-
-    Sound for any reflex edge: the cut segments are convex edges of their
-    pieces, each beacon lies on the shared boundary of two pieces, and the
-    two beacons attract each other straight along the edge's line.  Costs
-    one beacon more than the sweep machinery, so it only runs when no safe
-    pocket choice exists and only on a split whose budget still fits.
-    """
-    budget = (3 * poly.r) // 4
-    for e in poly.reflex_edges():
-        for vi in (e.index, (e.index + 1) % poly.n):
-            *pieces, p_pt, q_pt = _three_pieces(poly, rows, e.index, vi)
-            if 2 + sum((3 * piece.r) // 4 for piece, _ in pieces) > budget:
-                continue
-            child = node.child(TraceNode("route(pair-fallback)", poly.r, f"b1={p_pt} b2={q_pt}"))
-            child.beacons.extend([p_pt, q_pt])
-            return [p_pt, q_pt] + [b for name, (piece, piece_rows) in zip("ABC", pieces)
-                                   for b in _route_rec(piece, piece_rows, child.child(TraceNode(name, piece.r)))]
-    raise InternalCaseError("no pocket choice and no in-budget pair split; routing is stuck")
 
 
 def _beacon_above(poly: RectPolygon, e, vprime: Point) -> Point:
@@ -785,9 +782,8 @@ def _route_c_violation(c_piece: RectPolygon, c_rows: dict, e, level: Fraction,
     (c2, c2_rows), (c1, _) = [pieces[start] for start in starts][::e.sense]
     if not c1.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (perpendicular case)")
-    child = node.child(TraceNode("route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}"))
-    child.beacons.extend([b2, qpt])
-    return [b2, qpt] + _route_rec(c2, c2_rows, child.child(TraceNode("C2", c2.r)))
+    return _place_and_recurse(node, "route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}", [b2, qpt],
+                              [("C2", (c2, c2_rows))])
 
 
 def _route_c_three(c_piece: RectPolygon, c_rows: dict, e, eprime, qpt: Point, node: TraceNode) -> List[Point]:
@@ -801,10 +797,7 @@ def _route_c_three(c_piece: RectPolygon, c_rows: dict, e, eprime, qpt: Point, no
     upper, _ = next(piece for piece in pieces if piece[0].vertex_index(qpt) is not None)
     if not upper.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (parallel case)")
-    beacons = [b2, b3] + ([qpt] if upper.r >= 2 else [])
-    child = node.child(TraceNode("route(C three-piece)", c_piece.r,
-                                 f"b2={b2} b3={b3} bstar={'yes' if upper.r >= 2 else 'no'}"))
-    child.beacons.extend(beacons)
     below = [piece for piece in pieces if piece[0] is not upper]
-    return beacons + [b for k, (piece, rows) in enumerate(below)
-                      for b in _route_rec(piece, rows, child.child(TraceNode(f"C{k + 2}", piece.r)))]
+    return _place_and_recurse(node, "route(C three-piece)", c_piece.r,
+                              f"b2={b2} b3={b3} bstar={'yes' if upper.r >= 2 else 'no'}",
+                              [b2, b3] + ([qpt] if upper.r >= 2 else []), zip(("C2", "C3"), below))

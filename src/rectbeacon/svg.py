@@ -1,13 +1,15 @@
 """Minimal SVG emitter for polygons, kernels, beacons and paths.
 
-Rendering converts rationals to floats for display only; nothing here ever
-feeds back into a computation.
+Rendering maps every point exactly into the polygon's bounding box, scaled
+to the drawing, and only then converts it to a float for display; nothing
+here ever feeds back into a computation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
+from .errors import GeometryError
 from .geometry import Point
 from .polygon import RectPolygon
 
@@ -21,37 +23,46 @@ _STYLE = {
 _SIZE = 640
 
 
-def _pts(points: Sequence[Point]) -> str:
-    return " ".join(f"{float(p.x):.6g},{float(p.y):.6g}" for p in points)
-
-
 def render_svg(poly: RectPolygon,
                beacons: Sequence[Point] = (),
                paths: Sequence[Sequence[Point]] = (),
                kernel: Optional[RectPolygon] = None) -> str:
-    xmin, ymin, xmax, ymax = (float(v) for v in poly.bbox())
-    span = max(xmax - xmin, ymax - ymin, 1e-9)
-    pad = 0.05 * span
-    stroke = span / 300.0
+    """The SVG drawing; a beacon or path point too far outside the polygon
+    to draw raises GeometryError."""
+    xmin, ymin, xmax, ymax = poly.bbox()
+    scale = _SIZE / max(xmax - xmin, ymax - ymin)
+
+    def px(p: Point) -> Tuple[float, float]:
+        try:
+            return float((p.x - xmin) * scale), float((p.y - ymin) * scale)
+        except OverflowError:
+            raise GeometryError(f"cannot draw {p}: too far outside the polygon") from None
+
+    def pts(points: Sequence[Point]) -> str:
+        return " ".join("{:.6g},{:.6g}".format(*px(p)) for p in points)
+
+    height = float((ymax - ymin) * scale)
+    pad = 0.05 * _SIZE
+    stroke = _SIZE / 300.0
     parts: List[str] = []
     parts.append(
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
-        f'viewBox="{xmin - pad:.6g} {-(ymax + pad):.6g} {span + 2 * pad:.6g} {span + 2 * pad:.6g}">\n'
+        f'viewBox="{-pad:.6g} {-(height + pad):.6g} {_SIZE + 2 * pad:.6g} {_SIZE + 2 * pad:.6g}">\n'
         # Flip y so the mathematical orientation matches the screen.
         f'<g transform="scale(1,-1)">\n'
     )
-    parts.append(f'<polygon points="{_pts(poly.vertices)}" '
+    parts.append(f'<polygon points="{pts(poly.vertices)}" '
                  + _STYLE["polygon"].format(w=f"{stroke:.6g}") + "/>\n")
     if kernel is not None:
-        parts.append(f'<polygon points="{_pts(kernel.vertices)}" '
+        parts.append(f'<polygon points="{pts(kernel.vertices)}" '
                      + _STYLE["kernel"] + "/>\n")
     for path in paths:
-        parts.append(f'<polyline points="{_pts(path)}" '
+        parts.append(f'<polyline points="{pts(path)}" '
                      + _STYLE["path"].format(w=f"{1.5 * stroke:.6g}") + "/>\n")
     mark = 2.5 * stroke
     for b in beacons:
-        x, y = float(b.x), float(b.y)
+        x, y = px(b)
         parts.append(
             f'<path d="M {x - mark:.6g} {y - mark:.6g} L {x + mark:.6g} {y + mark:.6g} '
             f'M {x - mark:.6g} {y + mark:.6g} L {x + mark:.6g} {y - mark:.6g}" '

@@ -234,6 +234,60 @@ def test_route_subcommand():
     assert len(out["beacons"]) <= 1
 
 
+def _trace_beacons(node):
+    """The beacons of a written trace node and of every node below it."""
+    return {tuple(b) for b in node["beacons"]}.union(*(_trace_beacons(c) for c in node["children"]))
+
+
+@pytest.mark.parametrize("command, root", [(["cover"], "root"), (["route"], "route_root"),
+                                           (["cover", "--monotone"], "mono_root")],
+                         ids=["cover", "route", "cover_monotone"])
+def test_trace_is_the_placement_trace(tmp_path, command, root):
+    """--trace writes the trace the placement built: its root carries the
+    placement's own label, and its nodes name exactly the beacons written."""
+    gen = run(["gen", "random", "-n", "24", "--seed", "2", "--monotone"])
+    trace = tmp_path / "trace.json"
+    r = run(command + ["-", "--trace", str(trace)], inp=gen.stdout)
+    assert r.returncode == 0, r.stderr
+    beacons = {tuple(b) for b in json.loads(r.stdout)["beacons"]}
+    written = json.loads(trace.read_text())
+    assert written["label"] == root
+    assert beacons and _trace_beacons(written) == beacons
+
+
+# A coordinate of 401 digits, far under the digit limit, too large for a float.
+_HUGE = "1" + "0" * 400
+
+
+def test_svg_draws_coordinates_too_large_for_a_float(tmp_path):
+    """render, kernel --emit-svg and simulate --emit-svg draw a square whose
+    side overflows a float: each point is mapped into the bounding box
+    exactly before it becomes a float."""
+    square = _ring_json([(0, 0), (_HUGE, 0), (_HUGE, _HUGE), (0, _HUGE)])
+    svg = tmp_path / "out.svg"
+    for args in (["render", "-", "-o", str(svg)], ["kernel", "-", "--emit-svg", str(svg)],
+                 ["simulate", "-", "--from", "1,1", "--beacon", "2,3", "--emit-svg", str(svg)]):
+        r = run(args, inp=square)
+        assert r.returncode == 0, (args, r.stderr)
+        assert '<polygon points="0,0 640,0 640,640 0,640"' in svg.read_text(), args
+        svg.unlink()
+
+
+@pytest.mark.parametrize("flag, payload", [
+    ("--beacons", {"beacons": [[_HUGE, "2"]], "mode": "cover"}),
+    ("--path", {"points": [["1", "3"], [_HUGE, "3"]]}),
+], ids=["beacon", "path"])
+def test_render_exits_2_on_a_point_too_far_to_draw(tmp_path, flag, payload):
+    """A point that overflows a float even mapped into the polygon's
+    bounding box is malformed input, not a crash."""
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(payload))
+    r = run(["render", "-", flag, str(points)], inp=U_JSON)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: cannot draw ") and r.stderr.count("\n") == 1, r.stderr
+    assert r.stdout == ""
+
+
 def test_bench_csv_schema():
     r = run(["bench", "--sizes", "24,40", "--runs", "1"])
     lines = r.stdout.strip().splitlines()

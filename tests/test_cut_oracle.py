@@ -366,7 +366,8 @@ def _two_splits(p, rows, e, vi, vpi):
 
 def test_three_pieces_are_both_pockets_and_the_middle():
     """_three_pieces cuts both pockets of a reflex edge off: A and C have
-    the r and n of their summaries, the areas add up exactly, e lies on B's
+    the r and n of their summaries, B has the r that routing selection
+    reads off the table, r - r(A) - r(C) - 2, the areas add up exactly, e lies on B's
     boundary, and each far end is a corner of both pieces its chord bounds.
     One walk along both chords builds the same three polygons, vertex for
     vertex, as a split at v followed by a split of the rest at v'."""
@@ -381,6 +382,7 @@ def test_three_pieces_are_both_pockets_and_the_middle():
                 sa, sc = rows[e.index, vi], rows[e.index, vpi]
                 assert (a.r, a.n) == (sa.r, sa.n), (p.vertices, e.index, vi)
                 assert (c.r, c.n) == (sc.r, sc.n), (p.vertices, e.index, vpi)
+                assert b.r == p.r - sa.r - sc.r - 2, (p.vertices, e.index, vi)
                 assert a.area() + b.area() + c.area() == p.area(), (p.vertices, e.index, vi)
                 assert b.contains(midpoint(e.a, e.b)) == "on", (p.vertices, e.index, vi)
                 for piece, end in ((a, far_v), (b, far_v), (b, far_vp), (c, far_vp)):

@@ -488,6 +488,32 @@ def test_route_shoots_only_at_the_root(monkeypatch):
     assert calls["_assert_chord"] <= 2 * p.n, calls
 
 
+def test_route_cuts_only_the_split_it_takes(monkeypatch):
+    """Routing selection reads every move, the pair split's budget too, off
+    the pocket table, so each _three_pieces call cuts the split that a node
+    takes: none on (14, 206213), where the root is stuck before any cut,
+    and one per pair, rA >= 1 or rA = 0 node on (22, 701527), whose root
+    takes the pair split."""
+    calls = 0
+    three_pieces = placement._three_pieces
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return three_pieces(*args)
+
+    monkeypatch.setattr(placement, "_three_pieces", counted)
+    with pytest.raises(InternalCaseError, match="routing is stuck"):
+        route_beacons(random_rectilinear(14, 206213))
+    assert calls == 0
+    bs = route_beacons(random_rectilinear(22, 701527))
+    assert calls == 3
+    assert [m.label for m in _nodes(bs.trace) if m.label.startswith("route(")] == \
+        ["route(pair-fallback)", "route(rA=0)", "route(rA=0)", "route(C two-piece)"]
+    assert bs.beacons == [Point(53, 55), Point(0, 55), Point(68, Fraction(131, 2)), Point(Fraction(33, 2), 116),
+                          Point(118, 28), Point(118, 65)]
+
+
 # Valid polygons on which routing gets stuck: each has no routing pocket
 # (every rectangle pocket's complement wraps round e's line), and every
 # three-piece split of the pair fallback costs more than floor(3r/4).
