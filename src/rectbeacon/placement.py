@@ -1,11 +1,15 @@
 """Constructive beacon placement: coverage and routing upper bounds.
 
-cover() places at most ceil(r/3) beacons, all at reflex vertices, following
-the safe-cut recursion and, where no cut is safe, the paper's top case, read
+cover() places at most ceil(r/3) beacons, all at reflex vertices, cutting
+along safe cuts and, where no cut is safe, by the paper's top case, read
 in a frame where the reflex edge it starts from faces the 1-cut.
 cover_monotone() places at most floor(r/4)+1 beacons in a monotone polygon.
 route_beacons() places at most floor(3r/4) beacons so that every pair of
 points can be routed through them.
+
+Each placement runs its steps on one work list (_walk): a step places its
+beacons on its trace node and returns the tasks for the pieces it cut.  The
+trace is the one record of the placed beacons (_placed).
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class BeaconSet:
 
 
 class TraceNode:
-    """One decision of the placement recursion, for debugging and reports."""
+    """One decision of a placement, for debugging and reports."""
 
     __slots__ = ("label", "r", "detail", "children", "beacons")
 
@@ -94,14 +98,32 @@ def _level_along(p: Point, o: str) -> Tuple[Fraction, Fraction]:
     return (p.y, p.x) if o == "H" else (p.x, p.y)
 
 
-def _dedup(points: Sequence[Point]) -> List[Point]:
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+def _walk(*task) -> None:
+    """Run a task, (step, *args), and the tasks that each step returns for
+    the pieces it cut, depth-first, in the order the steps return them."""
+    tasks = [task]
+    while tasks:
+        step, *args = tasks.pop()
+        tasks.extend(reversed(step(*args)))
+
+
+def _branch(node: TraceNode, label: str, r: int, detail: str, beacons: Sequence[Point], step, pieces) -> list:
+    """Put beacons on a new child of node, labelled label, and return one
+    task (step, *args, piece_node) per (name, args) of pieces: args[0] is
+    the piece, and piece_node a new child of that child, labelled name."""
+    child = node.child(TraceNode(label, r, detail))
+    child.beacons.extend(beacons)
+    return [(step, *args, child.child(TraceNode(name, args[0].r))) for name, args in pieces]
+
+
+def _placed(root: TraceNode) -> List[Point]:
+    """The beacons on the trace under root, in preorder, each once."""
+    placed, nodes = {}, [root]
+    while nodes:
+        node = nodes.pop()
+        placed.update(dict.fromkeys(node.beacons))
+        nodes.extend(reversed(node.children))
+    return list(placed)
 
 
 # ------------------------------------------------------------------ coverage
@@ -160,8 +182,8 @@ def cover(poly: RectPolygon, trace: Optional[TraceNode] = None) -> BeaconSet:
     For r >= 1 every beacon sits at a reflex vertex of the input polygon.
     """
     root = trace if trace is not None else TraceNode("root", poly.r)
-    beacons = _cover_rec(poly, root)
-    beacons = _dedup(beacons)
+    _walk(_cover_rec, poly, root)
+    beacons = _placed(root)
     if len(beacons) > max(1, _ceil3(poly.r)):
         raise InternalCaseError(
             f"cover placed {len(beacons)} beacons, budget {max(1, _ceil3(poly.r))}"
@@ -176,13 +198,13 @@ def cover(poly: RectPolygon, trace: Optional[TraceNode] = None) -> BeaconSet:
     return bs
 
 
-def _cover_rec(poly: RectPolygon, node: TraceNode) -> List[Point]:
+def _cover_rec(poly: RectPolygon, node: TraceNode) -> list:
+    """The step of cover's walk at poly, whose trace node is node."""
     r = poly.r
     if r <= 3:
         node.child(TraceNode("base", r))
-        bs = cover_base(poly)
-        node.beacons.extend(bs.beacons)
-        return list(bs.beacons)
+        node.beacons.extend(cover_base(poly).beacons)
+        return []
     chord = find_safe_cut(poly)
     if chord is not None:
         return _cover_split(poly, chord, _FRAMES[0], node, "safe_cut", ("safe_minus", "safe_plus"))
@@ -250,17 +272,16 @@ def _first_reflex(poly: RectPolygon, chord: Chord, f: _Frame, above: bool) -> Po
 
 
 def _cover_split(poly: RectPolygon, chord: Chord, f: _Frame, node: TraceNode, label: str,
-                 halves: Tuple[str, str] = ("minus", "plus")) -> List[Point]:
-    """Split along a chord, its sides read in frame f, and cover both
-    pieces under a new child of node, labelled label, whose detail is the
-    chord; the pieces' nodes are labelled halves, below side first."""
+                 halves: Tuple[str, str] = ("minus", "plus")) -> list:
+    """Split along a chord, its sides read in frame f, and return the tasks
+    that cover both pieces under a new child of node, labelled label, whose
+    detail is the chord; the pieces' nodes are labelled halves, below side
+    first."""
     minus, plus = f.split(poly, chord)
-    child = node.child(TraceNode(label, poly.r, repr(chord)))
-    return (_cover_rec(minus, child.child(TraceNode(halves[0], minus.r)))
-            + _cover_rec(plus, child.child(TraceNode(halves[1], plus.r))))
+    return _branch(node, label, poly.r, repr(chord), [], _cover_rec, zip(halves, ((minus,), (plus,))))
 
 
-def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
+def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> list:
     """The paper's top case, read in the first frame, in _FRAMES order,
     that has a 1-cut c whose v bounds a horizontal reflex edge facing c.
     Only that frame leaves a trace node; its detail names the frames before
@@ -301,7 +322,7 @@ def _cover_no_safe_cut(poly: RectPolygon, node: TraceNode) -> List[Point]:
     raise InternalCaseError(f"no orientation admits the case analysis: {'; '.join(gave_up)}")
 
 
-def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNode) -> List[Point]:
+def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNode) -> list:
     """The top case at 1-cut c, whose first reflex vertex below bounds the
     horizontal reflex edge e from v1 to v2, facing c; rows are the frame's
     classes of its horizontal as (r_below, level, along, chord).
@@ -369,9 +390,7 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNod
         minus, plus = f.split(poly, c)
         if not in_all_cones(minus, b_at):
             raise InternalCaseError(f"case (b): beacon {b_at} not in kernel of P_minus")
-        child = node.child(TraceNode("top(b-wall)", r, f"beacon {b_at}"))
-        child.beacons.append(b_at)
-        return [b_at] + _cover_rec(plus, child.child(TraceNode("plus", plus.r)))
+        return _branch(node, "top(b-wall)", r, f"beacon {b_at}", [b_at], _cover_rec, [("plus", (plus,))])
     d1, d2 = vertex_chord(poly, i1, vo), vertex_chord(poly, i2, vo)
     left, right = f.reflex(poly, d1), r - 1 - f.reflex(poly, d2)
     # (b)(i): the outer side of d1 or of d2 is divisible by three.
@@ -403,13 +422,16 @@ def _no_safe_top(poly: RectPolygon, c: Chord, f: _Frame, e, rows, node: TraceNod
         raise InternalCaseError(
             f"case (b)(iii): vertical cut at {poly.vertices[ci]} does not land on e"
         )
-    result = _cover_split(poly, chord, f, node, "top(b-iii)")
-    # Coverage of the strip left of d1 relies on a beacon landing at an
-    # endpoint of e1; the recursion is expected to produce one.
-    e1_pts = {e1.a, e1.b}
-    if not any(b in e1_pts for b in result):
+    return _cover_split(poly, chord, f, node, "top(b-iii)") + [(_beacon_on_e1, node, e1)]
+
+
+def _beacon_on_e1(node: TraceNode, e1) -> list:
+    """The task queued after both pieces of (b)(iii): coverage of the strip
+    left of d1 relies on a beacon landing at an endpoint of e1, and the
+    pieces, under node, are expected to place one."""
+    if not {e1.a, e1.b}.intersection(_placed(node)):
         raise InternalCaseError("case (b)(iii): no beacon at an endpoint of e1")
-    return result
+    return []
 
 
 # ---------------------------------------------------------- monotone coverage
@@ -426,7 +448,8 @@ def cover_monotone(poly: RectPolygon, trace: Optional[TraceNode] = None) -> Beac
     else:
         raise NotMonotone("polygon is neither x- nor y-monotone")
     root = trace if trace is not None else TraceNode("mono_root", poly.r)
-    beacons = _dedup(_cover_monotone_rec(poly, f, o, root))
+    _walk(_cover_monotone_rec, poly, f, o, root)
+    beacons = _placed(root)
     if len(beacons) > poly.r // 4 + 1:
         raise InternalCaseError(
             f"monotone cover used {len(beacons)} beacons, budget {poly.r // 4 + 1}"
@@ -434,7 +457,8 @@ def cover_monotone(poly: RectPolygon, trace: Optional[TraceNode] = None) -> Beac
     return BeaconSet(beacons, ["monotone"] * len(beacons), trace=root, mode="cover")
 
 
-def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -> List[Point]:
+def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -> list:
+    """The step of cover_monotone's walk at poly, whose trace node is node."""
     redges = poly.reflex_edges()
     if len(redges) <= 1:
         if redges:
@@ -445,7 +469,7 @@ def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -
             raise InternalCaseError("monotone base beacon outside the kernel")
         node.child(TraceNode("mono_base", poly.r))
         node.beacons.append(b)
-        return [b]
+        return []
     # The far ends of the reflex edges along the sweep, in sweep order.
     far = {e.index: max(e.a, e.b, key=lambda p: f.key(p, o)) for e in redges}
     rights = sorted(far.values(), key=lambda p: f.key(p, o))
@@ -457,9 +481,7 @@ def _cover_monotone_rec(poly: RectPolygon, f: _Frame, o: str, node: TraceNode) -
     b = midpoint(e1.a, e1.b)
     if not in_all_cones(minus, b):
         raise InternalCaseError("monotone beacon fell outside the left kernel")
-    child = node.child(TraceNode("mono_cut", poly.r, repr(chord)))
-    child.beacons.append(b)
-    return [b] + _cover_monotone_rec(plus, f, o, child.child(TraceNode("mono_rest", plus.r)))
+    return _branch(node, "mono_cut", poly.r, repr(chord), [b], _cover_monotone_rec, [("mono_rest", (plus, f, o))])
 
 
 # ------------------------------------------------------------------- routing
@@ -571,7 +593,8 @@ def _crossed(chords: Sequence[Chord], o: str, level: Fraction, lo: Fraction, hi:
 def route_beacons(poly: RectPolygon, trace: Optional[TraceNode] = None) -> BeaconSet:
     """Place at most floor(3r/4) beacons routing every pair of points."""
     root = trace if trace is not None else TraceNode("route_root", poly.r)
-    beacons = _dedup(_route_rec(poly, _pocket_rows(poly), root))
+    _walk(_route_rec, poly, _pocket_rows(poly), root)
+    beacons = _placed(root)
     if len(beacons) > (3 * poly.r) // 4:
         raise InternalCaseError(
             f"routing used {len(beacons)} beacons, budget {(3 * poly.r) // 4}"
@@ -606,12 +629,12 @@ def _select_routing_pocket(poly: RectPolygon, rows: dict) -> Tuple[str, int, int
     alone: the caller cuts at end v of reflex edge e and checks the pieces.
 
     The rules, first that applies: a monotone pocket with at least one
-    reflex vertex, route(rA>=1), which recurses the whole complement, so its
+    reflex vertex, route(rA>=1), which routes the whole complement, so its
     shape is irrelevant; a monotone rectangle pocket whose complement pocket
     stays on its side of the edge line, route(rA=0), as the sweep argument
     needs; else the first row, in table order, whose pair split fits
     floor(3r/4), route(pair-fallback).  The pair split places a beacon at
-    each cut end and recurses all three pieces.  It is sound for any reflex
+    each cut end and routes all three pieces.  It is sound for any reflex
     edge: the cut segments are convex edges of their pieces, each beacon
     lies on the shared boundary of two pieces, and the two beacons attract
     each other straight along the edge's line.  It costs one beacon more
@@ -636,9 +659,10 @@ def _select_routing_pocket(poly: RectPolygon, rows: dict) -> Tuple[str, int, int
     raise InternalCaseError("no pocket choice and no in-budget pair split; routing is stuck")
 
 
-def _route_rec(poly: RectPolygon, rows: dict, node: TraceNode) -> List[Point]:
-    """Route poly, whose pocket table is rows, by the move that
-    _select_routing_pocket reads off it, cutting only that split."""
+def _route_rec(poly: RectPolygon, rows: dict, node: TraceNode) -> list:
+    """The step of route_beacons' walk at poly, whose pocket table is rows:
+    the move that _select_routing_pocket reads off the table, cutting only
+    that split."""
     if poly.is_xy_monotone():
         node.child(TraceNode("route_monotone", poly.r))
         return []
@@ -649,33 +673,21 @@ def _route_rec(poly: RectPolygon, rows: dict, node: TraceNode) -> List[Point]:
     if (a[0].r, b[0].r, c[0].r) != counts:
         raise InternalCaseError(f"the split at {poly.vertices[v_idx]} does not hold the table's counts {counts}")
     if label == "route(pair-fallback)":
-        return _place_and_recurse(node, label, poly.r, f"b1={p} b2={qpt}", [p, qpt], zip("ABC", (a, b, c)))
+        return _branch(node, label, poly.r, f"b1={p} b2={qpt}", [p, qpt], _route_rec, zip("ABC", (a, b, c)))
     # Route through the pocket A at end v of reflex edge e, xy-monotone as
     # its row says.
     if not a[0].is_xy_monotone() or a[0].n != row_a.n:
         raise InternalCaseError(f"chosen pocket {a[0]} is not xy-monotone or not {row_a}")
     if label == "route(rA>=1)":
-        return _place_and_recurse(node, label, poly.r, f"b1={p} b2={qpt}", [p, qpt], zip("BC", (b, c)))
+        return _branch(node, label, poly.r, f"b1={p} b2={qpt}", [p, qpt], _route_rec, zip("BC", (b, c)))
     # r(A) = 0: A is a rectangle; b1 goes infinitesimally inward of e at v'.
-    (b_piece, b_rows), (c_piece, c_rows) = b, c
+    # C's sweep runs under the same node, after B's whole subtree.
     e = poly.edges[e_idx]
     b1 = _beacon_above(poly, e, poly.vertices[_other_end(poly, e_idx, v_idx)])
-    child = node.child(TraceNode(label, poly.r, f"b1={b1}"))
-    child.beacons.append(b1)
-    out = [b1] + _route_rec(b_piece, b_rows, child.child(TraceNode("B", b_piece.r)))
-    if c_piece.r == 0:
-        return out
-    return out + _route_sweep_c(c_piece, c_rows, e, qpt, child)
-
-
-def _place_and_recurse(node: TraceNode, label: str, r: int, detail: str, beacons: List[Point],
-                       named) -> List[Point]:
-    """Place beacons under a new child of node, labelled label, and route
-    each (name, (piece, its pocket table)) of named under a child of it."""
-    child = node.child(TraceNode(label, r, detail))
-    child.beacons.extend(beacons)
-    return beacons + [b for name, (piece, rows) in named
-                      for b in _route_rec(piece, rows, child.child(TraceNode(name, piece.r)))]
+    tasks = _branch(node, label, poly.r, f"b1={b1}", [b1], _route_rec, [("B", b)])
+    if c[0].r == 0:
+        return tasks
+    return tasks + [(_route_sweep_c, *c, e, qpt, node.children[-1])]
 
 
 def _far_end(chord: Chord, w: Point) -> Point:
@@ -724,9 +736,9 @@ def _beacon_above(poly: RectPolygon, e, vprime: Point) -> Point:
 # lie inside edges and _side_monotone reads the upper piece's monotonicity.
 
 
-def _route_sweep_c(c_piece: RectPolygon, c_rows: dict, e, qpt: Point, node: TraceNode) -> List[Point]:
-    """Sweep C away from e's line, from its chord at v' on, until
-    xy-monotonicity breaks.
+def _route_sweep_c(c_piece: RectPolygon, c_rows: dict, e, qpt: Point, node: TraceNode) -> list:
+    """The step of route_beacons' walk that sweeps C away from e's line,
+    from its chord at v' on, until xy-monotonicity breaks.
 
     Callers guarantee that C stays on its side of the cut line (no
     wrap-around), so the chord is C's top edge and the swept upper piece is
@@ -759,7 +771,7 @@ def _route_sweep_c(c_piece: RectPolygon, c_rows: dict, e, qpt: Point, node: Trac
 
 
 def _route_c_violation(c_piece: RectPolygon, c_rows: dict, e, level: Fraction,
-                       interval, qpt: Point, node: TraceNode) -> List[Point]:
+                       interval, qpt: Point, node: TraceNode) -> list:
     o = e.orientation
     lo_i, hi_i = interval
     parallel = [x for x in c_piece.edges
@@ -775,18 +787,19 @@ def _route_c_violation(c_piece: RectPolygon, c_rows: dict, e, level: Fraction,
     if len(w_cands) != 1:
         raise InternalCaseError(f"sweep stop: {len(w_cands)} candidate vertices at {level}")
     wi = w_cands[0]
-    chord = vertex_chord(c_piece, wi, o)
+    # The one chord through w, read off the line at w's level.
+    chord = next(c for c in chords_on_line(c_piece, o, level) if (wi, True) in c.ends)
     b2 = _far_end(chord, c_piece.vertices[wi])
     starts = [(0, side.first) for side in chord_sides(chord)]
     pieces = _carried_pieces(c_piece, c_rows, [chord], starts)
     (c2, c2_rows), (c1, _) = [pieces[start] for start in starts][::e.sense]
     if not c1.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (perpendicular case)")
-    return _place_and_recurse(node, "route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}", [b2, qpt],
-                              [("C2", (c2, c2_rows))])
+    return _branch(node, "route(C two-piece)", c_piece.r, f"b2={b2} b*={qpt}", [b2, qpt], _route_rec,
+                   [("C2", (c2, c2_rows))])
 
 
-def _route_c_three(c_piece: RectPolygon, c_rows: dict, e, eprime, qpt: Point, node: TraceNode) -> List[Point]:
+def _route_c_three(c_piece: RectPolygon, c_rows: dict, e, eprime, qpt: Point, node: TraceNode) -> list:
     """Split C along the full sweep segment through a reflex edge e' parallel
     to e, by _three_pieces at e''s first end along o.  The upper piece holds
     qpt; the two others, in order along o, are C2 and C3.  b2 and b3, the
@@ -798,6 +811,6 @@ def _route_c_three(c_piece: RectPolygon, c_rows: dict, e, eprime, qpt: Point, no
     if not upper.is_xy_monotone():
         raise InternalCaseError("upper sweep piece is not monotone (parallel case)")
     below = [piece for piece in pieces if piece[0] is not upper]
-    return _place_and_recurse(node, "route(C three-piece)", c_piece.r,
-                              f"b2={b2} b3={b3} bstar={'yes' if upper.r >= 2 else 'no'}",
-                              [b2, b3] + ([qpt] if upper.r >= 2 else []), zip(("C2", "C3"), below))
+    detail = f"b2={b2} b3={b3} bstar={'yes' if upper.r >= 2 else 'no'}"
+    return _branch(node, "route(C three-piece)", c_piece.r, detail, [b2, b3] + ([qpt] if upper.r >= 2 else []),
+                   _route_rec, zip(("C2", "C3"), below))

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import shutil
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -47,7 +49,7 @@ def test_record_schema_at_small_n():
     rec = json.loads(json.dumps(growth.record({"here": TOOL.parent.parent}, 10, 40, 5.0, fit_from)))
     assert {"python", "nproc", "start_n", "max_n", "limit_s", "fit_from", "order", "checkouts"} <= set(rec)
     here, = rec["checkouts"].values()
-    assert here["commit"]
+    assert here["commit"] and here["failed"] == {}
     assert set(here["seconds"]) == set(here["exponents"]) == set(rec["fit_from"]) == set(growth.LAYERS)
     assert {"validate", "kernel", "verify_coverage", "verify_routing"} <= set(growth.LAYERS)
     assert growth.FIT_FROM["validate"] == growth.FIT_FROM["kernel"] == 320
@@ -57,3 +59,32 @@ def test_record_schema_at_small_n():
             assert [n for n, _ in points] == [10, 20, 40], (layer, family)
             assert all(t > 0 for _, t in points), (layer, family)
             assert math.isfinite(here["exponents"][layer][family]), (layer, family)
+
+
+def test_a_failing_call_ends_only_its_series(tmp_path):
+    """A call that raises ends its (layer, family) series, and the record
+    keeps its n and the exception's type; the other series run on.  The
+    copied src/ routes no polygon with 20 or more vertices, so both
+    route_beacons series and both verify_routing ones, which place their
+    beacons with it, end at n = 20."""
+    growth = _growth()
+    shutil.copytree(TOOL.parent.parent / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    placement = tmp_path / "src" / "rectbeacon" / "placement.py"
+    placement.write_text(placement.read_text() + textwrap.dedent("""
+
+        _route_beacons = route_beacons
+
+
+        def route_beacons(poly, trace=None):
+            if poly.n >= 20:
+                raise RecursionError("too deep")
+            return _route_beacons(poly, trace)
+    """))
+    rec = growth.record({"broken": tmp_path}, 10, 40, 5.0, dict.fromkeys(growth.LAYERS, 10))
+    broken = rec["checkouts"]["broken"]
+    assert broken["failed"] == {f"{layer} {family}": [20, "RecursionError"]
+                                for layer in ("route_beacons", "verify_routing") for family in growth.FAMILIES}
+    for layer in growth.LAYERS:
+        for family in growth.FAMILIES:
+            ns = [n for n, _ in broken["seconds"][layer][family]]
+            assert ns == ([10] if f"{layer} {family}" in broken["failed"] else [10, 20, 40]), (layer, family)

@@ -1,4 +1,6 @@
 import re
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -390,12 +392,18 @@ def test_sweep_band_counts_match_built_pieces(monkeypatch):
     every band it visits, on the polygons of test_route_across_presentations
     and of c07 in all their presentations, _side_monotone on each side of
     each chord of the band's line says what is_xy_monotone says of the piece
-    built on that side."""
+    built on that side.  The line through the sweep's stop vertex, at the
+    level of an edge, is read for the chord through that vertex: it is no
+    band."""
     bands = sides = 0
 
     def checked_chords(poly, axis, level):
         nonlocal bands, sides
         chords = chords_on_line(poly, axis, level)
+        if any(x.orientation == axis and x.level == level for x in poly.edges):
+            assert any(end in chord.ends for chord in chords for end in
+                       ((i, True) for i in poly.reflex_indices)), (poly.vertices, axis, level)
+            return chords
         for chord in chords:
             assert not chord.ends[0][1] and not chord.ends[1][1], (poly.vertices, chord)
             for side in chord_sides(chord):
@@ -486,6 +494,68 @@ def test_route_shoots_only_at_the_root(monkeypatch):
     route_beacons(p)
     assert calls["_pocket_rows"] == 1 and calls["_sweep"] <= 2, calls
     assert calls["_assert_chord"] <= 2 * p.n, calls
+
+
+def test_route_sweeps_at_most_twice(monkeypatch):
+    """Routing reads the chord through the C sweep's stop vertex off the line
+    there, not off a fresh shot table of C: on output_dump's route corpus
+    (n <= 64) no route_beacons call runs polygon._sweep more than twice."""
+    from output_dump import corpus
+    from rectbeacon import polygon
+
+    polys = [p for _, p in corpus() if p.n <= 64]
+    assert len(polys) == 256
+    sweep, most = polygon._sweep, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(polygon, "_sweep", counted)
+    for p in polys:
+        calls = 0
+        route_beacons(p)
+        most = max(most, calls)
+    assert most <= 2, most
+
+
+def _depth():
+    """The number of Python frames on the stack."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_placement_runs_in_constant_stack_depth():
+    """cover and route_beacons run their steps on one work list, so they
+    stay within 40 frames of their caller on the n = 320 coverage spiral
+    and on random_rectilinear(80, 3), however deep their traces."""
+    polys = [coverage_spiral(158)[0], random_rectilinear(80, 3)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 40)
+    try:
+        for p in polys:
+            route_beacons(p)
+            cover(p)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_placement_memory_on_the_spiral():
+    """A step keeps only the pieces still to be placed, not its ancestors'
+    pieces and pocket tables: on the n = 320 coverage spiral the tracemalloc
+    peak of route_beacons stays under 1 MiB and that of cover under 0.5 MiB."""
+    for place, bound in ((route_beacons, 1 << 20), (cover, 1 << 19)):
+        p, _ = coverage_spiral(158)
+        tracemalloc.start()
+        try:
+            place(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (place.__name__, peak)
 
 
 def test_route_cuts_only_the_split_it_takes(monkeypatch):

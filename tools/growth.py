@@ -14,9 +14,10 @@ REPEAT_FOR_S seconds in all, and its best time is kept, so that calls of a
 few milliseconds, such as validate's, are timed over many runs.  A
 verifier checks the beacons that cover or route_beacons places for it
 before its timed call.  A series stops after its first call of at least
-LIMIT_S seconds.  At each n the checkouts run in the given order, and in
-reverse order at every other n, so that two checkouts share the machine's
-slow spells.
+LIMIT_S seconds, or at its first call that raises: the record keeps that n
+and the exception's type under "failed", and the other series run on.  At
+each n the checkouts run in the given order, and in reverse order at every
+other n, so that two checkouts share the machine's slow spells.
 
 The record holds every timing, and per checkout, layer and family the
 growth exponent: the least-squares slope of log(seconds) against log(n)
@@ -85,7 +86,8 @@ def shared_exponents(series: dict, fit_from: dict) -> dict:
 
 def time_point(src: Path, n: int, series: list) -> dict:
     """{"layer family": seconds} for the (layer, family) pairs in series,
-    with rectbeacon imported from src."""
+    with rectbeacon imported from src; the type name of the exception in
+    place of the seconds for a call that raised."""
     sys.path.insert(0, str(src))
     from rectbeacon import jsonio
     from rectbeacon.generators import coverage_spiral, random_rectilinear
@@ -107,23 +109,29 @@ def time_point(src: Path, n: int, series: list) -> dict:
     }
     out = {}
     for layer, family in series:
-        call, best, spent, runs = calls[layer](polys[family]()), math.inf, 0.0, 0
-        while not runs or (best < REPEAT_UNDER_S and (runs < 3 or spent < REPEAT_FOR_S)):
-            t0 = time.perf_counter()
-            call()
-            seconds = time.perf_counter() - t0
-            best, spent, runs = min(best, seconds), spent + seconds, runs + 1
+        best, spent, runs = math.inf, 0.0, 0
+        try:
+            call = calls[layer](polys[family]())
+            while not runs or (best < REPEAT_UNDER_S and (runs < 3 or spent < REPEAT_FOR_S)):
+                t0 = time.perf_counter()
+                call()
+                seconds = time.perf_counter() - t0
+                best, spent, runs = min(best, seconds), spent + seconds, runs + 1
+        except Exception as exc:  # a failing call ends its own series, not the record
+            best = type(exc).__name__
         out[f"{layer} {family}"] = best
     return out
 
 
 def record(checkouts: dict, start: int, max_n: int, limit: float, fit_from: dict) -> dict:
     series = {name: {layer: {family: [] for family in FAMILIES} for layer in LAYERS} for name in checkouts}
+    failed = {name: {} for name in checkouts}
     n, k = start, 0
     while n <= max_n:
         for name in list(checkouts)[::1 if k % 2 == 0 else -1]:
             running = [(layer, family) for layer in LAYERS for family in FAMILIES
-                       if not series[name][layer][family] or series[name][layer][family][-1][1] < limit]
+                       if f"{layer} {family}" not in failed[name]
+                       and (not series[name][layer][family] or series[name][layer][family][-1][1] < limit)]
             if not running:
                 continue
             proc = subprocess.run([sys.executable, __file__, "--point", str(checkouts[name] / "src"), str(n),
@@ -132,7 +140,10 @@ def record(checkouts: dict, start: int, max_n: int, limit: float, fit_from: dict
                 raise SystemExit(f"{name} at n = {n} failed:\n{proc.stderr}")
             for key, seconds in json.loads(proc.stdout).items():
                 layer, family = key.split()
-                series[name][layer][family].append([n, round(seconds, 6)])
+                if isinstance(seconds, str):
+                    failed[name][key] = [n, seconds]
+                else:
+                    series[name][layer][family].append([n, round(seconds, 6)])
             print(f"{name} n={n}: {proc.stdout.strip()}", file=sys.stderr)
         n, k = 2 * n, k + 1
     exponents = shared_exponents(series, fit_from)
@@ -143,6 +154,7 @@ def record(checkouts: dict, start: int, max_n: int, limit: float, fit_from: dict
         "checkouts": {name: {
             "commit": _commit(root),
             "seconds": series[name],
+            "failed": failed[name],
             "exponents": exponents[name],
         } for name, root in checkouts.items()},
     }
